@@ -27,19 +27,37 @@ class DofMap:
         self.edge_offset = mesh.n_vertices
         self.cell_offset = mesh.n_vertices + mesh.n_edges * self.n_edge_internal
         self.n_dofs = self.cell_offset + mesh.n_cells * self.n_moments
+        self.offsets, self.flat = self._number_cells()
+
+    def _number_cells(self):
+        """Global DOFs of every cell, concatenated in cell order, plus offsets.
+
+        Cells with equal vertex counts are numbered together as one
+        (cells, n_dofs) array and scattered into place.
+        """
+        mesh = self.mesh
+        n_v = np.array([len(cell) for cell in mesh.cells], dtype=int)
+        sizes = n_v * self.k + self.n_moments
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        flat = np.empty(offsets[-1], dtype=int)
+        t = np.arange(self.n_edge_internal)
+        for nv in np.unique(n_v):
+            cells = np.flatnonzero(n_v == nv)
+            verts = np.array([mesh.cells[c] for c in cells], dtype=int)
+            edges = np.array([mesh.cell_edges[c] for c in cells], dtype=int)
+            internal = np.where(edges[..., 1:].astype(bool), t, self.n_edge_internal - 1 - t)
+            edge_dofs = self.edge_offset + edges[..., :1] * self.n_edge_internal + internal
+            moments = self.cell_offset + cells[:, None] * self.n_moments + np.arange(
+                self.n_moments
+            )
+            table = np.hstack([verts, edge_dofs.reshape(len(cells), -1), moments])
+            flat[offsets[cells][:, None] + np.arange(table.shape[1])] = table
+        flat.flags.writeable = False
+        return offsets, flat
 
     def cell_dofs(self, c):
         """Global DOF indices of cell c, aligned with the local layout."""
-        mesh = self.mesh
-        cell = mesh.cells[c]
-        out = list(cell)
-        for e, forward in mesh.cell_edges[c]:
-            base = self.edge_offset + e * self.n_edge_internal
-            idx = range(base, base + self.n_edge_internal)
-            out.extend(idx if forward else reversed(idx))
-        base = self.cell_offset + c * self.n_moments
-        out.extend(range(base, base + self.n_moments))
-        return np.asarray(out, dtype=int)
+        return self.flat[self.offsets[c] : self.offsets[c + 1]]
 
     def boundary_values(self, problem):
         """Prescribed Dirichlet DOFs and values, with label-priority tie-break.
@@ -106,27 +124,42 @@ class GlobalSystem:
 def assemble(mesh, dofmap, cell_matrices):
     """Scatter-add local (matrix, rhs) pairs into the global sparse system.
 
-    ``cell_matrices`` is an iterable over cells of (K_local, f_local); the
-    reduction order is fixed by cell index, so entries are deterministic.
+    ``cell_matrices`` is an iterable over cells of (K_local, f_local).  The
+    triplets are formed from stacked arrays, one block per local size, but
+    kept in cell order, so the reduction order is fixed by cell index and
+    entries are deterministic.
     """
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(dofmap.n_dofs)
-    for c, (k_loc, f_loc) in enumerate(cell_matrices):
-        if not np.all(np.isfinite(k_loc)) or not np.all(np.isfinite(f_loc)):
+    mats, loads = [], []
+    for k_loc, f_loc in cell_matrices:
+        mats.append(np.asarray(k_loc, dtype=float))
+        loads.append(np.asarray(f_loc, dtype=float))
+    sizes = np.diff(dofmap.offsets)[: len(mats)]
+    vals = np.concatenate([m.ravel() for m in mats])
+    load = np.concatenate(loads)
+    mat_end = np.cumsum([m.size for m in mats])
+    load_end = np.cumsum([len(f) for f in loads])
+    bad = np.zeros(len(mats), dtype=bool)
+    bad[np.searchsorted(mat_end, np.flatnonzero(~np.isfinite(vals)), side="right")] = True
+    bad[np.searchsorted(load_end, np.flatnonzero(~np.isfinite(load)), side="right")] = True
+    wrong = np.array([m.shape[0] for m in mats]) != sizes
+    if bad.any() or wrong.any():
+        c = int(np.flatnonzero(bad | wrong)[0])
+        if bad[c]:
             raise MeshError(f"non-finite local contribution from cell {c}")
-        dofs = dofmap.cell_dofs(c)
-        if len(dofs) != k_loc.shape[0]:
-            raise MeshError(f"cell {c}: local matrix does not match DOF count")
-        grid = np.meshgrid(dofs, dofs, indexing="ij")
-        rows.append(grid[0].ravel())
-        cols.append(grid[1].ravel())
-        vals.append(np.asarray(k_loc, dtype=float).ravel())
-        np.add.at(rhs, dofs, f_loc)
+        raise MeshError(f"cell {c}: local matrix does not match DOF count")
     n = dofmap.n_dofs
-    matrix = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
+    starts = np.concatenate([[0], mat_end[:-1]])
+    rows = np.empty(len(vals), dtype=int)
+    cols = np.empty(len(vals), dtype=int)
+    for size in np.unique(sizes):
+        cells = np.flatnonzero(sizes == size)
+        dofs = dofmap.flat[dofmap.offsets[cells][:, None] + np.arange(size)]
+        at = starts[cells][:, None] + np.arange(size * size)
+        rows[at] = np.repeat(dofs, size, axis=1)
+        cols[at] = np.tile(dofs, (1, size))
+    cell_dofs = dofmap.flat[: dofmap.offsets[len(mats)]]
+    rhs = np.bincount(cell_dofs, weights=load, minlength=n)
+    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     return GlobalSystem(matrix, rhs, dofmap)
 
 

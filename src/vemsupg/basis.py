@@ -7,6 +7,8 @@ degree blocks in increasing total degree, x-power descending inside a block.
 Derivatives act on coefficient vectors as exact linear maps between bases.
 """
 
+import functools
+
 import numpy as np
 
 
@@ -17,10 +19,16 @@ def poly_dim(n):
     return (n + 1) * (n + 2) // 2
 
 
+@functools.lru_cache(maxsize=None)
 def monomial_exponents(n):
-    """Exponent pairs of the degree-n basis in graded-lex order, shape (dim, 2)."""
+    """Exponent pairs of the degree-n basis in graded-lex order, shape (dim, 2).
+
+    The array is shared between calls and read-only.
+    """
     exps = [(d - j, j) for d in range(n + 1) for j in range(d + 1)]
-    return np.array(exps, dtype=int).reshape(-1, 2)
+    out = np.array(exps, dtype=int).reshape(-1, 2)
+    out.flags.writeable = False
+    return out
 
 
 def monomial_index(a1, a2):

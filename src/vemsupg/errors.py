@@ -23,6 +23,8 @@ class ProbeError(Exception):
     """Coercivity probe exhausted the search cap; carries the eigenvalue trace."""
 
     def __init__(self, message, trace=None, cell=None):
+        if cell is not None:
+            message = f"cell {cell}: {message}"
         super().__init__(message)
         self.trace = trace if trace is not None else []
         self.cell = cell

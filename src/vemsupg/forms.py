@@ -90,12 +90,11 @@ class ElementCoefficients:
 class LocalForms:
     """Local matrices of one element over its DOF basis."""
 
-    def __init__(self, a, b, d, rhs, probe_gram=None, stab=None):
+    def __init__(self, a, b, d, rhs, stab=None):
         self.a = a
         self.b = b
         self.d = d
         self.rhs = rhs
-        self.probe_gram = probe_gram
         self.stab = stab
 
     @property
@@ -155,11 +154,17 @@ def peclet_tau(geom, kappa, beta_e, k, c_tilde=None):
         if c_tilde is None:
             c_tilde = tilde_c_k(geom, k)
         m_k = 2.0 * c_tilde
-    if beta_e == 0.0:
-        return 0.0, 0.0, m_k
-    pe = m_k * beta_e * geom.h / kappa
-    tau = geom.h / (2.0 * beta_e) * min(1.0, pe)
-    return pe, tau, m_k
+    pe, tau = _peclet_tau(geom.h, kappa, np.asarray(beta_e, dtype=float), m_k)
+    return float(pe), float(tau), m_k
+
+
+def _peclet_tau(h, kappa, beta_e, m_k):
+    """Peclet numbers and tau for an array of velocity bounds ``beta_e``."""
+    moving = beta_e != 0.0
+    safe = np.where(moving, beta_e, 1.0)
+    pe = np.where(moving, m_k * safe * h / kappa, 0.0)
+    tau = np.where(moving, h / (2.0 * safe) * np.minimum(1.0, pe), 0.0)
+    return pe, tau
 
 
 def element_coefficients(geom, problem, k):
@@ -280,7 +285,6 @@ def sf_forms(geom, space, coeffs, problem):
         b=local_b_h(geom, space, coeffs, problem),
         d=local_d_h(geom, space, coeffs, problem),
         rhs=local_rhs(geom, space, coeffs, problem),
-        probe_gram=projected_gradient_gram(space),
     )
 
 
@@ -311,6 +315,87 @@ def baseline_vem_forms(geom, space, coeffs, problem, sigma=None):
         b=local_b_h(geom, space, coeffs, problem),
         d=local_d_h(geom, space, coeffs, problem),
         rhs=local_rhs(geom, space, coeffs, problem),
-        probe_gram=gx.T @ h @ gx + gy.T @ h @ gy,
         stab=stab,
     )
+
+
+class ShapeForms:
+    """Batched local forms of the translates of one cell shape at fixed (k, ell).
+
+    Every projector matrix is translation-invariant, so the tables below
+    (projected gradients, test functions and divergences at the shape's
+    quadrature points, the diffusion Gram and the inverse-inequality
+    constant) serve every cell of the shape.  Per cell only the samples of
+    the velocity and of the source differ; ``batch`` takes them for many
+    cells at once and forms the same matrices as ``sf_forms`` (or, with
+    ``stabilized``, ``baseline_vem_forms``) with stacked matrix products.
+    """
+
+    def __init__(self, geom, space, stabilized=False):
+        if stabilized and space.ell != 0:
+            raise ValueError("baseline forms require the standard space (ell = 0)")
+        k, ell = space.k, space.ell
+        low, degree = k - 1, k + ell - 1
+        pts = geom.quad_points
+        self.geom = geom
+        self.space = space
+        self.c_tilde = tilde_c_k(geom, k) if k > 1 else None
+        self.m_k = 1.0 / 3.0 if k == 1 else 2.0 * self.c_tilde
+        self.gram = projected_gradient_gram(space)
+        self.grad = _grad_values(space, degree, pts)
+        self.grad_low = self.grad if low == degree else _grad_values(space, low, pts)
+        proj_v = space.pizero_scalar(low)
+        self.test = eval_basis(MonomialBasis(geom, low), pts).T @ proj_v
+        self.div = None
+        if k > 1:
+            gx, gy = space.pizero_grad(low)
+            div = div_map(MonomialBasis(geom, low)) @ np.vstack([gx, gy])
+            self.div = eval_basis(MonomialBasis(geom, low - 1), pts).T @ div
+        self.stab = None
+        if stabilized:
+            resid = np.eye(space.n_dofs) - space.pinabla_dof
+            self.stab = resid.T @ resid
+        # velocity samples for beta_sup: volume points first, then edges
+        self.samples = np.vstack([pts] + list(geom.edge_points))
+
+    def batch(self, problem, shifts):
+        """Coefficients and forms of the cells at ``shifts`` (C, 2) from the shape.
+
+        Returns two lists with one ElementCoefficients and one LocalForms per
+        cell; the forms' matrices are views into stacked (C, n, n) arrays.
+        """
+        n_cells, nq = len(shifts), len(self.geom.quad_weights)
+        w = self.geom.quad_weights
+        kappa = problem.kappa
+        pts = self.samples[None, :, :] + shifts[:, None, :]
+        beta = _beta_at(problem, pts.reshape(-1, 2)).reshape(n_cells, -1, 2)
+        beta_e = np.hypot(beta[..., 0], beta[..., 1]).max(axis=1)
+        beta = beta[:, :nq]
+        fvals = np.asarray(problem.source(pts[:, :nq].reshape(-1, 2)), dtype=float)
+        pe, tau = _peclet_tau(self.geom.h, kappa, beta_e, self.m_k)
+
+        def streamline(grad):
+            return beta[..., :1] * grad[0] + beta[..., 1:] * grad[1]
+
+        s = streamline(self.grad)
+        s_t = s.transpose(0, 2, 1)
+        t = tau[:, None, None]
+        a = kappa * self.gram + t * (s_t @ (w[:, None] * s))
+        s_low = s if self.grad_low is self.grad else streamline(self.grad_low)
+        b = self.test.T @ (w[:, None] * s_low)
+        if self.div is None:
+            d = np.zeros_like(a)
+        else:
+            d = (-t * kappa) * (s_t @ (w[:, None] * self.div))
+        wf = w * fvals.reshape(n_cells, nq)
+        rhs = ((self.test + t * s).transpose(0, 2, 1) @ wf[..., None])[..., 0]
+        stab = [None] * n_cells
+        if self.stab is not None:
+            stab = (kappa + tau * beta_e**2)[:, None, None] * self.stab
+            a = a + stab
+        coeffs = [
+            ElementCoefficients(kappa, be, p, ta, self.m_k, self.c_tilde)
+            for be, p, ta in zip(beta_e.tolist(), pe.tolist(), tau.tolist())
+        ]
+        forms = [LocalForms(*mats) for mats in zip(a, b, d, rhs, stab)]
+        return coeffs, forms

@@ -170,9 +170,13 @@ class ElementGeometry:
     triangles : (nv, 3, 2) fan sub-triangulation from the star center
     quad_points, quad_weights : volume rule, exact to ``exact_degree``
     edge_points, edge_weights, edge_params : per-edge Gauss rules
+
+    ``center`` optionally passes a known (star center, kernel radius) pair,
+    so that geometries of one polygon at several quadrature degrees share a
+    single kernel and Chebyshev-center computation.
     """
 
-    def __init__(self, vertices, exact_degree, n_edge_points, cell=None):
+    def __init__(self, vertices, exact_degree, n_edge_points, cell=None, center=None):
         v = np.asarray(vertices, dtype=float)
         if len(v) < 3:
             raise ElementQualityError("polygon needs at least 3 vertices", cell)
@@ -184,10 +188,12 @@ class ElementGeometry:
         self.n_vertices = len(v)
         self.area = area
         self.h = polygon_diameter(v)
-        try:
-            self.star_center, self.kernel_radius = star_center(v)
-        except ElementQualityError as exc:
-            raise ElementQualityError(str(exc), cell) from None
+        if center is None:
+            try:
+                center = star_center(v)
+            except ElementQualityError as exc:
+                raise ElementQualityError(str(exc), cell) from None
+        self.star_center, self.kernel_radius = center
         self.exact_degree = int(exact_degree)
         self.n_edge_points = int(n_edge_points)
 

@@ -1,11 +1,17 @@
 """Experiment driver: mesh families, solves, convergence studies, probe tables.
 
-Structured families (cartesian, pentagon) consist of translated copies of a
-handful of cell shapes; since every projector matrix is translation-invariant,
-element construction and the coercivity probe are cached per shape and reused
-across the mesh.
+Every solve builds its element data through one shape table.  Cells that
+are translated copies of one another (all cells of a cartesian grid, the two
+pentagons of the concave tiling) share one kernel and star center, one
+geometry and space per (k, ell) and one probe result, built on the first
+cell of the shape.  Since every projector matrix is translation-invariant,
+the other cells only shift the points at which velocity and source are
+sampled, and the local forms and loads of each shape are formed in stacked
+batches from one set of form tables.  On a Voronoi mesh every cell is its
+own shape and the same path runs with groups of one.
 """
 
+import copy
 import os
 from dataclasses import dataclass, field
 
@@ -13,9 +19,12 @@ import numpy as np
 
 from .assemble import DofMap, apply_dirichlet, assemble, energy_error, export_vtk, solve
 from .errors import ProbeError
-from .forms import (
+# the per-element forms stay importable from here although the solve path
+# batches them: callers and perfbench/tracing.py look them up on this module
+from .forms import (  # noqa: F401
     DEFAULT_ELL_MAX,
     DEFAULT_PROBE_TOL,
+    ShapeForms,
     baseline_vem_forms,
     element_coefficients,
     probe_min_ell,
@@ -49,78 +58,122 @@ def generate_mesh(family, n, seed=0, lloyd_iters=100, level=0):
     raise ValueError(f"unknown mesh family {family!r}; choose from {FAMILIES}")
 
 
-# -- per-shape element cache --------------------------------------------------
+# -- per-shape element table ----------------------------------------------
 
 
-def _shape_signature(verts):
-    anchor = verts.mean(axis=0)
-    h = np.sqrt(((verts - anchor) ** 2).sum(axis=1).max())
-    rel = np.round((verts - anchor) / h, 12)
-    return (len(verts),) + tuple(rel.ravel())
+def _shape_signatures(polys):
+    """Keys equal for translated copies of one polygon, for stacked (C, nv, 2) polygons.
+
+    The key holds the size, so dilated copies get keys of their own.  Returns
+    the keys and the vertex means the translations are measured from.
+    """
+    anchor = polys.mean(axis=1)
+    rel = polys - anchor[:, None, :]
+    h = np.sqrt((rel**2).sum(axis=2).max(axis=1))
+    rel = np.round(rel / h[:, None, None], 12).reshape(len(polys), -1)
+    n_v = polys.shape[1]
+    keys = [(n_v, float(f"{r:.12g}")) + tuple(row) for r, row in zip(h.tolist(), rel.tolist())]
+    return keys, anchor
 
 
-class ElementCache:
-    """Per-shape store of geometries, spaces and probe results."""
+class Shape:
+    """Element data of one cell shape, built on the first cell that has it.
+
+    Every other cell of the shape is a translate of that cell, and all its
+    projector matrices are translation-invariant (integrals run in
+    star-centered scaled monomials), so geometries, spaces and probe
+    results are built once here and shared.  The kernel and star
+    center are computed once, by the first geometry; the others reuse them.
+    """
+
+    def __init__(self, verts, anchor, cell):
+        self.vertices = verts
+        self.anchor = anchor
+        self.cell = cell
+        self.center = None  # (star center, kernel radius), from the first geometry
+        self.geoms = {}
+        self.spaces = {}
+        self.probed = {}
+
+    def _build_geometry(self, k, ell):
+        geom = ElementGeometry(
+            self.vertices, 2 * (k + ell) + 2, k + ell + 1, cell=self.cell,
+            center=self.center,
+        )
+        self.center = geom.star_center, geom.kernel_radius
+        return geom
+
+    def geometry(self, k, ell):
+        if (k, ell) not in self.geoms:
+            self.geoms[(k, ell)] = self._build_geometry(k, ell)
+        return self.geoms[(k, ell)]
+
+    def space(self, k, ell):
+        if (k, ell) not in self.spaces:
+            self.spaces[(k, ell)] = LocalSpace(self.geometry(k, ell), k, ell)
+        return self.spaces[(k, ell)]
+
+    def probe(self, k, probe_tol, ell_max):
+        # the probe geometry, with the finest quadrature, is needed once: not kept
+        key = (k, probe_tol, ell_max)
+        if key not in self.probed:
+            self.probed[key] = probe_min_ell(
+                self._build_geometry(k, ell_max), k, ell_max, probe_tol
+            )
+        return self.probed[key]
+
+
+class ShapeTable:
+    """The shapes met so far, keyed by ``_shape_signatures``.
+
+    A cartesian grid has one shape and the pentagon tiling two; on a Voronoi
+    mesh every cell is its own shape.
+    """
 
     def __init__(self):
-        self.entries = {}
+        self.shapes = {}
 
-    def entry(self, verts):
-        sig = _shape_signature(verts)
-        ent = self.entries.get(sig)
-        if ent is None:
-            ent = {"anchor": verts.mean(axis=0), "geom": {}, "space": {}, "probe": {}}
-            self.entries[sig] = ent
-        return ent
+    def place(self, mesh, cells):
+        """Shape of each cell and the cell's translation from the shape's first cell."""
+        cells = list(cells)
+        n_v = np.array([len(mesh.cells[c]) for c in cells], dtype=int)
+        keys = [None] * len(cells)
+        anchors = np.empty((len(cells), 2))
+        for nv in np.unique(n_v):
+            at = np.flatnonzero(n_v == nv)
+            polys = mesh.vertices[np.array([mesh.cells[cells[i]] for i in at])]
+            group_keys, anchors[at] = _shape_signatures(polys)
+            for i, key in zip(at, group_keys):
+                keys[i] = key
+        placed = []
+        for c, key, anchor in zip(cells, keys, anchors):
+            shape = self.shapes.get(key)
+            if shape is None:
+                shape = self.shapes[key] = Shape(mesh.cell_vertices(c), anchor, c)
+            placed.append((shape, anchor - shape.anchor))
+        return placed
 
 
-def _cacheable(mesh):
-    tag = mesh.family_tag or ""
-    return tag.startswith("cartesian") or tag.startswith("pentagon")
-
-
-def build_element(mesh, c, k, ell_mode, probe_tol, ell_max, cache):
-    """(geometry, space, chosen ell) of one cell, honoring the shape cache."""
-    verts = mesh.cell_vertices(c)
-    ent = cache.entry(verts) if cache is not None else None
-
-    def get_geom(ell):
-        if ent is None:
-            return ElementGeometry(verts, 2 * (k + ell) + 2, k + ell + 1, cell=c)
-        key = (k, ell)
-        delta = verts.mean(axis=0) - ent["anchor"]
-        if key not in ent["geom"]:
-            ent["geom"][key] = ElementGeometry(
-                verts - delta, 2 * (k + ell) + 2, k + ell + 1, cell=c
-            )
-        return ent["geom"][key].translated(delta, cell=c)
-
+def _choose_ell(mesh, c, shape, k, ell_mode, probe_tol, ell_max):
     if ell_mode == "auto":
-        if ent is not None and k in ent["probe"]:
-            ell = ent["probe"][k]
-        else:
-            ell = probe_min_ell(get_geom(ell_max), k, ell_max, probe_tol)
-            if ent is not None:
-                ent["probe"][k] = ell
-    elif isinstance(ell_mode, dict):
+        return shape.probe(k, probe_tol, ell_max)
+    if isinstance(ell_mode, dict):
         try:
-            ell = ell_mode[len(mesh.cells[c])]
+            return ell_mode[len(mesh.cells[c])]
         except KeyError:
             raise KeyError(
                 f"no fixed increment for {len(mesh.cells[c])}-vertex cells"
             ) from None
-    else:
-        ell = int(ell_mode)
+    return int(ell_mode)
 
-    geom = get_geom(ell)
-    if ent is None:
-        space = LocalSpace(geom, k, ell)
-    else:
-        key = (k, ell)
-        if key not in ent["space"]:
-            ent["space"][key] = LocalSpace(ent["geom"][key], k, ell)
-        space = ent["space"][key].translated(geom)
-    return geom, space, ell
+
+def build_element(mesh, c, k, ell_mode, probe_tol, ell_max, cache):
+    """(geometry, space, chosen ell) of one cell, from the shape table ``cache``."""
+    table = cache if cache is not None else ShapeTable()
+    [(shape, shift)] = table.place(mesh, [c])
+    ell = _choose_ell(mesh, c, shape, k, ell_mode, probe_tol, ell_max)
+    geom = shape.geometry(k, ell).translated(shift, cell=c)
+    return geom, shape.space(k, ell).translated(geom), ell
 
 
 class SolveResult:
@@ -134,6 +187,7 @@ class SolveResult:
         self.spaces = spaces
         self.coeffs = coeffs
         self.forms = forms
+        self._boxes = None  # padded per-cell vertex extents, for ``sample``
 
     @property
     def mean_peclet(self):
@@ -157,24 +211,44 @@ class SolveResult:
         return out
 
     def _locate(self, pt):
-        for c in range(self.mesh.n_cells):
+        """Lowest-index cell holding ``pt``: all-edges test, then fan triangles.
+
+        Only cells whose padded vertex bounding box holds the point are
+        tested.  Both tests accept points up to about 1e-12/|edge| outside a
+        cell; the pad of 1e-3 of the box size covers that with a wide margin.
+        """
+        if self._boxes is None:
+            loops = np.concatenate(self.mesh.cells)
+            starts = np.cumsum([0] + [len(cell) for cell in self.mesh.cells[:-1]])
+            xy = self.mesh.vertices[loops]
+            lo = np.minimum.reduceat(xy, starts, axis=0)
+            hi = np.maximum.reduceat(xy, starts, axis=0)
+            pad = 1e-3 * (hi - lo).max(axis=1, keepdims=True)
+            self._boxes = lo - pad, hi + pad
+        lo, hi = self._boxes
+        cands = np.flatnonzero(((lo <= pt) & (pt <= hi)).all(axis=1))
+        for c in cands:
             verts = self.mesh.cell_vertices(c)
             nxt = np.roll(verts, -1, axis=0)
             d = nxt - verts
             rel = pt - verts
             side = d[:, 0] * rel[:, 1] - d[:, 1] * rel[:, 0]
             if np.all(side >= -1e-12):
-                return c
+                return int(c)
         # concave cells: fall back to the sub-triangulation test
-        for c, geom in enumerate(self.geoms):
-            for tri in geom.triangles:
+        for c in cands:
+            for tri in self.geoms[c].triangles:
                 a, b, cc = tri
                 s1 = (b - a)[0] * (pt - a)[1] - (b - a)[1] * (pt - a)[0]
                 s2 = (cc - b)[0] * (pt - b)[1] - (cc - b)[1] * (pt - b)[0]
                 s3 = (a - cc)[0] * (pt - cc)[1] - (a - cc)[1] * (pt - cc)[0]
                 if min(s1, s2, s3) >= -1e-12:
-                    return c
+                    return int(c)
         raise ValueError(f"point {pt} is outside the mesh")
+
+
+# cells whose forms are stacked at once; bounds the batch's temporaries
+_CHUNK = 64
 
 
 def solve_problem(
@@ -194,27 +268,35 @@ def solve_problem(
     space).  Both paths share numbering, data evaluation and the boundary
     treatment; only the local matrices differ.
     """
-    if problem.boundary_classifier is not None:
-        relabel_boundary(mesh, problem.boundary_classifier)
     if method not in ("sf", "vem"):
         raise ValueError("method must be 'sf' or 'vem'")
-    if cache is None and _cacheable(mesh):
-        cache = ElementCache()
+    if problem.boundary_classifier is not None:
+        mesh = relabel_boundary(copy.copy(mesh), problem.boundary_classifier)
+    table = ShapeTable() if cache is None else cache
     if method == "vem":
         ell = 0
+    groups = {}
+    for c, (shape, shift) in enumerate(table.place(mesh, range(mesh.n_cells))):
+        ell_c = _choose_ell(mesh, c, shape, k, ell, probe_tol, ell_max)
+        groups.setdefault((shape, ell_c), []).append((c, shift))
+
+    n = mesh.n_cells
+    geoms, spaces, coeffs, forms = [None] * n, [None] * n, [None] * n, [None] * n
+    for (shape, ell_c), members in groups.items():
+        # form tables live for one group only: a Voronoi mesh has a group per cell
+        tables = ShapeForms(
+            shape.geometry(k, ell_c), shape.space(k, ell_c), stabilized=method == "vem"
+        )
+        for start in range(0, len(members), _CHUNK):
+            part = members[start : start + _CHUNK]
+            shifts = np.array([shift for _, shift in part])
+            part_coeffs, part_forms = tables.batch(problem, shifts)
+            for (c, shift), coef, lf in zip(part, part_coeffs, part_forms):
+                geoms[c] = tables.geom.translated(shift, cell=c)
+                spaces[c] = tables.space.translated(geoms[c])
+                coeffs[c] = coef
+                forms[c] = lf
     dofmap = DofMap(mesh, k)
-    geoms, spaces, coeffs, forms = [], [], [], []
-    for c in range(mesh.n_cells):
-        geom, space, _ = build_element(mesh, c, k, ell, probe_tol, ell_max, cache)
-        coef = element_coefficients(geom, problem, k)
-        if method == "sf":
-            lf = sf_forms(geom, space, coef, problem)
-        else:
-            lf = baseline_vem_forms(geom, space, coef, problem)
-        geoms.append(geom)
-        spaces.append(space)
-        coeffs.append(coef)
-        forms.append(lf)
     system = assemble(mesh, dofmap, ((lf.full, lf.rhs) for lf in forms))
     apply_dirichlet(system, problem)
     solution = solve(system).attach_reconstructions(mesh, dofmap, spaces, coeffs)
@@ -406,22 +488,13 @@ def probe_table(config, orders=(1, 2, 3, 4), families=None):
         mesh = generate_mesh(
             family, n, seed=config.seed, lloyd_iters=config.lloyd_iters
         )
-        seen = {}
-        for c in range(mesh.n_cells):
-            sig = _shape_signature(mesh.cell_vertices(c))
-            if sig not in seen:
-                seen[sig] = c
+        seen = ShapeTable()
+        seen.place(mesh, range(mesh.n_cells))
         for k in orders:
-            for sig, c in seen.items():
-                n_v = len(mesh.cells[c])
-                geom = ElementGeometry(
-                    mesh.cell_vertices(c),
-                    2 * (k + config.ell_max) + 2,
-                    k + config.ell_max + 1,
-                    cell=c,
-                )
+            for shape in seen.shapes.values():
+                n_v = len(shape.vertices)
                 try:
-                    ell = probe_min_ell(geom, k, config.ell_max, config.probe_tol)
+                    ell = shape.probe(k, config.probe_tol, config.ell_max)
                 except ProbeError:
                     ell = None
                 key = (family, n_v, k)
@@ -430,7 +503,7 @@ def probe_table(config, orders=(1, 2, 3, 4), families=None):
                     table[key] = ell if ell is not None else "—"
                 elif ell is None:
                     table[key] = "—"
-        log.line(f"probed family={family} shapes={len(seen)}")
+        log.line(f"probed family={family} shapes={len(seen.shapes)}")
     if config.out_dir:
         path = os.path.join(config.out_dir, "probe_table.csv")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vemsupg.forms import ProblemData
 from vemsupg.geometry import ElementGeometry
 from vemsupg.mesh import generate_cartesian, generate_concave_pentagons, generate_voronoi
 
@@ -9,6 +10,38 @@ UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 def make_geometry(verts, k=1, ell=1, cell=None):
     return ElementGeometry(verts, 2 * (k + ell) + 2, k + ell + 1, cell=cell)
+
+
+def swirl_problem(kappa=1e-2):
+    """Sine solution transported by a divergence-free rotating velocity field."""
+
+    def beta(pts):
+        pts = np.atleast_2d(pts)
+        return np.column_stack([pts[:, 1] - 0.5, 0.5 - pts[:, 0]])
+
+    def u(pts):
+        pts = np.atleast_2d(pts)
+        return np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1])
+
+    def grad(pts):
+        pts = np.atleast_2d(pts)
+        return np.column_stack(
+            [
+                np.pi * np.cos(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1]),
+                np.pi * np.sin(np.pi * pts[:, 0]) * np.cos(np.pi * pts[:, 1]),
+            ]
+        )
+
+    return ProblemData(
+        kappa=kappa,
+        beta=beta,
+        source=lambda pts: 2 * np.pi**2 * kappa * u(pts)
+        + (beta(pts) * grad(pts)).sum(axis=1),
+        dirichlet={"*": u},
+        exact=u,
+        exact_grad=grad,
+        name="swirl",
+    )
 
 
 @pytest.fixture(scope="session")

@@ -19,8 +19,8 @@ from conftest import make_geometry
 from vemsupg.errors import ProbeError
 from vemsupg.forms import ProblemData, probe_min_ell, projected_gradient_gram
 from vemsupg.harness import (
-    ElementCache,
     ExperimentConfig,
+    ShapeTable,
     build_element,
     generate_mesh,
     run_convergence,
@@ -59,7 +59,7 @@ def test_criterion_1_projector_reproduction(acceptance_meshes):
     from vemsupg.basis import grad_map, poly_dim
 
     for name, mesh in acceptance_meshes.items():
-        cache = ElementCache()
+        cache = ShapeTable()
         for k in (1, 2, 3):
             geoms, spaces = probed_spaces(mesh, k, cache)
             for geom, space in zip(geoms, spaces):
@@ -206,7 +206,7 @@ def test_criterion_4_probe_minimality(acceptance_meshes):
     t0 = time.monotonic()
     checked = 0
     for name, mesh in acceptance_meshes.items():
-        cache = ElementCache()
+        cache = ShapeTable()
         for k in (1, 2, 3):
             for c in range(mesh.n_cells):
                 geom, space, ell = build_element(

@@ -175,6 +175,19 @@ class TestProbe:
             probe_min_ell(geom, 2, ell_max=1)
         assert len(err.value.trace) == 2
 
+    def test_cap_error_names_cell(self):
+        # seed-0 Voronoi cell 130 exhausts the cap at order 3
+        from vemsupg.mesh import generate_voronoi
+
+        mesh = generate_voronoi(256, lloyd_iters=100, seed=0)
+        geom = make_geometry(mesh.cell_vertices(130), k=3, ell=6, cell=130)
+        with pytest.raises(ProbeError) as err:
+            probe_min_ell(geom, 3)
+        assert err.value.cell == 130
+        assert str(err.value) == (
+            "cell 130: no increment <= 6 makes the local form coercive (order 3)"
+        )
+
     def test_minimality(self):
         geom = make_geometry(UNIT_SQUARE, k=2, ell=6)
         ell = probe_min_ell(geom, 2)
@@ -435,6 +448,7 @@ def test_sf_forms_bundle(mesh_t3):
     coeffs = element_coefficients(geom, problem, 1)
     forms = sf_forms(geom, space, coeffs, problem)
     assert forms.full == pytest.approx(forms.a + forms.b + forms.d)
-    assert forms.probe_gram @ np.ones(space.n_dofs) == pytest.approx(
+    gram = projected_gradient_gram(space)
+    assert gram @ np.ones(space.n_dofs) == pytest.approx(
         np.zeros(space.n_dofs), abs=1e-12
     )

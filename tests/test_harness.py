@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -5,6 +6,10 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import swirl_problem
+from vemsupg.assemble import DofMap, apply_dirichlet, assemble, solve
+from vemsupg.forms import baseline_vem_forms, element_coefficients, probe_min_ell, sf_forms
+from vemsupg.geometry import ElementGeometry
 from vemsupg.harness import (
     ConvergenceReport,
     ExperimentConfig,
@@ -15,7 +20,9 @@ from vemsupg.harness import (
     run_field,
     solve_problem,
 )
-from vemsupg.problems import problem_smooth
+from vemsupg.mesh import generate_concave_pentagons, generate_voronoi
+from vemsupg.problems import problem_smooth, problem_test2
+from vemsupg.space import LocalSpace
 
 
 class TestConfig:
@@ -122,14 +129,70 @@ class TestSolveDrivers:
             run_convergence(cfg)
 
     def test_shape_cache_matches_direct_build(self):
-        # cached structured path and the cache-free path agree to roundoff
-        mesh_a = generate_mesh("t1", 3)
-        mesh_b = generate_mesh("t1", 3)
-        mesh_b.family_tag = None  # disables the shape cache
-        problem = problem_smooth()
-        res_a = solve_problem(mesh_a, problem, 2, ell=1)
-        res_b = solve_problem(mesh_b, problem, 2, ell=1)
-        assert res_a.solution.dofs == pytest.approx(res_b.solution.dofs, rel=1e-11)
+        # the shape table with batched forms agrees to roundoff with an
+        # independent build of every cell from scratch
+        meshes = {
+            "t1": generate_mesh("t1", 3),
+            "t2": generate_mesh("t2", 2),
+            "t3": generate_voronoi(16, lloyd_iters=20, seed=1),
+        }
+        k = 2
+        for (name, mesh), problem, method in itertools.product(
+            meshes.items(), (problem_smooth(), swirl_problem()), ("sf", "vem")
+        ):
+            res = solve_problem(mesh, problem, k, ell="auto", method=method)
+            pairs = []
+            for c in range(mesh.n_cells):
+                verts = mesh.cell_vertices(c)
+                ell = 0
+                if method == "sf":
+                    probe_geom = ElementGeometry(verts, 2 * (k + 6) + 2, k + 7, cell=c)
+                    ell = probe_min_ell(probe_geom, k)
+                geom = ElementGeometry(verts, 2 * (k + ell) + 2, k + ell + 1, cell=c)
+                space = LocalSpace(geom, k, ell)
+                coef = element_coefficients(geom, problem, k)
+                build = sf_forms if method == "sf" else baseline_vem_forms
+                lf = build(geom, space, coef, problem)
+                pairs.append((lf.full, lf.rhs))
+            dofmap = DofMap(mesh, k)
+            system = apply_dirichlet(assemble(mesh, dofmap, pairs), problem)
+            direct = solve(system).dofs
+            assert res.solution.dofs == pytest.approx(direct, rel=1e-11), (
+                name, problem.name, method,
+            )
+
+    def test_shape_table_builds_once_per_shape(self, monkeypatch):
+        # one kernel LP per shape, shared by the probe and the final
+        # geometry, and one inverse-inequality constant per shape and order
+        import vemsupg.forms as forms
+        import vemsupg.geometry as geometry
+
+        calls = {"lp": 0, "c_tilde": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(geometry, "chebyshev_center",
+                            counted("lp", geometry.chebyshev_center))
+        monkeypatch.setattr(forms, "tilde_c_k", counted("c_tilde", forms.tilde_c_k))
+        voronoi = generate_voronoi(16, lloyd_iters=20, seed=1)
+        solve_problem(voronoi, problem_smooth(), 2, ell="auto")
+        assert calls == {"lp": 16, "c_tilde": 16}
+        calls.update(lp=0, c_tilde=0)
+        solve_problem(generate_mesh("t2", 4), problem_smooth(), 2, ell="auto")
+        assert calls == {"lp": 2, "c_tilde": 2}
+
+    def test_solve_leaves_mesh_labels_unchanged(self):
+        # test2 re-tags the boundary for its inflow data on a copy
+        mesh = generate_mesh("t2", 2)
+        before = dict(mesh.boundary_labels)
+        res = solve_problem(mesh, problem_test2(), 1, ell="auto")
+        assert mesh.boundary_labels == before
+        assert set(res.mesh.boundary_labels.values()) == {"inflow1", "rest"}
 
     def test_fixed_ell_dict_mode(self):
         mesh = generate_mesh("t1", 2)
@@ -138,6 +201,52 @@ class TestSolveDrivers:
         assert np.all(res.solution.ell == 2)
         with pytest.raises(KeyError):
             solve_problem(mesh, problem, 2, ell={5: 1})
+
+
+def _locate_by_scan(res, pt):
+    """The original point location: every cell, then every fan triangle."""
+    for c in range(res.mesh.n_cells):
+        verts = res.mesh.cell_vertices(c)
+        d = np.roll(verts, -1, axis=0) - verts
+        rel = pt - verts
+        if np.all(d[:, 0] * rel[:, 1] - d[:, 1] * rel[:, 0] >= -1e-12):
+            return c
+    for c, geom in enumerate(res.geoms):
+        for a, b, cc in geom.triangles:
+            s1 = (b - a)[0] * (pt - a)[1] - (b - a)[1] * (pt - a)[0]
+            s2 = (cc - b)[0] * (pt - b)[1] - (cc - b)[1] * (pt - b)[0]
+            s3 = (a - cc)[0] * (pt - cc)[1] - (a - cc)[1] * (pt - cc)[0]
+            if min(s1, s2, s3) >= -1e-12:
+                return c
+    return None
+
+
+@pytest.mark.parametrize(
+    "make_mesh",
+    [
+        lambda: generate_concave_pentagons(4),
+        lambda: generate_voronoi(64, lloyd_iters=20, seed=2),
+    ],
+    ids=["t2", "t3"],
+)
+def test_sample_location_matches_scan(make_mesh):
+    # bounding-box candidates give the same cell as the full scan, ties on
+    # shared edges and vertices included
+    mesh = make_mesh()
+    res = solve_problem(mesh, problem_smooth(), 1, ell="auto")
+    rng = np.random.default_rng(5)
+    grid = np.linspace(0.0, 1.0, 17)
+    edges = np.array(mesh.edges)
+    points = np.vstack([
+        rng.random((200, 2)),
+        np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2),
+        mesh.vertices,
+        0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]]),
+    ])
+    for pt in points:
+        assert res._locate(pt) == _locate_by_scan(res, pt), pt
+    with pytest.raises(ValueError, match="outside"):
+        res.sample([[1.5, 0.5]])
 
 
 class TestCli:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_geometry
+from conftest import make_geometry, swirl_problem
 from vemsupg.basis import MonomialBasis, mass_condition, poly_dim
 from vemsupg.errors import MeshError
 from vemsupg.harness import generate_mesh, solve_problem
@@ -81,36 +81,7 @@ def test_variable_velocity_field_end_to_end():
     # divergence-free rotating field through the full pipeline; projections
     # are exact only for constant coefficients, so expect small but nonzero
     # errors that shrink under refinement
-    from vemsupg.forms import ProblemData
-
-    def beta(pts):
-        pts = np.atleast_2d(pts)
-        return np.column_stack([pts[:, 1] - 0.5, 0.5 - pts[:, 0]])
-
-    def u(pts):
-        pts = np.atleast_2d(pts)
-        return np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1])
-
-    def grad(pts):
-        pts = np.atleast_2d(pts)
-        return np.column_stack(
-            [
-                np.pi * np.cos(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1]),
-                np.pi * np.sin(np.pi * pts[:, 0]) * np.cos(np.pi * pts[:, 1]),
-            ]
-        )
-
-    kappa = 1e-2
-    problem = ProblemData(
-        kappa=kappa,
-        beta=beta,
-        source=lambda pts: 2 * np.pi**2 * kappa * u(pts)
-        + (beta(pts) * grad(pts)).sum(axis=1),
-        dirichlet={"*": u},
-        exact=u,
-        exact_grad=grad,
-        name="swirl",
-    )
+    problem = swirl_problem()
     errs = []
     for n in (8, 16):
         mesh = generate_mesh("t1", n)
