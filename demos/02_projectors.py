@@ -7,14 +7,15 @@ the projected gradient all reproduce polynomials exactly.
 
 import numpy as np
 
-from vemsupg import LocalSpace, generate_concave_pentagons
+from vemsupg import ElementGeometry, LocalSpace, generate_concave_pentagons
 from vemsupg.basis import eval_poly, grad_map, poly_dim
-from vemsupg.geometry import element_geometry
 
 mesh = generate_concave_pentagons(1)
 cell = 1  # the cell with the reflex vertex
 k, ell = 2, 1
-geom = element_geometry(mesh, cell, k=k, ell=ell)
+verts = mesh.cell_vertices(cell)
+# volume rule exact to degree 2(k+ell)+2, k+ell+1 Gauss points per edge
+geom = ElementGeometry(verts, 2 * (k + ell) + 2, k + ell + 1, cell=cell)
 space = LocalSpace(geom, k, ell)
 
 print(f"cell {cell}: {geom.n_vertices} vertices, h = {geom.h:.4f}, "

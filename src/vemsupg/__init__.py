@@ -41,7 +41,7 @@ from .forms import (
     sf_forms,
     tilde_c_k,
 )
-from .geometry import ElementGeometry, element_geometry
+from .geometry import ElementGeometry
 from .harness import (
     ConvergenceReport,
     ExperimentConfig,

@@ -138,14 +138,3 @@ def mass_matrix(basis):
     vals = eval_basis(basis, geom.quad_points)
     return (vals * geom.quad_weights) @ vals.T
 
-
-def vector_mass_matrix(basis):
-    """Block-diagonal Gram of [P_n]^2 in stacked component order."""
-    h = mass_matrix(basis)
-    z = np.zeros_like(h)
-    return np.block([[h, z], [z, h]])
-
-
-def mass_condition(basis):
-    """Spectral condition number of the element Gram matrix (diagnostic only)."""
-    return float(np.linalg.cond(mass_matrix(basis)))

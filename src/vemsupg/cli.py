@@ -4,6 +4,7 @@ import argparse
 import os
 import sys
 
+from .errors import ElementQualityError, MeshError, ProbeError, SolveError
 from .harness import (
     ExperimentConfig,
     FAMILIES,
@@ -24,10 +25,11 @@ def _add_common(parser, with_problem=True):
             help="built-in problem name",
         )
     parser.add_argument("--family", default="t1", choices=FAMILIES)
-    parser.add_argument("--k", type=int, default=1, help="polynomial order (1..4)")
+    parser.add_argument("--k", type=int, default=1, choices=range(1, 5),
+                        help="polynomial order (1..4)")
     parser.add_argument(
-        "--ell", default="auto",
-        help="enhancement increment: 'auto' probes per cell, or a fixed integer",
+        "--ell", type=_parse_ell, default="auto",
+        help="enhancement increment: 'auto' probes per cell, or a fixed integer >= 0",
     )
     parser.add_argument("--probe-tol", type=float, default=1e-8)
     parser.add_argument("--seed", type=int, default=0)
@@ -38,6 +40,10 @@ def _add_common(parser, with_problem=True):
 def _parse_ell(value):
     if value == "auto":
         return "auto"
+    if not value.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected 'auto' or an integer >= 0, got {value!r}"
+        )
     return int(value)
 
 
@@ -97,7 +103,7 @@ def _config_from(args, refinements):
         problem=getattr(args, "problem", "smooth"),
         family=args.family,
         k=args.k,
-        ell=_parse_ell(args.ell),
+        ell=args.ell,
         probe_tol=args.probe_tol,
         refinements=refinements,
         baseline=getattr(args, "baseline", False),
@@ -109,6 +115,14 @@ def _config_from(args, refinements):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except (ProbeError, ElementQualityError, MeshError, SolveError) as exc:
+        print(f"vemsupg: error: {exc}", file=sys.stderr)
+        return 1
+
+
+def _run(args):
     if args.command == "mesh":
         os.makedirs(args.out, exist_ok=True)
         mesh = generate_mesh(args.family, args.n, seed=args.seed,

@@ -183,33 +183,41 @@ def projected_gradient_gram(space):
     return gx.T @ h @ gx + gy.T @ h @ gy
 
 
-def probe_min_ell(geom, k, ell_max=DEFAULT_ELL_MAX, tol_rel=DEFAULT_PROBE_TOL):
-    """Smallest increment whose projected-gradient Gram has a 1-dim kernel.
+def first_coercive(spaces, tol_rel):
+    """First of ``spaces`` whose projected-gradient Gram has a 1-dim kernel.
 
-    The Gram always annihilates constants; the probe accepts the first ell
-    for which exactly one relative eigenvalue stays below ``tol_rel``.  The
-    geometry must carry quadrature exact to degree 2 (k + ell_max).
+    ``spaces`` yields the trial spaces of one element in increasing ell.  The
+    Gram always annihilates constants; the rule accepts the first space for
+    which exactly one relative eigenvalue stays below ``tol_rel``.
     """
-    if geom.exact_degree < 2 * (k + ell_max):
-        raise ValueError("geometry quadrature too weak for the probe cap")
     trace = []
-    for ell in range(ell_max + 1):
-        space = LocalSpace(geom, k, ell)
+    for space in spaces:
         gram = projected_gradient_gram(space)
         lam = np.linalg.eigvalsh(0.5 * (gram + gram.T))
         lam_max = lam[-1]
         if lam_max <= 0.0:
-            trace.append((ell, lam.tolist()))
+            trace.append((space.ell, lam.tolist()))
             continue
         n_small = int(np.sum(lam < tol_rel * lam_max))
-        trace.append((ell, (lam / lam_max).tolist()))
+        trace.append((space.ell, (lam / lam_max).tolist()))
         if n_small == 1:
-            return ell
+            return space
     raise ProbeError(
-        f"no increment <= {ell_max} makes the local form coercive (order {k})",
+        f"no increment <= {space.ell} makes the local form coercive (order {space.k})",
         trace=trace,
-        cell=geom.cell,
+        cell=space.geom.cell,
     )
+
+
+def probe_min_ell(geom, k, ell_max=DEFAULT_ELL_MAX, tol_rel=DEFAULT_PROBE_TOL):
+    """Smallest increment ``first_coercive`` accepts, all trials on ``geom``.
+
+    The cap is >= 0 and the geometry exact to degree 2 (k + ell_max).
+    """
+    if ell_max < 0 or geom.exact_degree < 2 * (k + ell_max):
+        raise ValueError("probe cap negative or geometry quadrature too weak for it")
+    spaces = (LocalSpace(geom, k, ell) for ell in range(ell_max + 1))
+    return first_coercive(spaces, tol_rel).ell
 
 
 def _beta_at(problem, pts):

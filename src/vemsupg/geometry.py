@@ -240,16 +240,3 @@ class ElementGeometry:
         new.edge_points = [p + delta for p in self.edge_points]
         return new
 
-
-def element_geometry(mesh, cell, k=1, ell=0, exact_degree=None, n_edge_points=None):
-    """Geometry of one mesh cell with quadrature sized for order k and increment ell.
-
-    The volume rule is exact to degree 2(k+ell)+2 and edge rules use
-    k+ell+1 Gauss points, unless explicitly overridden.
-    """
-    if exact_degree is None:
-        exact_degree = 2 * (k + ell) + 2
-    if n_edge_points is None:
-        n_edge_points = k + ell + 1
-    verts = mesh.vertices[mesh.cells[cell]]
-    return ElementGeometry(verts, exact_degree, n_edge_points, cell=cell)

@@ -4,7 +4,9 @@ Every solve builds its element data through one shape table.  Cells that
 are translated copies of one another (all cells of a cartesian grid, the two
 pentagons of the concave tiling) share one kernel and star center, one
 geometry and space per (k, ell) and one probe result, built on the first
-cell of the shape.  Since every projector matrix is translation-invariant,
+cell of the shape.  The probe tries the shape's own (k, ell) spaces in
+increasing ell and the solve keeps the one it accepts; the rejected trials
+are dropped.  Since every projector matrix is translation-invariant,
 the other cells only shift the points at which velocity and source are
 sampled, and the local forms and loads of each shape are formed in stacked
 batches from one set of form tables.  On a Voronoi mesh every cell is its
@@ -19,14 +21,15 @@ import numpy as np
 
 from .assemble import DofMap, apply_dirichlet, assemble, energy_error, export_vtk, solve
 from .errors import ProbeError
-# the per-element forms stay importable from here although the solve path
-# batches them: callers and perfbench/tracing.py look them up on this module
+# the per-element forms and the one-geometry probe are not called here: callers
+# and perfbench/tracing.py look them up on this module
 from .forms import (  # noqa: F401
     DEFAULT_ELL_MAX,
     DEFAULT_PROBE_TOL,
     ShapeForms,
     baseline_vem_forms,
     element_coefficients,
+    first_coercive,
     probe_min_ell,
     sf_forms,
 )
@@ -95,17 +98,14 @@ class Shape:
         self.spaces = {}
         self.probed = {}
 
-    def _build_geometry(self, k, ell):
-        geom = ElementGeometry(
-            self.vertices, 2 * (k + ell) + 2, k + ell + 1, cell=self.cell,
-            center=self.center,
-        )
-        self.center = geom.star_center, geom.kernel_radius
-        return geom
-
     def geometry(self, k, ell):
         if (k, ell) not in self.geoms:
-            self.geoms[(k, ell)] = self._build_geometry(k, ell)
+            geom = ElementGeometry(
+                self.vertices, 2 * (k + ell) + 2, k + ell + 1, cell=self.cell,
+                center=self.center,
+            )
+            self.center = geom.star_center, geom.kernel_radius
+            self.geoms[(k, ell)] = geom
         return self.geoms[(k, ell)]
 
     def space(self, k, ell):
@@ -113,13 +113,18 @@ class Shape:
             self.spaces[(k, ell)] = LocalSpace(self.geometry(k, ell), k, ell)
         return self.spaces[(k, ell)]
 
-    def probe(self, k, probe_tol, ell_max):
-        # the probe geometry, with the finest quadrature, is needed once: not kept
-        key = (k, probe_tol, ell_max)
+    def probe(self, k, probe_tol):
+        """Smallest coercive increment at order k, tried on this shape's spaces."""
+        key = (k, probe_tol)
         if key not in self.probed:
-            self.probed[key] = probe_min_ell(
-                self._build_geometry(k, ell_max), k, ell_max, probe_tol
-            )
+
+            def trials():
+                for ell in range(DEFAULT_ELL_MAX + 1):
+                    yield self.space(k, ell)
+                    # rejected: dropped, a Voronoi mesh has a shape per cell
+                    del self.geoms[(k, ell)], self.spaces[(k, ell)]
+
+            self.probed[key] = first_coercive(trials(), probe_tol).ell
         return self.probed[key]
 
 
@@ -154,9 +159,9 @@ class ShapeTable:
         return placed
 
 
-def _choose_ell(mesh, c, shape, k, ell_mode, probe_tol, ell_max):
+def _choose_ell(mesh, c, shape, k, ell_mode, probe_tol):
     if ell_mode == "auto":
-        return shape.probe(k, probe_tol, ell_max)
+        return shape.probe(k, probe_tol)
     if isinstance(ell_mode, dict):
         try:
             return ell_mode[len(mesh.cells[c])]
@@ -167,11 +172,10 @@ def _choose_ell(mesh, c, shape, k, ell_mode, probe_tol, ell_max):
     return int(ell_mode)
 
 
-def build_element(mesh, c, k, ell_mode, probe_tol, ell_max, cache):
+def build_element(mesh, c, k, ell_mode, probe_tol, cache):
     """(geometry, space, chosen ell) of one cell, from the shape table ``cache``."""
-    table = cache if cache is not None else ShapeTable()
-    [(shape, shift)] = table.place(mesh, [c])
-    ell = _choose_ell(mesh, c, shape, k, ell_mode, probe_tol, ell_max)
+    [(shape, shift)] = cache.place(mesh, [c])
+    ell = _choose_ell(mesh, c, shape, k, ell_mode, probe_tol)
     geom = shape.geometry(k, ell).translated(shift, cell=c)
     return geom, shape.space(k, ell).translated(geom), ell
 
@@ -257,9 +261,7 @@ def solve_problem(
     k,
     ell="auto",
     probe_tol=DEFAULT_PROBE_TOL,
-    ell_max=DEFAULT_ELL_MAX,
     method="sf",
-    cache=None,
 ):
     """Assemble and solve one problem on one mesh.
 
@@ -272,12 +274,11 @@ def solve_problem(
         raise ValueError("method must be 'sf' or 'vem'")
     if problem.boundary_classifier is not None:
         mesh = relabel_boundary(copy.copy(mesh), problem.boundary_classifier)
-    table = ShapeTable() if cache is None else cache
     if method == "vem":
         ell = 0
     groups = {}
-    for c, (shape, shift) in enumerate(table.place(mesh, range(mesh.n_cells))):
-        ell_c = _choose_ell(mesh, c, shape, k, ell, probe_tol, ell_max)
+    for c, (shape, shift) in enumerate(ShapeTable().place(mesh, range(mesh.n_cells))):
+        ell_c = _choose_ell(mesh, c, shape, k, ell, probe_tol)
         groups.setdefault((shape, ell_c), []).append((c, shift))
 
     n = mesh.n_cells
@@ -316,7 +317,6 @@ class ExperimentConfig:
     k: int = 1
     ell: object = "auto"  # "auto" or a fixed integer
     probe_tol: float = DEFAULT_PROBE_TOL
-    ell_max: int = DEFAULT_ELL_MAX
     refinements: tuple = (4, 8, 16, 32)
     baseline: bool = False
     seed: int = 0
@@ -393,14 +393,14 @@ def run_convergence(config):
         )
         res_sf = solve_problem(
             mesh, problem, config.k, ell=config.ell,
-            probe_tol=config.probe_tol, ell_max=config.ell_max, method="sf",
+            probe_tol=config.probe_tol, method="sf",
         )
         err_sf = res_sf.error(problem)
         err_vem = None
         if config.baseline:
             res_vem = solve_problem(
                 mesh, problem, config.k, ell=config.ell,
-                probe_tol=config.probe_tol, ell_max=config.ell_max, method="vem",
+                probe_tol=config.probe_tol, method="vem",
             )
             err_vem = res_vem.error(problem)
         row = {
@@ -446,7 +446,7 @@ def run_field(config):
     )
     res = solve_problem(
         mesh, problem, config.k, ell=config.ell,
-        probe_tol=config.probe_tol, ell_max=config.ell_max, method="sf",
+        probe_tol=config.probe_tol, method="sf",
     )
     vertex_vals = res.solution.dofs[: mesh.n_vertices]
     summary = {
@@ -494,7 +494,7 @@ def probe_table(config, orders=(1, 2, 3, 4), families=None):
             for shape in seen.shapes.values():
                 n_v = len(shape.vertices)
                 try:
-                    ell = shape.probe(k, config.probe_tol, config.ell_max)
+                    ell = shape.probe(k, config.probe_tol)
                 except ProbeError:
                     ell = None
                 key = (family, n_v, k)

@@ -46,7 +46,7 @@ def report(criterion, ok, detail, started):
 def probed_spaces(mesh, k, cache):
     geoms, spaces = [], []
     for c in range(mesh.n_cells):
-        geom, space, _ = build_element(mesh, c, k, "auto", PROBE_TOL, 6, cache)
+        geom, space, _ = build_element(mesh, c, k, "auto", PROBE_TOL, cache)
         geoms.append(geom)
         spaces.append(space)
     return geoms, spaces
@@ -209,9 +209,7 @@ def test_criterion_4_probe_minimality(acceptance_meshes):
         cache = ShapeTable()
         for k in (1, 2, 3):
             for c in range(mesh.n_cells):
-                geom, space, ell = build_element(
-                    mesh, c, k, "auto", PROBE_TOL, 6, cache
-                )
+                geom, space, ell = build_element(mesh, c, k, "auto", PROBE_TOL, cache)
                 gram = projected_gradient_gram(space)
                 lam = np.linalg.eigvalsh(0.5 * (gram + gram.T))
                 n_small = int(np.sum(lam < PROBE_TOL * lam[-1]))

@@ -13,7 +13,6 @@ from vemsupg.basis import (
     monomial_exponents,
     monomial_index,
     poly_dim,
-    vector_mass_matrix,
 )
 
 
@@ -105,16 +104,6 @@ def test_mass_matrix_spd_on_families(mesh_t1, mesh_t2, mesh_t3):
             h = mass_matrix(MonomialBasis(geom, order))
             assert np.allclose(h, h.T, atol=1e-15)
             assert np.linalg.eigvalsh(h).min() > 0.0
-
-
-def test_vector_mass_block_structure(square_geom):
-    basis = MonomialBasis(square_geom, 1)
-    h = mass_matrix(basis)
-    hv = vector_mass_matrix(basis)
-    n = basis.dim
-    assert np.allclose(hv[:n, :n], h)
-    assert np.allclose(hv[n:, n:], h)
-    assert np.allclose(hv[:n, n:], 0.0)
 
 
 def test_mass_matrix_requires_quadrature():

@@ -171,6 +171,8 @@ class TestProbe:
         with pytest.raises(ValueError):
             probe_min_ell(geom, 2)  # quadrature too weak for the cap
         geom = make_geometry(UNIT_SQUARE, k=2, ell=6)
+        with pytest.raises(ValueError):
+            probe_min_ell(geom, 2, ell_max=-1)  # no trial increment at all
         with pytest.raises(ProbeError) as err:
             probe_min_ell(geom, 2, ell_max=1)
         assert len(err.value.trace) == 2
@@ -187,6 +189,15 @@ class TestProbe:
         assert str(err.value) == (
             "cell 130: no increment <= 6 makes the local form coercive (order 3)"
         )
+        # the solve's own probe, on the shape's spaces, names the cell too
+        from vemsupg.harness import solve_problem
+        from vemsupg.problems import problem_test2
+
+        mesh = generate_voronoi(64, lloyd_iters=20, seed=1)
+        with pytest.raises(ProbeError) as err:
+            solve_problem(mesh, problem_test2(), 3, ell="auto")
+        assert err.value.cell == 6
+        assert [ell for ell, _ in err.value.trace] == list(range(7))
 
     def test_minimality(self):
         geom = make_geometry(UNIT_SQUARE, k=2, ell=6)

@@ -130,15 +130,15 @@ class TestSolveDrivers:
 
     def test_shape_cache_matches_direct_build(self):
         # the shape table with batched forms agrees to roundoff with an
-        # independent build of every cell from scratch
+        # independent build of every cell from scratch, probed on one
+        # geometry exact to the cap
         meshes = {
             "t1": generate_mesh("t1", 3),
             "t2": generate_mesh("t2", 2),
             "t3": generate_voronoi(16, lloyd_iters=20, seed=1),
         }
-        k = 2
-        for (name, mesh), problem, method in itertools.product(
-            meshes.items(), (problem_smooth(), swirl_problem()), ("sf", "vem")
+        for k, (name, mesh), problem, method in itertools.product(
+            (2, 3), meshes.items(), (problem_smooth(), swirl_problem()), ("sf", "vem")
         ):
             res = solve_problem(mesh, problem, k, ell="auto", method=method)
             pairs = []
@@ -158,16 +158,18 @@ class TestSolveDrivers:
             system = apply_dirichlet(assemble(mesh, dofmap, pairs), problem)
             direct = solve(system).dofs
             assert res.solution.dofs == pytest.approx(direct, rel=1e-11), (
-                name, problem.name, method,
+                k, name, problem.name, method,
             )
 
     def test_shape_table_builds_once_per_shape(self, monkeypatch):
-        # one kernel LP per shape, shared by the probe and the final
-        # geometry, and one inverse-inequality constant per shape and order
+        # one kernel LP per shape, shared by every geometry of the shape,
+        # one inverse-inequality constant per shape and order, and one
+        # geometry and space per probed trial ell = 0..ell of each shape:
+        # the solve keeps the accepted trial instead of building it again
         import vemsupg.forms as forms
         import vemsupg.geometry as geometry
 
-        calls = {"lp": 0, "c_tilde": 0}
+        calls = dict.fromkeys(["lp", "c_tilde", "geometry", "space"], 0)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -179,12 +181,18 @@ class TestSolveDrivers:
         monkeypatch.setattr(geometry, "chebyshev_center",
                             counted("lp", geometry.chebyshev_center))
         monkeypatch.setattr(forms, "tilde_c_k", counted("c_tilde", forms.tilde_c_k))
+        # on the classes, so that constructions through any module count
+        monkeypatch.setattr(ElementGeometry, "__init__",
+                            counted("geometry", ElementGeometry.__init__))
+        monkeypatch.setattr(LocalSpace, "__init__", counted("space", LocalSpace.__init__))
         voronoi = generate_voronoi(16, lloyd_iters=20, seed=1)
-        solve_problem(voronoi, problem_smooth(), 2, ell="auto")
-        assert calls == {"lp": 16, "c_tilde": 16}
-        calls.update(lp=0, c_tilde=0)
-        solve_problem(generate_mesh("t2", 4), problem_smooth(), 2, ell="auto")
-        assert calls == {"lp": 2, "c_tilde": 2}
+        res = solve_problem(voronoi, problem_smooth(), 2, ell="auto")
+        assert int(np.sum(res.solution.ell + 1)) == 34
+        assert calls == {"lp": 16, "c_tilde": 16, "geometry": 34, "space": 34}
+        calls.update(dict.fromkeys(calls, 0))
+        res = solve_problem(generate_mesh("t2", 4), problem_smooth(), 2, ell="auto")
+        assert sorted(set(res.solution.ell.tolist())) == [1]  # both shapes
+        assert calls == {"lp": 2, "c_tilde": 2, "geometry": 4, "space": 4}
 
     def test_solve_leaves_mesh_labels_unchanged(self):
         # test2 re-tags the boundary for its inflow data on a copy
@@ -285,6 +293,23 @@ class TestCli:
         assert res.returncode == 0, res.stderr
         assert "solve: n=" in res.stdout
         assert "field: min=" in res.stdout
+
+    @pytest.mark.parametrize(
+        "args, status, message",
+        [
+            (["--family", "t3", "--n", "8", "--k", "3", "--lloyd", "20",
+              "--seed", "1", "--problem", "test2"], 1, "vemsupg: error: cell 6: "),
+            (["--ell", "abc"], 2, "argument --ell"),
+            (["--ell", "-1"], 2, "argument --ell"),
+            (["--k", "5"], 2, "argument --k"),
+        ],
+        ids=["probe-cap", "ell-abc", "ell-negative", "k-5"],
+    )
+    def test_errors_are_one_line(self, tmp_path, args, status, message):
+        res = self.run_cli("solve", *args, "--out", str(tmp_path))
+        assert res.returncode == status
+        assert "Traceback" not in res.stderr
+        assert message in res.stderr.splitlines()[-1]
 
     def test_probe_command(self, tmp_path):
         res = self.run_cli("probe", "--family", "t1", "--k", "2",

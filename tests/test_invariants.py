@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_geometry, swirl_problem
-from vemsupg.basis import MonomialBasis, mass_condition, poly_dim
+from vemsupg.basis import poly_dim
 from vemsupg.errors import MeshError
 from vemsupg.harness import generate_mesh, solve_problem
 from vemsupg.mesh import _reject_duplicate_sites
@@ -16,13 +16,6 @@ def test_duplicate_sites_rejected():
     sites = np.array([[0.25, 0.5], [0.25, 0.5], [0.75, 0.5]])
     with pytest.raises(MeshError, match="duplicate"):
         _reject_duplicate_sites(sites)
-
-
-def test_mass_condition_diagnostic(mesh_t3):
-    geom = make_geometry(mesh_t3.cell_vertices(0), k=2, ell=1)
-    cond = mass_condition(MonomialBasis(geom, 3))
-    assert cond >= 1.0
-    assert np.isfinite(cond)
 
 
 def test_projector_reproduction_k4(acceptance_meshes):
