@@ -117,7 +117,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return _run(args)
-    except (ProbeError, ElementQualityError, MeshError, SolveError) as exc:
+    except (ProbeError, ElementQualityError, MeshError, SolveError, ValueError) as exc:
         print(f"vemsupg: error: {exc}", file=sys.stderr)
         return 1
 

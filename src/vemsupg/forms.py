@@ -104,7 +104,7 @@ class LocalForms:
 
 def beta_sup(geom, beta):
     """Largest |beta| sampled over the element's volume and edge quadrature."""
-    pts = np.vstack([geom.quad_points] + list(geom.edge_points))
+    pts = np.vstack([geom.quad_points, geom.edge_points.reshape(-1, 2)])
     vals = np.asarray(beta(pts), dtype=float)
     return float(np.hypot(vals[:, 0], vals[:, 1]).max())
 
@@ -364,7 +364,7 @@ class ShapeForms:
             resid = np.eye(space.n_dofs) - space.pinabla_dof
             self.stab = resid.T @ resid
         # velocity samples for beta_sup: volume points first, then edges
-        self.samples = np.vstack([pts] + list(geom.edge_points))
+        self.samples = np.vstack([pts, geom.edge_points.reshape(-1, 2)])
 
     def batch(self, problem, shifts):
         """Coefficients and forms of the cells at ``shifts`` (C, 2) from the shape.

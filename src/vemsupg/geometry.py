@@ -168,8 +168,12 @@ class ElementGeometry:
     kernel_radius : inscribed-circle radius of the kernel
     edge_lengths, edge_normals, edge_tangents : per-edge data (outward normals)
     triangles : (nv, 3, 2) fan sub-triangulation from the star center
-    quad_points, quad_weights : volume rule, exact to ``exact_degree``
-    edge_points, edge_weights, edge_params : per-edge Gauss rules
+    quad_points, quad_weights : (nv * nq, 2) and (nv * nq,) volume rule,
+        exact to ``exact_degree``, triangle by triangle
+    edge_points : (nv, n_edge_points, 2) Gauss points, edge e from vertex e
+        to vertex e+1
+    edge_weights : (nv, n_edge_points) Gauss weights, summing to each length
+    edge_params : (n_edge_points,) Gauss nodes in [0, 1], shared by all edges
 
     ``center`` optionally passes a known (star center, kernel radius) pair,
     so that geometries of one polygon at several quadrature degrees share a
@@ -208,23 +212,14 @@ class ElementGeometry:
         self.triangles = np.stack(
             [np.broadcast_to(self.star_center, v.shape), v, nxt], axis=1
         )
-        ref_p, ref_w = triangle_rule(self.exact_degree)
-        pts, wts = [], []
-        for tri in self.triangles:
-            p, w = map_rule_to_triangle(ref_p, ref_w, tri)
-            pts.append(p)
-            wts.append(w)
-        self.quad_points = np.vstack(pts)
-        self.quad_weights = np.concatenate(wts)
-
-        self.edge_points = []
-        self.edge_weights = []
-        self.edge_params = None
-        for i in range(self.n_vertices):
-            p, w, t = edge_rule(v[i], nxt[i], self.n_edge_points)
-            self.edge_points.append(p)
-            self.edge_weights.append(w)
-            self.edge_params = t  # identical params on every edge
+        pts, wts = map_rule_to_triangle(
+            *triangle_rule(self.exact_degree), self.triangles
+        )
+        self.quad_points = pts.reshape(-1, 2)
+        self.quad_weights = wts.reshape(-1)
+        self.edge_points, self.edge_weights, self.edge_params = edge_rule(
+            v, nxt, self.n_edge_points
+        )
         self.perimeter = float(self.edge_lengths.sum())
 
     def translated(self, delta, cell=None):
@@ -237,6 +232,6 @@ class ElementGeometry:
         new.star_center = self.star_center + delta
         new.triangles = self.triangles + delta
         new.quad_points = self.quad_points + delta
-        new.edge_points = [p + delta for p in self.edge_points]
+        new.edge_points = self.edge_points + delta
         return new
 

@@ -32,16 +32,13 @@ class PolyMesh:
     vertices : (n, 2) array
     cells : sequence of CCW vertex-index lists
     boundary_labels : dict mapping (cell, local_edge) -> label string
-    family_tag : optional generator label, e.g. "cartesian:4x4"
     """
 
-    def __init__(self, vertices, cells, boundary_labels=None, family_tag=None,
-                 check_simple=False):
+    def __init__(self, vertices, cells, boundary_labels=None, check_simple=False):
         self.vertices = np.asarray(vertices, dtype=float)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be an (n, 2) array")
         self.cells = [list(map(int, c)) for c in cells]
-        self.family_tag = family_tag
         self._build_topology()
         self._validate(check_simple=check_simple)
         if boundary_labels is None:
@@ -140,8 +137,7 @@ class PolyMesh:
         return counts
 
     def __repr__(self):
-        tag = f", family={self.family_tag!r}" if self.family_tag else ""
-        return f"PolyMesh({self.n_cells} cells, {self.n_vertices} vertices{tag})"
+        return f"PolyMesh({self.n_cells} cells, {self.n_vertices} vertices)"
 
 
 def _label_unit_square_sides(mesh):
@@ -193,7 +189,7 @@ def generate_cartesian(nx, ny):
         for i in range(nx):
             v00 = j * (nx + 1) + i
             cells.append([v00, v00 + 1, v00 + nx + 2, v00 + nx + 1])
-    return PolyMesh(verts, cells, family_tag=f"cartesian:{nx}x{ny}")
+    return PolyMesh(verts, cells)
 
 
 def generate_concave_pentagons(n):
@@ -230,7 +226,7 @@ def generate_concave_pentagons(n):
             cells.append(
                 [mid(i, j), corner(i + 1, j), corner(i + 1, j + 1), mid(i, j + 1), interior(i, j)]
             )
-    return PolyMesh(np.asarray(verts), cells, family_tag=f"pentagon:{n}")
+    return PolyMesh(np.asarray(verts), cells)
 
 
 def generate_voronoi(n_cells, lloyd_iters=100, seed=0):
@@ -251,10 +247,7 @@ def generate_voronoi(n_cells, lloyd_iters=100, seed=0):
     cells, verts = _clipped_voronoi(sites)
     verts = _snap_to_sides(verts)
     verts, cells = _compress_vertices(verts, cells)
-    mesh = PolyMesh(
-        verts, cells, family_tag=f"voronoi:{n_cells}:{lloyd_iters}:{seed}"
-    )
-    return mesh
+    return PolyMesh(verts, cells)
 
 
 def _reject_duplicate_sites(sites):

@@ -5,16 +5,28 @@ rule absorbing the map Jacobian), exact for any requested total degree with
 all-positive weights.  Edge rules are plain Gauss-Legendre.
 """
 
+import functools
+
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
 
+def _frozen(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=None)
 def gauss_legendre_01(n):
-    """n-point Gauss-Legendre rule on [0, 1]; exact for degree 2n-1."""
+    """n-point Gauss-Legendre rule on [0, 1]; exact for degree 2n-1.
+
+    The arrays are shared between calls and read-only.
+    """
     if n < 1:
         raise ValueError("need at least one quadrature point")
     t, w = roots_legendre(n)
-    return 0.5 * (t + 1.0), 0.5 * w
+    return _frozen(0.5 * (t + 1.0), 0.5 * w)
 
 
 def gauss_lobatto_interior(k):
@@ -32,11 +44,13 @@ def gauss_lobatto_interior(k):
     return 0.5 * (t + 1.0)
 
 
+@functools.lru_cache(maxsize=None)
 def triangle_rule(degree):
     """Quadrature on the unit simplex {u, v >= 0, u + v <= 1}.
 
     Exact for all polynomials of total degree <= ``degree``.  Returns
-    (points (n, 2), weights (n,)) with weights summing to 1/2.
+    (points (n, 2), weights (n,)) with weights summing to 1/2; the arrays
+    are shared between calls and read-only.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
@@ -51,30 +65,32 @@ def triangle_rule(degree):
     uu = np.repeat(u, n)
     vv = np.tile(b, n) * (1.0 - uu)
     ww = np.repeat(wu, n) * np.tile(wb, n)
-    return np.column_stack([uu, vv]), ww
+    return _frozen(np.column_stack([uu, vv]), ww)
 
 
 def map_rule_to_triangle(ref_points, ref_weights, tri):
-    """Push a unit-simplex rule onto the physical triangle ``tri`` (3 x 2).
+    """Push a unit-simplex rule onto the physical triangles ``tri`` (..., 3, 2).
 
-    The triangle must be positively oriented; weights then sum to its area.
+    Returns (points (..., n, 2), weights (..., n)).  Each triangle must be
+    positively oriented; its weights then sum to its area.
     """
-    v0, v1, v2 = np.asarray(tri, dtype=float)
-    jac = np.column_stack([v1 - v0, v2 - v0])
-    det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-    pts = ref_points @ jac.T + v0
-    return pts, ref_weights * det
+    tri = np.asarray(tri, dtype=float)
+    v0 = tri[..., 0, :]
+    jac = np.stack([tri[..., 1, :] - v0, tri[..., 2, :] - v0], axis=-1)
+    det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
+    pts = ref_points @ np.swapaxes(jac, -1, -2) + v0[..., None, :]
+    return pts, ref_weights * det[..., None]
 
 
 def edge_rule(p0, p1, n):
-    """n-point Gauss rule along the segment p0 -> p1.
+    """n-point Gauss rule along the segments p0 -> p1, each (..., 2).
 
-    Returns (points (n, 2), weights (n,), params (n,)); weights sum to the
-    segment length, params are the Gauss nodes in [0, 1].
+    Returns (points (..., n, 2), weights (..., n), params (n,)); each
+    segment's weights sum to its length, params are the Gauss nodes in [0, 1].
     """
     t, w = gauss_legendre_01(n)
     p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    pts = p0 + np.outer(t, p1 - p0)
-    length = float(np.hypot(*(p1 - p0)))
-    return pts, w * length, t
+    d = np.asarray(p1, dtype=float) - p0
+    pts = p0[..., None, :] + t[:, None] * d[..., None, :]
+    length = np.hypot(d[..., 0], d[..., 1])
+    return pts, w * length[..., None], t

@@ -56,6 +56,7 @@ class DofLayout:
 
     Order: vertex values, then k-1 edge-internal values per edge (ascending
     along the CCW edge direction), then scaled moments in graded-lex order.
+    The first ``n_nodes`` DOFs are point values at ``nodes``.
     """
 
     def __init__(self, n_vertices, k):
@@ -63,26 +64,34 @@ class DofLayout:
             raise ValueError("order must be >= 1")
         self.k = k
         self.n_vertices = n_vertices
-        self.n_edge_internal = k - 1
+        self.n_nodes = n_vertices * k
         self.n_moments = poly_dim(k - 2)
-        self.n_dofs = n_vertices * k + self.n_moments
+        self.n_dofs = self.n_nodes + self.n_moments
         self.edge_internal_params = gauss_lobatto_interior(k)
         # trace interpolation nodes on [0, 1] for one edge
         self.trace_params = np.concatenate([[0.0], self.edge_internal_params, [1.0]])
 
-    def vertex_dof(self, i):
-        return i
+    def nodes(self, vertices):
+        """Vertices, then each edge's internal nodes: the (n_nodes, 2) DOF nodes."""
+        v = np.asarray(vertices, dtype=float)
+        d = np.roll(v, -1, axis=0) - v
+        internal = v[:, None, :] + self.edge_internal_params[:, None] * d[:, None, :]
+        return np.vstack([v, internal.reshape(-1, 2)])
 
-    def edge_dofs(self, i):
-        base = self.n_vertices + i * self.n_edge_internal
-        return list(range(base, base + self.n_edge_internal))
+    def edge_traces(self, params):
+        """(n_vertices, n, n_dofs) map from DOFs to each edge's trace at ``params``.
 
-    def moment_dof(self, m):
-        return self.n_vertices * self.k + m
-
-    def edge_trace_dofs(self, i):
-        """DOF indices of the k+1 trace nodes of edge i, in trace-node order."""
-        return [i] + self.edge_dofs(i) + [(i + 1) % self.n_vertices]
+        Entry [e, j] gives the trace on edge e at the parameter ``params[j]``
+        in [0, 1] along the CCW edge direction.
+        """
+        vals = lagrange_values(self.trace_params, params)
+        nv, k = self.n_vertices, self.k
+        e = np.arange(nv)[:, None]
+        # DOFs of each edge's k+1 trace nodes, in trace-node order
+        cols = np.hstack([e, nv + (k - 1) * e + np.arange(k - 1), (e + 1) % nv])
+        out = np.zeros((nv, len(vals), self.n_dofs))
+        out[e[:, :, None], np.arange(len(vals))[:, None], cols[:, None, :]] = vals
+        return out
 
 
 def lagrange_values(nodes, params):
@@ -95,15 +104,6 @@ def lagrange_values(nodes, params):
             if i != j:
                 out[:, j] *= (params - nodes[i]) / (nodes[j] - nodes[i])
     return out
-
-
-def edge_trace_matrix(layout, edge, params):
-    """Map DOFs to trace values on ``edge`` at parameters ``params`` in [0, 1]."""
-    vals = lagrange_values(layout.trace_params, params)
-    mat = np.zeros((len(np.atleast_1d(params)), layout.n_dofs))
-    for col, dof in enumerate(layout.edge_trace_dofs(edge)):
-        mat[:, dof] += vals[:, col]
-    return mat
 
 
 def enhancement_degrees(k, ell):
@@ -128,7 +128,6 @@ def build_pinabla(geom, k, layout=None):
     if layout is None:
         layout = DofLayout(geom.n_vertices, k)
     basis = MonomialBasis(geom, k)
-    nk = basis.dim
     n = layout.n_dofs
 
     # stiffness Gram via exact derivative maps
@@ -137,53 +136,31 @@ def build_pinabla(geom, k, layout=None):
     dx, dy = grad_map(basis)
     gram = dx.T @ h_km1 @ dx + dy.T @ h_km1 @ dy
 
-    # right-hand sides by integration by parts
-    rhs = np.zeros((nk, n))
-    for e in range(geom.n_vertices):
-        pts = geom.edge_points[e]
-        w = geom.edge_weights[e]
-        normal = geom.edge_normals[e]
-        trace = edge_trace_matrix(layout, e, geom.edge_params)
-        mvals = eval_basis(basis_km1, pts)
-        dvals = normal[0] * (dx.T @ mvals) + normal[1] * (dy.T @ mvals)
-        rhs += (dvals * w) @ trace
+    # right-hand sides by integration by parts, all edge points at once
+    pts = geom.edge_points.reshape(-1, 2)
+    w = geom.edge_weights.reshape(-1)
+    traces = layout.edge_traces(geom.edge_params).reshape(-1, n)
+    nw = (geom.edge_normals[:, None, :] * geom.edge_weights[..., None]).reshape(-1, 2)
+    mvals = eval_basis(basis_km1, pts)
+    rhs = ((dx.T @ mvals) * nw[:, 0] + (dy.T @ mvals) * nw[:, 1]) @ traces
     if k >= 2:
-        lap = laplace_map(basis)
-        for m in range(layout.n_moments):
-            rhs[:, layout.moment_dof(m)] -= geom.area * lap[m, :]
+        rhs[:, layout.n_nodes :] -= geom.area * laplace_map(basis).T
 
     # mean condition replaces the constant row
     h_k = mass_matrix(basis)
     if k == 1:
-        mean_row = np.zeros(nk)
-        mean_rhs = np.zeros(n)
-        for e in range(geom.n_vertices):
-            w = geom.edge_weights[e]
-            mean_row += eval_basis(basis, geom.edge_points[e]) @ w
-            mean_rhs += w @ edge_trace_matrix(layout, e, geom.edge_params)
-        mean_row /= geom.perimeter
-        mean_rhs /= geom.perimeter
+        gram[0, :] = eval_basis(basis, pts) @ w / geom.perimeter
+        rhs[0, :] = w @ traces / geom.perimeter
     else:
-        mean_row = h_k[0, :] / geom.area
-        mean_rhs = np.zeros(n)
-        mean_rhs[layout.moment_dof(0)] = 1.0
-    gram[0, :] = mean_row
-    rhs[0, :] = mean_rhs
+        gram[0, :] = h_k[0, :] / geom.area
+        rhs[0, :] = 0.0
+        rhs[0, layout.n_nodes] = 1.0
 
     coeff = _checked_solve(gram, rhs, "projector Gram", geom.cell)
 
     # DOFs of the projected polynomial
-    dof_of_poly = np.zeros((n, nk))
-    dof_of_poly[:geom.n_vertices, :] = eval_basis(basis, geom.vertices).T
-    for e in range(geom.n_vertices):
-        if layout.n_edge_internal:
-            pts = geom.vertices[e] + np.outer(
-                layout.edge_internal_params,
-                geom.vertices[(e + 1) % geom.n_vertices] - geom.vertices[e],
-            )
-            dof_of_poly[layout.edge_dofs(e), :] = eval_basis(basis, pts).T
-    for m in range(layout.n_moments):
-        dof_of_poly[layout.moment_dof(m), :] = h_k[m, :] / geom.area
+    nodal = eval_basis(basis, layout.nodes(geom.vertices)).T
+    dof_of_poly = np.vstack([nodal, h_k[: layout.n_moments] / geom.area])
     return coeff, dof_of_poly @ coeff, basis
 
 
@@ -199,15 +176,14 @@ def build_moments(geom, k, ell, pinabla_coeff, layout=None):
     h_full = mass_matrix(basis_full)
     nk = poly_dim(k)
     moments = np.zeros((basis_full.dim, layout.n_dofs))
-    for m in range(layout.n_moments):
-        moments[m, layout.moment_dof(m)] = geom.area
+    moments[: layout.n_moments, layout.n_nodes :] = geom.area * np.eye(layout.n_moments)
     degrees = basis_full.degrees()
     rows = np.isin(degrees, list(enhancement_degrees(k, ell)))
     moments[rows, :] = h_full[np.ix_(rows, range(nk))] @ pinabla_coeff
     return moments, basis_full, h_full
 
 
-def build_pizero_scalar(geom, n, moments, h_full, cell=None):
+def build_pizero_scalar(n, moments, h_full, cell=None):
     """L2 projector onto P_n from the moment matrix (requires n <= k + ell)."""
     m = poly_dim(n)
     if m > moments.shape[0]:
@@ -229,16 +205,11 @@ def build_pizero_grad(geom, k, ell, moments, basis_full, h_full, degree, layout=
     mg = poly_dim(degree)
     sub = MonomialBasis(geom, degree)
     dx, dy = grad_map(sub)
-    rx = -(dx.T @ moments[: poly_dim(degree - 1), :])
-    ry = -(dy.T @ moments[: poly_dim(degree - 1), :])
-    for e in range(geom.n_vertices):
-        pts = geom.edge_points[e]
-        w = geom.edge_weights[e]
-        normal = geom.edge_normals[e]
-        trace = edge_trace_matrix(layout, e, geom.edge_params)
-        mvals = eval_basis(sub, pts)
-        rx += normal[0] * (mvals * w) @ trace
-        ry += normal[1] * (mvals * w) @ trace
+    traces = layout.edge_traces(geom.edge_params).reshape(-1, layout.n_dofs)
+    nw = (geom.edge_normals[:, None, :] * geom.edge_weights[..., None]).reshape(-1, 2)
+    mvals = eval_basis(sub, geom.edge_points.reshape(-1, 2))
+    rx = (mvals * nw[:, 0]) @ traces - dx.T @ moments[: poly_dim(degree - 1), :]
+    ry = (mvals * nw[:, 1]) @ traces - dy.T @ moments[: poly_dim(degree - 1), :]
     h_sub = h_full[:mg, :mg]
     gx = _gram_solve(h_sub, rx, "vector mass", geom.cell)
     gy = _gram_solve(h_sub, ry, "vector mass", geom.cell)
@@ -291,7 +262,7 @@ class LocalSpace:
     def pizero_scalar(self, n):
         if n not in self._pizero_scalar:
             self._pizero_scalar[n] = build_pizero_scalar(
-                self.geom, n, self.moments, self.h_full, self.geom.cell
+                n, self.moments, self.h_full, self.geom.cell
             )
         return self._pizero_scalar[n]
 
@@ -316,39 +287,19 @@ class LocalSpace:
 
     def polynomial_dofs(self, coeffs):
         """Exact DOF vector of a polynomial given by P_k coefficients."""
-        geom, layout = self.geom, self.layout
-        dofs = np.zeros(layout.n_dofs)
-        vals = eval_basis(self.basis_k, geom.vertices)
-        dofs[: geom.n_vertices] = coeffs @ vals
-        for e in range(geom.n_vertices):
-            if layout.n_edge_internal:
-                pts = geom.vertices[e] + np.outer(
-                    layout.edge_internal_params,
-                    geom.vertices[(e + 1) % geom.n_vertices] - geom.vertices[e],
-                )
-                dofs[layout.edge_dofs(e)] = coeffs @ eval_basis(self.basis_k, pts)
-        nk = self.basis_k.dim
-        for m in range(layout.n_moments):
-            dofs[layout.moment_dof(m)] = (self.h_full[m, :nk] @ coeffs) / geom.area
-        return dofs
+        layout = self.layout
+        nodal = coeffs @ eval_basis(self.basis_k, layout.nodes(self.geom.vertices))
+        moments = self.h_full[: layout.n_moments, : self.basis_k.dim] @ coeffs
+        return np.concatenate([nodal, moments / self.geom.area])
 
     def interpolate(self, func):
         """DOF vector of a smooth function (vertex/edge values, quadrature moments)."""
         geom, layout = self.geom, self.layout
         dofs = np.zeros(layout.n_dofs)
-        dofs[: geom.n_vertices] = func(geom.vertices)
-        for e in range(geom.n_vertices):
-            if layout.n_edge_internal:
-                pts = geom.vertices[e] + np.outer(
-                    layout.edge_internal_params,
-                    geom.vertices[(e + 1) % geom.n_vertices] - geom.vertices[e],
-                )
-                dofs[layout.edge_dofs(e)] = func(pts)
+        dofs[: layout.n_nodes] = func(layout.nodes(geom.vertices))
         if layout.n_moments:
             fvals = func(geom.quad_points)
             basis_m = MonomialBasis(geom, self.k - 2)
             mvals = eval_basis(basis_m, geom.quad_points)
-            dofs[layout.n_vertices * self.k :] = (
-                mvals @ (geom.quad_weights * fvals)
-            ) / geom.area
+            dofs[layout.n_nodes :] = (mvals @ (geom.quad_weights * fvals)) / geom.area
         return dofs

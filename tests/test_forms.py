@@ -199,6 +199,24 @@ class TestProbe:
         assert err.value.cell == 6
         assert [ell for ell, _ in err.value.trace] == list(range(7))
 
+    def test_solve_ell_frozen_on_voronoi(self):
+        # per-cell increments of the 64-cell Lloyd-100 seed-3 Voronoi mesh,
+        # frozen from the per-edge projector construction: a roundoff change
+        # in the element data must not flip a probe decision
+        from vemsupg.harness import solve_problem
+        from vemsupg.mesh import generate_voronoi
+        from vemsupg.problems import problem_test2
+
+        expect = {
+            1: "1111111111111111111111111111111111111111111111111111111111111111",
+            2: "1211111121111111111221111111111111111111211111211111112111111211",
+            3: "1311111121111111111221211121112111111111211111212111112211111112",
+        }
+        mesh = generate_voronoi(64, lloyd_iters=100, seed=3)
+        for k, want in expect.items():
+            res = solve_problem(mesh, problem_test2(), k, ell="auto")
+            assert "".join(map(str, res.solution.ell)) == want, f"k={k}"
+
     def test_minimality(self):
         geom = make_geometry(UNIT_SQUARE, k=2, ell=6)
         ell = probe_min_ell(geom, 2)

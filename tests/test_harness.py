@@ -297,18 +297,25 @@ class TestCli:
     @pytest.mark.parametrize(
         "args, status, message",
         [
-            (["--family", "t3", "--n", "8", "--k", "3", "--lloyd", "20",
+            (["solve", "--family", "t3", "--n", "8", "--k", "3", "--lloyd", "20",
               "--seed", "1", "--problem", "test2"], 1, "vemsupg: error: cell 6: "),
-            (["--ell", "abc"], 2, "argument --ell"),
-            (["--ell", "-1"], 2, "argument --ell"),
-            (["--k", "5"], 2, "argument --k"),
+            (["solve", "--ell", "abc"], 2, "argument --ell"),
+            (["solve", "--ell", "-1"], 2, "argument --ell"),
+            (["solve", "--k", "5"], 2, "argument --k"),
+            (["convergence", "--problem", "test2", "--refinements", "4,8"], 1,
+             "vemsupg: error: problem 'test2' has no exact solution"),
+            (["convergence", "--refinements", "8,4"], 1,
+             "vemsupg: error: refinement schedule must strictly decrease h"),
         ],
-        ids=["probe-cap", "ell-abc", "ell-negative", "k-5"],
+        ids=["probe-cap", "ell-abc", "ell-negative", "k-5", "conv-no-exact",
+             "conv-coarsening"],
     )
     def test_errors_are_one_line(self, tmp_path, args, status, message):
-        res = self.run_cli("solve", *args, "--out", str(tmp_path))
+        res = self.run_cli(*args, "--out", str(tmp_path))
         assert res.returncode == status
         assert "Traceback" not in res.stderr
+        if status == 1:
+            assert len(res.stderr.splitlines()) == 1
         assert message in res.stderr.splitlines()[-1]
 
     def test_probe_command(self, tmp_path):

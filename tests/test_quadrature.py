@@ -65,3 +65,31 @@ def test_lobatto_interior_nodes():
     for k in range(2, 7):
         nodes = gauss_lobatto_interior(k)
         assert nodes == pytest.approx(1.0 - nodes[::-1], rel=1e-13)
+
+
+def test_rules_are_cached_read_only():
+    for rule, arg in ((triangle_rule, 6), (gauss_legendre_01, 5)):
+        first = rule(arg)
+        assert all(a is b for a, b in zip(first, rule(arg)))
+        assert not any(a.flags.writeable for a in first)
+        fresh = rule.__wrapped__(arg)
+        assert all(np.array_equal(a, b) for a, b in zip(first, fresh))
+
+
+def test_stacked_rules_match_single():
+    rng = np.random.default_rng(3)
+    p0, p1 = rng.random((2, 4, 3, 2))
+    pts, w, t = edge_rule(p0, p1, 4)
+    assert pts.shape == (4, 3, 4, 2) and w.shape == (4, 3, 4) and t.shape == (4,)
+    for i, j in np.ndindex(4, 3):
+        one = edge_rule(p0[i, j], p1[i, j], 4)
+        assert pts[i, j] == pytest.approx(one[0], rel=1e-15)
+        assert w[i, j] == pytest.approx(one[1], rel=1e-15)
+    tris = np.array([[(0.2, -0.1), (1.3, 0.4), (0.5, 1.7)], [(0, 0), (2, 0), (0, 3)]])
+    ref_p, ref_w = triangle_rule(5)
+    pts, w = map_rule_to_triangle(ref_p, ref_w, tris)
+    assert pts.shape == (2, len(ref_w), 2) and w.shape == (2, len(ref_w))
+    for tri, p, wt in zip(tris, pts, w):
+        one = map_rule_to_triangle(ref_p, ref_w, tri)
+        assert p == pytest.approx(one[0], rel=1e-15)
+        assert wt == pytest.approx(one[1], rel=1e-15)

@@ -5,13 +5,7 @@ from conftest import UNIT_SQUARE, make_geometry
 from oracles import hat_pinabla_square_k1, l2_projection_coeffs
 from vemsupg.basis import MonomialBasis, eval_basis, eval_poly, grad_map, poly_dim
 from vemsupg.quadrature import edge_rule
-from vemsupg.space import (
-    DofLayout,
-    LocalSpace,
-    edge_trace_matrix,
-    enhancement_degrees,
-    lagrange_values,
-)
+from vemsupg.space import DofLayout, LocalSpace, enhancement_degrees, lagrange_values
 
 
 def random_poly(k, rng):
@@ -25,8 +19,31 @@ class TestDofLayout:
         assert layout.n_dofs == nv * k + k * (k - 1) // 2
 
     def test_trace_dofs_wrap(self):
+        # last edge of a k = 2 quadrilateral: vertex 3, its midpoint DOF 7, vertex 0
         layout = DofLayout(4, 2)
-        assert layout.edge_trace_dofs(3) == [3, 7, 0]
+        traces = layout.edge_traces([0.0, 0.5, 1.0])
+        assert traces.shape == (4, 3, layout.n_dofs)
+        assert traces[3] == pytest.approx(np.eye(layout.n_dofs)[[3, 7, 0]], abs=1e-15)
+
+    def test_edge_traces_interpolate_on_each_edge(self):
+        layout = DofLayout(5, 3)
+        t = np.linspace(0.0, 1.0, 6)
+        traces = layout.edge_traces(t)
+        vals = lagrange_values(layout.trace_params, t)
+        for e in range(5):
+            dofs = [e, 5 + 2 * e, 6 + 2 * e, (e + 1) % 5]
+            assert traces[e][:, dofs] == pytest.approx(vals, abs=1e-15)
+            rest = np.delete(traces[e], dofs, axis=1)
+            assert not rest.any()
+
+    def test_nodes_in_dof_order(self):
+        layout = DofLayout(4, 3)
+        nodes = layout.nodes(UNIT_SQUARE)
+        assert nodes.shape == (layout.n_nodes, 2)
+        assert nodes[:4] == pytest.approx(np.asarray(UNIT_SQUARE, dtype=float))
+        # edge 1 runs from (1, 0) to (1, 1); its internal nodes are DOFs 6, 7
+        lobatto = layout.trace_params[1:-1]
+        assert nodes[6:8] == pytest.approx(np.column_stack([[1.0, 1.0], lobatto]))
 
     def test_lagrange_partition_of_unity(self):
         nodes = DofLayout(4, 3).trace_params
@@ -198,7 +215,7 @@ class TestPiZeroGrad:
                     p1 = UNIT_SQUARE[(e + 1) % 4]
                     pts, w, t = edge_rule(p0, p1, 9)  # deliberately different order
                     normal = geom.edge_normals[e]
-                    trace = edge_trace_matrix(layout, e, t)
+                    trace = layout.edge_traces(t)[e]
                     mvals = eval_basis(basis_g, pts)[a]
                     rhs = rhs + normal[d] * ((mvals * w) @ trace)
                 assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-14)
