@@ -64,12 +64,17 @@ class MonomialBasis:
 
 
 def eval_basis(basis, points):
-    """Evaluate all basis members at ``points`` (n, 2); returns (dim, n)."""
+    """Evaluate all basis members at ``points`` (n, 2); returns (dim, n).
+
+    Each coordinate is raised to the powers 0..order once; the members are
+    products of gathered rows of those two tables.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     xi = (pts[:, 0] - basis.center[0]) / basis.scale
     eta = (pts[:, 1] - basis.center[1]) / basis.scale
+    powers = np.arange(basis.order + 1)[:, None]
     a = basis.exponents
-    return xi[None, :] ** a[:, 0, None] * eta[None, :] ** a[:, 1, None]
+    return (xi[None, :] ** powers)[a[:, 0]] * (eta[None, :] ** powers)[a[:, 1]]
 
 
 def eval_poly(basis, coeffs, points):
@@ -81,37 +86,46 @@ def eval_poly(basis, coeffs, points):
     return np.asarray(coeffs).T @ vals
 
 
+@functools.lru_cache(maxsize=None)
+def _derivative_patterns(n):
+    """Integer maps of d/dxi, d/deta and the Laplacian on the degree-n monomials.
+
+    Returns read-only (Dx, Dy, L) of shapes (dim P_{n-1}, dim P_n) twice and
+    (dim P_{n-2}, dim P_n); the derivatives of one member land in distinct
+    rows, so each entry holds a single exponent product.
+    """
+    dim = poly_dim(n)
+    dx = np.zeros((poly_dim(n - 1), dim))
+    dy = np.zeros((poly_dim(n - 1), dim))
+    lap = np.zeros((poly_dim(n - 2), dim))
+    for col, (a1, a2) in enumerate(monomial_exponents(n).tolist()):
+        if a1 > 0:
+            dx[monomial_index(a1 - 1, a2), col] = a1
+        if a2 > 0:
+            dy[monomial_index(a1, a2 - 1), col] = a2
+        if a1 > 1:
+            lap[monomial_index(a1 - 2, a2), col] = a1 * (a1 - 1)
+        if a2 > 1:
+            lap[monomial_index(a1, a2 - 2), col] = a2 * (a2 - 1)
+    for a in (dx, dy, lap):
+        a.flags.writeable = False
+    return dx, dy, lap
+
+
 def grad_map(basis):
     """Coefficient maps of d/dx and d/dy from P_n to P_{n-1}.
 
     Returns (Dx, Dy), each of shape (dim P_{n-1}, dim P_n), carrying the
     1/h chain factor of the scaled coordinates.
     """
-    n = basis.order
-    rows = poly_dim(n - 1)
-    dx = np.zeros((rows, basis.dim))
-    dy = np.zeros((rows, basis.dim))
+    dx, dy, _ = _derivative_patterns(basis.order)
     inv_h = 1.0 / basis.scale
-    for col, (a1, a2) in enumerate(basis.exponents):
-        if a1 > 0:
-            dx[monomial_index(a1 - 1, a2), col] = a1 * inv_h
-        if a2 > 0:
-            dy[monomial_index(a1, a2 - 1), col] = a2 * inv_h
-    return dx, dy
+    return dx * inv_h, dy * inv_h
 
 
 def laplace_map(basis):
     """Coefficient map of the Laplacian from P_n to P_{n-2}."""
-    n = basis.order
-    rows = poly_dim(n - 2)
-    lap = np.zeros((rows, basis.dim))
-    inv_h2 = 1.0 / basis.scale**2
-    for col, (a1, a2) in enumerate(basis.exponents):
-        if a1 > 1:
-            lap[monomial_index(a1 - 2, a2), col] += a1 * (a1 - 1) * inv_h2
-        if a2 > 1:
-            lap[monomial_index(a1, a2 - 2), col] += a2 * (a2 - 1) * inv_h2
-    return lap
+    return _derivative_patterns(basis.order)[2] * (1.0 / basis.scale**2)
 
 
 def div_map(basis):

@@ -183,15 +183,41 @@ def projected_gradient_gram(space):
     return gx.T @ h @ gx + gy.T @ h @ gy
 
 
+def rank_bound_ell(n_dofs, k):
+    """Smallest increment the probe rule can accept for ``n_dofs`` DOFs at order k.
+
+    The degree k+ell-1 projected gradient maps the local space into
+    [P_{k+ell-1}]^2, of dimension (k+ell)(k+ell+1), so its Gram has at least
+    n_dofs - (k+ell)(k+ell+1) exact zero eigenvalues.  The rule allows one,
+    so it rejects every ell with (k+ell)(k+ell+1) < n_dofs - 1.
+    """
+    ell = 0
+    while (k + ell) * (k + ell + 1) < n_dofs - 1:
+        ell += 1
+    return ell
+
+
+def probe_exhausted(k, trace, cell):
+    """The ``ProbeError`` of a probe whose trials up to ``trace[-1]`` all failed."""
+    return ProbeError(
+        f"no increment <= {trace[-1][0]} makes the local form coercive (order {k})",
+        trace=trace,
+        cell=cell,
+    )
+
+
 def first_coercive(spaces, tol_rel):
     """First of ``spaces`` whose projected-gradient Gram has a 1-dim kernel.
 
     ``spaces`` yields the trial spaces of one element in increasing ell.  The
     Gram always annihilates constants; the rule accepts the first space for
-    which exactly one relative eigenvalue stays below ``tol_rel``.
+    which exactly one relative eigenvalue stays below ``tol_rel``.  The trace
+    holds one entry per ell from 0 on: (ell, relative eigenvalues), or
+    (ell, None) for an increment ``spaces`` skips.
     """
     trace = []
     for space in spaces:
+        trace += [(ell, None) for ell in range(len(trace), space.ell)]
         gram = projected_gradient_gram(space)
         lam = np.linalg.eigvalsh(0.5 * (gram + gram.T))
         lam_max = lam[-1]
@@ -202,11 +228,7 @@ def first_coercive(spaces, tol_rel):
         trace.append((space.ell, (lam / lam_max).tolist()))
         if n_small == 1:
             return space
-    raise ProbeError(
-        f"no increment <= {space.ell} makes the local form coercive (order {space.k})",
-        trace=trace,
-        cell=space.geom.cell,
-    )
+    raise probe_exhausted(space.k, trace, space.geom.cell)
 
 
 def probe_min_ell(geom, k, ell_max=DEFAULT_ELL_MAX, tol_rel=DEFAULT_PROBE_TOL):

@@ -5,12 +5,13 @@ are translated copies of one another (all cells of a cartesian grid, the two
 pentagons of the concave tiling) share one kernel and star center, one
 geometry and space per (k, ell) and one probe result, built on the first
 cell of the shape.  The probe tries the shape's own (k, ell) spaces in
-increasing ell and the solve keeps the one it accepts; the rejected trials
-are dropped.  Since every projector matrix is translation-invariant,
-the other cells only shift the points at which velocity and source are
-sampled, and the local forms and loads of each shape are formed in stacked
-batches from one set of form tables.  On a Voronoi mesh every cell is its
-own shape and the same path runs with groups of one.
+increasing ell, from the smallest ell a dimension count allows, and the
+solve keeps the one it accepts; the rejected trials are dropped.  Since
+every projector matrix is translation-invariant, the other cells only shift
+the points at which velocity and source are sampled, and the local forms and
+loads of each shape are formed in stacked batches from one set of form
+tables.  On a Voronoi mesh every cell is its own shape and the same path
+runs with groups of one.
 """
 
 import copy
@@ -30,7 +31,9 @@ from .forms import (  # noqa: F401
     baseline_vem_forms,
     element_coefficients,
     first_coercive,
+    probe_exhausted,
     probe_min_ell,
+    rank_bound_ell,
     sf_forms,
 )
 from .geometry import ElementGeometry
@@ -41,7 +44,7 @@ from .mesh import (
     relabel_boundary,
 )
 from .problems import get_problem
-from .space import LocalSpace
+from .space import LocalSpace, dof_layout
 
 FAMILIES = ("t1", "t2", "t3")
 
@@ -114,12 +117,20 @@ class Shape:
         return self.spaces[(k, ell)]
 
     def probe(self, k, probe_tol):
-        """Smallest coercive increment at order k, tried on this shape's spaces."""
+        """Smallest coercive increment at order k, tried on this shape's spaces.
+
+        Trials start at the rank bound: the increments below it are rejected
+        by a dimension count, so their geometries and spaces are not built.
+        """
         key = (k, probe_tol)
         if key not in self.probed:
+            start = rank_bound_ell(dof_layout(len(self.vertices), k).n_dofs, k)
+            if start > DEFAULT_ELL_MAX:
+                skipped = [(ell, None) for ell in range(DEFAULT_ELL_MAX + 1)]
+                raise probe_exhausted(k, skipped, self.cell)
 
             def trials():
-                for ell in range(DEFAULT_ELL_MAX + 1):
+                for ell in range(start, DEFAULT_ELL_MAX + 1):
                     yield self.space(k, ell)
                     # rejected: dropped, a Voronoi mesh has a shape per cell
                     del self.geoms[(k, ell)], self.spaces[(k, ell)]

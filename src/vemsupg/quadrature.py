@@ -29,19 +29,21 @@ def gauss_legendre_01(n):
     return _frozen(0.5 * (t + 1.0), 0.5 * w)
 
 
+@functools.lru_cache(maxsize=None)
 def gauss_lobatto_interior(k):
     """Interior Gauss-Lobatto nodes on [0, 1]: the k-1 roots of P_k'.
 
     These are the edge-internal interpolation points of an order-k trace;
-    returns an empty array for k = 1.
+    returns an empty array for k = 1.  The array is shared between calls
+    and read-only.
     """
     if k < 1:
         raise ValueError("order must be >= 1")
     if k == 1:
-        return np.empty(0)
+        return _frozen(np.empty(0))[0]
     dleg = np.polynomial.legendre.Legendre.basis(k).deriv()
     t = np.sort(dleg.roots().real)
-    return 0.5 * (t + 1.0)
+    return _frozen(0.5 * (t + 1.0))[0]
 
 
 @functools.lru_cache(maxsize=None)

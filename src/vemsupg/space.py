@@ -13,6 +13,8 @@ DOFs alone:
   n <= k+ell-1.
 """
 
+import functools
+
 import numpy as np
 
 from .basis import (
@@ -56,7 +58,8 @@ class DofLayout:
 
     Order: vertex values, then k-1 edge-internal values per edge (ascending
     along the CCW edge direction), then scaled moments in graded-lex order.
-    The first ``n_nodes`` DOFs are point values at ``nodes``.
+    The first ``n_nodes`` DOFs are point values at ``nodes``.  Layouts are
+    shared through ``dof_layout``, so their arrays and tables are read-only.
     """
 
     def __init__(self, n_vertices, k):
@@ -70,6 +73,8 @@ class DofLayout:
         self.edge_internal_params = gauss_lobatto_interior(k)
         # trace interpolation nodes on [0, 1] for one edge
         self.trace_params = np.concatenate([[0.0], self.edge_internal_params, [1.0]])
+        self.trace_params.flags.writeable = False
+        self._traces = {}  # edge-trace tables by the bytes of their params
 
     def nodes(self, vertices):
         """Vertices, then each edge's internal nodes: the (n_nodes, 2) DOF nodes."""
@@ -82,16 +87,28 @@ class DofLayout:
         """(n_vertices, n, n_dofs) map from DOFs to each edge's trace at ``params``.
 
         Entry [e, j] gives the trace on edge e at the parameter ``params[j]``
-        in [0, 1] along the CCW edge direction.
+        in [0, 1] along the CCW edge direction.  The table is built once per
+        set of ``params`` (in the solver, once per edge rule) and is read-only.
         """
-        vals = lagrange_values(self.trace_params, params)
-        nv, k = self.n_vertices, self.k
-        e = np.arange(nv)[:, None]
-        # DOFs of each edge's k+1 trace nodes, in trace-node order
-        cols = np.hstack([e, nv + (k - 1) * e + np.arange(k - 1), (e + 1) % nv])
-        out = np.zeros((nv, len(vals), self.n_dofs))
-        out[e[:, :, None], np.arange(len(vals))[:, None], cols[:, None, :]] = vals
-        return out
+        params = np.atleast_1d(np.asarray(params, dtype=float))
+        key = params.tobytes()
+        if key not in self._traces:
+            vals = lagrange_values(self.trace_params, params)
+            nv, k = self.n_vertices, self.k
+            e = np.arange(nv)[:, None]
+            # DOFs of each edge's k+1 trace nodes, in trace-node order
+            cols = np.hstack([e, nv + (k - 1) * e + np.arange(k - 1), (e + 1) % nv])
+            out = np.zeros((nv, len(vals), self.n_dofs))
+            out[e[:, :, None], np.arange(len(vals))[:, None], cols[:, None, :]] = vals
+            out.flags.writeable = False
+            self._traces[key] = out
+        return self._traces[key]
+
+
+@functools.lru_cache(maxsize=None)
+def dof_layout(n_vertices, k):
+    """The shared ``DofLayout`` of an ``n_vertices``-gon at order k."""
+    return DofLayout(n_vertices, k)
 
 
 def lagrange_values(nodes, params):
@@ -117,7 +134,7 @@ def enhancement_degrees(k, ell):
     return range(lo, k + ell + 1)
 
 
-def build_pinabla(geom, k, layout=None):
+def build_pinabla(geom, k):
     """H1-type projector of order k on one element.
 
     Returns (coeff, dof_form, basis) where ``coeff`` maps DOFs to P_k
@@ -125,8 +142,7 @@ def build_pinabla(geom, k, layout=None):
     polynomial.  The Gram system is augmented by the boundary mean (k = 1)
     or the cell mean (k > 1).
     """
-    if layout is None:
-        layout = DofLayout(geom.n_vertices, k)
+    layout = dof_layout(geom.n_vertices, k)
     basis = MonomialBasis(geom, k)
     n = layout.n_dofs
 
@@ -164,14 +180,13 @@ def build_pinabla(geom, k, layout=None):
     return coeff, dof_of_poly @ coeff, basis
 
 
-def build_moments(geom, k, ell, pinabla_coeff, layout=None):
+def build_moments(geom, k, ell, pinabla_coeff):
     """Moments (phi_i, m_a) for all |a| <= k + ell.
 
     Low-degree rows come straight from the moment DOFs; the constrained
     degrees use the enhancement property through the H1 projection.
     """
-    if layout is None:
-        layout = DofLayout(geom.n_vertices, k)
+    layout = dof_layout(geom.n_vertices, k)
     basis_full = MonomialBasis(geom, k + ell)
     h_full = mass_matrix(basis_full)
     nk = poly_dim(k)
@@ -191,15 +206,14 @@ def build_pizero_scalar(n, moments, h_full, cell=None):
     return _gram_solve(h_full[:m, :m], moments[:m, :], "mass", cell)
 
 
-def build_pizero_grad(geom, k, ell, moments, basis_full, h_full, degree, layout=None):
+def build_pizero_grad(geom, k, ell, moments, basis_full, h_full, degree):
     """L2 projection of the gradient onto [P_degree]^2, degree <= k + ell - 1.
 
     Each component row is assembled by parts: the interior term uses the
     moment matrix, the boundary term exact edge quadrature of the trace.
     Returns (gx, gy), each mapping DOFs to P_degree coefficients.
     """
-    if layout is None:
-        layout = DofLayout(geom.n_vertices, k)
+    layout = dof_layout(geom.n_vertices, k)
     if degree > k + ell - 1:
         raise ValueError("gradient projection degree exceeds k + ell - 1")
     mg = poly_dim(degree)
@@ -231,12 +245,10 @@ class LocalSpace:
         self.geom = geom
         self.k = k
         self.ell = ell
-        self.layout = DofLayout(geom.n_vertices, k)
-        self.pinabla_coeff, self.pinabla_dof, self.basis_k = build_pinabla(
-            geom, k, self.layout
-        )
+        self.layout = dof_layout(geom.n_vertices, k)
+        self.pinabla_coeff, self.pinabla_dof, self.basis_k = build_pinabla(geom, k)
         self.moments, self.basis_full, self.h_full = build_moments(
-            geom, k, ell, self.pinabla_coeff, self.layout
+            geom, k, ell, self.pinabla_coeff
         )
         self._pizero_scalar = {}
         self._pizero_grad = {}
@@ -276,7 +288,6 @@ class LocalSpace:
                 self.basis_full,
                 self.h_full,
                 degree,
-                self.layout,
             )
         return self._pizero_grad[degree]
 

@@ -226,3 +226,51 @@ def hat_pinabla_square_k1():
     # constant coefficient: mean condition on the boundary
     # boundary mean of m_1: mean of (x-1/2)/h over the perimeter = 0 by symmetry
     return np.array([mean, plane[0], plane[1]])
+
+
+# -- element-wise monomial maps -------------------------------------------
+# Scaled-monomial evaluation and derivative maps written member by member:
+# one power per member and one loop over the exponents.  The library builds
+# the same numbers from per-order tables; with the same operations on the
+# same operands the two agree bit for bit.
+
+
+def _graded_lex_index(a1, a2):
+    d = a1 + a2
+    return d * (d + 1) // 2 + a2
+
+
+def eval_basis_by_member(basis, points):
+    """(dim, n) values of the members of ``basis``, each power taken on its own."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    xi = (pts[:, 0] - basis.center[0]) / basis.scale
+    eta = (pts[:, 1] - basis.center[1]) / basis.scale
+    a = basis.exponents
+    return xi[None, :] ** a[:, 0, None] * eta[None, :] ** a[:, 1, None]
+
+
+def grad_map_by_member(basis):
+    """(Dx, Dy) coefficient maps P_n -> P_{n-1}, filled one member at a time."""
+    rows = basis.order * (basis.order + 1) // 2
+    dx = np.zeros((rows, basis.dim))
+    dy = np.zeros((rows, basis.dim))
+    inv_h = 1.0 / basis.scale
+    for col, (a1, a2) in enumerate(basis.exponents):
+        if a1 > 0:
+            dx[_graded_lex_index(a1 - 1, a2), col] = a1 * inv_h
+        if a2 > 0:
+            dy[_graded_lex_index(a1, a2 - 1), col] = a2 * inv_h
+    return dx, dy
+
+
+def laplace_map_by_member(basis):
+    """Laplacian coefficient map P_n -> P_{n-2}, filled one member at a time."""
+    rows = max(basis.order - 1, 0) * basis.order // 2
+    lap = np.zeros((rows, basis.dim))
+    inv_h2 = 1.0 / basis.scale**2
+    for col, (a1, a2) in enumerate(basis.exponents):
+        if a1 > 1:
+            lap[_graded_lex_index(a1 - 2, a2), col] += a1 * (a1 - 1) * inv_h2
+        if a2 > 1:
+            lap[_graded_lex_index(a1, a2 - 2), col] += a2 * (a2 - 1) * inv_h2
+    return lap

@@ -1,10 +1,19 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from conftest import UNIT_SQUARE, make_geometry
-from oracles import polygon_monomial_gram, triangle_monomial_integral
+from oracles import (
+    eval_basis_by_member,
+    grad_map_by_member,
+    laplace_map_by_member,
+    polygon_monomial_gram,
+    triangle_monomial_integral,
+)
 from vemsupg.basis import (
     MonomialBasis,
+    _derivative_patterns,
     div_map,
     eval_basis,
     grad_map,
@@ -130,3 +139,24 @@ def test_quadrature_exactness_invariant(mesh_t2):
                 for tri in geom.triangles
             )
             assert val == pytest.approx(exact, rel=1e-13, abs=1e-17)
+
+
+@pytest.mark.parametrize("order", range(9))
+def test_tables_match_member_loops_bitwise(order):
+    # values and maps from per-order tables equal, bit for bit, the
+    # member-by-member construction they replace
+    rng = np.random.default_rng(order)
+    cell = SimpleNamespace(star_center=rng.random(2), h=0.1 + rng.random())
+    basis = MonomialBasis(cell, order)
+    pts = rng.random((37, 2))
+    assert np.array_equal(eval_basis(basis, pts), eval_basis_by_member(basis, pts))
+    for got, want in zip(grad_map(basis), grad_map_by_member(basis)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(laplace_map(basis), laplace_map_by_member(basis))
+    # the integer patterns are built once per order and shared read-only
+    tables = _derivative_patterns(order)
+    assert all(a is b for a, b in zip(tables, _derivative_patterns(order)))
+    assert not any(a.flags.writeable for a in tables)
+    assert not monomial_exponents(order).flags.writeable
+    # callers get their own, writable copies of the scaled maps
+    assert all(m.flags.writeable for m in (*grad_map(basis), laplace_map(basis)))

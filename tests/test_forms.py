@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from oracles import Poly2, directional
 from vemsupg.basis import MonomialBasis, poly_dim
 from vemsupg.errors import ProbeError
 from vemsupg.forms import (
+    DEFAULT_ELL_MAX,
+    DEFAULT_PROBE_TOL,
     ProblemData,
     baseline_vem_forms,
     beta_sup,
@@ -17,10 +21,11 @@ from vemsupg.forms import (
     peclet_tau,
     probe_min_ell,
     projected_gradient_gram,
+    rank_bound_ell,
     sf_forms,
     tilde_c_k,
 )
-from vemsupg.space import LocalSpace
+from vemsupg.space import LocalSpace, dof_layout
 
 BETA1 = (1.0, 0.545)
 
@@ -216,6 +221,76 @@ class TestProbe:
         for k, want in expect.items():
             res = solve_problem(mesh, problem_test2(), k, ell="auto")
             assert "".join(map(str, res.solution.ell)) == want, f"k={k}"
+
+    @pytest.mark.slow
+    def test_rank_bound_skips_only_rejected_trials(self):
+        # every increment below the rank bound leaves at least two Gram
+        # eigenvalues under the cutoff, so the rule rejects it, and the
+        # solve's probe, which starts at the bound, picks the increment that
+        # probe_min_ell picks from ell = 0 (or fails on the same cell)
+        from vemsupg.harness import ShapeTable
+        from vemsupg.mesh import generate_concave_pentagons, generate_voronoi
+
+        meshes = {
+            "lloyd100-seed3": generate_voronoi(64, lloyd_iters=100, seed=3),
+            "lloyd20-seed1": generate_voronoi(64, lloyd_iters=20, seed=1),
+            "t2-n4": generate_concave_pentagons(4),
+        }
+        skipped, fewest = 0, np.inf
+        for name, mesh in meshes.items():
+            for k, c in itertools.product((1, 2, 3, 4), range(mesh.n_cells)):
+                where = (name, k, c)
+                [(shape, _)] = ShapeTable().place(mesh, [c])
+                start = rank_bound_ell(dof_layout(len(mesh.cells[c]), k).n_dofs, k)
+                for ell in range(min(start, DEFAULT_ELL_MAX + 1)):
+                    gram = projected_gradient_gram(shape.space(k, ell))
+                    lam = np.linalg.eigvalsh(0.5 * (gram + gram.T))
+                    n_small = int(np.sum(lam < DEFAULT_PROBE_TOL * lam[-1]))
+                    assert n_small >= 2, (*where, ell)
+                    skipped += 1
+                    fewest = min(fewest, n_small)
+                geom = make_geometry(mesh.cell_vertices(c), k=k, ell=6, cell=c)
+                picks = []
+                for probe in (lambda: probe_min_ell(geom, k),
+                              lambda: shape.probe(k, DEFAULT_PROBE_TOL)):
+                    try:
+                        picks.append(probe())
+                    except ProbeError as err:
+                        picks.append(f"cell {err.cell} exhausted")
+                assert picks[0] == picks[1], where
+        assert skipped == 689 and fewest == 2
+
+    def test_cap_error_without_builds(self, monkeypatch):
+        # a regular 40-gon has 163 DOFs at k = 4: the rank bound is ell = 9,
+        # above the cap, so the probe fails before it builds anything
+        from vemsupg.geometry import ElementGeometry
+        from vemsupg.harness import solve_problem
+        from vemsupg.mesh import PolyMesh
+        from vemsupg.problems import problem_smooth
+
+        builds = []
+
+        def counted(init):
+            def wrapper(self, *args, **kwargs):
+                builds.append(type(self).__name__)
+                init(self, *args, **kwargs)
+
+            return wrapper
+
+        for cls in (ElementGeometry, LocalSpace):
+            monkeypatch.setattr(cls, "__init__", counted(cls.__init__))
+        t = 2.0 * np.pi * np.arange(40) / 40
+        polygon = 0.5 + 0.5 * np.column_stack([np.cos(t), np.sin(t)])
+        mesh = PolyMesh(polygon, [list(range(40))])
+        assert rank_bound_ell(dof_layout(40, 4).n_dofs, 4) == 9
+        with pytest.raises(ProbeError) as err:
+            solve_problem(mesh, problem_smooth(), 4, ell="auto")
+        assert err.value.cell == 0
+        assert str(err.value) == (
+            "cell 0: no increment <= 6 makes the local form coercive (order 4)"
+        )
+        assert err.value.trace == [(ell, None) for ell in range(7)]
+        assert builds == []
 
     def test_minimality(self):
         geom = make_geometry(UNIT_SQUARE, k=2, ell=6)

@@ -8,11 +8,18 @@ import pytest
 
 from conftest import swirl_problem
 from vemsupg.assemble import DofMap, apply_dirichlet, assemble, solve
-from vemsupg.forms import baseline_vem_forms, element_coefficients, probe_min_ell, sf_forms
+from vemsupg.forms import (
+    baseline_vem_forms,
+    element_coefficients,
+    probe_min_ell,
+    rank_bound_ell,
+    sf_forms,
+)
 from vemsupg.geometry import ElementGeometry
 from vemsupg.harness import (
     ConvergenceReport,
     ExperimentConfig,
+    ShapeTable,
     format_probe_table,
     generate_mesh,
     probe_table,
@@ -22,7 +29,7 @@ from vemsupg.harness import (
 )
 from vemsupg.mesh import generate_concave_pentagons, generate_voronoi
 from vemsupg.problems import problem_smooth, problem_test2
-from vemsupg.space import LocalSpace
+from vemsupg.space import LocalSpace, dof_layout
 
 
 class TestConfig:
@@ -164,8 +171,9 @@ class TestSolveDrivers:
     def test_shape_table_builds_once_per_shape(self, monkeypatch):
         # one kernel LP per shape, shared by every geometry of the shape,
         # one inverse-inequality constant per shape and order, and one
-        # geometry and space per probed trial ell = 0..ell of each shape:
-        # the solve keeps the accepted trial instead of building it again
+        # geometry and space per probed trial ell = start..ell of each shape,
+        # where start is the rank bound: the solve keeps the accepted trial
+        # instead of building it again
         import vemsupg.forms as forms
         import vemsupg.geometry as geometry
 
@@ -185,14 +193,27 @@ class TestSolveDrivers:
         monkeypatch.setattr(ElementGeometry, "__init__",
                             counted("geometry", ElementGeometry.__init__))
         monkeypatch.setattr(LocalSpace, "__init__", counted("space", LocalSpace.__init__))
+
+        def trials(mesh, cells, ell):
+            starts = [rank_bound_ell(dof_layout(len(mesh.cells[c]), 2).n_dofs, 2)
+                      for c in cells]
+            return int(np.sum(ell[cells] - starts + 1))
+
         voronoi = generate_voronoi(16, lloyd_iters=20, seed=1)
         res = solve_problem(voronoi, problem_smooth(), 2, ell="auto")
-        assert int(np.sum(res.solution.ell + 1)) == 34
-        assert calls == {"lp": 16, "c_tilde": 16, "geometry": 34, "space": 34}
+        built = trials(voronoi, np.arange(16), res.solution.ell)
+        assert built == 16  # 34 spaces when every probe starts at ell = 0
+        assert calls == {"lp": 16, "c_tilde": 16, "geometry": built, "space": built}
         calls.update(dict.fromkeys(calls, 0))
-        res = solve_problem(generate_mesh("t2", 4), problem_smooth(), 2, ell="auto")
+        pentagons = generate_mesh("t2", 4)
+        res = solve_problem(pentagons, problem_smooth(), 2, ell="auto")
         assert sorted(set(res.solution.ell.tolist())) == [1]  # both shapes
-        assert calls == {"lp": 2, "c_tilde": 2, "geometry": 4, "space": 4}
+        table = ShapeTable()
+        table.place(pentagons, range(pentagons.n_cells))
+        firsts = np.array([shape.cell for shape in table.shapes.values()])
+        built = trials(pentagons, firsts, res.solution.ell)
+        assert built == 2  # 4 from ell = 0
+        assert calls == {"lp": 2, "c_tilde": 2, "geometry": built, "space": built}
 
     def test_solve_leaves_mesh_labels_unchanged(self):
         # test2 re-tags the boundary for its inflow data on a copy

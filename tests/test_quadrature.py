@@ -74,6 +74,10 @@ def test_rules_are_cached_read_only():
         assert not any(a.flags.writeable for a in first)
         fresh = rule.__wrapped__(arg)
         assert all(np.array_equal(a, b) for a, b in zip(first, fresh))
+    for k in (1, 2, 5):
+        first = gauss_lobatto_interior(k)
+        assert first is gauss_lobatto_interior(k) and not first.flags.writeable
+        assert np.array_equal(first, gauss_lobatto_interior.__wrapped__(k))
 
 
 def test_stacked_rules_match_single():

@@ -5,7 +5,13 @@ from conftest import UNIT_SQUARE, make_geometry
 from oracles import hat_pinabla_square_k1, l2_projection_coeffs
 from vemsupg.basis import MonomialBasis, eval_basis, eval_poly, grad_map, poly_dim
 from vemsupg.quadrature import edge_rule
-from vemsupg.space import DofLayout, LocalSpace, enhancement_degrees, lagrange_values
+from vemsupg.space import (
+    DofLayout,
+    LocalSpace,
+    dof_layout,
+    enhancement_degrees,
+    lagrange_values,
+)
 
 
 def random_poly(k, rng):
@@ -44,6 +50,19 @@ class TestDofLayout:
         # edge 1 runs from (1, 0) to (1, 1); its internal nodes are DOFs 6, 7
         lobatto = layout.trace_params[1:-1]
         assert nodes[6:8] == pytest.approx(np.column_stack([[1.0, 1.0], lobatto]))
+
+    def test_layout_tables_shared_read_only(self):
+        # one layout per (vertex count, order) and one trace table per edge
+        # rule, shared by every space and protected against writes
+        geom = make_geometry(UNIT_SQUARE, k=3, ell=1)
+        spaces = [LocalSpace(geom, 3, 0), LocalSpace(geom, 3, 1)]
+        layout = dof_layout(4, 3)
+        assert all(space.layout is layout for space in spaces)
+        traces = layout.edge_traces(geom.edge_params)
+        assert traces is layout.edge_traces(np.array(geom.edge_params))
+        assert np.array_equal(traces, DofLayout(4, 3).edge_traces(geom.edge_params))
+        for a in (traces, layout.trace_params, layout.edge_internal_params):
+            assert not a.flags.writeable
 
     def test_lagrange_partition_of_unity(self):
         nodes = DofLayout(4, 3).trace_params
