@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assemble import DofMap, apply_dirichlet, assemble, energy_error, export_vtk, solve
+from .assemble import CHUNK, DofMap, apply_dirichlet, assemble, energy_error, export_vtk, solve
 from .errors import ProbeError
 # the per-element forms and the one-geometry probe are not called here: callers
 # and perfbench/tracing.py look them up on this module
@@ -262,10 +262,6 @@ class SolveResult:
         raise ValueError(f"point {pt} is outside the mesh")
 
 
-# cells whose forms are stacked at once; bounds the batch's temporaries
-_CHUNK = 64
-
-
 def solve_problem(
     mesh,
     problem,
@@ -299,8 +295,8 @@ def solve_problem(
         tables = ShapeForms(
             shape.geometry(k, ell_c), shape.space(k, ell_c), stabilized=method == "vem"
         )
-        for start in range(0, len(members), _CHUNK):
-            part = members[start : start + _CHUNK]
+        for start in range(0, len(members), CHUNK):
+            part = members[start : start + CHUNK]
             shifts = np.array([shift for _, shift in part])
             part_coeffs, part_forms = tables.batch(problem, shifts)
             for (c, shift), coef, lf in zip(part, part_coeffs, part_forms):

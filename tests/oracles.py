@@ -274,3 +274,76 @@ def laplace_map_by_member(basis):
         if a2 > 1:
             lap[_graded_lex_index(a1, a2 - 2), col] += a2 * (a2 - 1) * inv_h2
     return lap
+
+
+# -- per-cell post-processing and per-node boundary data -------------------
+# The loops the library ran before it stacked these computations: one cell,
+# or one boundary node, at a time.  They call the library's basis functions,
+# so they check the grouping, gathering and reduction order, not the basis.
+
+
+def energy_error_by_cell(geoms, spaces, coeffs, solution, problem):
+    """Relative energy-norm error, summed cell by cell in cell order."""
+    from vemsupg.basis import MonomialBasis, eval_basis, grad_map
+
+    num = 0.0
+    den = 0.0
+    for c, (geom, space, coef) in enumerate(zip(geoms, spaces, coeffs)):
+        local = solution.dofs[solution.system.dofmap.cell_dofs(c)]
+        poly = space.pinabla_coeff @ local
+        dx, dy = grad_map(space.basis_k)
+        vals = eval_basis(MonomialBasis(geom, space.k - 1), geom.quad_points)
+        gh = np.column_stack([vals.T @ (dx @ poly), vals.T @ (dy @ poly)])
+        gu = np.asarray(problem.exact_grad(geom.quad_points), dtype=float)
+        bvals = np.asarray(problem.beta(geom.quad_points), dtype=float)
+        w = geom.quad_weights
+        diff = gu - gh
+        num += coef.kappa * np.sum(w * (diff**2).sum(axis=1))
+        num += coef.tau * np.sum(w * (bvals * diff).sum(axis=1) ** 2)
+        den += coef.kappa * np.sum(w * (gu**2).sum(axis=1))
+        den += coef.tau * np.sum(w * (bvals * gu).sum(axis=1) ** 2)
+    return float(np.sqrt(num / den))
+
+
+def boundary_values_by_node(dofmap, problem):
+    """Dirichlet (indices, values) with one Dirichlet call per boundary node.
+
+    A DOF keeps the first offer of the lowest label rank, offers coming in
+    ``mesh.boundary_edges`` order: start vertex, end vertex, internal nodes.
+    """
+    from vemsupg.errors import MeshError
+    from vemsupg.quadrature import gauss_lobatto_interior
+
+    mesh, n_int = dofmap.mesh, dofmap.n_edge_internal
+    params = gauss_lobatto_interior(dofmap.k)
+    best = {}
+
+    def offer(dof, rank, value):
+        cur = best.get(dof)
+        if cur is None or rank < cur[0]:
+            best[dof] = (rank, value)
+
+    for c, i in mesh.boundary_edges:
+        label = mesh.boundary_labels.get((c, i))
+        if label is None:
+            raise MeshError(f"boundary edge (cell {c}, edge {i}) has no label")
+        g = problem.dirichlet_for(label)
+        if g is None:
+            raise MeshError(f"no Dirichlet data for boundary label {label!r} (cell {c})")
+        rank = problem.label_rank(label)
+        cell = mesh.cells[c]
+        a, b = cell[i], cell[(i + 1) % len(cell)]
+        pa, pb = mesh.vertices[a], mesh.vertices[b]
+        offer(a, rank, float(g(pa[None, :])[0]))
+        offer(b, rank, float(g(pb[None, :])[0]))
+        if n_int:
+            e, forward = mesh.cell_edges[c][i]
+            vals = np.asarray(g(pa + np.outer(params, pb - pa)), dtype=float)
+            base = dofmap.edge_offset + e * n_int
+            order = range(n_int)
+            for t, v in zip(order if forward else reversed(order), vals):
+                offer(base + t, rank, float(v))
+    if not best:
+        return np.empty(0, dtype=int), np.empty(0)
+    idx = np.fromiter(sorted(best), dtype=int)
+    return idx, np.array([best[i][1] for i in idx])

@@ -1,8 +1,12 @@
+import copy
+import importlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import make_geometry
+from conftest import make_geometry, swirl_problem
+from oracles import boundary_values_by_node, energy_error_by_cell
 from vemsupg.assemble import (
     DofMap,
     apply_dirichlet,
@@ -12,11 +16,15 @@ from vemsupg.assemble import (
     solve,
 )
 from vemsupg.errors import MeshError, SolveError
-from vemsupg.forms import element_coefficients, sf_forms
+from vemsupg.forms import ProblemData, element_coefficients, sf_forms
+from vemsupg.geometry import ElementGeometry
 from vemsupg.harness import solve_problem
-from vemsupg.mesh import generate_cartesian
-from vemsupg.problems import problem_smooth, problem_test1
+from vemsupg.mesh import generate_cartesian, relabel_boundary
+from vemsupg.problems import problem_smooth, problem_test1, problem_test2
 from vemsupg.space import LocalSpace
+
+# the package re-exports the function assemble() under the module's name
+assemble_module = importlib.import_module("vemsupg.assemble")
 
 
 def build_cells(mesh, problem, k, ell):
@@ -115,6 +123,74 @@ class TestDirichlet:
         dofmap = DofMap(mesh, 1)
         with pytest.raises(MeshError, match="no label"):
             dofmap.boundary_values(problem)
+
+    SIDES = {"left": 1.0, "right": 2.0, "bottom": 3.0, "top": 4.0}
+
+    @classmethod
+    def side_problem(cls):
+        """A linear function shifted per side, only "top" ranked."""
+        return ProblemData(
+            kappa=1.0,
+            beta=(1.0, 0.0),
+            source=lambda p: np.zeros(len(p)),
+            dirichlet={
+                side: (lambda p, v=v: v + p[:, 0] + 2.0 * p[:, 1])
+                for side, v in cls.SIDES.items()
+            },
+            label_priority=["top"],
+        )
+
+    @pytest.mark.parametrize(
+        "family, problem, orders",
+        [
+            ("t1", "test1", (1, 3)),
+            ("t1", "sides", (1, 2, 3)),
+            ("t2", "test2", (1, 2, 3)),
+            ("t3", "test2", (1, 2, 3)),
+        ],
+    )
+    def test_values_match_node_loop(self, acceptance_meshes, family, problem, orders):
+        if family == "t1":
+            mesh = generate_cartesian(8, 8)
+        else:
+            mesh = acceptance_meshes[family]
+        if problem == "sides":
+            # unranked names in turn along the boundary order, every fifth edge
+            # the ranked "top": the equal-rank ties at shared vertices go to
+            # the earlier edge, which is not always the label seen first
+            mesh = copy.copy(mesh)
+            mesh.boundary_labels = {
+                edge: "top" if j % 5 == 4 else ("left", "right", "bottom")[j % 3]
+                for j, edge in enumerate(mesh.boundary_edges)
+            }
+        problem = {"test1": problem_test1, "test2": problem_test2}.get(
+            problem, self.side_problem
+        )()
+        if problem.boundary_classifier is not None:
+            mesh = relabel_boundary(copy.copy(mesh), problem.boundary_classifier)
+        for k in orders:
+            dofmap = DofMap(mesh, k)
+            idx, vals = dofmap.boundary_values(problem)
+            ref_idx, ref_vals = boundary_values_by_node(dofmap, problem)
+            assert np.array_equal(idx, ref_idx)
+            assert np.array_equal(vals, ref_vals)
+
+    def test_errors_match_node_loop(self):
+        mesh = generate_cartesian(3, 3)
+        unlabeled = copy.copy(mesh)
+        unlabeled.boundary_labels = dict(list(mesh.boundary_labels.items())[1:])
+        left_only = ProblemData(
+            kappa=1.0, beta=(1.0, 0.0), source=lambda p: np.zeros(len(p)),
+            dirichlet={"left": lambda p: np.zeros(len(p))},
+        )
+        for case, problem in ((unlabeled, problem_smooth()), (mesh, left_only)):
+            dofmap = DofMap(case, 2)
+            with pytest.raises(MeshError) as want:
+                boundary_values_by_node(dofmap, problem)
+            with pytest.raises(MeshError) as got:
+                dofmap.boundary_values(problem)
+            assert str(got.value) == str(want.value)
+            assert "cell " in str(got.value)
 
 
 class TestSolve:
@@ -273,6 +349,62 @@ class TestEnergyError:
             beta = problem.beta(geom.quad_points)
             total += coef.tau * np.sum(w * (beta[:, 0] * vx + beta[:, 1] * vy) ** 2)
         assert quad_form == pytest.approx(total, rel=1e-11)
+
+    @staticmethod
+    def check_against_cell_loop(result, problem, geoms=None, spaces=None):
+        """Batched error equals the per-cell loop; DOFs and reconstructions untouched."""
+        geoms = result.geoms if geoms is None else geoms
+        spaces = result.spaces if spaces is None else spaces
+        sol = result.solution
+        dofs = sol.dofs.copy()
+        recon = [r.copy() for r in sol.reconstructions]
+        err = energy_error(result.mesh, geoms, spaces, result.coeffs, sol, problem)
+        ref = energy_error_by_cell(geoms, spaces, result.coeffs, sol, problem)
+        assert err == pytest.approx(ref, rel=1e-12)
+        assert np.array_equal(sol.dofs, dofs)
+        assert all(np.array_equal(a, b) for a, b in zip(sol.reconstructions, recon))
+        return err
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("method", ["sf", "vem"])
+    def test_matches_cell_loop_t1(self, mesh_t1, k, method):
+        problem = problem_test1()
+        result = solve_problem(mesh_t1, problem, k, ell="auto", method=method)
+        self.check_against_cell_loop(result, problem)
+
+    @pytest.mark.parametrize("family", ["t2", "t3"])
+    @pytest.mark.parametrize("problem", [problem_smooth, swirl_problem])
+    def test_matches_cell_loop_polygons(self, acceptance_meshes, family, problem):
+        problem = problem()
+        result = solve_problem(acceptance_meshes[family], problem, 2, ell="auto")
+        self.check_against_cell_loop(result, problem)
+
+    def test_group_larger_than_chunk(self, monkeypatch):
+        # 144 translates of one square: one group, three chunks, one basis
+        # evaluation per chunk
+        problem = problem_test1()
+        result = solve_problem(generate_cartesian(12, 12), problem, 2, ell=1)
+        calls = []
+        traced = assemble_module.eval_basis
+        monkeypatch.setattr(
+            assemble_module, "eval_basis", lambda *a: calls.append(1) or traced(*a)
+        )
+        self.check_against_cell_loop(result, problem)
+        assert len(calls) == -(-144 // assemble_module.CHUNK) == 3
+
+    def test_mixed_translated_and_independent_elements(self, mesh_t2):
+        # independently built elements form groups of one beside the translates
+        problem = swirl_problem()
+        result = solve_problem(mesh_t2, problem, 2, ell="auto")
+        geoms, spaces = list(result.geoms), list(result.spaces)
+        for c in range(0, mesh_t2.n_cells, 3):
+            ell = spaces[c].ell
+            geoms[c] = ElementGeometry(
+                mesh_t2.cell_vertices(c), 2 * (2 + ell) + 2, 2 + ell + 1, cell=c
+            )
+            spaces[c] = LocalSpace(geoms[c], 2, ell)
+        mixed = self.check_against_cell_loop(result, problem, geoms, spaces)
+        assert mixed == pytest.approx(result.error(problem), rel=1e-10)
 
 
 class TestVtk:

@@ -16,3 +16,21 @@ def test_tracing_patches_resolve():
         if not callable(getattr(owner, attr, None))
     ]
     assert not missing, missing
+
+
+def test_solve_result_error_calls_module_energy_error(monkeypatch):
+    # the benchmark spans the energy error by patching this module attribute
+    import vemsupg.harness as harness
+    from vemsupg.mesh import generate_cartesian
+    from vemsupg.problems import problem_smooth
+
+    problem = problem_smooth()
+    result = harness.solve_problem(generate_cartesian(2, 2), problem, 1, ell=1)
+    calls = []
+    real = harness.energy_error
+    monkeypatch.setattr(
+        harness, "energy_error", lambda *args: calls.append(args) or real(*args)
+    )
+    err = result.error(problem)
+    assert len(calls) == 1
+    assert err == real(*calls[0])
