@@ -13,10 +13,12 @@ _RESIDUAL_TOL = 1e-10
 CHUNK = 64
 
 
-def _chunks(keys):
+def cell_chunks(keys):
     """Indices of the cells with equal ``keys``, in chunks of at most CHUNK.
 
     Groups come in the order of their first cell, cells in increasing order.
+    Keyed by their spaces, a group is the cells that share one space object
+    (spaces compare by identity).
     """
     groups = {}
     for c, key in enumerate(keys):
@@ -249,13 +251,13 @@ class DiscreteSolution:
         self.peclet = None
         self.tau = None
 
-    def attach_reconstructions(self, mesh, dofmap, spaces, coeffs):
-        """P_k coefficients of every cell, stacked per chunk of cells sharing a projector."""
+    def attach_reconstructions(self, dofmap, spaces, coeffs):
+        """P_k coefficients of every cell, stacked per chunk of cells sharing a space."""
         self.reconstructions = [None] * len(spaces)
         self.ell = np.array([s.ell for s in spaces], dtype=int)
         self.peclet = np.array([c.peclet for c in coeffs])
         self.tau = np.array([c.tau for c in coeffs])
-        for cells in _chunks([id(s.pinabla_coeff) for s in spaces]):
+        for cells in cell_chunks(spaces):
             polys = _projected(spaces[cells[0]].pinabla_coeff, self.dofs, dofmap, cells)
             for c, poly in zip(cells.tolist(), polys[..., 0]):
                 self.reconstructions[c] = poly
@@ -280,36 +282,35 @@ def _dot(a, b):
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
 
 
-def energy_error(mesh, geoms, spaces, coeffs, solution, problem):
+def energy_error(spaces, shifts, coeffs, solution, problem):
     """Relative energy-norm error of the reconstructed solution.
 
     err^2 = sum_E kappa |grad(u - P u_h)|^2 + tau |beta . grad(u - P u_h)|^2
     normalized by the same quantity with u alone; P is the element H1
-    projection.  Requires the exact gradient.
+    projection.  Requires the exact gradient.  Cell c is ``spaces[c]``
+    translated by ``shifts[c]``.
 
-    Cells whose spaces share one projector and whose geometries share one
-    quadrature (the translates of one shape) are evaluated together, in
-    chunks of CHUNK cells.  The four integrals of each cell are summed over
-    its own points, then added into the totals in cell order.
+    Cells that share one space object (the translates of one shape) are
+    evaluated together, in chunks of CHUNK cells.  The four integrals of
+    each cell are summed over its own points, then added into the totals in
+    cell order.
     """
     if problem.exact_grad is None:
         raise ValueError("energy error needs the exact gradient")
     dofmap = solution.system.dofmap
     sums = np.empty((len(spaces), 4))  # kappa and tau terms of num, then of den
-    keys = [(id(s.pinabla_coeff), id(g.quad_weights)) for g, s in zip(geoms, spaces)]
-    for cells in _chunks(keys):
-        geom, space = geoms[cells[0]], spaces[cells[0]]
+    for cells in cell_chunks(spaces):
+        space = spaces[cells[0]]
+        geom = space.geom
         polys = _projected(space.pinabla_coeff, solution.dofs, dofmap, cells)
-        pts = np.stack([geoms[c].quad_points for c in cells])
-        centers = np.stack([geoms[c].star_center for c in cells])
-        # each cell's points relative to its own star center, as one cell's
-        # basis would shift them
+        pts = geom.quad_points + shifts[cells][:, None, :]
+        centers = geom.star_center + shifts[cells]
+        # each cell's points about its own star center
         sub = MonomialBasis(geom, space.k - 1)
-        sub.center = np.zeros(2)
-        vals = eval_basis(sub, (pts - centers[:, None, :]).reshape(-1, 2))
+        flat = pts.reshape(-1, 2)
+        vals = eval_basis(sub, flat, np.repeat(centers, len(geom.quad_weights), axis=0))
         vals_t = vals.reshape(sub.dim, len(cells), -1).transpose(1, 2, 0)
         gh = np.concatenate([vals_t @ (d @ polys) for d in grad_map(space.basis_k)], axis=2)
-        flat = pts.reshape(-1, 2)
         gu = np.asarray(problem.exact_grad(flat), dtype=float).reshape(pts.shape)
         bvals = np.asarray(problem.beta(flat), dtype=float).reshape(pts.shape)
         w = geom.quad_weights

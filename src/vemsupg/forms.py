@@ -361,13 +361,13 @@ class ShapeForms:
     ``stabilized``, ``baseline_vem_forms``) with stacked matrix products.
     """
 
-    def __init__(self, geom, space, stabilized=False):
+    def __init__(self, space, stabilized=False):
         if stabilized and space.ell != 0:
             raise ValueError("baseline forms require the standard space (ell = 0)")
         k, ell = space.k, space.ell
         low, degree = k - 1, k + ell - 1
+        geom = space.geom
         pts = geom.quad_points
-        self.geom = geom
         self.space = space
         self.c_tilde = tilde_c_k(geom, k) if k > 1 else None
         self.m_k = 1.0 / 3.0 if k == 1 else 2.0 * self.c_tilde
@@ -394,15 +394,16 @@ class ShapeForms:
         Returns two lists with one ElementCoefficients and one LocalForms per
         cell; the forms' matrices are views into stacked (C, n, n) arrays.
         """
-        n_cells, nq = len(shifts), len(self.geom.quad_weights)
-        w = self.geom.quad_weights
+        geom = self.space.geom
+        n_cells, nq = len(shifts), len(geom.quad_weights)
+        w = geom.quad_weights
         kappa = problem.kappa
         pts = self.samples[None, :, :] + shifts[:, None, :]
         beta = _beta_at(problem, pts.reshape(-1, 2)).reshape(n_cells, -1, 2)
         beta_e = np.hypot(beta[..., 0], beta[..., 1]).max(axis=1)
         beta = beta[:, :nq]
         fvals = np.asarray(problem.source(pts[:, :nq].reshape(-1, 2)), dtype=float)
-        pe, tau = _peclet_tau(self.geom.h, kappa, beta_e, self.m_k)
+        pe, tau = _peclet_tau(geom.h, kappa, beta_e, self.m_k)
 
         def streamline(grad):
             return beta[..., :1] * grad[0] + beta[..., 1:] * grad[1]

@@ -222,16 +222,3 @@ class ElementGeometry:
         )
         self.perimeter = float(self.edge_lengths.sum())
 
-    def translated(self, delta, cell=None):
-        """Copy of this geometry shifted by ``delta`` (shape data shared)."""
-        new = object.__new__(ElementGeometry)
-        new.__dict__.update(self.__dict__)
-        delta = np.asarray(delta, dtype=float)
-        new.cell = self.cell if cell is None else cell
-        new.vertices = self.vertices + delta
-        new.star_center = self.star_center + delta
-        new.triangles = self.triangles + delta
-        new.quad_points = self.quad_points + delta
-        new.edge_points = self.edge_points + delta
-        return new
-

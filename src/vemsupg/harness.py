@@ -3,15 +3,18 @@
 Every solve builds its element data through one shape table.  Cells that
 are translated copies of one another (all cells of a cartesian grid, the two
 pentagons of the concave tiling) share one kernel and star center, one
-geometry and space per (k, ell) and one probe result, built on the first
-cell of the shape.  The probe tries the shape's own (k, ell) spaces in
-increasing ell, from the smallest ell a dimension count allows, and the
-solve keeps the one it accepts; the rejected trials are dropped.  Since
-every projector matrix is translation-invariant, the other cells only shift
-the points at which velocity and source are sampled, and the local forms and
-loads of each shape are formed in stacked batches from one set of form
-tables.  On a Voronoi mesh every cell is its own shape and the same path
-runs with groups of one.
+space per (k, ell) and one probe result, built on the first cell of the
+shape.  The probe tries the shape's own (k, ell) spaces in increasing ell,
+from the smallest ell a dimension count allows, and the solve keeps the one
+it accepts; the rejected trials are dropped.  A cell is a placement of its
+shape: the shape's space plus the cell's shift from the shape's first cell.
+Since every projector matrix is translation-invariant, the shift only moves
+the points at which velocity, source and exact solution are sampled, so the
+local forms and loads of each shape are formed in stacked batches from one
+set of form tables, and the solve result, the energy error and ``sample``
+keep the shape's space and the shift, never a per-cell copy of the element.
+On a Voronoi mesh every cell is its own shape, with zero shift, and the same
+path runs with groups of one.
 """
 
 import copy
@@ -20,7 +23,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assemble import CHUNK, DofMap, apply_dirichlet, assemble, energy_error, export_vtk, solve
+from .assemble import (
+    DofMap,
+    apply_dirichlet,
+    assemble,
+    cell_chunks,
+    energy_error,
+    export_vtk,
+    solve,
+)
+from .basis import eval_basis
 from .errors import ProbeError
 # the per-element forms and the one-geometry probe are not called here: callers
 # and perfbench/tracing.py look them up on this module
@@ -87,9 +99,10 @@ class Shape:
 
     Every other cell of the shape is a translate of that cell, and all its
     projector matrices are translation-invariant (integrals run in
-    star-centered scaled monomials), so geometries, spaces and probe
-    results are built once here and shared.  The kernel and star
-    center are computed once, by the first geometry; the others reuse them.
+    star-centered scaled monomials), so spaces and probe results are built
+    once here and shared.  Each (k, ell) space carries its own geometry,
+    exact to the degree the space needs; the kernel and star center are
+    computed once, by the first geometry, and the others reuse them.
     """
 
     def __init__(self, verts, anchor, cell):
@@ -97,30 +110,24 @@ class Shape:
         self.anchor = anchor
         self.cell = cell
         self.center = None  # (star center, kernel radius), from the first geometry
-        self.geoms = {}
         self.spaces = {}
         self.probed = {}
 
-    def geometry(self, k, ell):
-        if (k, ell) not in self.geoms:
+    def space(self, k, ell):
+        if (k, ell) not in self.spaces:
             geom = ElementGeometry(
                 self.vertices, 2 * (k + ell) + 2, k + ell + 1, cell=self.cell,
                 center=self.center,
             )
             self.center = geom.star_center, geom.kernel_radius
-            self.geoms[(k, ell)] = geom
-        return self.geoms[(k, ell)]
-
-    def space(self, k, ell):
-        if (k, ell) not in self.spaces:
-            self.spaces[(k, ell)] = LocalSpace(self.geometry(k, ell), k, ell)
+            self.spaces[(k, ell)] = LocalSpace(geom, k, ell)
         return self.spaces[(k, ell)]
 
     def probe(self, k, probe_tol):
         """Smallest coercive increment at order k, tried on this shape's spaces.
 
         Trials start at the rank bound: the increments below it are rejected
-        by a dimension count, so their geometries and spaces are not built.
+        by a dimension count, so their spaces are not built.
         """
         key = (k, probe_tol)
         if key not in self.probed:
@@ -133,7 +140,7 @@ class Shape:
                 for ell in range(start, DEFAULT_ELL_MAX + 1):
                     yield self.space(k, ell)
                     # rejected: dropped, a Voronoi mesh has a shape per cell
-                    del self.geoms[(k, ell)], self.spaces[(k, ell)]
+                    del self.spaces[(k, ell)]
 
             self.probed[key] = first_coercive(trials(), probe_tol).ell
         return self.probed[key]
@@ -184,45 +191,51 @@ def _choose_ell(mesh, c, shape, k, ell_mode, probe_tol):
 
 
 def build_element(mesh, c, k, ell_mode, probe_tol, cache):
-    """(geometry, space, chosen ell) of one cell, from the shape table ``cache``."""
+    """(space, shift, chosen ell) of one cell, from the shape table ``cache``.
+
+    The cell is the shape's space translated by ``shift``.
+    """
     [(shape, shift)] = cache.place(mesh, [c])
     ell = _choose_ell(mesh, c, shape, k, ell_mode, probe_tol)
-    geom = shape.geometry(k, ell).translated(shift, cell=c)
-    return geom, shape.space(k, ell).translated(geom), ell
+    return shape.space(k, ell), shift, ell
 
 
 class SolveResult:
-    """Everything one solve produced, for error evaluation and export."""
+    """Everything one solve produced, for error evaluation and export.
 
-    def __init__(self, solution, mesh, dofmap, geoms, spaces, coeffs, forms):
+    Cell c's element is ``spaces[c]`` translated by ``shifts[c]``: the space
+    is its shape's own, shared by every translate of the shape, with the
+    geometry of the shape's first cell, and ``shifts`` (n_cells, 2) holds
+    each cell's translation from that cell.
+    """
+
+    def __init__(self, solution, mesh, dofmap, spaces, shifts, coeffs, forms):
         self.solution = solution
         self.mesh = mesh
         self.dofmap = dofmap
-        self.geoms = geoms
         self.spaces = spaces
+        self.shifts = shifts
         self.coeffs = coeffs
         self.forms = forms
         self._boxes = None  # padded per-cell vertex extents, for ``sample``
 
     @property
     def mean_peclet(self):
-        return float(np.mean([c.peclet for c in self.coeffs]))
+        return float(np.mean(self.solution.peclet))
 
     def error(self, problem):
-        return energy_error(
-            self.mesh, self.geoms, self.spaces, self.coeffs, self.solution, problem
-        )
+        return energy_error(self.spaces, self.shifts, self.coeffs, self.solution, problem)
 
     def sample(self, points):
         """Evaluate the reconstructed solution at points inside the domain."""
-        from .basis import eval_poly
-
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.empty(len(pts))
         for j, pt in enumerate(pts):
             cell = self._locate(pt)
-            poly = self.solution.reconstructions[cell]
-            out[j] = eval_poly(self.spaces[cell].basis_k, poly, pt[None, :])[0]
+            space = self.spaces[cell]
+            center = space.geom.star_center + self.shifts[cell]
+            vals = eval_basis(space.basis_k, pt[None, :], center)
+            out[j] = (self.solution.reconstructions[cell] @ vals)[0]
         return out
 
     def _locate(self, pt):
@@ -252,7 +265,7 @@ class SolveResult:
                 return int(c)
         # concave cells: fall back to the sub-triangulation test
         for c in cands:
-            for tri in self.geoms[c].triangles:
+            for tri in self.spaces[c].geom.triangles + self.shifts[c]:
                 a, b, cc = tri
                 s1 = (b - a)[0] * (pt - a)[1] - (b - a)[1] * (pt - a)[0]
                 s2 = (cc - b)[0] * (pt - b)[1] - (cc - b)[1] * (pt - b)[0]
@@ -283,32 +296,27 @@ def solve_problem(
         mesh = relabel_boundary(copy.copy(mesh), problem.boundary_classifier)
     if method == "vem":
         ell = 0
-    groups = {}
-    for c, (shape, shift) in enumerate(ShapeTable().place(mesh, range(mesh.n_cells))):
-        ell_c = _choose_ell(mesh, c, shape, k, ell, probe_tol)
-        groups.setdefault((shape, ell_c), []).append((c, shift))
-
-    n = mesh.n_cells
-    geoms, spaces, coeffs, forms = [None] * n, [None] * n, [None] * n, [None] * n
-    for (shape, ell_c), members in groups.items():
-        # form tables live for one group only: a Voronoi mesh has a group per cell
-        tables = ShapeForms(
-            shape.geometry(k, ell_c), shape.space(k, ell_c), stabilized=method == "vem"
-        )
-        for start in range(0, len(members), CHUNK):
-            part = members[start : start + CHUNK]
-            shifts = np.array([shift for _, shift in part])
-            part_coeffs, part_forms = tables.batch(problem, shifts)
-            for (c, shift), coef, lf in zip(part, part_coeffs, part_forms):
-                geoms[c] = tables.geom.translated(shift, cell=c)
-                spaces[c] = tables.space.translated(geoms[c])
-                coeffs[c] = coef
-                forms[c] = lf
+    placed = ShapeTable().place(mesh, range(mesh.n_cells))
+    shifts = np.array([shift for _, shift in placed])
+    spaces = [
+        shape.space(k, _choose_ell(mesh, c, shape, k, ell, probe_tol))
+        for c, (shape, _) in enumerate(placed)
+    ]
+    coeffs, forms = [None] * mesh.n_cells, [None] * mesh.n_cells
+    tables = None
+    for cells in cell_chunks(spaces):
+        space = spaces[cells[0]]
+        if tables is None or tables.space is not space:
+            # form tables live for one space only: a Voronoi mesh has one per cell
+            tables = ShapeForms(space, stabilized=method == "vem")
+        part_coeffs, part_forms = tables.batch(problem, shifts[cells])
+        for c, coef, lf in zip(cells.tolist(), part_coeffs, part_forms):
+            coeffs[c], forms[c] = coef, lf
     dofmap = DofMap(mesh, k)
     system = assemble(mesh, dofmap, ((lf.full, lf.rhs) for lf in forms))
     apply_dirichlet(system, problem)
-    solution = solve(system).attach_reconstructions(mesh, dofmap, spaces, coeffs)
-    return SolveResult(solution, mesh, dofmap, geoms, spaces, coeffs, forms)
+    solution = solve(system).attach_reconstructions(dofmap, spaces, coeffs)
+    return SolveResult(solution, mesh, dofmap, spaces, shifts, coeffs, forms)
 
 
 # -- experiment configuration -------------------------------------------------

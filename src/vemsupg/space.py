@@ -257,20 +257,6 @@ class LocalSpace:
     def n_dofs(self):
         return self.layout.n_dofs
 
-    def translated(self, new_geom):
-        """View of this space on a translated copy of the element.
-
-        Every projector matrix is translation-invariant (all integrals are
-        taken in star-centered scaled coordinates), so matrices and caches
-        are shared; only geometry and basis anchors are rebound.
-        """
-        new = object.__new__(LocalSpace)
-        new.__dict__.update(self.__dict__)
-        new.geom = new_geom
-        new.basis_k = MonomialBasis(new_geom, self.k)
-        new.basis_full = MonomialBasis(new_geom, self.k + self.ell)
-        return new
-
     def pizero_scalar(self, n):
         if n not in self._pizero_scalar:
             self._pizero_scalar[n] = build_pizero_scalar(

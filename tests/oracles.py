@@ -282,20 +282,27 @@ def laplace_map_by_member(basis):
 # so they check the grouping, gathering and reduction order, not the basis.
 
 
-def energy_error_by_cell(geoms, spaces, coeffs, solution, problem):
-    """Relative energy-norm error, summed cell by cell in cell order."""
+def energy_error_by_cell(spaces, shifts, coeffs, solution, problem):
+    """Relative energy-norm error, summed cell by cell in cell order.
+
+    Cell c is ``spaces[c]`` translated by ``shifts[c]``: its quadrature
+    points and star center are placed here, one cell at a time.
+    """
     from vemsupg.basis import MonomialBasis, eval_basis, grad_map
 
     num = 0.0
     den = 0.0
-    for c, (geom, space, coef) in enumerate(zip(geoms, spaces, coeffs)):
+    for c, (space, shift, coef) in enumerate(zip(spaces, shifts, coeffs)):
+        geom = space.geom
+        pts = geom.quad_points + shift
+        center = geom.star_center + shift
         local = solution.dofs[solution.system.dofmap.cell_dofs(c)]
         poly = space.pinabla_coeff @ local
         dx, dy = grad_map(space.basis_k)
-        vals = eval_basis(MonomialBasis(geom, space.k - 1), geom.quad_points)
+        vals = eval_basis(MonomialBasis(geom, space.k - 1), pts, center)
         gh = np.column_stack([vals.T @ (dx @ poly), vals.T @ (dy @ poly)])
-        gu = np.asarray(problem.exact_grad(geom.quad_points), dtype=float)
-        bvals = np.asarray(problem.beta(geom.quad_points), dtype=float)
+        gu = np.asarray(problem.exact_grad(pts), dtype=float)
+        bvals = np.asarray(problem.beta(pts), dtype=float)
         w = geom.quad_weights
         diff = gu - gh
         num += coef.kappa * np.sum(w * (diff**2).sum(axis=1))

@@ -304,7 +304,7 @@ class TestEnergyError:
         for c in range(mesh.n_cells):
             result.solution.reconstructions[c][:] = 0.0
         err = energy_error(
-            mesh, result.geoms, result.spaces, result.coeffs, result.solution, problem
+            result.spaces, result.shifts, result.coeffs, result.solution, problem
         )
         assert err == pytest.approx(1.0, rel=1e-12)
 
@@ -316,8 +316,8 @@ class TestEnergyError:
 
         with pytest.raises(ValueError):
             energy_error(
-                mesh, result.geoms, result.spaces, result.coeffs,
-                result.solution, problem_test2(),
+                result.spaces, result.shifts, result.coeffs, result.solution,
+                problem_test2(),
             )
 
     def test_energy_norm_two_ways(self):
@@ -335,9 +335,10 @@ class TestEnergyError:
         total = 0.0
         from vemsupg.basis import MonomialBasis, eval_basis
 
-        for c, (geom, space, coef) in enumerate(
-            zip(result.geoms, result.spaces, result.coeffs)
+        for c, (space, shift, coef) in enumerate(
+            zip(result.spaces, result.shifts, result.coeffs)
         ):
+            geom = space.geom
             local = u[result.dofmap.cell_dofs(c)]
             deg = space.k + space.ell - 1
             gx, gy = space.pizero_grad(deg)
@@ -346,20 +347,20 @@ class TestEnergyError:
             vy = vals.T @ (gy @ local)
             w = geom.quad_weights
             total += coef.kappa * np.sum(w * (vx**2 + vy**2))
-            beta = problem.beta(geom.quad_points)
+            beta = problem.beta(geom.quad_points + shift)
             total += coef.tau * np.sum(w * (beta[:, 0] * vx + beta[:, 1] * vy) ** 2)
         assert quad_form == pytest.approx(total, rel=1e-11)
 
     @staticmethod
-    def check_against_cell_loop(result, problem, geoms=None, spaces=None):
+    def check_against_cell_loop(result, problem, spaces=None, shifts=None):
         """Batched error equals the per-cell loop; DOFs and reconstructions untouched."""
-        geoms = result.geoms if geoms is None else geoms
         spaces = result.spaces if spaces is None else spaces
+        shifts = result.shifts if shifts is None else shifts
         sol = result.solution
         dofs = sol.dofs.copy()
         recon = [r.copy() for r in sol.reconstructions]
-        err = energy_error(result.mesh, geoms, spaces, result.coeffs, sol, problem)
-        ref = energy_error_by_cell(geoms, spaces, result.coeffs, sol, problem)
+        err = energy_error(spaces, shifts, result.coeffs, sol, problem)
+        ref = energy_error_by_cell(spaces, shifts, result.coeffs, sol, problem)
         assert err == pytest.approx(ref, rel=1e-12)
         assert np.array_equal(sol.dofs, dofs)
         assert all(np.array_equal(a, b) for a, b in zip(sol.reconstructions, recon))
@@ -393,17 +394,19 @@ class TestEnergyError:
         assert len(calls) == -(-144 // assemble_module.CHUNK) == 3
 
     def test_mixed_translated_and_independent_elements(self, mesh_t2):
-        # independently built elements form groups of one beside the translates
+        # independently built elements, with zero shifts, form groups of one
+        # beside the translates that share their shape's space
         problem = swirl_problem()
         result = solve_problem(mesh_t2, problem, 2, ell="auto")
-        geoms, spaces = list(result.geoms), list(result.spaces)
+        spaces, shifts = list(result.spaces), result.shifts.copy()
         for c in range(0, mesh_t2.n_cells, 3):
             ell = spaces[c].ell
-            geoms[c] = ElementGeometry(
+            geom = ElementGeometry(
                 mesh_t2.cell_vertices(c), 2 * (2 + ell) + 2, 2 + ell + 1, cell=c
             )
-            spaces[c] = LocalSpace(geoms[c], 2, ell)
-        mixed = self.check_against_cell_loop(result, problem, geoms, spaces)
+            spaces[c] = LocalSpace(geom, 2, ell)
+            shifts[c] = 0.0
+        mixed = self.check_against_cell_loop(result, problem, spaces, shifts)
         assert mixed == pytest.approx(result.error(problem), rel=1e-10)
 
 

@@ -215,6 +215,39 @@ class TestSolveDrivers:
         assert built == 2  # 4 from ell = 0
         assert calls == {"lp": 2, "c_tilde": 2, "geometry": built, "space": built}
 
+    def test_cells_are_shape_placements(self, monkeypatch):
+        # each cell is its shape's space plus a shift: translates share one
+        # space object, and a solve builds no per-cell basis
+        import vemsupg.basis as basis
+
+        meshes = {
+            "t1": generate_mesh("t1", 3),
+            "t2": generate_mesh("t2", 4),
+            "t3": generate_voronoi(16, lloyd_iters=20, seed=1),
+        }
+        for name, mesh in meshes.items():
+            res = solve_problem(mesh, problem_smooth(), 2, ell="auto")
+            assert res.shifts.shape == (mesh.n_cells, 2)
+            for c in range(mesh.n_cells):
+                placed = res.spaces[c].geom.vertices + res.shifts[c]
+                assert np.abs(placed - mesh.cell_vertices(c)).max() <= 1e-14, (name, c)
+            distinct = {id(space) for space in res.spaces}
+            assert len(distinct) == {"t1": 1, "t2": 2, "t3": 16}[name], name
+        assert np.all(res.shifts == 0.0)  # Voronoi cells are shapes of their own
+
+        calls = []
+        real = basis.MonomialBasis.__init__
+        monkeypatch.setattr(
+            basis.MonomialBasis, "__init__",
+            lambda self, *args: calls.append(1) or real(self, *args),
+        )
+        counts = []
+        for n in (4, 8):
+            calls.clear()
+            solve_problem(generate_mesh("t1", n), swirl_problem(), 3, ell={4: 2})
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
     def test_solve_leaves_mesh_labels_unchanged(self):
         # test2 re-tags the boundary for its inflow data on a copy
         mesh = generate_mesh("t2", 2)
@@ -240,8 +273,8 @@ def _locate_by_scan(res, pt):
         rel = pt - verts
         if np.all(d[:, 0] * rel[:, 1] - d[:, 1] * rel[:, 0] >= -1e-12):
             return c
-    for c, geom in enumerate(res.geoms):
-        for a, b, cc in geom.triangles:
+    for c, (space, shift) in enumerate(zip(res.spaces, res.shifts)):
+        for a, b, cc in space.geom.triangles + shift:
             s1 = (b - a)[0] * (pt - a)[1] - (b - a)[1] * (pt - a)[0]
             s2 = (cc - b)[0] * (pt - b)[1] - (cc - b)[1] * (pt - b)[0]
             s3 = (a - cc)[0] * (pt - cc)[1] - (a - cc)[1] * (pt - cc)[0]

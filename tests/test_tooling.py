@@ -1,15 +1,27 @@
-"""The benchmark's span tracer must find every name it patches in the library."""
+"""The benchmark's tracer and workloads must keep working against the library.
+
+The span tracer must find every name it patches, and every workload's round
+must pass its own checks: the workloads read ``SolveResult.spaces``,
+``error`` and ``sample``.
+"""
 
 import importlib.util
 import pathlib
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+import pytest
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_tracing_patches_resolve():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _load("tracing")
     missing = [
         f"{getattr(owner, '__name__', owner)}.{attr}"
         for owner, attr, _ in tracing.PATCHES
@@ -34,3 +46,13 @@ def test_solve_result_error_calls_module_energy_error(monkeypatch):
     err = result.error(problem)
     assert len(calls) == 1
     assert err == real(*calls[0])
+
+
+@pytest.mark.parametrize("name", ["cart_layer_conv", "voronoi_auto", "pentagon_layers"])
+def test_workload_checks_pass_tiny(name, tmp_path):
+    # one tiny round, then the checks the benchmark runs after its rounds
+    workload = _load("workloads").WORKLOADS[name](1, True, str(tmp_path))
+    workload.make_inputs()
+    one = workload.round()
+    assert one.failed == 0
+    assert workload.check([one]) == []
