@@ -151,34 +151,47 @@ class GlobalSystem:
         self.reduced_rhs = None
 
 
-def assemble(mesh, dofmap, cell_matrices):
-    """Scatter-add local (matrix, rhs) pairs into the global sparse system.
+def assemble(dofmap, blocks):
+    """Scatter-add stacked local matrices and loads into the global sparse system.
 
-    ``cell_matrices`` is an iterable over cells of (K_local, f_local).  The
-    triplets are formed from stacked arrays, one block per local size, but
-    kept in cell order, so the reduction order is fixed by cell index and
-    entries are deterministic.
+    ``blocks`` is an iterable of (cells, matrices, loads): cell ids (C,),
+    their local matrices (C, n, n) and loads (C, n).  Every cell comes in
+    exactly one block.  Values are placed at positions ordered by cell,
+    whatever the order of the blocks, so the reduction order is fixed by
+    cell index and entries are deterministic.
     """
-    mats, loads = [], []
-    for k_loc, f_loc in cell_matrices:
-        mats.append(np.asarray(k_loc, dtype=float))
-        loads.append(np.asarray(f_loc, dtype=float))
-    sizes = np.diff(dofmap.offsets)[: len(mats)]
-    vals = np.concatenate([m.ravel() for m in mats])
-    load = np.concatenate(loads)
-    mat_end = np.cumsum([m.size for m in mats])
-    load_end = np.cumsum([len(f) for f in loads])
-    bad = np.zeros(len(mats), dtype=bool)
-    bad[np.searchsorted(mat_end, np.flatnonzero(~np.isfinite(vals)), side="right")] = True
-    bad[np.searchsorted(load_end, np.flatnonzero(~np.isfinite(load)), side="right")] = True
-    wrong = np.array([m.shape[0] for m in mats]) != sizes
-    if bad.any() or wrong.any():
-        c = int(np.flatnonzero(bad | wrong)[0])
-        if bad[c]:
-            raise MeshError(f"non-finite local contribution from cell {c}")
-        raise MeshError(f"cell {c}: local matrix does not match DOF count")
+    offsets = dofmap.offsets
+    sizes = np.diff(offsets)
+    mat_ends = np.cumsum(sizes * sizes)
+    starts = mat_ends - sizes * sizes
+    vals = np.zeros(mat_ends[-1])
+    load = np.zeros(offsets[-1])
+    count = np.zeros(len(sizes), dtype=int)
+    misfit = np.zeros(len(sizes), dtype=bool)
+    for cells, mats, loads in blocks:
+        cells = np.asarray(cells, dtype=int)
+        mats = np.asarray(mats, dtype=float)
+        loads = np.asarray(loads, dtype=float)
+        np.add.at(count, cells, 1)
+        n = loads.shape[1]
+        wrong = (sizes[cells] != n) | (mats.shape[1:] != (n, n))
+        if wrong.any():
+            misfit[cells[wrong]] = True
+            continue
+        vals[starts[cells][:, None] + np.arange(n * n)] = mats.reshape(len(cells), -1)
+        load[offsets[cells][:, None] + np.arange(n)] = loads
+    bad = np.zeros(len(sizes), dtype=bool)
+    bad[np.searchsorted(mat_ends, np.flatnonzero(~np.isfinite(vals)), side="right")] = True
+    bad[np.searchsorted(offsets[1:], np.flatnonzero(~np.isfinite(load)), side="right")] = True
+    failed = (count != 1) | misfit | bad
+    if failed.any():
+        c = int(np.flatnonzero(failed)[0])
+        if count[c] != 1:
+            raise MeshError(f"cell {c}: {count[c]} local blocks, expected one")
+        if misfit[c]:
+            raise MeshError(f"cell {c}: local matrix does not match DOF count")
+        raise MeshError(f"non-finite local contribution from cell {c}")
     n = dofmap.n_dofs
-    starts = np.concatenate([[0], mat_end[:-1]])
     rows = np.empty(len(vals), dtype=int)
     cols = np.empty(len(vals), dtype=int)
     for size in np.unique(sizes):
@@ -187,8 +200,7 @@ def assemble(mesh, dofmap, cell_matrices):
         at = starts[cells][:, None] + np.arange(size * size)
         rows[at] = np.repeat(dofs, size, axis=1)
         cols[at] = np.tile(dofs, (1, size))
-    cell_dofs = dofmap.flat[: dofmap.offsets[len(mats)]]
-    rhs = np.bincount(cell_dofs, weights=load, minlength=n)
+    rhs = np.bincount(dofmap.flat, weights=load, minlength=n)
     matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     return GlobalSystem(matrix, rhs, dofmap)
 
@@ -246,21 +258,23 @@ class DiscreteSolution:
         self.system = system
         self.residual = residual
         self.n_dofs = len(dofs)
-        self.reconstructions = None  # list of P_k coefficient vectors
+        self.reconstructions = None  # (n_cells, dim P_k) coefficients
         self.ell = None
         self.peclet = None
         self.tau = None
 
-    def attach_reconstructions(self, dofmap, spaces, coeffs):
-        """P_k coefficients of every cell, stacked per chunk of cells sharing a space."""
-        self.reconstructions = [None] * len(spaces)
+    def attach_reconstructions(self, dofmap, spaces, peclet, tau):
+        """Attach each cell's P_k coefficients, increment, Peclet number and tau.
+
+        The coefficients are computed per chunk of cells sharing a space.
+        """
+        self.reconstructions = np.empty((len(spaces), spaces[0].pinabla_coeff.shape[0]))
         self.ell = np.array([s.ell for s in spaces], dtype=int)
-        self.peclet = np.array([c.peclet for c in coeffs])
-        self.tau = np.array([c.tau for c in coeffs])
+        self.peclet = peclet
+        self.tau = tau
         for cells in cell_chunks(spaces):
             polys = _projected(spaces[cells[0]].pinabla_coeff, self.dofs, dofmap, cells)
-            for c, poly in zip(cells.tolist(), polys[..., 0]):
-                self.reconstructions[c] = poly
+            self.reconstructions[cells] = polys[..., 0]
         return self
 
 
@@ -282,13 +296,13 @@ def _dot(a, b):
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
 
 
-def energy_error(spaces, shifts, coeffs, solution, problem):
+def energy_error(spaces, shifts, solution, problem):
     """Relative energy-norm error of the reconstructed solution.
 
     err^2 = sum_E kappa |grad(u - P u_h)|^2 + tau |beta . grad(u - P u_h)|^2
     normalized by the same quantity with u alone; P is the element H1
-    projection.  Requires the exact gradient.  Cell c is ``spaces[c]``
-    translated by ``shifts[c]``.
+    projection and tau the cell's ``solution.tau``.  Requires the exact
+    gradient.  Cell c is ``spaces[c]`` translated by ``shifts[c]``.
 
     Cells that share one space object (the translates of one shape) are
     evaluated together, in chunks of CHUNK cells.  The four integrals of
@@ -323,13 +337,14 @@ def energy_error(spaces, shifts, coeffs, solution, problem):
                 np.sum(w * _dot(bvals, gu) ** 2, axis=1),
             ]
         )
+    kappa = problem.kappa
     num = 0.0
     den = 0.0
-    for coef, (err_k, err_t, u_k, u_t) in zip(coeffs, sums.tolist()):
-        num += coef.kappa * err_k
-        num += coef.tau * err_t
-        den += coef.kappa * u_k
-        den += coef.tau * u_t
+    for tau, (err_k, err_t, u_k, u_t) in zip(solution.tau.tolist(), sums.tolist()):
+        num += kappa * err_k
+        num += tau * err_t
+        den += kappa * u_k
+        den += tau * u_t
     if den == 0.0:
         raise ValueError("energy error undefined: exact solution has zero energy")
     return float(np.sqrt(num / den))
@@ -366,8 +381,8 @@ def export_vtk(solution, mesh, path):
     lines.append("SCALARS u_pi_center double 1")
     lines.append("LOOKUP_TABLE default")
     # the constant-mode coefficient is the projected value at the star center
-    for poly in solution.reconstructions:
-        lines.append(f"{poly[0]:.17g}")
+    for v in solution.reconstructions[:, 0]:
+        lines.append(f"{v:.17g}")
     lines.append("SCALARS ell int 1")
     lines.append("LOOKUP_TABLE default")
     for e in solution.ell:

@@ -31,7 +31,6 @@ def _add_common(parser, with_problem=True):
         "--ell", type=_parse_ell, default="auto",
         help="enhancement increment: 'auto' probes per cell, or a fixed integer >= 0",
     )
-    parser.add_argument("--probe-tol", type=float, default=1e-8)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--lloyd", type=int, default=100)
     parser.add_argument("--out", default="out", help="output directory")
@@ -104,7 +103,6 @@ def _config_from(args, refinements):
         family=args.family,
         k=args.k,
         ell=args.ell,
-        probe_tol=args.probe_tol,
         refinements=refinements,
         baseline=getattr(args, "baseline", False),
         seed=args.seed,

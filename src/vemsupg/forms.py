@@ -81,11 +81,6 @@ class ElementCoefficients:
         self.m_k = m_k
         self.c_tilde = c_tilde
 
-    def diffusion_tensor(self, beta):
-        """SPD tensor kappa I + tau beta beta^T at one velocity sample."""
-        beta = np.asarray(beta, dtype=float)
-        return self.kappa * np.eye(2) + self.tau * np.outer(beta, beta)
-
 
 class LocalForms:
     """Local matrices of one element over its DOF basis."""
@@ -389,10 +384,11 @@ class ShapeForms:
         self.samples = np.vstack([pts, geom.edge_points.reshape(-1, 2)])
 
     def batch(self, problem, shifts):
-        """Coefficients and forms of the cells at ``shifts`` (C, 2) from the shape.
+        """Peclet numbers, tau, local matrices and loads of the cells at ``shifts`` (C, 2).
 
-        Returns two lists with one ElementCoefficients and one LocalForms per
-        cell; the forms' matrices are views into stacked (C, n, n) arrays.
+        Returns (C,), (C,), (C, n, n) and (C, n) arrays.  Each matrix is
+        a + b + d, summed in the order of ``LocalForms.full``, with the
+        stabilization of the baseline already in a.
         """
         geom = self.space.geom
         n_cells, nq = len(shifts), len(geom.quad_weights)
@@ -412,21 +408,12 @@ class ShapeForms:
         s_t = s.transpose(0, 2, 1)
         t = tau[:, None, None]
         a = kappa * self.gram + t * (s_t @ (w[:, None] * s))
-        s_low = s if self.grad_low is self.grad else streamline(self.grad_low)
-        b = self.test.T @ (w[:, None] * s_low)
-        if self.div is None:
-            d = np.zeros_like(a)
-        else:
-            d = (-t * kappa) * (s_t @ (w[:, None] * self.div))
-        wf = w * fvals.reshape(n_cells, nq)
-        rhs = ((self.test + t * s).transpose(0, 2, 1) @ wf[..., None])[..., 0]
-        stab = [None] * n_cells
         if self.stab is not None:
-            stab = (kappa + tau * beta_e**2)[:, None, None] * self.stab
-            a = a + stab
-        coeffs = [
-            ElementCoefficients(kappa, be, p, ta, self.m_k, self.c_tilde)
-            for be, p, ta in zip(beta_e.tolist(), pe.tolist(), tau.tolist())
-        ]
-        forms = [LocalForms(*mats) for mats in zip(a, b, d, rhs, stab)]
-        return coeffs, forms
+            a = a + (kappa + tau * beta_e**2)[:, None, None] * self.stab
+        s_low = s if self.grad_low is self.grad else streamline(self.grad_low)
+        matrices = a + self.test.T @ (w[:, None] * s_low)
+        if self.div is not None:
+            matrices = matrices + (-t * kappa) * (s_t @ (w[:, None] * self.div))
+        wf = w * fvals.reshape(n_cells, nq)
+        loads = ((self.test + t * s).transpose(0, 2, 1) @ wf[..., None])[..., 0]
+        return pe, tau, matrices, loads

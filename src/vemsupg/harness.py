@@ -11,8 +11,11 @@ shape: the shape's space plus the cell's shift from the shape's first cell.
 Since every projector matrix is translation-invariant, the shift only moves
 the points at which velocity, source and exact solution are sampled, so the
 local forms and loads of each shape are formed in stacked batches from one
-set of form tables, and the solve result, the energy error and ``sample``
-keep the shape's space and the shift, never a per-cell copy of the element.
+set of form tables.  The batches stay stacked: each goes to ``assemble`` as
+its cells with their (C, n, n) matrices and (C, n) loads, and its Peclet
+numbers and tau fill per-cell arrays, so no per-cell coefficient or form
+object is made.  The solve result, the energy error and ``sample`` keep the
+shape's space and the shift, never a per-cell copy of the element.
 On a Voronoi mesh every cell is its own shape, with zero shift, and the same
 path runs with groups of one.
 """
@@ -123,14 +126,13 @@ class Shape:
             self.spaces[(k, ell)] = LocalSpace(geom, k, ell)
         return self.spaces[(k, ell)]
 
-    def probe(self, k, probe_tol):
+    def probe(self, k):
         """Smallest coercive increment at order k, tried on this shape's spaces.
 
         Trials start at the rank bound: the increments below it are rejected
         by a dimension count, so their spaces are not built.
         """
-        key = (k, probe_tol)
-        if key not in self.probed:
+        if k not in self.probed:
             start = rank_bound_ell(dof_layout(len(self.vertices), k).n_dofs, k)
             if start > DEFAULT_ELL_MAX:
                 skipped = [(ell, None) for ell in range(DEFAULT_ELL_MAX + 1)]
@@ -142,8 +144,8 @@ class Shape:
                     # rejected: dropped, a Voronoi mesh has a shape per cell
                     del self.spaces[(k, ell)]
 
-            self.probed[key] = first_coercive(trials(), probe_tol).ell
-        return self.probed[key]
+            self.probed[k] = first_coercive(trials(), DEFAULT_PROBE_TOL).ell
+        return self.probed[k]
 
 
 class ShapeTable:
@@ -177,9 +179,9 @@ class ShapeTable:
         return placed
 
 
-def _choose_ell(mesh, c, shape, k, ell_mode, probe_tol):
+def _choose_ell(mesh, c, shape, k, ell_mode):
     if ell_mode == "auto":
-        return shape.probe(k, probe_tol)
+        return shape.probe(k)
     if isinstance(ell_mode, dict):
         try:
             return ell_mode[len(mesh.cells[c])]
@@ -190,13 +192,13 @@ def _choose_ell(mesh, c, shape, k, ell_mode, probe_tol):
     return int(ell_mode)
 
 
-def build_element(mesh, c, k, ell_mode, probe_tol, cache):
+def build_element(mesh, c, k, ell_mode, cache):
     """(space, shift, chosen ell) of one cell, from the shape table ``cache``.
 
     The cell is the shape's space translated by ``shift``.
     """
     [(shape, shift)] = cache.place(mesh, [c])
-    ell = _choose_ell(mesh, c, shape, k, ell_mode, probe_tol)
+    ell = _choose_ell(mesh, c, shape, k, ell_mode)
     return shape.space(k, ell), shift, ell
 
 
@@ -209,14 +211,12 @@ class SolveResult:
     each cell's translation from that cell.
     """
 
-    def __init__(self, solution, mesh, dofmap, spaces, shifts, coeffs, forms):
+    def __init__(self, solution, mesh, dofmap, spaces, shifts):
         self.solution = solution
         self.mesh = mesh
         self.dofmap = dofmap
         self.spaces = spaces
         self.shifts = shifts
-        self.coeffs = coeffs
-        self.forms = forms
         self._boxes = None  # padded per-cell vertex extents, for ``sample``
 
     @property
@@ -224,7 +224,7 @@ class SolveResult:
         return float(np.mean(self.solution.peclet))
 
     def error(self, problem):
-        return energy_error(self.spaces, self.shifts, self.coeffs, self.solution, problem)
+        return energy_error(self.spaces, self.shifts, self.solution, problem)
 
     def sample(self, points):
         """Evaluate the reconstructed solution at points inside the domain."""
@@ -275,14 +275,7 @@ class SolveResult:
         raise ValueError(f"point {pt} is outside the mesh")
 
 
-def solve_problem(
-    mesh,
-    problem,
-    k,
-    ell="auto",
-    probe_tol=DEFAULT_PROBE_TOL,
-    method="sf",
-):
+def solve_problem(mesh, problem, k, ell="auto", method="sf"):
     """Assemble and solve one problem on one mesh.
 
     ``method`` selects the stabilization-free forms ("sf") or the classical
@@ -299,24 +292,24 @@ def solve_problem(
     placed = ShapeTable().place(mesh, range(mesh.n_cells))
     shifts = np.array([shift for _, shift in placed])
     spaces = [
-        shape.space(k, _choose_ell(mesh, c, shape, k, ell, probe_tol))
+        shape.space(k, _choose_ell(mesh, c, shape, k, ell))
         for c, (shape, _) in enumerate(placed)
     ]
-    coeffs, forms = [None] * mesh.n_cells, [None] * mesh.n_cells
+    peclet, tau = np.empty(mesh.n_cells), np.empty(mesh.n_cells)
+    blocks = []
     tables = None
     for cells in cell_chunks(spaces):
         space = spaces[cells[0]]
         if tables is None or tables.space is not space:
             # form tables live for one space only: a Voronoi mesh has one per cell
             tables = ShapeForms(space, stabilized=method == "vem")
-        part_coeffs, part_forms = tables.batch(problem, shifts[cells])
-        for c, coef, lf in zip(cells.tolist(), part_coeffs, part_forms):
-            coeffs[c], forms[c] = coef, lf
+        peclet[cells], tau[cells], matrices, loads = tables.batch(problem, shifts[cells])
+        blocks.append((cells, matrices, loads))
     dofmap = DofMap(mesh, k)
-    system = assemble(mesh, dofmap, ((lf.full, lf.rhs) for lf in forms))
+    system = assemble(dofmap, blocks)
     apply_dirichlet(system, problem)
-    solution = solve(system).attach_reconstructions(dofmap, spaces, coeffs)
-    return SolveResult(solution, mesh, dofmap, spaces, shifts, coeffs, forms)
+    solution = solve(system).attach_reconstructions(dofmap, spaces, peclet, tau)
+    return SolveResult(solution, mesh, dofmap, spaces, shifts)
 
 
 # -- experiment configuration -------------------------------------------------
@@ -331,7 +324,6 @@ class ExperimentConfig:
     family: str = "t1"
     k: int = 1
     ell: object = "auto"  # "auto" or a fixed integer
-    probe_tol: float = DEFAULT_PROBE_TOL
     refinements: tuple = (4, 8, 16, 32)
     baseline: bool = False
     seed: int = 0
@@ -406,17 +398,11 @@ def run_convergence(config):
             config.family, n, seed=config.seed, lloyd_iters=config.lloyd_iters,
             level=level,
         )
-        res_sf = solve_problem(
-            mesh, problem, config.k, ell=config.ell,
-            probe_tol=config.probe_tol, method="sf",
-        )
+        res_sf = solve_problem(mesh, problem, config.k, ell=config.ell, method="sf")
         err_sf = res_sf.error(problem)
         err_vem = None
         if config.baseline:
-            res_vem = solve_problem(
-                mesh, problem, config.k, ell=config.ell,
-                probe_tol=config.probe_tol, method="vem",
-            )
+            res_vem = solve_problem(mesh, problem, config.k, ell=config.ell, method="vem")
             err_vem = res_vem.error(problem)
         row = {
             "level": level,
@@ -459,10 +445,7 @@ def run_field(config):
     mesh = generate_mesh(
         config.family, n, seed=config.seed, lloyd_iters=config.lloyd_iters
     )
-    res = solve_problem(
-        mesh, problem, config.k, ell=config.ell,
-        probe_tol=config.probe_tol, method="sf",
-    )
+    res = solve_problem(mesh, problem, config.k, ell=config.ell, method="sf")
     vertex_vals = res.solution.dofs[: mesh.n_vertices]
     summary = {
         "min_vertex": float(vertex_vals.min()),
@@ -509,7 +492,7 @@ def probe_table(config, orders=(1, 2, 3, 4), families=None):
             for shape in seen.shapes.values():
                 n_v = len(shape.vertices)
                 try:
-                    ell = shape.probe(k, config.probe_tol)
+                    ell = shape.probe(k)
                 except ProbeError:
                     ell = None
                 key = (family, n_v, k)

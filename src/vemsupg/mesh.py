@@ -291,7 +291,6 @@ def _snap_to_sides(verts):
 def _compress_vertices(verts, cells):
     """Drop unused vertices, merge coincident ones, reindex cells."""
     key_of = {}
-    new_index = {}
     new_verts = []
     new_cells = []
     for cell in cells:
@@ -303,7 +302,6 @@ def _compress_vertices(verts, cells):
                 idx = len(new_verts)
                 key_of[key] = idx
                 new_verts.append(verts[vi])
-            new_index[vi] = idx
             if not out or out[-1] != idx:
                 out.append(idx)
         if out[0] == out[-1]:

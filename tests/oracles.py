@@ -282,17 +282,19 @@ def laplace_map_by_member(basis):
 # so they check the grouping, gathering and reduction order, not the basis.
 
 
-def energy_error_by_cell(spaces, shifts, coeffs, solution, problem):
+def energy_error_by_cell(spaces, shifts, solution, problem):
     """Relative energy-norm error, summed cell by cell in cell order.
 
     Cell c is ``spaces[c]`` translated by ``shifts[c]``: its quadrature
-    points and star center are placed here, one cell at a time.
+    points and star center are placed here, one cell at a time.  Each cell
+    is weighted by ``problem.kappa`` and its ``solution.tau``.
     """
     from vemsupg.basis import MonomialBasis, eval_basis, grad_map
 
     num = 0.0
     den = 0.0
-    for c, (space, shift, coef) in enumerate(zip(spaces, shifts, coeffs)):
+    kappa = problem.kappa
+    for c, (space, shift, tau) in enumerate(zip(spaces, shifts, solution.tau)):
         geom = space.geom
         pts = geom.quad_points + shift
         center = geom.star_center + shift
@@ -305,10 +307,10 @@ def energy_error_by_cell(spaces, shifts, coeffs, solution, problem):
         bvals = np.asarray(problem.beta(pts), dtype=float)
         w = geom.quad_weights
         diff = gu - gh
-        num += coef.kappa * np.sum(w * (diff**2).sum(axis=1))
-        num += coef.tau * np.sum(w * (bvals * diff).sum(axis=1) ** 2)
-        den += coef.kappa * np.sum(w * (gu**2).sum(axis=1))
-        den += coef.tau * np.sum(w * (bvals * gu).sum(axis=1) ** 2)
+        num += kappa * np.sum(w * (diff**2).sum(axis=1))
+        num += tau * np.sum(w * (bvals * diff).sum(axis=1) ** 2)
+        den += kappa * np.sum(w * (gu**2).sum(axis=1))
+        den += tau * np.sum(w * (bvals * gu).sum(axis=1) ** 2)
     return float(np.sqrt(num / den))
 
 

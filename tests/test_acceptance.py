@@ -45,7 +45,7 @@ def report(criterion, ok, detail, started):
 
 def probed_spaces(mesh, k, cache):
     return [
-        build_element(mesh, c, k, "auto", PROBE_TOL, cache)[0] for c in range(mesh.n_cells)
+        build_element(mesh, c, k, "auto", cache)[0] for c in range(mesh.n_cells)
     ]
 
 
@@ -205,7 +205,7 @@ def test_criterion_4_probe_minimality(acceptance_meshes):
         cache = ShapeTable()
         for k in (1, 2, 3):
             for c in range(mesh.n_cells):
-                space, _, ell = build_element(mesh, c, k, "auto", PROBE_TOL, cache)
+                space, _, ell = build_element(mesh, c, k, "auto", cache)
                 gram = projected_gradient_gram(space)
                 lam = np.linalg.eigvalsh(0.5 * (gram + gram.T))
                 n_small = int(np.sum(lam < PROBE_TOL * lam[-1]))

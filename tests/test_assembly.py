@@ -16,7 +16,7 @@ from vemsupg.assemble import (
     solve,
 )
 from vemsupg.errors import MeshError, SolveError
-from vemsupg.forms import ProblemData, element_coefficients, sf_forms
+from vemsupg.forms import ProblemData, element_coefficients, local_a_h, sf_forms
 from vemsupg.geometry import ElementGeometry
 from vemsupg.harness import solve_problem
 from vemsupg.mesh import generate_cartesian, relabel_boundary
@@ -60,13 +60,18 @@ class TestDofMap:
         assert len(shared0) == 2  # k - 1 = 2 internal dofs on the shared edge
 
 
+def cell_blocks(forms):
+    """One (cells, matrices, loads) block per cell, in cell order."""
+    return [(np.array([c]), lf.full[None], lf.rhs[None]) for c, lf in enumerate(forms)]
+
+
 class TestAssemble:
     def test_single_cell_global_equals_local(self):
         mesh = generate_cartesian(1, 1)
         problem = problem_smooth()
         _, _, _, forms = build_cells(mesh, problem, 1, 1)
         dofmap = DofMap(mesh, 1)
-        system = assemble(mesh, dofmap, ((lf.full, lf.rhs) for lf in forms))
+        system = assemble(dofmap, cell_blocks(forms))
         dofs = dofmap.cell_dofs(0)
         dense = system.matrix.toarray()
         assert dense[np.ix_(dofs, dofs)] == pytest.approx(forms[0].full)
@@ -78,7 +83,7 @@ class TestAssemble:
         problem = problem_smooth(kappa=1.0, beta=(0.0, 0.0))
         _, _, _, forms = build_cells(mesh, problem, 1, 1)
         dofmap = DofMap(mesh, 1)
-        system = assemble(mesh, dofmap, ((lf.full, lf.rhs) for lf in forms))
+        system = assemble(dofmap, cell_blocks(forms))
         hand = np.zeros((6, 6))
         for c in range(2):
             idx = mesh.cells[c]
@@ -94,16 +99,83 @@ class TestAssemble:
         problem = problem_smooth(kappa=1.0, beta=(0.0, 0.0))
         _, _, _, forms = build_cells(mesh, problem, 2, 2)
         dofmap = DofMap(mesh, 2)
-        system = assemble(mesh, dofmap, ((lf.full, lf.rhs) for lf in forms))
+        system = assemble(dofmap, cell_blocks(forms))
         a = system.matrix.toarray()
         assert a == pytest.approx(a.T, abs=1e-13 * np.abs(a).max())
 
     def test_nan_rejected(self):
         mesh = generate_cartesian(1, 1)
         dofmap = DofMap(mesh, 1)
-        bad = np.full((4, 4), np.nan)
+        bad = np.full((1, 4, 4), np.nan)
         with pytest.raises(MeshError, match="cell 0"):
-            assemble(mesh, dofmap, [(bad, np.zeros(4))])
+            assemble(dofmap, [(np.array([0]), bad, np.zeros((1, 4)))])
+
+    def test_block_order_keeps_every_bit(self, mesh_t2):
+        # stacked blocks in shuffled order, cells reversed inside each block,
+        # give the same matrix and load bit for bit: values go to cell-ordered
+        # positions, so the reduction order does not depend on the blocks
+        problem = swirl_problem()
+        _, _, _, forms = build_cells(mesh_t2, problem, 2, 1)
+        dofmap = DofMap(mesh_t2, 2)
+        sizes = np.diff(dofmap.offsets)
+        blocks = []
+        for size in np.unique(sizes):
+            same = np.flatnonzero(sizes == size)
+            for cells in np.array_split(same, 3):
+                blocks.append((
+                    cells,
+                    np.array([forms[c].full for c in cells]),
+                    np.array([forms[c].rhs for c in cells]),
+                ))
+        ref = assemble(dofmap, cell_blocks(forms))
+        order = np.random.default_rng(3).permutation(len(blocks))
+        shuffled = [tuple(x[::-1] for x in blocks[i]) for i in order]
+        got = assemble(dofmap, shuffled)
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got.matrix, name), getattr(ref.matrix, name))
+        assert np.array_equal(got.rhs, ref.rhs)
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("missing", "cell 3: 0 local blocks"),
+            ("doubled", "cell 2: 2 local blocks"),
+            ("wrong_size", "cell 1: local matrix does not match"),
+            ("nan_load", "non-finite local contribution from cell 2"),
+        ],
+    )
+    def test_bad_blocks_name_the_cell(self, case, message):
+        mesh = generate_cartesian(2, 2)
+        _, _, _, forms = build_cells(mesh, problem_smooth(), 1, 1)
+        blocks = cell_blocks(forms)
+        if case == "missing":
+            del blocks[3]
+        elif case == "doubled":
+            blocks.append(blocks[2])
+        elif case == "wrong_size":
+            blocks[1] = (np.array([1]), np.zeros((1, 3, 3)), np.zeros((1, 3)))
+        else:
+            load = blocks[2][2].copy()
+            load[0, 1] = np.nan
+            blocks[2] = (blocks[2][0], blocks[2][1], load)
+        with pytest.raises(MeshError, match=message):
+            assemble(DofMap(mesh, 1), blocks)
+
+    def test_solve_builds_no_per_cell_objects(self, monkeypatch):
+        # the solve keeps Peclet, tau and the local forms in stacked arrays
+        import vemsupg.forms as forms
+
+        calls = []
+        for cls in (forms.ElementCoefficients, forms.LocalForms):
+            real = cls.__init__
+            monkeypatch.setattr(
+                cls, "__init__",
+                lambda self, *a, real=real, **kw: calls.append(1) or real(self, *a, **kw),
+            )
+        for method in ("sf", "vem"):
+            res = solve_problem(generate_cartesian(3, 3), problem_test1(), 2, method=method)
+            assert res.solution.peclet.shape == res.solution.tau.shape == (9,)
+        assert calls == []
 
 
 class TestDirichlet:
@@ -112,7 +184,7 @@ class TestDirichlet:
         problem = problem_smooth(kappa=1.0, beta=(0.0, 0.0))
         _, _, _, forms = build_cells(mesh, problem, 1, 1)
         dofmap = DofMap(mesh, 1)
-        system = assemble(mesh, dofmap, ((lf.full, lf.rhs) for lf in forms))
+        system = assemble(dofmap, cell_blocks(forms))
         apply_dirichlet(system, problem)
         assert system.reduced_rhs == pytest.approx(system.rhs[system.free_idx])
 
@@ -301,11 +373,8 @@ class TestEnergyError:
         problem = problem_smooth()
         result = solve_problem(mesh, problem, 1, ell=1)
         result.solution.dofs[:] = 0.0
-        for c in range(mesh.n_cells):
-            result.solution.reconstructions[c][:] = 0.0
-        err = energy_error(
-            result.spaces, result.shifts, result.coeffs, result.solution, problem
-        )
+        result.solution.reconstructions[:] = 0.0
+        err = energy_error(result.spaces, result.shifts, result.solution, problem)
         assert err == pytest.approx(1.0, rel=1e-12)
 
     def test_needs_gradient(self):
@@ -315,28 +384,28 @@ class TestEnergyError:
         from vemsupg.problems import problem_test2
 
         with pytest.raises(ValueError):
-            energy_error(
-                result.spaces, result.shifts, result.coeffs, result.solution,
-                problem_test2(),
-            )
+            energy_error(result.spaces, result.shifts, result.solution, problem_test2())
 
     def test_energy_norm_two_ways(self):
-        # matrix quadratic form against re-quadrature of the projections
+        # matrix quadratic form of the reference diffusion-streamline forms
+        # against re-quadrature of the solve's projections with its tau
         mesh = generate_cartesian(3, 3)
         problem = problem_test1()
         result = solve_problem(mesh, problem, 2, ell="auto")
-        a_only = assemble(
-            mesh,
-            result.dofmap,
-            ((lf.a, np.zeros(lf.a.shape[0])) for lf in result.forms),
-        )
+        blocks = []
+        for c, space in enumerate(result.spaces):
+            geom = make_geometry(mesh.cell_vertices(c), k=2, ell=space.ell, cell=c)
+            coef = element_coefficients(geom, problem, 2)
+            a = local_a_h(geom, LocalSpace(geom, 2, space.ell), coef, problem)
+            blocks.append((np.array([c]), a[None], np.zeros((1, len(a)))))
+        a_only = assemble(result.dofmap, blocks)
         u = result.solution.dofs
         quad_form = u @ (a_only.matrix @ u)
         total = 0.0
         from vemsupg.basis import MonomialBasis, eval_basis
 
-        for c, (space, shift, coef) in enumerate(
-            zip(result.spaces, result.shifts, result.coeffs)
+        for c, (space, shift, tau) in enumerate(
+            zip(result.spaces, result.shifts, result.solution.tau)
         ):
             geom = space.geom
             local = u[result.dofmap.cell_dofs(c)]
@@ -346,9 +415,9 @@ class TestEnergyError:
             vx = vals.T @ (gx @ local)
             vy = vals.T @ (gy @ local)
             w = geom.quad_weights
-            total += coef.kappa * np.sum(w * (vx**2 + vy**2))
+            total += problem.kappa * np.sum(w * (vx**2 + vy**2))
             beta = problem.beta(geom.quad_points + shift)
-            total += coef.tau * np.sum(w * (beta[:, 0] * vx + beta[:, 1] * vy) ** 2)
+            total += tau * np.sum(w * (beta[:, 0] * vx + beta[:, 1] * vy) ** 2)
         assert quad_form == pytest.approx(total, rel=1e-11)
 
     @staticmethod
@@ -358,12 +427,12 @@ class TestEnergyError:
         shifts = result.shifts if shifts is None else shifts
         sol = result.solution
         dofs = sol.dofs.copy()
-        recon = [r.copy() for r in sol.reconstructions]
-        err = energy_error(spaces, shifts, result.coeffs, sol, problem)
-        ref = energy_error_by_cell(spaces, shifts, result.coeffs, sol, problem)
+        recon = sol.reconstructions.copy()
+        err = energy_error(spaces, shifts, sol, problem)
+        ref = energy_error_by_cell(spaces, shifts, sol, problem)
         assert err == pytest.approx(ref, rel=1e-12)
         assert np.array_equal(sol.dofs, dofs)
-        assert all(np.array_equal(a, b) for a, b in zip(sol.reconstructions, recon))
+        assert np.array_equal(sol.reconstructions, recon)
         return err
 
     @pytest.mark.parametrize("k", [1, 3])

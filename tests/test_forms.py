@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import UNIT_SQUARE, make_geometry
+from conftest import UNIT_SQUARE, make_geometry, swirl_problem
 from oracles import Poly2, directional
 from vemsupg.basis import MonomialBasis, poly_dim
 from vemsupg.errors import ProbeError
@@ -11,6 +11,7 @@ from vemsupg.forms import (
     DEFAULT_ELL_MAX,
     DEFAULT_PROBE_TOL,
     ProblemData,
+    ShapeForms,
     baseline_vem_forms,
     beta_sup,
     element_coefficients,
@@ -25,6 +26,9 @@ from vemsupg.forms import (
     sf_forms,
     tilde_c_k,
 )
+from vemsupg.harness import ShapeTable
+from vemsupg.mesh import generate_cartesian, generate_concave_pentagons, generate_voronoi
+from vemsupg.problems import problem_smooth
 from vemsupg.space import LocalSpace, dof_layout
 
 BETA1 = (1.0, 0.545)
@@ -252,7 +256,7 @@ class TestProbe:
                 geom = make_geometry(mesh.cell_vertices(c), k=k, ell=6, cell=c)
                 picks = []
                 for probe in (lambda: probe_min_ell(geom, k),
-                              lambda: shape.probe(k, DEFAULT_PROBE_TOL)):
+                              lambda: shape.probe(k)):
                     try:
                         picks.append(probe())
                     except ProbeError as err:
@@ -556,3 +560,42 @@ def test_sf_forms_bundle(mesh_t3):
     assert gram @ np.ones(space.n_dofs) == pytest.approx(
         np.zeros(space.n_dofs), abs=1e-12
     )
+
+
+class TestShapeForms:
+    MESHES = {
+        "t1": lambda: generate_cartesian(3, 3),
+        "t2": lambda: generate_concave_pentagons(2),
+        "t3": lambda: generate_voronoi(16, lloyd_iters=20, seed=1),
+    }
+
+    @staticmethod
+    def close(got, ref):
+        return np.abs(got - ref).max() <= 1e-11 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("method", ["sf", "vem"])
+    @pytest.mark.parametrize("family", ["t1", "t2", "t3"])
+    def test_batch_matches_per_element_forms(self, family, method):
+        # each cell's stacked matrix, load, Peclet number and tau equal the
+        # reference forms built on the cell's own geometry, to roundoff
+        mesh = self.MESHES[family]()
+        placed = ShapeTable().place(mesh, range(mesh.n_cells))
+        shifts = np.array([shift for _, shift in placed])
+        by_shape = {}
+        for c, (shape, _) in enumerate(placed):
+            by_shape.setdefault(shape, []).append(c)
+        build = sf_forms if method == "sf" else baseline_vem_forms
+        for k, problem in itertools.product((1, 2, 3), (problem_smooth(), swirl_problem())):
+            for shape, cells in by_shape.items():
+                ell = shape.probe(k) if method == "sf" else 0
+                tables = ShapeForms(shape.space(k, ell), stabilized=method == "vem")
+                pe, tau, mats, loads = tables.batch(problem, shifts[cells])
+                for i, c in enumerate(cells):
+                    geom = make_geometry(mesh.cell_vertices(c), k=k, ell=ell, cell=c)
+                    coef = element_coefficients(geom, problem, k)
+                    lf = build(geom, LocalSpace(geom, k, ell), coef, problem)
+                    where = (k, problem.name, c)
+                    assert self.close(mats[i], lf.full), where
+                    assert self.close(loads[i], lf.rhs), where
+                    assert pe[i] == pytest.approx(coef.peclet, rel=1e-12), where
+                    assert tau[i] == pytest.approx(coef.tau, rel=1e-12), where

@@ -148,7 +148,7 @@ class TestSolveDrivers:
             (2, 3), meshes.items(), (problem_smooth(), swirl_problem()), ("sf", "vem")
         ):
             res = solve_problem(mesh, problem, k, ell="auto", method=method)
-            pairs = []
+            blocks = []
             for c in range(mesh.n_cells):
                 verts = mesh.cell_vertices(c)
                 ell = 0
@@ -160,9 +160,9 @@ class TestSolveDrivers:
                 coef = element_coefficients(geom, problem, k)
                 build = sf_forms if method == "sf" else baseline_vem_forms
                 lf = build(geom, space, coef, problem)
-                pairs.append((lf.full, lf.rhs))
+                blocks.append((np.array([c]), lf.full[None], lf.rhs[None]))
             dofmap = DofMap(mesh, k)
-            system = apply_dirichlet(assemble(mesh, dofmap, pairs), problem)
+            system = apply_dirichlet(assemble(dofmap, blocks), problem)
             direct = solve(system).dofs
             assert res.solution.dofs == pytest.approx(direct, rel=1e-11), (
                 k, name, problem.name, method,

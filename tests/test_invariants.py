@@ -85,11 +85,6 @@ def test_coefficient_invariants(acceptance_meshes):
             coef = element_coefficients(geom, problem, 2)
             assert coef.peclet >= 0.0
             assert 0.0 <= coef.tau <= geom.h / (2.0 * coef.beta_sup)
-            tensor = coef.diffusion_tensor(problem.beta_constant)
-            lam = np.linalg.eigvalsh(tensor)
-            # eigenvalue roundoff scales with the large eigenvalue
-            assert lam.min() >= problem.kappa - 1e-12 * lam.max()
-            assert lam.max() <= problem.kappa + coef.tau * coef.beta_sup**2 + 1e-15
 
 
 def test_variable_velocity_field_end_to_end():
