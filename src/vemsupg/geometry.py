@@ -22,18 +22,6 @@ def polygon_signed_area(vertices):
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def polygon_centroid(vertices):
-    """Area centroid of a simple polygon."""
-    v = np.asarray(vertices, dtype=float)
-    x, y = v[:, 0], v[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    cross = x * yn - xn * y
-    area = 0.5 * np.sum(cross)
-    cx = np.sum((x + xn) * cross) / (6.0 * area)
-    cy = np.sum((y + yn) * cross) / (6.0 * area)
-    return np.array([cx, cy])
-
-
 def polygon_diameter(vertices):
     """Largest vertex-to-vertex distance."""
     v = np.asarray(vertices, dtype=float)

@@ -6,14 +6,14 @@ clipped Voronoi tessellations.  Cells are stored as CCW vertex-index loops;
 interior edges must be shared by exactly two cells with opposite orientation.
 """
 
+import itertools
 import json
 
 import numpy as np
-from scipy.spatial import Voronoi
+from scipy.spatial import Voronoi, cKDTree
 
 from .errors import ElementQualityError, MeshError, MeshFormatError
 from .geometry import (
-    polygon_centroid,
     polygon_diameter,
     polygon_is_simple,
     polygon_signed_area,
@@ -238,28 +238,32 @@ def generate_voronoi(n_cells, lloyd_iters=100, seed=0):
     """
     if n_cells < 2:
         raise ValueError("need at least 2 cells")
+    if lloyd_iters < 0:
+        raise ValueError(f"lloyd_iters must be non-negative, got {lloyd_iters}")
     rng = np.random.default_rng(seed)
     sites = rng.random((n_cells, 2))
     _reject_duplicate_sites(sites)
     for _ in range(lloyd_iters):
-        cells, verts = _clipped_voronoi(sites)
-        sites = np.array([polygon_centroid(verts[c]) for c in cells])
-    cells, verts = _clipped_voronoi(sites)
+        sites = _loop_centroids(*_clipped_voronoi(sites))
+    loops, starts, verts = _clipped_voronoi(sites)
+    cells = [c.tolist() for c in np.split(loops, starts[1:])]
     verts = _snap_to_sides(verts)
     verts, cells = _compress_vertices(verts, cells)
     return PolyMesh(verts, cells)
 
 
 def _reject_duplicate_sites(sites):
-    diff = sites[:, None, :] - sites[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    np.fill_diagonal(dist, np.inf)
-    if dist.min() < 1e-12:
+    dist, _ = cKDTree(sites).query(sites, k=2)
+    if dist[:, 1].min() < 1e-12:
         raise MeshError("degenerate site configuration: duplicate sites")
 
 
 def _clipped_voronoi(sites):
-    """Voronoi cells of ``sites`` clipped to the unit square via mirroring."""
+    """Voronoi cells of ``sites`` clipped to the unit square via mirroring.
+
+    Returns ``(loops, starts, vertices)``: the CCW vertex-index loops of all
+    cells in one flat array, cell ``c`` starting at ``starts[c]``.
+    """
     mirrors = [
         np.column_stack([-sites[:, 0], sites[:, 1]]),
         np.column_stack([2.0 - sites[:, 0], sites[:, 1]]),
@@ -267,16 +271,36 @@ def _clipped_voronoi(sites):
         np.column_stack([sites[:, 0], 2.0 - sites[:, 1]]),
     ]
     vor = Voronoi(np.vstack([sites] + mirrors))
-    cells = []
-    for i in range(len(sites)):
-        region = vor.regions[vor.point_region[i]]
-        if -1 in region or len(region) < 3:
-            raise MeshError("unbounded Voronoi region despite mirroring")
-        pts = vor.vertices[region]
-        center = pts.mean(axis=0)
-        order = np.argsort(np.arctan2(pts[:, 1] - center[1], pts[:, 0] - center[0]))
-        cells.append([region[o] for o in order])
-    return cells, vor.vertices
+    regions = [vor.regions[r] for r in vor.point_region[: len(sites)]]
+    lens = np.array([len(r) for r in regions])
+    loops = np.fromiter(itertools.chain.from_iterable(regions), np.intp, lens.sum())
+    cell = np.repeat(np.arange(len(sites)), lens)
+    bad = (lens < 3) | (np.bincount(cell, loops < 0, len(sites)) > 0)
+    if bad.any():
+        site = np.argmax(bad)
+        raise MeshError(f"site {site}: unbounded Voronoi region despite mirroring")
+    # bincount sums each cell's points in turn, the order of mean(axis=0)
+    pts = vor.vertices[loops]
+    center = np.column_stack([np.bincount(cell, p) for p in pts.T]) / lens[:, None]
+    d = pts - center[cell]
+    order = np.lexsort((np.arctan2(d[:, 1], d[:, 0]), cell))
+    return loops[order], np.cumsum(lens) - lens, vor.vertices
+
+
+def _loop_centroids(loops, starts, verts):
+    """Area centroids of the flat CCW loops from ``_clipped_voronoi``.
+
+    One shoelace over all loops; each cell's sums run from a 0.0 slot ahead
+    of its segment, so ``np.add.reduceat`` adds in the order ``np.sum`` uses
+    on one cell's terms (sequential below 8 terms, pairwise from 8).
+    """
+    nxt = np.roll(loops, -1)
+    nxt[np.append(starts[1:], len(loops)) - 1] = loops[starts]
+    (x, y), (xn, yn) = verts[loops].T, verts[nxt].T
+    cross = x * yn - xn * y
+    terms = np.insert([cross, (x + xn) * cross, (y + yn) * cross], starts, 0.0, axis=1)
+    area, mx, my = np.add.reduceat(terms, starts + np.arange(len(starts)), axis=1)
+    return np.column_stack([mx, my]) / (6.0 * (0.5 * area))[:, None]
 
 
 def _snap_to_sides(verts):

@@ -356,3 +356,53 @@ def boundary_values_by_node(dofmap, problem):
         return np.empty(0, dtype=int), np.empty(0)
     idx = np.fromiter(sorted(best), dtype=int)
     return idx, np.array([best[i][1] for i in idx])
+
+
+def polygon_centroid(vertices):
+    """Area centroid of a simple polygon (one shoelace per polygon)."""
+    v = np.asarray(vertices, dtype=float)
+    x, y = v[:, 0], v[:, 1]
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    cross = x * yn - xn * y
+    area = 0.5 * np.sum(cross)
+    cx = np.sum((x + xn) * cross) / (6.0 * area)
+    cy = np.sum((y + yn) * cross) / (6.0 * area)
+    return np.array([cx, cy])
+
+
+def clipped_voronoi_by_cell(sites):
+    """Mirrored Voronoi cells of ``sites`` as a list of CCW index lists."""
+    from scipy.spatial import Voronoi
+
+    from vemsupg.errors import MeshError
+
+    mirrors = [
+        np.column_stack([-sites[:, 0], sites[:, 1]]),
+        np.column_stack([2.0 - sites[:, 0], sites[:, 1]]),
+        np.column_stack([sites[:, 0], -sites[:, 1]]),
+        np.column_stack([sites[:, 0], 2.0 - sites[:, 1]]),
+    ]
+    vor = Voronoi(np.vstack([sites] + mirrors))
+    cells = []
+    for i in range(len(sites)):
+        region = vor.regions[vor.point_region[i]]
+        if -1 in region or len(region) < 3:
+            raise MeshError("unbounded Voronoi region despite mirroring")
+        pts = vor.vertices[region]
+        center = pts.mean(axis=0)
+        order = np.argsort(np.arctan2(pts[:, 1] - center[1], pts[:, 0] - center[0]))
+        cells.append([region[o] for o in order])
+    return cells, vor.vertices
+
+
+def generate_voronoi_by_cell(n_cells, lloyd_iters=100, seed=0):
+    """``generate_voronoi`` with one ``polygon_centroid`` call per cell and step."""
+    from vemsupg.mesh import PolyMesh, _compress_vertices, _snap_to_sides
+
+    sites = np.random.default_rng(seed).random((n_cells, 2))
+    for _ in range(lloyd_iters):
+        cells, verts = clipped_voronoi_by_cell(sites)
+        sites = np.array([polygon_centroid(verts[c]) for c in cells])
+    cells, verts = clipped_voronoi_by_cell(sites)
+    verts, cells = _compress_vertices(_snap_to_sides(verts), cells)
+    return PolyMesh(verts, cells)

@@ -360,9 +360,11 @@ class TestCli:
              "vemsupg: error: problem 'test2' has no exact solution"),
             (["convergence", "--refinements", "8,4"], 1,
              "vemsupg: error: refinement schedule must strictly decrease h"),
+            (["mesh", "gen", "--family", "t3", "--n", "4", "--lloyd", "-5"], 1,
+             "vemsupg: error: lloyd_iters must be non-negative, got -5"),
         ],
         ids=["probe-cap", "ell-abc", "ell-negative", "k-5", "conv-no-exact",
-             "conv-coarsening"],
+             "conv-coarsening", "lloyd-negative"],
     )
     def test_errors_are_one_line(self, tmp_path, args, status, message):
         res = self.run_cli(*args, "--out", str(tmp_path))

@@ -18,6 +18,16 @@ def test_duplicate_sites_rejected():
         _reject_duplicate_sites(sites)
 
 
+@pytest.mark.parametrize("gap, rejected", [(5e-13, True), (2e-12, False)])
+def test_near_duplicate_sites(gap, rejected):
+    sites = np.array([[0.25, 0.5], [0.25 + gap, 0.5], [0.75, 0.5], [0.5, 0.9]])
+    if rejected:
+        with pytest.raises(MeshError, match="duplicate sites"):
+            _reject_duplicate_sites(sites)
+    else:
+        _reject_duplicate_sites(sites)
+
+
 def test_projector_reproduction_k4(acceptance_meshes):
     # module invariant covers orders up to 4, on every family
     rng = np.random.default_rng(44)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from oracles import clipped_voronoi_by_cell, generate_voronoi_by_cell, polygon_centroid
 from vemsupg.errors import MeshError, MeshFormatError, ElementQualityError
 from vemsupg.geometry import polygon_signed_area, star_center
 from vemsupg.mesh import (
     PolyMesh,
+    _clipped_voronoi,
+    _loop_centroids,
     check_regularity,
     generate_cartesian,
     generate_concave_pentagons,
@@ -98,6 +101,36 @@ class TestVoronoi:
     def test_rejects_too_few(self):
         with pytest.raises(ValueError):
             generate_voronoi(1)
+
+    def test_rejects_negative_lloyd(self):
+        with pytest.raises(ValueError, match="lloyd_iters must be non-negative"):
+            generate_voronoi(16, lloyd_iters=-5)
+
+    @pytest.mark.parametrize(
+        "n_cells, lloyd_iters, seed",
+        [(64, 100, 3), (64, 20, 1), (25, 100, 3), (16, 50, 42), (256, 100, 3)],
+    )
+    def test_matches_cell_loop(self, n_cells, lloyd_iters, seed):
+        mesh = generate_voronoi(n_cells, lloyd_iters=lloyd_iters, seed=seed)
+        ref = generate_voronoi_by_cell(n_cells, lloyd_iters=lloyd_iters, seed=seed)
+        assert np.array_equal(mesh.vertices, ref.vertices)
+        assert mesh.cells == ref.cells
+
+    def test_stacked_centroids_bitwise(self):
+        # the first Lloyd step of the 256-cell seed-3 mesh has 8-10 vertex
+        # cells, where np.sum switches from sequential to pairwise sums
+        sites = np.random.default_rng(3).random((256, 2))
+        loops, starts, verts = _clipped_voronoi(sites)
+        cells = np.split(loops, starts[1:])
+        assert [c.tolist() for c in cells] == clipped_voronoi_by_cell(sites)[0]
+        assert sum(len(c) >= 8 for c in cells) == 22
+        ref = np.array([polygon_centroid(verts[c]) for c in cells])
+        assert np.array_equal(_loop_centroids(loops, starts, verts), ref)
+
+    def test_unbounded_region_names_lowest_site(self):
+        sites = np.array([[0.2, 0.3], [0.5, 3.0], [0.7, 0.6], [3.0, 0.5]])
+        with pytest.raises(MeshError, match="^site 1: unbounded Voronoi region"):
+            _clipped_voronoi(sites)
 
 
 class TestRegularity:
