@@ -211,12 +211,12 @@ def apply_dirichlet(system, problem):
     mask = np.zeros(system.n_dofs, dtype=bool)
     mask[idx] = True
     free = np.nonzero(~mask)[0]
-    csr = system.matrix.tocsc()
+    rows = system.matrix.tocsc()[free]
     system.fixed_idx = idx
     system.fixed_vals = vals
     system.free_idx = free
-    system.reduced_matrix = csr[free][:, free].tocsr()
-    lift = csr[free][:, idx] @ vals if len(idx) else 0.0
+    system.reduced_matrix = rows[:, free]
+    lift = rows[:, idx] @ vals if len(idx) else 0.0
     system.reduced_rhs = system.rhs[free] - lift
     return system
 
@@ -317,14 +317,11 @@ def energy_error(spaces, shifts, solution, problem):
         space = spaces[cells[0]]
         geom = space.geom
         polys = _projected(space.pinabla_coeff, solution.dofs, dofmap, cells)
+        # a translate's points about its star center are the shape's own
+        vals = eval_basis(MonomialBasis(geom, space.k - 1), geom.quad_points).T
+        gh = np.concatenate([vals @ (d @ polys) for d in grad_map(space.basis_k)], axis=2)
         pts = geom.quad_points + shifts[cells][:, None, :]
-        centers = geom.star_center + shifts[cells]
-        # each cell's points about its own star center
-        sub = MonomialBasis(geom, space.k - 1)
         flat = pts.reshape(-1, 2)
-        vals = eval_basis(sub, flat, np.repeat(centers, len(geom.quad_weights), axis=0))
-        vals_t = vals.reshape(sub.dim, len(cells), -1).transpose(1, 2, 0)
-        gh = np.concatenate([vals_t @ (d @ polys) for d in grad_map(space.basis_k)], axis=2)
         gu = np.asarray(problem.exact_grad(flat), dtype=float).reshape(pts.shape)
         bvals = np.asarray(problem.beta(flat), dtype=float).reshape(pts.shape)
         w = geom.quad_weights

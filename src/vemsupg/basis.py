@@ -67,10 +67,9 @@ def eval_basis(basis, points, center=None):
     """Evaluate all basis members at ``points`` (n, 2); returns (dim, n).
 
     ``center`` replaces the basis's own center, to evaluate the basis of a
-    translated copy of its element about that copy's star center: one (2,)
-    center, or one per point.  Each coordinate is raised to the powers
-    0..order once; the members are products of gathered rows of those two
-    tables.
+    translated copy of its element about that copy's (2,) star center.  Each
+    coordinate is raised to the powers 0..order once; the members are
+    products of gathered rows of those two tables.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     center = basis.center if center is None else center

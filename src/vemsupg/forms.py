@@ -119,8 +119,8 @@ def tilde_c_k(geom, k):
     h_km1 = mass_matrix(MonomialBasis(geom, k - 1))
     s = dx.T @ h_km1 @ dx + dy.T @ h_km1 @ dy
     lap = laplace_map(basis)
-    h_km2 = mass_matrix(MonomialBasis(geom, k - 2))
-    l = geom.h**2 * (lap.T @ h_km2 @ lap)
+    m = len(lap)  # the degree k-2 mass matrix is the leading block
+    l = geom.h**2 * (lap.T @ h_km1[:m, :m] @ lap)
 
     lam, vec = eigh(l)
     keep = lam > 1e-12 * lam[-1]
@@ -367,15 +367,19 @@ class ShapeForms:
         self.c_tilde = tilde_c_k(geom, k) if k > 1 else None
         self.m_k = 1.0 / 3.0 if k == 1 else 2.0 * self.c_tilde
         self.gram = projected_gradient_gram(space)
-        self.grad = _grad_values(space, degree, pts)
-        self.grad_low = self.grad if low == degree else _grad_values(space, low, pts)
-        proj_v = space.pizero_scalar(low)
-        self.test = eval_basis(MonomialBasis(geom, low), pts).T @ proj_v
+        # degree k+ell-1 monomials at the points; lower degrees read leading columns
+        vals = eval_basis(MonomialBasis(geom, degree), pts).T
+
+        def at_points(coeffs):
+            return vals[:, : len(coeffs)] @ coeffs
+
+        low_grad = space.pizero_grad(low)
+        self.grad = tuple(map(at_points, space.pizero_grad(degree)))
+        self.grad_low = tuple(map(at_points, low_grad)) if low < degree else self.grad
+        self.test = at_points(space.pizero_scalar(low))
         self.div = None
         if k > 1:
-            gx, gy = space.pizero_grad(low)
-            div = div_map(MonomialBasis(geom, low)) @ np.vstack([gx, gy])
-            self.div = eval_basis(MonomialBasis(geom, low - 1), pts).T @ div
+            self.div = at_points(div_map(MonomialBasis(geom, low)) @ np.vstack(low_grad))
         self.stab = None
         if stabilized:
             resid = np.eye(space.n_dofs) - space.pinabla_dof

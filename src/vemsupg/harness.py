@@ -70,6 +70,8 @@ def generate_mesh(family, n, seed=0, lloyd_iters=100, level=0):
     The Voronoi family cannot be refined by splitting, so each level is
     regenerated with n^2 cells from a level-shifted seed.
     """
+    if n < 1:
+        raise ValueError(f"mesh size n must be at least 1, got {n}")
     if family == "t1":
         return generate_cartesian(n, n)
     if family == "t2":
@@ -217,7 +219,7 @@ class SolveResult:
         self.dofmap = dofmap
         self.spaces = spaces
         self.shifts = shifts
-        self._boxes = None  # padded per-cell vertex extents, for ``sample``
+        self._cell_tables = None  # padded per-cell arrays, for ``sample``
 
     @property
     def mean_peclet(self):
@@ -229,50 +231,58 @@ class SolveResult:
     def sample(self, points):
         """Evaluate the reconstructed solution at points inside the domain."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        cells = self._locate(pts)
+        local = pts - self.shifts[cells]  # each point moved onto its cell's shape
         out = np.empty(len(pts))
-        for j, pt in enumerate(pts):
-            cell = self._locate(pt)
-            space = self.spaces[cell]
-            center = space.geom.star_center + self.shifts[cell]
-            vals = eval_basis(space.basis_k, pt[None, :], center)
-            out[j] = (self.solution.reconstructions[cell] @ vals)[0]
+        for group in cell_chunks([self.spaces[c] for c in cells]):
+            vals = eval_basis(self.spaces[cells[group[0]]].basis_k, local[group])
+            out[group] = np.sum(self.solution.reconstructions[cells[group]] * vals.T, axis=1)
         return out
 
-    def _locate(self, pt):
-        """Lowest-index cell holding ``pt``: all-edges test, then fan triangles.
+    def _locate(self, pts):
+        """Lowest-index cell holding each point: all-edges test, then fan triangles.
 
         Only cells whose padded vertex bounding box holds the point are
         tested.  Both tests accept points up to about 1e-12/|edge| outside a
         cell; the pad of 1e-3 of the box size covers that with a wide margin.
+        Cells are padded to the largest with zero-length edges and NaN triangles.
         """
-        if self._boxes is None:
-            loops = np.concatenate(self.mesh.cells)
-            starts = np.cumsum([0] + [len(cell) for cell in self.mesh.cells[:-1]])
-            xy = self.mesh.vertices[loops]
-            lo = np.minimum.reduceat(xy, starts, axis=0)
-            hi = np.maximum.reduceat(xy, starts, axis=0)
+        if self._cell_tables is None:
+            width = max(len(cell) for cell in self.mesh.cells) + 1
+            loops = self.mesh.vertices[
+                [list(cell) + [cell[0]] * (width - len(cell)) for cell in self.mesh.cells]
+            ]
+            tris = np.full((len(loops), width - 1, 3, 2), np.nan)
+            for cells in cell_chunks(self.spaces):
+                shape_tris = self.spaces[cells[0]].geom.triangles
+                tris[cells, : len(shape_tris)] = shape_tris + self.shifts[cells][:, None, None]
+            lo, hi = loops.min(axis=1), loops.max(axis=1)
             pad = 1e-3 * (hi - lo).max(axis=1, keepdims=True)
-            self._boxes = lo - pad, hi + pad
-        lo, hi = self._boxes
-        cands = np.flatnonzero(((lo <= pt) & (pt <= hi)).all(axis=1))
-        for c in cands:
-            verts = self.mesh.cell_vertices(c)
-            nxt = np.roll(verts, -1, axis=0)
-            d = nxt - verts
-            rel = pt - verts
-            side = d[:, 0] * rel[:, 1] - d[:, 1] * rel[:, 0]
-            if np.all(side >= -1e-12):
-                return int(c)
-        # concave cells: fall back to the sub-triangulation test
-        for c in cands:
-            for tri in self.spaces[c].geom.triangles + self.shifts[c]:
-                a, b, cc = tri
-                s1 = (b - a)[0] * (pt - a)[1] - (b - a)[1] * (pt - a)[0]
-                s2 = (cc - b)[0] * (pt - b)[1] - (cc - b)[1] * (pt - b)[0]
-                s3 = (a - cc)[0] * (pt - cc)[1] - (a - cc)[1] * (pt - cc)[0]
-                if min(s1, s2, s3) >= -1e-12:
-                    return int(c)
-        raise ValueError(f"point {pt} is outside the mesh")
+            self._cell_tables = lo - pad, hi + pad, loops, tris
+        lo, hi, loops, tris = self._cell_tables
+        out = np.full(len(pts), -1)
+        step = max(1, 2**20 // len(lo))  # bounds the point-by-box table
+        for start in range(0, len(pts), step):
+            p = pts[start : start + step]
+            ip, ic = np.nonzero(((lo <= p[:, None]) & (p[:, None] <= hi)).all(axis=2))
+            q = p[ip, None]
+            hit = np.all(_cross(loops[ic, :-1], loops[ic, 1:], q) >= -1e-12, axis=1)
+            # concave cells: fall back to the sub-triangulation test
+            rest = np.isin(ip, ip[hit], invert=True)
+            a, b, c, q = tris[ic[rest], :, 0], tris[ic[rest], :, 1], tris[ic[rest], :, 2], q[rest]
+            side = np.minimum(np.minimum(_cross(a, b, q), _cross(b, c, q)), _cross(c, a, q))
+            hit[rest] = np.any(side >= -1e-12, axis=1)
+            # pairs run by point, then by increasing cell: keep each point's first
+            found, first = np.unique(ip[hit], return_index=True)
+            out[start + found] = ic[hit][first]
+        if np.any(out < 0):
+            raise ValueError(f"point {pts[np.argmax(out < 0)]} is outside the mesh")
+        return out
+
+
+def _cross(a, b, q):
+    """Cross product of b - a with q - a: not negative when q is left of a->b."""
+    return (b - a)[..., 0] * (q - a)[..., 1] - (b - a)[..., 1] * (q - a)[..., 0]
 
 
 def solve_problem(mesh, problem, k, ell="auto", method="sf"):
@@ -333,6 +343,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not 1 <= self.k <= 4:
             raise ValueError("order k must be in 1..4")
+        if not self.refinements:
+            raise ValueError("refinement schedule is empty")
         if any(b <= a for a, b in zip(self.refinements, self.refinements[1:])):
             raise ValueError("refinement schedule must strictly decrease h")
 

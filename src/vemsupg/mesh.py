@@ -31,7 +31,8 @@ class PolyMesh:
     ----------
     vertices : (n, 2) array
     cells : sequence of CCW vertex-index lists
-    boundary_labels : dict mapping (cell, local_edge) -> label string
+    boundary_labels : dict mapping the (cell, local_edge) of a boundary edge
+        -> label string
     """
 
     def __init__(self, vertices, cells, boundary_labels=None, check_simple=False):
@@ -44,6 +45,10 @@ class PolyMesh:
         if boundary_labels is None:
             boundary_labels = _label_unit_square_sides(self)
         self.boundary_labels = dict(boundary_labels)
+        stray = set(self.boundary_labels) - set(self.boundary_edges)
+        if stray:
+            c, i = min(stray)
+            raise MeshError(f"boundary label on (cell {c}, edge {i}), not a boundary edge")
 
     # -- topology ---------------------------------------------------------
 

@@ -11,6 +11,10 @@ DOFs alone:
 * ``pizero_scalar``  DOFs -> P_n coefficients of the L2 projection, n <= k+ell,
 * ``pizero_grad``    DOFs -> [P_n]^2 coefficients of the projected gradient,
   n <= k+ell-1.
+
+A space evaluates its degree k+ell monomials once at the volume points, for
+the mass matrix ``h_full``, and once at the edge points (``edge_vals``).  The
+graded order puts lower degrees first: projectors read leading blocks.
 """
 
 import functools
@@ -134,8 +138,8 @@ def enhancement_degrees(k, ell):
     return range(lo, k + ell + 1)
 
 
-def build_pinabla(geom, k):
-    """H1-type projector of order k on one element.
+def build_pinabla(geom, k, h_full, edge_vals):
+    """H1-type projector of order k, from the leading blocks of ``h_full``/``edge_vals``.
 
     Returns (coeff, dof_form, basis) where ``coeff`` maps DOFs to P_k
     coefficients and ``dof_form`` maps DOFs to the DOFs of the projected
@@ -145,27 +149,26 @@ def build_pinabla(geom, k):
     layout = dof_layout(geom.n_vertices, k)
     basis = MonomialBasis(geom, k)
     n = layout.n_dofs
+    nk, nkm1 = poly_dim(k), poly_dim(k - 1)
 
     # stiffness Gram via exact derivative maps
-    basis_km1 = MonomialBasis(geom, k - 1)
-    h_km1 = mass_matrix(basis_km1)
+    h_km1 = h_full[:nkm1, :nkm1]
     dx, dy = grad_map(basis)
     gram = dx.T @ h_km1 @ dx + dy.T @ h_km1 @ dy
 
     # right-hand sides by integration by parts, all edge points at once
-    pts = geom.edge_points.reshape(-1, 2)
     w = geom.edge_weights.reshape(-1)
     traces = layout.edge_traces(geom.edge_params).reshape(-1, n)
     nw = (geom.edge_normals[:, None, :] * geom.edge_weights[..., None]).reshape(-1, 2)
-    mvals = eval_basis(basis_km1, pts)
+    mvals = edge_vals[:nkm1]
     rhs = ((dx.T @ mvals) * nw[:, 0] + (dy.T @ mvals) * nw[:, 1]) @ traces
     if k >= 2:
         rhs[:, layout.n_nodes :] -= geom.area * laplace_map(basis).T
 
     # mean condition replaces the constant row
-    h_k = mass_matrix(basis)
+    h_k = h_full[:nk, :nk]
     if k == 1:
-        gram[0, :] = eval_basis(basis, pts) @ w / geom.perimeter
+        gram[0, :] = edge_vals[:nk] @ w / geom.perimeter
         rhs[0, :] = w @ traces / geom.perimeter
     else:
         gram[0, :] = h_k[0, :] / geom.area
@@ -180,22 +183,19 @@ def build_pinabla(geom, k):
     return coeff, dof_of_poly @ coeff, basis
 
 
-def build_moments(geom, k, ell, pinabla_coeff):
-    """Moments (phi_i, m_a) for all |a| <= k + ell.
+def build_moments(geom, k, ell, pinabla_coeff, h_full):
+    """Moments (phi_i, m_a) for all |a| <= k + ell, from the degree k+ell mass matrix.
 
     Low-degree rows come straight from the moment DOFs; the constrained
     degrees use the enhancement property through the H1 projection.
     """
     layout = dof_layout(geom.n_vertices, k)
-    basis_full = MonomialBasis(geom, k + ell)
-    h_full = mass_matrix(basis_full)
-    nk = poly_dim(k)
-    moments = np.zeros((basis_full.dim, layout.n_dofs))
+    moments = np.zeros((len(h_full), layout.n_dofs))
     moments[: layout.n_moments, layout.n_nodes :] = geom.area * np.eye(layout.n_moments)
-    degrees = basis_full.degrees()
+    degrees = MonomialBasis(geom, k + ell).degrees()
     rows = np.isin(degrees, list(enhancement_degrees(k, ell)))
-    moments[rows, :] = h_full[np.ix_(rows, range(nk))] @ pinabla_coeff
-    return moments, basis_full, h_full
+    moments[rows, :] = h_full[rows, : poly_dim(k)] @ pinabla_coeff
+    return moments
 
 
 def build_pizero_scalar(n, moments, h_full, cell=None):
@@ -206,22 +206,22 @@ def build_pizero_scalar(n, moments, h_full, cell=None):
     return _gram_solve(h_full[:m, :m], moments[:m, :], "mass", cell)
 
 
-def build_pizero_grad(geom, k, ell, moments, basis_full, h_full, degree):
+def build_pizero_grad(geom, k, ell, moments, h_full, edge_vals, degree):
     """L2 projection of the gradient onto [P_degree]^2, degree <= k + ell - 1.
 
     Each component row is assembled by parts: the interior term uses the
-    moment matrix, the boundary term exact edge quadrature of the trace.
+    moment matrix, the boundary term exact edge quadrature of the trace, read
+    from the leading rows of the edge-point values ``edge_vals``.
     Returns (gx, gy), each mapping DOFs to P_degree coefficients.
     """
     layout = dof_layout(geom.n_vertices, k)
     if degree > k + ell - 1:
         raise ValueError("gradient projection degree exceeds k + ell - 1")
     mg = poly_dim(degree)
-    sub = MonomialBasis(geom, degree)
-    dx, dy = grad_map(sub)
+    dx, dy = grad_map(MonomialBasis(geom, degree))
     traces = layout.edge_traces(geom.edge_params).reshape(-1, layout.n_dofs)
     nw = (geom.edge_normals[:, None, :] * geom.edge_weights[..., None]).reshape(-1, 2)
-    mvals = eval_basis(sub, geom.edge_points.reshape(-1, 2))
+    mvals = edge_vals[:mg]
     rx = (mvals * nw[:, 0]) @ traces - dx.T @ moments[: poly_dim(degree - 1), :]
     ry = (mvals * nw[:, 1]) @ traces - dy.T @ moments[: poly_dim(degree - 1), :]
     h_sub = h_full[:mg, :mg]
@@ -246,10 +246,14 @@ class LocalSpace:
         self.k = k
         self.ell = ell
         self.layout = dof_layout(geom.n_vertices, k)
-        self.pinabla_coeff, self.pinabla_dof, self.basis_k = build_pinabla(geom, k)
-        self.moments, self.basis_full, self.h_full = build_moments(
-            geom, k, ell, self.pinabla_coeff
+        # the degree k+ell monomials, evaluated once per point set
+        basis_full = MonomialBasis(geom, k + ell)
+        self.h_full = mass_matrix(basis_full)
+        self.edge_vals = eval_basis(basis_full, geom.edge_points.reshape(-1, 2))
+        self.pinabla_coeff, self.pinabla_dof, self.basis_k = build_pinabla(
+            geom, k, self.h_full, self.edge_vals
         )
+        self.moments = build_moments(geom, k, ell, self.pinabla_coeff, self.h_full)
         self._pizero_scalar = {}
         self._pizero_grad = {}
 
@@ -267,13 +271,7 @@ class LocalSpace:
     def pizero_grad(self, degree):
         if degree not in self._pizero_grad:
             self._pizero_grad[degree] = build_pizero_grad(
-                self.geom,
-                self.k,
-                self.ell,
-                self.moments,
-                self.basis_full,
-                self.h_full,
-                degree,
+                self.geom, self.k, self.ell, self.moments, self.h_full, self.edge_vals, degree
             )
         return self._pizero_grad[degree]
 

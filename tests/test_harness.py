@@ -40,6 +40,8 @@ class TestConfig:
             ExperimentConfig(refinements=(8, 8))
         with pytest.raises(ValueError):
             ExperimentConfig(refinements=(16, 8))
+        with pytest.raises(ValueError, match="refinement schedule is empty"):
+            ExperimentConfig(refinements=())
 
     def test_generate_mesh_families(self):
         assert generate_mesh("t1", 3).n_cells == 9
@@ -47,6 +49,10 @@ class TestConfig:
         assert generate_mesh("t3", 4, seed=1).n_cells == 16
         with pytest.raises(ValueError):
             generate_mesh("t9", 3)
+        for family in ("t1", "t2", "t3"):
+            for n in (0, -3):
+                with pytest.raises(ValueError, match="mesh size n must be at least 1"):
+                    generate_mesh(family, n)
 
 
 class TestRateFormula:
@@ -215,6 +221,33 @@ class TestSolveDrivers:
         assert built == 2  # 4 from ell = 0
         assert calls == {"lp": 2, "c_tilde": 2, "geometry": built, "space": built}
 
+    def test_monomials_evaluated_once_per_point_set(self, monkeypatch):
+        # a space evaluates its degree k+ell monomials at the volume points
+        # (its mass matrix) and at the edge points, and its P_k monomials at
+        # the DOF nodes; every lower degree reads leading blocks of those.
+        # Each ShapeForms and each tilde_c_k evaluates once more, at the
+        # volume points.  Both meshes build one space per shape at k = 2
+        # (see above), so a solve makes 3 + 1 + 1 calls per shape
+        import vemsupg.basis as basis
+        import vemsupg.forms as forms
+        import vemsupg.space as space
+
+        calls = [0]
+        eval_basis = basis.eval_basis
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return eval_basis(*args, **kwargs)
+
+        for module in (basis, space, forms):
+            monkeypatch.setattr(module, "eval_basis", counted)
+        voronoi = generate_voronoi(16, lloyd_iters=20, seed=1)
+        solve_problem(voronoi, problem_smooth(), 2, ell="auto")
+        assert calls[0] == 5 * 16  # 208 when each projector evaluated its own
+        calls[0] = 0
+        solve_problem(generate_mesh("t2", 4), problem_smooth(), 2, ell="auto")
+        assert calls[0] == 5 * 2  # 26 when each projector evaluated its own
+
     def test_cells_are_shape_placements(self, monkeypatch):
         # each cell is its shape's space plus a shift: translates share one
         # space object, and a solve builds no per-cell basis
@@ -305,8 +338,8 @@ def test_sample_location_matches_scan(make_mesh):
         mesh.vertices,
         0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]]),
     ])
-    for pt in points:
-        assert res._locate(pt) == _locate_by_scan(res, pt), pt
+    want = [_locate_by_scan(res, pt) for pt in points]
+    np.testing.assert_array_equal(res._locate(points), want)
     with pytest.raises(ValueError, match="outside"):
         res.sample([[1.5, 0.5]])
 
@@ -362,9 +395,11 @@ class TestCli:
              "vemsupg: error: refinement schedule must strictly decrease h"),
             (["mesh", "gen", "--family", "t3", "--n", "4", "--lloyd", "-5"], 1,
              "vemsupg: error: lloyd_iters must be non-negative, got -5"),
+            (["solve", "--family", "t3", "--n", "-3"], 1,
+             "vemsupg: error: mesh size n must be at least 1, got -3"),
         ],
         ids=["probe-cap", "ell-abc", "ell-negative", "k-5", "conv-no-exact",
-             "conv-coarsening", "lloyd-negative"],
+             "conv-coarsening", "lloyd-negative", "t3-n-negative"],
     )
     def test_errors_are_one_line(self, tmp_path, args, status, message):
         res = self.run_cli(*args, "--out", str(tmp_path))

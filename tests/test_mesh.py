@@ -211,6 +211,21 @@ class TestMeshIO:
         with pytest.raises(MeshFormatError, match="list of integers"):
             read_mesh(path)
 
+    @pytest.mark.parametrize("cell, edge", [(7, 0), (0, 1)], ids=["no-cell", "interior"])
+    def test_label_off_the_boundary(self, tmp_path, cell, edge):
+        # cell 7 does not exist in the 2x2 grid; edge 1 of cell 0 is interior
+        path = tmp_path / "m.json"
+        write_mesh(generate_cartesian(2, 2), path)
+        text = path.read_text().replace(
+            '"boundary_labels": [',
+            f'"boundary_labels": [{{"cell": {cell}, "edge": {edge}, "label": "left"}}, ',
+        )
+        path.write_text(text)
+        with pytest.raises(
+            MeshFormatError, match=rf"\(cell {cell}, edge {edge}\), not a boundary edge"
+        ):
+            read_mesh(path)
+
     def test_voronoi_round_trip(self, tmp_path, mesh_t3):
         path = tmp_path / "v.json"
         write_mesh(mesh_t3, path)
