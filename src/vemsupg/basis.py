@@ -58,23 +58,16 @@ class MonomialBasis:
         self.exponents = monomial_exponents(order)
         self.dim = poly_dim(order)
 
-    def degrees(self):
-        """Total degree of each member, shape (dim,)."""
-        return self.exponents.sum(axis=1)
 
-
-def eval_basis(basis, points, center=None):
+def eval_basis(basis, points):
     """Evaluate all basis members at ``points`` (n, 2); returns (dim, n).
 
-    ``center`` replaces the basis's own center, to evaluate the basis of a
-    translated copy of its element about that copy's (2,) star center.  Each
-    coordinate is raised to the powers 0..order once; the members are
+    Each coordinate is raised to the powers 0..order once; the members are
     products of gathered rows of those two tables.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    center = basis.center if center is None else center
-    xi = (pts[:, 0] - center[..., 0]) / basis.scale
-    eta = (pts[:, 1] - center[..., 1]) / basis.scale
+    xi = (pts[:, 0] - basis.center[0]) / basis.scale
+    eta = (pts[:, 1] - basis.center[1]) / basis.scale
     powers = np.arange(basis.order + 1)[:, None]
     a = basis.exponents
     return (xi[None, :] ** powers)[a[:, 0]] * (eta[None, :] ** powers)[a[:, 1]]

@@ -104,23 +104,22 @@ def beta_sup(geom, beta):
     return float(np.hypot(vals[:, 0], vals[:, 1]).max())
 
 
-def tilde_c_k(geom, k):
+def tilde_c_k(basis, h_km1):
     """Largest c with c h^2 |lap p|^2 <= |grad p|^2 over P_k (k > 1).
 
-    Computed from the pencil of the gradient and h^2-scaled Laplacian Gram
-    matrices; harmonic polynomials (the Laplacian kernel) are eliminated by
-    minimizing the gradient energy over them, so the value is a true bound
-    for every polynomial with a nonzero Laplacian.
+    ``basis`` is the degree-k basis of the element and ``h_km1`` its degree
+    k-1 mass matrix.  Computed from the pencil of the gradient and
+    h^2-scaled Laplacian Gram matrices; harmonic polynomials (the Laplacian
+    kernel) are eliminated by minimizing the gradient energy over them, so
+    the value is a true bound for every polynomial with a nonzero Laplacian.
     """
-    if k <= 1:
+    if basis.order <= 1:
         raise ValueError("inverse-inequality constant defined only for k > 1")
-    basis = MonomialBasis(geom, k)
     dx, dy = grad_map(basis)
-    h_km1 = mass_matrix(MonomialBasis(geom, k - 1))
     s = dx.T @ h_km1 @ dx + dy.T @ h_km1 @ dy
     lap = laplace_map(basis)
     m = len(lap)  # the degree k-2 mass matrix is the leading block
-    l = geom.h**2 * (lap.T @ h_km1[:m, :m] @ lap)
+    l = basis.scale**2 * (lap.T @ h_km1[:m, :m] @ lap)
 
     lam, vec = eigh(l)
     keep = lam > 1e-12 * lam[-1]
@@ -147,7 +146,7 @@ def peclet_tau(geom, kappa, beta_e, k, c_tilde=None):
         m_k = 1.0 / 3.0
     else:
         if c_tilde is None:
-            c_tilde = tilde_c_k(geom, k)
+            c_tilde = tilde_c_k(MonomialBasis(geom, k), mass_matrix(MonomialBasis(geom, k - 1)))
         m_k = 2.0 * c_tilde
     pe, tau = _peclet_tau(geom.h, kappa, np.asarray(beta_e, dtype=float), m_k)
     return float(pe), float(tau), m_k
@@ -165,9 +164,8 @@ def _peclet_tau(h, kappa, beta_e, m_k):
 def element_coefficients(geom, problem, k):
     """Bundle beta bound, Peclet number and tau for one element."""
     b_e = beta_sup(geom, problem.beta)
-    c_t = tilde_c_k(geom, k) if k > 1 else None
-    pe, tau, m_k = peclet_tau(geom, problem.kappa, b_e, k, c_t)
-    return ElementCoefficients(problem.kappa, b_e, pe, tau, m_k, c_t)
+    pe, tau, m_k = peclet_tau(geom, problem.kappa, b_e, k)
+    return ElementCoefficients(problem.kappa, b_e, pe, tau, m_k, m_k / 2.0 if k > 1 else None)
 
 
 def projected_gradient_gram(space):
@@ -364,7 +362,7 @@ class ShapeForms:
         geom = space.geom
         pts = geom.quad_points
         self.space = space
-        self.c_tilde = tilde_c_k(geom, k) if k > 1 else None
+        self.c_tilde = tilde_c_k(space.basis_k, space.mass_block(k - 1)) if k > 1 else None
         self.m_k = 1.0 / 3.0 if k == 1 else 2.0 * self.c_tilde
         self.gram = projected_gradient_gram(space)
         # degree k+ell-1 monomials at the points; lower degrees read leading columns

@@ -21,6 +21,7 @@ path runs with groups of one.
 """
 
 import copy
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -181,6 +182,17 @@ class ShapeTable:
         return placed
 
 
+def _check_ell(ell):
+    """Raise ``ValueError`` unless ``ell`` is "auto", a count >= 0 or a dict of counts."""
+
+    def count(v):
+        return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 0
+
+    if not (isinstance(ell, str) and ell == "auto" or count(ell)
+            or isinstance(ell, dict) and all(map(count, ell.values()))):
+        raise ValueError(f'ell must be "auto", an integer >= 0 or a dict of them, not {ell!r}')
+
+
 def _choose_ell(mesh, c, shape, k, ell_mode):
     if ell_mode == "auto":
         return shape.probe(k)
@@ -295,6 +307,7 @@ def solve_problem(mesh, problem, k, ell="auto", method="sf"):
     """
     if method not in ("sf", "vem"):
         raise ValueError("method must be 'sf' or 'vem'")
+    _check_ell(ell)
     if problem.boundary_classifier is not None:
         mesh = relabel_boundary(copy.copy(mesh), problem.boundary_classifier)
     if method == "vem":
@@ -403,78 +416,76 @@ def run_convergence(config):
     problem = config.make_problem()
     if problem.exact_grad is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution")
-    log = _RunLog(config)
-    rows = []
-    for level, n in enumerate(config.refinements):
-        mesh = generate_mesh(
-            config.family, n, seed=config.seed, lloyd_iters=config.lloyd_iters,
-            level=level,
-        )
-        res_sf = solve_problem(mesh, problem, config.k, ell=config.ell, method="sf")
-        err_sf = res_sf.error(problem)
-        err_vem = None
-        if config.baseline:
-            res_vem = solve_problem(mesh, problem, config.k, ell=config.ell, method="vem")
-            err_vem = res_vem.error(problem)
-        row = {
-            "level": level,
-            "h_max": mesh.max_diameter(),
-            "n_dof": res_sf.solution.n_dofs,
-            "err_sf": err_sf,
-            "err_vem": err_vem,
-            "ratio": (err_vem / err_sf) if err_vem is not None else None,
-            "mean_pe": res_sf.mean_peclet,
-            "alpha_sf": None,
-            "alpha_vem": None,
-        }
-        if rows:
-            prev = rows[-1]
-            row["alpha_sf"] = ConvergenceReport.rate(
-                prev["h_max"], row["h_max"], prev["err_sf"], row["err_sf"]
+    with _RunLog(config) as log:
+        rows = []
+        for level, n in enumerate(config.refinements):
+            mesh = generate_mesh(
+                config.family, n, seed=config.seed, lloyd_iters=config.lloyd_iters,
+                level=level,
             )
-            if err_vem is not None and prev["err_vem"] is not None:
-                row["alpha_vem"] = ConvergenceReport.rate(
-                    prev["h_max"], row["h_max"], prev["err_vem"], row["err_vem"]
+            res_sf = solve_problem(mesh, problem, config.k, ell=config.ell, method="sf")
+            err_sf = res_sf.error(problem)
+            err_vem = None
+            if config.baseline:
+                res_vem = solve_problem(mesh, problem, config.k, ell=config.ell, method="vem")
+                err_vem = res_vem.error(problem)
+            row = {
+                "level": level,
+                "h_max": mesh.max_diameter(),
+                "n_dof": res_sf.solution.n_dofs,
+                "err_sf": err_sf,
+                "err_vem": err_vem,
+                "ratio": (err_vem / err_sf) if err_vem is not None else None,
+                "mean_pe": res_sf.mean_peclet,
+                "alpha_sf": None,
+                "alpha_vem": None,
+            }
+            if rows:
+                prev = rows[-1]
+                row["alpha_sf"] = ConvergenceReport.rate(
+                    prev["h_max"], row["h_max"], prev["err_sf"], row["err_sf"]
                 )
-        rows.append(row)
-        log.line(
-            f"level={level} n={n} h={row['h_max']:.6g} ndof={row['n_dof']} "
-            f"err_sf={err_sf:.6e}"
-            + (f" err_vem={err_vem:.6e}" if err_vem is not None else "")
-        )
-    report = ConvergenceReport(rows)
-    if config.out_dir:
-        report.write(os.path.join(config.out_dir, "convergence.csv"))
-    log.close()
+                if err_vem is not None and prev["err_vem"] is not None:
+                    row["alpha_vem"] = ConvergenceReport.rate(
+                        prev["h_max"], row["h_max"], prev["err_vem"], row["err_vem"]
+                    )
+            rows.append(row)
+            log.line(
+                f"level={level} n={n} h={row['h_max']:.6g} ndof={row['n_dof']} "
+                f"err_sf={err_sf:.6e}"
+                + (f" err_vem={err_vem:.6e}" if err_vem is not None else "")
+            )
+        report = ConvergenceReport(rows)
+        if config.out_dir:
+            report.write(os.path.join(config.out_dir, "convergence.csv"))
     return report
 
 
 def run_field(config):
     """Solve once on the finest configured mesh and export the fields."""
     problem = config.make_problem()
-    log = _RunLog(config)
-    n = config.refinements[-1]
-    mesh = generate_mesh(
-        config.family, n, seed=config.seed, lloyd_iters=config.lloyd_iters
-    )
-    res = solve_problem(mesh, problem, config.k, ell=config.ell, method="sf")
-    vertex_vals = res.solution.dofs[: mesh.n_vertices]
-    summary = {
-        "min_vertex": float(vertex_vals.min()),
-        "max_vertex": float(vertex_vals.max()),
-        "n_dof": res.solution.n_dofs,
-        "mean_pe": res.mean_peclet,
-        "result": res,
-    }
-    print(f"field: min={summary['min_vertex']:.6g} max={summary['max_vertex']:.6g}")
-    log.line(
-        f"field n={n} ndof={summary['n_dof']} min={summary['min_vertex']:.6g} "
-        f"max={summary['max_vertex']:.6g}"
-    )
-    if config.out_dir:
-        name = f"solution_{problem.name or config.problem}_{config.family}_k{config.k}.vtk"
-        export_vtk(res.solution, mesh, os.path.join(config.out_dir, name))
-    log.close()
+    with _RunLog(config) as log:
+        n = config.refinements[-1]
+        mesh = generate_mesh(
+            config.family, n, seed=config.seed, lloyd_iters=config.lloyd_iters
+        )
+        res = solve_problem(mesh, problem, config.k, ell=config.ell, method="sf")
+        vertex_vals = res.solution.dofs[: mesh.n_vertices]
+        summary = {
+            "min_vertex": float(vertex_vals.min()),
+            "max_vertex": float(vertex_vals.max()),
+            "n_dof": res.solution.n_dofs,
+            "mean_pe": res.mean_peclet,
+            "result": res,
+        }
+        print(f"field: min={summary['min_vertex']:.6g} max={summary['max_vertex']:.6g}")
+        log.line(
+            f"field n={n} ndof={summary['n_dof']} min={summary['min_vertex']:.6g} "
+            f"max={summary['max_vertex']:.6g}"
+        )
+        if config.out_dir:
+            name = f"solution_{problem.name or config.problem}_{config.family}_k{config.k}.vtk"
+            export_vtk(res.solution, mesh, os.path.join(config.out_dir, name))
     return summary
 
 
@@ -491,36 +502,35 @@ def probe_table(config, orders=(1, 2, 3, 4), families=None):
     """
     if families is None:
         families = [config.family] if config.family else list(FAMILIES)
-    log = _RunLog(config)
-    table = {}
-    for family in families:
-        n = PROBE_MESH_SIZE[family]
-        mesh = generate_mesh(
-            family, n, seed=config.seed, lloyd_iters=config.lloyd_iters
-        )
-        seen = ShapeTable()
-        seen.place(mesh, range(mesh.n_cells))
-        for k in orders:
-            for shape in seen.shapes.values():
-                n_v = len(shape.vertices)
-                try:
-                    ell = shape.probe(k)
-                except ProbeError:
-                    ell = None
-                key = (family, n_v, k)
-                cur = table.get(key)
-                if cur is None or (ell is not None and cur != "—" and ell > cur):
-                    table[key] = ell if ell is not None else "—"
-                elif ell is None:
-                    table[key] = "—"
-        log.line(f"probed family={family} shapes={len(seen.shapes)}")
-    if config.out_dir:
-        path = os.path.join(config.out_dir, "probe_table.csv")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("family,n_vertices,k,ell\n")
-            for (family, n_v, k) in sorted(table):
-                fh.write(f"{family},{n_v},{k},{table[(family, n_v, k)]}\n")
-    log.close()
+    with _RunLog(config) as log:
+        table = {}
+        for family in families:
+            n = PROBE_MESH_SIZE[family]
+            mesh = generate_mesh(
+                family, n, seed=config.seed, lloyd_iters=config.lloyd_iters
+            )
+            seen = ShapeTable()
+            seen.place(mesh, range(mesh.n_cells))
+            for k in orders:
+                for shape in seen.shapes.values():
+                    n_v = len(shape.vertices)
+                    try:
+                        ell = shape.probe(k)
+                    except ProbeError:
+                        ell = None
+                    key = (family, n_v, k)
+                    cur = table.get(key)
+                    if cur is None or (ell is not None and cur != "—" and ell > cur):
+                        table[key] = ell if ell is not None else "—"
+                    elif ell is None:
+                        table[key] = "—"
+            log.line(f"probed family={family} shapes={len(seen.shapes)}")
+        if config.out_dir:
+            path = os.path.join(config.out_dir, "probe_table.csv")
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write("family,n_vertices,k,ell\n")
+                for (family, n_v, k) in sorted(table):
+                    fh.write(f"{family},{n_v},{k},{table[(family, n_v, k)]}\n")
     return table
 
 
@@ -537,7 +547,10 @@ def format_probe_table(table):
 
 
 class _RunLog:
-    """Plain-text log of one harness run, written next to the other outputs."""
+    """Plain-text log of one harness run, written next to the other outputs.
+
+    A context manager: the file is closed when the run ends, also on error.
+    """
 
     def __init__(self, config):
         self._fh = None
@@ -552,6 +565,9 @@ class _RunLog:
         if self._fh is not None:
             self._fh.write(text + "\n")
 
-    def close(self):
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
         if self._fh is not None:
             self._fh.close()

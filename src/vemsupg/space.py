@@ -13,8 +13,10 @@ DOFs alone:
   n <= k+ell-1.
 
 A space evaluates its degree k+ell monomials once at the volume points, for
-the mass matrix ``h_full``, and once at the edge points (``edge_vals``).  The
-graded order puts lower degrees first: projectors read leading blocks.
+the mass matrix ``h_full``, and once at the edge points, for the H1 projector
+and for ``edge_flux``: the boundary terms (m_a n_x, phi_i) and (m_a n_y, phi_i)
+of every |a| <= k+ell-1, contracted once with the DOF traces.  The graded
+order puts lower degrees first: projectors read leading blocks.
 """
 
 import functools
@@ -192,9 +194,8 @@ def build_moments(geom, k, ell, pinabla_coeff, h_full):
     layout = dof_layout(geom.n_vertices, k)
     moments = np.zeros((len(h_full), layout.n_dofs))
     moments[: layout.n_moments, layout.n_nodes :] = geom.area * np.eye(layout.n_moments)
-    degrees = MonomialBasis(geom, k + ell).degrees()
-    rows = np.isin(degrees, list(enhancement_degrees(k, ell)))
-    moments[rows, :] = h_full[rows, : poly_dim(k)] @ pinabla_coeff
+    lo = poly_dim(enhancement_degrees(k, ell).start - 1)  # equals n_moments
+    moments[lo:] = h_full[lo:, : poly_dim(k)] @ pinabla_coeff
     return moments
 
 
@@ -206,28 +207,22 @@ def build_pizero_scalar(n, moments, h_full, cell=None):
     return _gram_solve(h_full[:m, :m], moments[:m, :], "mass", cell)
 
 
-def build_pizero_grad(geom, k, ell, moments, h_full, edge_vals, degree):
+def build_pizero_grad(geom, k, ell, moments, h_full, edge_flux, degree):
     """L2 projection of the gradient onto [P_degree]^2, degree <= k + ell - 1.
 
-    Each component row is assembled by parts: the interior term uses the
-    moment matrix, the boundary term exact edge quadrature of the trace, read
-    from the leading rows of the edge-point values ``edge_vals``.
+    Both components are assembled by parts: the interior term uses the
+    moment matrix, the boundary term the leading rows of ``edge_flux``.  One
+    solve against the degree mass block serves the stacked right-hand sides.
     Returns (gx, gy), each mapping DOFs to P_degree coefficients.
     """
-    layout = dof_layout(geom.n_vertices, k)
     if degree > k + ell - 1:
         raise ValueError("gradient projection degree exceeds k + ell - 1")
-    mg = poly_dim(degree)
+    mg, n = poly_dim(degree), moments.shape[1]
     dx, dy = grad_map(MonomialBasis(geom, degree))
-    traces = layout.edge_traces(geom.edge_params).reshape(-1, layout.n_dofs)
-    nw = (geom.edge_normals[:, None, :] * geom.edge_weights[..., None]).reshape(-1, 2)
-    mvals = edge_vals[:mg]
-    rx = (mvals * nw[:, 0]) @ traces - dx.T @ moments[: poly_dim(degree - 1), :]
-    ry = (mvals * nw[:, 1]) @ traces - dy.T @ moments[: poly_dim(degree - 1), :]
-    h_sub = h_full[:mg, :mg]
-    gx = _gram_solve(h_sub, rx, "vector mass", geom.cell)
-    gy = _gram_solve(h_sub, ry, "vector mass", geom.cell)
-    return gx, gy
+    low = moments[: poly_dim(degree - 1)]
+    rhs = edge_flux[:mg] - np.hstack([dx.T @ low, dy.T @ low])
+    g = _gram_solve(h_full[:mg, :mg], rhs, "vector mass", geom.cell)
+    return g[:, :n], g[:, n:]
 
 
 class LocalSpace:
@@ -249,11 +244,16 @@ class LocalSpace:
         # the degree k+ell monomials, evaluated once per point set
         basis_full = MonomialBasis(geom, k + ell)
         self.h_full = mass_matrix(basis_full)
-        self.edge_vals = eval_basis(basis_full, geom.edge_points.reshape(-1, 2))
+        edge_vals = eval_basis(basis_full, geom.edge_points.reshape(-1, 2))
         self.pinabla_coeff, self.pinabla_dof, self.basis_k = build_pinabla(
-            geom, k, self.h_full, self.edge_vals
+            geom, k, self.h_full, edge_vals
         )
         self.moments = build_moments(geom, k, ell, self.pinabla_coeff, self.h_full)
+        # [(m_a n_x, phi_i) | (m_a n_y, phi_i)] on the boundary, |a| <= k+ell-1
+        traces = self.layout.edge_traces(geom.edge_params).reshape(-1, self.n_dofs)
+        nw = (geom.edge_normals[:, None, :] * geom.edge_weights[..., None]).reshape(-1, 2)
+        mvals = edge_vals[: poly_dim(k + ell - 1)]
+        self.edge_flux = np.hstack([(mvals * nw[:, 0]) @ traces, (mvals * nw[:, 1]) @ traces])
         self._pizero_scalar = {}
         self._pizero_grad = {}
 
@@ -271,7 +271,7 @@ class LocalSpace:
     def pizero_grad(self, degree):
         if degree not in self._pizero_grad:
             self._pizero_grad[degree] = build_pizero_grad(
-                self.geom, self.k, self.ell, self.moments, self.h_full, self.edge_vals, degree
+                self.geom, self.k, self.ell, self.moments, self.h_full, self.edge_flux, degree
             )
         return self._pizero_grad[degree]
 

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import UNIT_SQUARE, make_geometry, swirl_problem
 from oracles import Poly2, directional
-from vemsupg.basis import MonomialBasis, poly_dim
+from vemsupg.basis import MonomialBasis, mass_matrix, poly_dim
 from vemsupg.errors import ProbeError
 from vemsupg.forms import (
     DEFAULT_ELL_MAX,
@@ -67,17 +67,22 @@ class TestBetaSup:
         assert 0.9 < got <= 1.0  # sup of |x| over the square sampled at quadrature
 
 
+def c_tilde(geom, k):
+    """tilde_c_k from the element's own degree-k basis and degree k-1 mass matrix."""
+    return tilde_c_k(MonomialBasis(geom, k), mass_matrix(MonomialBasis(geom, k - 1)))
+
+
 class TestTildeC:
     def test_k1_not_defined(self):
         geom = make_geometry(UNIT_SQUARE, k=2, ell=0)
         with pytest.raises(ValueError):
-            tilde_c_k(geom, 1)
+            c_tilde(geom, 1)
 
     def test_scale_invariance(self):
         g1 = make_geometry(UNIT_SQUARE, k=2, ell=0)
         g2 = make_geometry(2.0 * UNIT_SQUARE, k=2, ell=0)
-        c1 = tilde_c_k(g1, 2)
-        c2 = tilde_c_k(g2, 2)
+        c1 = c_tilde(g1, 2)
+        c2 = c_tilde(g2, 2)
         assert c1 > 0
         assert c1 == pytest.approx(c2, rel=1e-10)
 
@@ -85,7 +90,7 @@ class TestTildeC:
         # p = m_(2,0) + m_(0,2) has nonzero laplacian; its quotient bounds the
         # minimum from above
         geom = make_geometry(UNIT_SQUARE, k=2, ell=0)
-        c2 = tilde_c_k(geom, 2)
+        c2 = c_tilde(geom, 2)
         p = Poly2.from_scaled_coeffs(
             [0, 0, 0, 1.0, 0, 1.0],
             MonomialBasis(geom, 2).exponents.tolist(),
@@ -101,7 +106,15 @@ class TestTildeC:
     def test_harmonic_excluded(self):
         # harmonic members do not drive the constant to zero
         geom = make_geometry(UNIT_SQUARE, k=3, ell=0)
-        assert tilde_c_k(geom, 3) > 0
+        assert c_tilde(geom, 3) > 0
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_space_mass_block_matches_own(self, k):
+        # the form tables read the leading block of the space's mass matrix
+        verts = generate_voronoi(9, lloyd_iters=5, seed=2).cell_vertices(4)
+        geom = make_geometry(verts, k=k, ell=1)
+        space = LocalSpace(geom, k, 1)
+        assert ShapeForms(space).c_tilde == pytest.approx(c_tilde(geom, k), rel=1e-10)
 
 
 class TestPecletTau:

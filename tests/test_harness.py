@@ -225,9 +225,10 @@ class TestSolveDrivers:
         # a space evaluates its degree k+ell monomials at the volume points
         # (its mass matrix) and at the edge points, and its P_k monomials at
         # the DOF nodes; every lower degree reads leading blocks of those.
-        # Each ShapeForms and each tilde_c_k evaluates once more, at the
-        # volume points.  Both meshes build one space per shape at k = 2
-        # (see above), so a solve makes 3 + 1 + 1 calls per shape
+        # Each ShapeForms evaluates once more, at the volume points, and
+        # tilde_c_k reads the space's mass matrix.  Both meshes build one
+        # space per shape at k = 2 (see above), so a solve makes 3 + 1 calls
+        # per shape
         import vemsupg.basis as basis
         import vemsupg.forms as forms
         import vemsupg.space as space
@@ -243,10 +244,50 @@ class TestSolveDrivers:
             monkeypatch.setattr(module, "eval_basis", counted)
         voronoi = generate_voronoi(16, lloyd_iters=20, seed=1)
         solve_problem(voronoi, problem_smooth(), 2, ell="auto")
-        assert calls[0] == 5 * 16  # 208 when each projector evaluated its own
+        assert calls[0] == 4 * 16  # 208 when each projector evaluated its own
         calls[0] = 0
         solve_problem(generate_mesh("t2", 4), problem_smooth(), 2, ell="auto")
-        assert calls[0] == 5 * 2  # 26 when each projector evaluated its own
+        assert calls[0] == 4 * 2  # 26 when each projector evaluated its own
+
+    @pytest.mark.parametrize("ell", [1.7, True, -1, {4: 1.5}, {4: -1}, None, "1"])
+    def test_bad_ell_rejected_before_elements(self, ell, monkeypatch):
+        import vemsupg.harness as harness
+
+        def no_geometry(*args, **kwargs):
+            raise AssertionError("element built before the ell check")
+
+        monkeypatch.setattr(harness, "ElementGeometry", no_geometry)
+        with pytest.raises(ValueError, match="^ell must be") as info:
+            solve_problem(generate_mesh("t1", 2), problem_smooth(), 1, ell=ell)
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("ell", [np.int64(1), {4: 1}, {4: np.int64(0)}])
+    def test_integer_ell_accepted(self, ell):
+        res = solve_problem(generate_mesh("t1", 2), problem_smooth(), 1, ell=ell)
+        assert np.all(res.solution.ell == (ell[4] if isinstance(ell, dict) else ell))
+
+    @pytest.mark.parametrize("run", [run_convergence, run_field, probe_table])
+    def test_run_log_closed_on_error(self, run, tmp_path, monkeypatch):
+        import vemsupg.harness as harness
+
+        logs = []
+
+        class Recorded(harness._RunLog):
+            def __init__(self, config):
+                super().__init__(config)
+                logs.append(self)
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("solve failed")
+
+        monkeypatch.setattr(harness, "_RunLog", Recorded)
+        monkeypatch.setattr(harness, "solve_problem", fail)
+        monkeypatch.setattr(harness.Shape, "probe", fail)
+        cfg = ExperimentConfig(family="t1", refinements=(2,), out_dir=str(tmp_path))
+        with pytest.raises(RuntimeError, match="solve failed"):
+            run(cfg)
+        assert len(logs) == 1 and logs[0]._fh.closed
+        assert (tmp_path / "run.log").read_text().startswith("config: ")
 
     def test_cells_are_shape_placements(self, monkeypatch):
         # each cell is its shape's space plus a shift: translates share one

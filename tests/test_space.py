@@ -211,6 +211,21 @@ class TestPiZeroGrad:
             assert gx @ dofs == pytest.approx(expect_x, abs=1e-11 * scale)
             assert gy @ dofs == pytest.approx(expect_y, abs=1e-11 * scale)
 
+    @pytest.mark.parametrize("k,ell", [(1, 1), (2, 1), (3, 2)])
+    def test_one_solve_per_call(self, k, ell, monkeypatch):
+        # both components come from one guarded solve of the stacked sides
+        import vemsupg.space as space_module
+
+        space = LocalSpace(make_geometry(UNIT_SQUARE, k=k, ell=ell), k, ell)
+        calls = []
+        real = space_module._checked_solve
+        monkeypatch.setattr(
+            space_module, "_checked_solve", lambda *a: calls.append(1) or real(*a)
+        )
+        for deg in range(k + ell):
+            space.pizero_grad(deg)
+        assert len(calls) == k + ell
+
     def test_orthogonality_via_green_oracle(self):
         # (pi grad phi_i, q) must equal -(phi_i, div q) + boundary, with the
         # right side integrated by an independent rule
