@@ -29,7 +29,8 @@ def _add_common(parser, with_problem=True):
                         help="polynomial order (1..4)")
     parser.add_argument(
         "--ell", type=_parse_ell, default="auto",
-        help="enhancement increment: 'auto' probes per cell, or a fixed integer >= 0",
+        help="enhancement increment: 'auto' probes per cell, a fixed integer >= 0, "
+        "or fixed integers per vertex count such as 4:1,5:2",
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--lloyd", type=int, default=100)
@@ -39,11 +40,14 @@ def _add_common(parser, with_problem=True):
 def _parse_ell(value):
     if value == "auto":
         return "auto"
-    if not value.isdecimal():
+    if value.isdecimal():
+        return int(value)
+    pairs = [tok.split(":") for tok in value.split(",")]
+    if not all(len(pair) == 2 and all(map(str.isdecimal, pair)) for pair in pairs):
         raise argparse.ArgumentTypeError(
-            f"expected 'auto' or an integer >= 0, got {value!r}"
+            f"expected 'auto', an integer >= 0 or pairs such as 4:1,5:2, got {value!r}"
         )
-    return int(value)
+    return {int(n_v): int(ell) for n_v, ell in pairs}
 
 
 def _parse_refinements(value):

@@ -3,12 +3,17 @@
 An element's star center is the Chebyshev center of its kernel (the set of
 points that see the whole boundary), so concave star-shaped cells are handled
 the same way as convex ones.  All element integrals run over a fan
-sub-triangulation rooted at that center.
+sub-triangulation rooted at that center.  Centers are computed for many
+polygons at once: a solve clips the kernels of the shapes it places for the
+first time and solves one block-diagonal Chebyshev-center LP per chunk of
+``assemble.CHUNK`` of them.  A single polygon is a chunk of one.
 """
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.optimize import linprog
 
+from .assemble import CHUNK
 from .errors import ElementQualityError
 from .quadrature import edge_rule, map_rule_to_triangle, triangle_rule
 
@@ -99,49 +104,82 @@ def _clip_half_plane(poly, a, d, scale):
     return np.asarray(out)
 
 
-def chebyshev_center(convex_vertices):
-    """Center and radius of the largest circle inscribed in a convex polygon."""
-    v = np.asarray(convex_vertices, dtype=float)
-    n = len(v)
-    norms = []
-    offsets = []
-    for i in range(n):
-        a, b = v[i], v[(i + 1) % n]
-        d = b - a
-        ln = np.hypot(*d)
-        if ln == 0.0:
-            continue
-        nrm = np.array([d[1], -d[0]]) / ln  # outward for CCW
-        norms.append(nrm)
-        offsets.append(nrm @ a)
-    norms = np.asarray(norms)
-    offsets = np.asarray(offsets)
-    # maximize r subject to n_i . c + r <= n_i . a_i
-    a_ub = np.column_stack([norms, np.ones(len(norms))])
+def chebyshev_center(kernels):
+    """Centers (C, 2) and radii (C,) of the largest circles inscribed in convex polygons.
+
+    One LP for all of them: polygon i's block holds its own rows
+    n_e . c_i + r_i <= n_e . a_e (outward unit normals n_e, edge start points
+    a_e, r_i >= 0), and the objective is the sum of the radii, so each
+    block's optimum is its own polygon's.
+    """
+    blocks, offsets = [], []
+    for v in kernels:
+        v = np.asarray(v, dtype=float)
+        d = np.roll(v, -1, axis=0) - v
+        ln = np.hypot(d[:, 0], d[:, 1])
+        keep = ln != 0.0
+        nrm = np.column_stack([d[keep, 1], -d[keep, 0]]) / ln[keep, None]  # outward for CCW
+        blocks.append(np.column_stack([nrm, np.ones(len(nrm))]))
+        offsets.append(np.vecdot(nrm, v[keep]))
     res = linprog(
-        c=[0.0, 0.0, -1.0],
-        A_ub=a_ub,
-        b_ub=offsets,
-        bounds=[(None, None), (None, None), (0.0, None)],
+        c=np.tile([0.0, 0.0, -1.0], len(blocks)),
+        A_ub=block_diag(*blocks),
+        b_ub=np.concatenate(offsets),
+        bounds=[(None, None), (None, None), (0.0, None)] * len(blocks),
         method="highs",
     )
     if not res.success:
         raise ElementQualityError(f"Chebyshev center LP failed: {res.message}")
-    return res.x[:2].copy(), float(res.x[2])
+    x = res.x.reshape(-1, 3)
+    return x[:, :2].copy(), x[:, 2].copy()
 
 
-def star_center(vertices):
-    """Kernel Chebyshev center and kernel-ball radius of a star-shaped polygon.
+def kernel_balls(polys):
+    """Kernel Chebyshev centers (C, 2) and radii (C,) of CCW polygons, NaN where none.
 
-    Raises ElementQualityError when the kernel is empty (non-star cell).
+    Kernels are clipped one by one; the centers of the non-empty ones come
+    from one ``chebyshev_center`` LP per chunk of CHUNK polygons.  Returns
+    the centers, the radii and, for each polygon without a usable kernel,
+    its index mapped to the reason: an empty kernel, a degenerate one
+    (radius at most 1e-12 of the diameter), or a failed LP, which marks
+    every polygon of its chunk.
     """
-    kernel = polygon_kernel(vertices)
-    if kernel is None:
-        raise ElementQualityError("polygon is not star-shaped (empty kernel)")
-    center, radius = chebyshev_center(kernel)
-    if radius <= _KERNEL_EPS * polygon_diameter(vertices):
-        raise ElementQualityError("polygon kernel is degenerate")
-    return center, radius
+    centers = np.full((len(polys), 2), np.nan)
+    radii = np.full(len(polys), np.nan)
+    faults = {}
+    kernels = []
+    for i, v in enumerate(polys):
+        kernel = polygon_kernel(v)
+        if kernel is None:
+            faults[i] = "polygon is not star-shaped (empty kernel)"
+        else:
+            kernels.append((i, kernel))
+    for start in range(0, len(kernels), CHUNK):
+        at, chunk = zip(*kernels[start : start + CHUNK])
+        try:
+            centers[list(at)], radii[list(at)] = chebyshev_center(chunk)
+        except ElementQualityError as exc:
+            faults.update(dict.fromkeys(at, str(exc)))
+            continue
+        for i in at:
+            if radii[i] <= _KERNEL_EPS * polygon_diameter(polys[i]):
+                faults[i] = "polygon kernel is degenerate"
+                centers[i], radii[i] = np.nan, np.nan
+    return centers, radii, faults
+
+
+def star_centers(polys, cells):
+    """Kernel Chebyshev centers (C, 2) and kernel-ball radii (C,) of star-shaped polygons.
+
+    ``cells`` holds the cell id of each polygon.  Raises ElementQualityError
+    naming the lowest cell whose kernel is empty or degenerate, or whose
+    chunk's LP failed.
+    """
+    centers, radii, faults = kernel_balls(polys)
+    if faults:
+        i = min(faults, key=lambda i: cells[i])
+        raise ElementQualityError(faults[i], cells[i])
+    return centers, radii
 
 
 class ElementGeometry:
@@ -181,10 +219,8 @@ class ElementGeometry:
         self.area = area
         self.h = polygon_diameter(v)
         if center is None:
-            try:
-                center = star_center(v)
-            except ElementQualityError as exc:
-                raise ElementQualityError(str(exc), cell) from None
+            centers, radii = star_centers([v], [cell])
+            center = centers[0], float(radii[0])
         self.star_center, self.kernel_radius = center
         self.exact_degree = int(exact_degree)
         self.n_edge_points = int(n_edge_points)

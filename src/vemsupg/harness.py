@@ -52,7 +52,7 @@ from .forms import (  # noqa: F401
     rank_bound_ell,
     sf_forms,
 )
-from .geometry import ElementGeometry
+from .geometry import ElementGeometry, star_centers
 from .mesh import (
     generate_cartesian,
     generate_concave_pentagons,
@@ -107,15 +107,15 @@ class Shape:
     projector matrices are translation-invariant (integrals run in
     star-centered scaled monomials), so spaces and probe results are built
     once here and shared.  Each (k, ell) space carries its own geometry,
-    exact to the degree the space needs; the kernel and star center are
-    computed once, by the first geometry, and the others reuse them.
+    exact to the degree the space needs; all of them share the shape's
+    kernel star center, which ``ShapeTable.place`` computes.
     """
 
-    def __init__(self, verts, anchor, cell):
+    def __init__(self, verts, anchor, cell, center):
         self.vertices = verts
         self.anchor = anchor
         self.cell = cell
-        self.center = None  # (star center, kernel radius), from the first geometry
+        self.center = center  # (star center, kernel radius)
         self.spaces = {}
         self.probed = {}
 
@@ -125,7 +125,6 @@ class Shape:
                 self.vertices, 2 * (k + ell) + 2, k + ell + 1, cell=self.cell,
                 center=self.center,
             )
-            self.center = geom.star_center, geom.kernel_radius
             self.spaces[(k, ell)] = LocalSpace(geom, k, ell)
         return self.spaces[(k, ell)]
 
@@ -155,7 +154,8 @@ class ShapeTable:
     """The shapes met so far, keyed by ``_shape_signatures``.
 
     A cartesian grid has one shape and the pentagon tiling two; on a Voronoi
-    mesh every cell is its own shape.
+    mesh every cell is its own shape.  The star centers of the shapes one
+    ``place`` call meets first are computed together, by ``star_centers``.
     """
 
     def __init__(self):
@@ -173,17 +173,24 @@ class ShapeTable:
             group_keys, anchors[at] = _shape_signatures(polys)
             for i, key in zip(at, group_keys):
                 keys[i] = key
-        placed = []
-        for c, key, anchor in zip(cells, keys, anchors):
-            shape = self.shapes.get(key)
-            if shape is None:
-                shape = self.shapes[key] = Shape(mesh.cell_vertices(c), anchor, c)
-            placed.append((shape, anchor - shape.anchor))
-        return placed
+        new = {}  # key -> position of the key's first cell
+        for i, key in enumerate(keys):
+            if key not in self.shapes:
+                new.setdefault(key, i)
+        firsts = [cells[i] for i in new.values()]
+        polys = [mesh.cell_vertices(c) for c in firsts]
+        centers, radii = star_centers(polys, firsts)
+        for (key, i), verts, center, radius in zip(new.items(), polys, centers, radii):
+            self.shapes[key] = Shape(verts, anchors[i], cells[i], (center, float(radius)))
+        return [(self.shapes[key], anchor - self.shapes[key].anchor)
+                for key, anchor in zip(keys, anchors)]
 
 
-def _check_ell(ell):
-    """Raise ``ValueError`` unless ``ell`` is "auto", a count >= 0 or a dict of counts."""
+def _check_ell(ell, mesh):
+    """Raise ``ValueError`` unless ``ell`` is "auto", a count >= 0 or a dict of counts.
+
+    A dict maps vertex counts to counts and must hold every vertex count of ``mesh``.
+    """
 
     def count(v):
         return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 0
@@ -191,18 +198,18 @@ def _check_ell(ell):
     if not (isinstance(ell, str) and ell == "auto" or count(ell)
             or isinstance(ell, dict) and all(map(count, ell.values()))):
         raise ValueError(f'ell must be "auto", an integer >= 0 or a dict of them, not {ell!r}')
+    if isinstance(ell, dict):
+        for c, cell in enumerate(mesh.cells):
+            if len(cell) not in ell:
+                raise ValueError(f"ell has no increment for {len(cell)}-vertex cells "
+                                 f"(the first is cell {c})")
 
 
 def _choose_ell(mesh, c, shape, k, ell_mode):
     if ell_mode == "auto":
         return shape.probe(k)
     if isinstance(ell_mode, dict):
-        try:
-            return ell_mode[len(mesh.cells[c])]
-        except KeyError:
-            raise KeyError(
-                f"no fixed increment for {len(mesh.cells[c])}-vertex cells"
-            ) from None
+        return ell_mode[len(mesh.cells[c])]
     return int(ell_mode)
 
 
@@ -211,6 +218,7 @@ def build_element(mesh, c, k, ell_mode, cache):
 
     The cell is the shape's space translated by ``shift``.
     """
+    _check_ell(ell_mode, mesh)
     [(shape, shift)] = cache.place(mesh, [c])
     ell = _choose_ell(mesh, c, shape, k, ell_mode)
     return shape.space(k, ell), shift, ell
@@ -307,7 +315,7 @@ def solve_problem(mesh, problem, k, ell="auto", method="sf"):
     """
     if method not in ("sf", "vem"):
         raise ValueError("method must be 'sf' or 'vem'")
-    _check_ell(ell)
+    _check_ell(ell, mesh)
     if problem.boundary_classifier is not None:
         mesh = relabel_boundary(copy.copy(mesh), problem.boundary_classifier)
     if method == "vem":
@@ -346,7 +354,7 @@ class ExperimentConfig:
     problem_kwargs: dict = field(default_factory=dict)
     family: str = "t1"
     k: int = 1
-    ell: object = "auto"  # "auto" or a fixed integer
+    ell: object = "auto"  # "auto", a fixed integer or a dict of them by vertex count
     refinements: tuple = (4, 8, 16, 32)
     baseline: bool = False
     seed: int = 0

@@ -12,13 +12,8 @@ import json
 import numpy as np
 from scipy.spatial import Voronoi, cKDTree
 
-from .errors import ElementQualityError, MeshError, MeshFormatError
-from .geometry import (
-    polygon_diameter,
-    polygon_is_simple,
-    polygon_signed_area,
-    star_center,
-)
+from .errors import MeshError, MeshFormatError
+from .geometry import kernel_balls, polygon_diameter, polygon_is_simple, polygon_signed_area
 
 _SNAP_TOL = 1e-9
 _AREA_RTOL = 1e-12
@@ -378,22 +373,19 @@ class RegularityReport:
 
 
 def check_regularity(mesh):
-    """Kernel-based regularity metrics for every cell of ``mesh``."""
-    rho = np.empty(mesh.n_cells)
+    """Kernel-based regularity metrics for every cell of ``mesh``.
+
+    A cell without a usable kernel gets a NaN ``rho`` and is not star-shaped.
+    """
+    polys = [mesh.cell_vertices(c) for c in range(mesh.n_cells)]
     min_edge = np.empty(mesh.n_cells)
     h = np.empty(mesh.n_cells)
-    ok = np.ones(mesh.n_cells, dtype=bool)
-    for c in range(mesh.n_cells):
-        poly = mesh.cell_vertices(c)
+    for c, poly in enumerate(polys):
         h[c] = polygon_diameter(poly)
         edge_vec = np.roll(poly, -1, axis=0) - poly
         min_edge[c] = np.hypot(edge_vec[:, 0], edge_vec[:, 1]).min()
-        try:
-            _, rho[c] = star_center(poly)
-        except ElementQualityError:
-            rho[c] = np.nan
-            ok[c] = False
-    return RegularityReport(rho, min_edge, h, ok)
+    _, rho, _ = kernel_balls(polys)
+    return RegularityReport(rho, min_edge, h, ~np.isnan(rho))
 
 
 # -- file I/O ----------------------------------------------------------------

@@ -343,7 +343,7 @@ def test_criterion_8_determinism(tmp_path):
             )
             assert proc.returncode == 0, proc.stderr
             csvs = sorted(f for f in os.listdir(out) if f.endswith(".csv"))
-            outs.append(b"".join(open(out / f, "rb").read() for f in csvs))
+            outs.append(b"".join((out / f).read_bytes() for f in csvs))
         blobs[tag] = outs[0] == outs[1]
     ok = all(blobs.values())
     report(8, ok, f"byte-identical CSV per command: {blobs}", t0)

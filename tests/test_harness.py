@@ -1,7 +1,9 @@
 import itertools
 import os
+import pathlib
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from vemsupg.forms import (
     rank_bound_ell,
     sf_forms,
 )
+from vemsupg.errors import ElementQualityError
 from vemsupg.geometry import ElementGeometry
 from vemsupg.harness import (
     ConvergenceReport,
@@ -27,7 +30,7 @@ from vemsupg.harness import (
     run_field,
     solve_problem,
 )
-from vemsupg.mesh import generate_concave_pentagons, generate_voronoi
+from vemsupg.mesh import PolyMesh, check_regularity, generate_concave_pentagons, generate_voronoi
 from vemsupg.problems import problem_smooth, problem_test2
 from vemsupg.space import LocalSpace, dof_layout
 
@@ -175,7 +178,8 @@ class TestSolveDrivers:
             )
 
     def test_shape_table_builds_once_per_shape(self, monkeypatch):
-        # one kernel LP per shape, shared by every geometry of the shape,
+        # one kernel LP for the shapes of a chunk (all of them here), its
+        # centers shared by every geometry of the shape,
         # one inverse-inequality constant per shape and order, and one
         # geometry and space per probed trial ell = start..ell of each shape,
         # where start is the rank bound: the solve keeps the accepted trial
@@ -209,17 +213,17 @@ class TestSolveDrivers:
         res = solve_problem(voronoi, problem_smooth(), 2, ell="auto")
         built = trials(voronoi, np.arange(16), res.solution.ell)
         assert built == 16  # 34 spaces when every probe starts at ell = 0
-        assert calls == {"lp": 16, "c_tilde": 16, "geometry": built, "space": built}
-        calls.update(dict.fromkeys(calls, 0))
+        assert calls == {"lp": 1, "c_tilde": 16, "geometry": built, "space": built}
         pentagons = generate_mesh("t2", 4)
-        res = solve_problem(pentagons, problem_smooth(), 2, ell="auto")
-        assert sorted(set(res.solution.ell.tolist())) == [1]  # both shapes
         table = ShapeTable()
         table.place(pentagons, range(pentagons.n_cells))
         firsts = np.array([shape.cell for shape in table.shapes.values()])
+        calls.update(dict.fromkeys(calls, 0))
+        res = solve_problem(pentagons, problem_smooth(), 2, ell="auto")
+        assert sorted(set(res.solution.ell.tolist())) == [1]  # both shapes
         built = trials(pentagons, firsts, res.solution.ell)
         assert built == 2  # 4 from ell = 0
-        assert calls == {"lp": 2, "c_tilde": 2, "geometry": built, "space": built}
+        assert calls == {"lp": 1, "c_tilde": 2, "geometry": built, "space": built}
 
     def test_monomials_evaluated_once_per_point_set(self, monkeypatch):
         # a space evaluates its degree k+ell monomials at the volume points
@@ -335,8 +339,111 @@ class TestSolveDrivers:
         problem = problem_smooth()
         res = solve_problem(mesh, problem, 2, ell={4: 2})
         assert np.all(res.solution.ell == 2)
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match=r"^ell has no increment for 4-vertex cells"):
             solve_problem(mesh, problem, 2, ell={5: 1})
+
+    @pytest.mark.parametrize("family, ell, message", [
+        ("t2", {4: 1}, "5-vertex cells (the first is cell 0)"),
+        ("t3", {4: 1, 5: 1, 6: 1}, "7-vertex cells (the first is cell 5)"),
+    ])
+    def test_ell_dict_missing_vertex_count_rejected_before_elements(
+        self, family, ell, message, monkeypatch
+    ):
+        import vemsupg.harness as harness
+
+        def no_geometry(*args, **kwargs):
+            raise AssertionError("element built before the ell check")
+
+        monkeypatch.setattr(harness, "ElementGeometry", no_geometry)
+        monkeypatch.setattr(harness, "star_centers", no_geometry)
+        mesh = generate_mesh(family, 2 if family == "t2" else 4, seed=1, lloyd_iters=20)
+        for solve_or_build in (
+            lambda: solve_problem(mesh, problem_smooth(), 1, ell=ell),
+            lambda: harness.build_element(mesh, 0, 1, ell, ShapeTable()),
+        ):
+            with pytest.raises(ValueError) as info:
+                solve_or_build()
+            assert str(info.value) == f"ell has no increment for {message}"
+
+
+def _slit(mesh, cell, neighbour):
+    """``mesh`` with a thin finger of ``neighbour`` pushed into ``cell``.
+
+    The finger's walls are parallel, so ``cell`` gets an empty kernel; the
+    neighbour's kernel keeps the strip between the walls.
+    """
+    cells = [list(c) for c in mesh.cells]
+    loop = cells[cell]
+    i = next(i for i, a in enumerate(loop) if loop[(i + 1) % len(loop)] in cells[neighbour]
+             and a in cells[neighbour])
+    p, q = mesh.vertices[loop[i]], mesh.vertices[loop[(i + 1) % len(loop)]]
+    mid = 0.5 * (p + q)
+    inward = mesh.cell_vertices(cell).mean(axis=0) - mid
+    along = 0.05 * (q - p)
+    base_a, base_b = mid - along, mid + along
+    new = np.array([base_a, base_a + 0.5 * inward, base_b + 0.5 * inward, base_b])
+    ids = list(range(mesh.n_vertices, mesh.n_vertices + 4))
+    loop[i + 1 : i + 1] = ids
+    other = cells[neighbour]
+    j = other.index(loop[(i + 5) % len(loop)])
+    other[j + 1 : j + 1] = ids[::-1]
+    return PolyMesh(np.vstack([mesh.vertices, new]), cells, check_simple=True)
+
+
+class TestStarCenters:
+    """The solve's star centers come from one LP per chunk of new shapes."""
+
+    @staticmethod
+    def standalone(mesh, c):
+        geom = ElementGeometry(mesh.cell_vertices(c), 2, 2, cell=c)
+        return geom.star_center, geom.kernel_radius, geom.h
+
+    @pytest.mark.parametrize("n_cells", [64, 256])
+    def test_stacked_centers_match_standalone(self, n_cells):
+        mesh = generate_voronoi(n_cells, lloyd_iters=100, seed=3)
+        res = solve_problem(mesh, problem_smooth(), 1, ell=1)
+        for c, space in enumerate(res.spaces):
+            center, radius, h = self.standalone(mesh, c)
+            assert np.abs(space.geom.star_center - center).max() <= 1e-12 * h, c
+            assert abs(space.geom.kernel_radius - radius) <= 1e-12 * h, c
+
+    @pytest.mark.parametrize("family", ["t1", "t2"])
+    def test_translated_shapes_bit_identical(self, family):
+        mesh = generate_mesh(family, 4)
+        res = solve_problem(mesh, problem_smooth(), 1, ell=1)
+        shapes = {space.geom.cell: space.geom for space in res.spaces}
+        assert len(shapes) == (1 if family == "t1" else 2)
+        for c, geom in shapes.items():
+            center, radius, _ = self.standalone(mesh, c)
+            assert np.array_equal(geom.star_center, center), c
+            assert geom.kernel_radius == radius, c
+
+    def test_failed_lp_names_lowest_cell_of_its_chunk(self, monkeypatch):
+        import vemsupg.geometry as geometry
+
+        def infeasible(*args, **kwargs):
+            return SimpleNamespace(success=False, message="The problem is infeasible.")
+
+        monkeypatch.setattr(geometry, "linprog", infeasible)
+        polys = [generate_mesh("t2", 1).cell_vertices(c) for c in (0, 1)]
+        with pytest.raises(ElementQualityError) as info:
+            geometry.star_centers(polys, [7, 3])
+        assert str(info.value) == "cell 3: Chebyshev center LP failed: The problem is infeasible."
+
+    @pytest.mark.parametrize("bad", [[31], [40, 31]])
+    def test_non_star_cell_named(self, bad):
+        mesh = generate_voronoi(64, lloyd_iters=100, seed=3)
+        for c in bad:
+            neighbour = next(d for d in range(mesh.n_cells) if d not in bad
+                             and len(set(mesh.cells[c]) & set(mesh.cells[d])) == 2)
+            mesh = _slit(mesh, c, neighbour)
+        with pytest.raises(ElementQualityError) as info:
+            solve_problem(mesh, problem_smooth(), 1)
+        assert str(info.value) == "cell 31: polygon is not star-shaped (empty kernel)"
+        assert info.value.cell == 31
+        report = check_regularity(mesh)
+        assert np.flatnonzero(np.isnan(report.rho)).tolist() == sorted(bad)
+        assert np.flatnonzero(~report.star_ok).tolist() == sorted(bad)
 
 
 def _locate_by_scan(res, pt):
@@ -409,8 +516,7 @@ class TestCli:
                 "--k", "1", "--ell", "1", "--refinements", "4,8", "--out", out,
             )
             assert res.returncode == 0, res.stderr
-        a = open(os.path.join(outs[0], "convergence.csv"), "rb").read()
-        b = open(os.path.join(outs[1], "convergence.csv"), "rb").read()
+        a, b = (pathlib.Path(out, "convergence.csv").read_bytes() for out in outs)
         assert a == b
 
     def test_solve_command(self, tmp_path):
@@ -438,9 +544,12 @@ class TestCli:
              "vemsupg: error: lloyd_iters must be non-negative, got -5"),
             (["solve", "--family", "t3", "--n", "-3"], 1,
              "vemsupg: error: mesh size n must be at least 1, got -3"),
+            (["solve", "--family", "t3", "--n", "4", "--lloyd", "20", "--seed", "1",
+              "--ell", "4:1,5:1,6:1"], 1,
+             "vemsupg: error: ell has no increment for 7-vertex cells (the first is cell 5)"),
         ],
         ids=["probe-cap", "ell-abc", "ell-negative", "k-5", "conv-no-exact",
-             "conv-coarsening", "lloyd-negative", "t3-n-negative"],
+             "conv-coarsening", "lloyd-negative", "t3-n-negative", "ell-dict-missing-count"],
     )
     def test_errors_are_one_line(self, tmp_path, args, status, message):
         res = self.run_cli(*args, "--out", str(tmp_path))

@@ -3,7 +3,7 @@ import pytest
 
 from oracles import clipped_voronoi_by_cell, generate_voronoi_by_cell, polygon_centroid
 from vemsupg.errors import MeshError, MeshFormatError, ElementQualityError
-from vemsupg.geometry import polygon_signed_area, star_center
+from vemsupg.geometry import polygon_signed_area, star_centers
 from vemsupg.mesh import (
     PolyMesh,
     _clipped_voronoi,
@@ -147,7 +147,7 @@ class TestRegularity:
         assert rep.all_star_shaped
         assert np.all(rep.rho > 0)
         # independent check: the center keeps distance rho to every edge line
-        center, rho = star_center(mesh.cell_vertices(1))
+        [center], [rho] = star_centers([mesh.cell_vertices(1)], [1])
         poly = mesh.cell_vertices(1)
         for i in range(len(poly)):
             d = poly[(i + 1) % len(poly)] - poly[i]
@@ -161,8 +161,8 @@ class TestRegularity:
             dtype=float,
         )
         assert polygon_signed_area(u_shape) > 0
-        with pytest.raises(ElementQualityError):
-            star_center(u_shape)
+        with pytest.raises(ElementQualityError, match="^cell 0: polygon is not star-shaped"):
+            star_centers([u_shape], [0])
         mesh = PolyMesh(u_shape / 3.0, [list(range(8))])
         rep = check_regularity(mesh)
         assert not rep.all_star_shaped

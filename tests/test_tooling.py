@@ -56,3 +56,24 @@ def test_workload_checks_pass_tiny(name, tmp_path):
     one = workload.round()
     assert one.failed == 0
     assert workload.check([one]) == []
+
+
+def test_one_center_lp_per_chunk_of_new_shapes(monkeypatch):
+    # the benchmark's geometry.lp span counts calls of this module attribute,
+    # so each call must be one chunk's LP: 16 Voronoi shapes in one call, and
+    # the two pentagon shapes of t2 in one
+    import vemsupg.geometry as geometry
+    from vemsupg.harness import generate_mesh, solve_problem
+    from vemsupg.mesh import generate_voronoi
+    from vemsupg.problems import problem_smooth
+
+    sizes = []
+    real = geometry.chebyshev_center
+    monkeypatch.setattr(
+        geometry, "chebyshev_center", lambda kernels: sizes.append(len(kernels)) or real(kernels)
+    )
+    solve_problem(generate_voronoi(16, lloyd_iters=20, seed=1), problem_smooth(), 2)
+    assert sizes == [16]
+    sizes.clear()
+    solve_problem(generate_mesh("t2", 4), problem_smooth(), 2)
+    assert sizes == [2]
