@@ -273,18 +273,11 @@ class DiscreteSolution:
         self.peclet = peclet
         self.tau = tau
         for cells in cell_chunks(spaces):
-            polys = _projected(spaces[cells[0]].pinabla_coeff, self.dofs, dofmap, cells)
-            self.reconstructions[cells] = polys[..., 0]
+            # a stack of matrix-vector products, not one matrix product: each
+            # cell's coefficients are then bit for bit those of ``coeff @ local``
+            local = self.dofs[dofmap.stacked_dofs(cells)][..., None]
+            self.reconstructions[cells] = (spaces[cells[0]].pinabla_coeff @ local)[..., 0]
         return self
-
-
-def _projected(coeff, dofs, dofmap, cells):
-    """(C, n_k, 1) P_k coefficients of ``cells`` from the global DOF vector.
-
-    A stack of matrix-vector products, not one matrix product: each cell's
-    coefficients are then bit for bit those of ``coeff @ local``.
-    """
-    return coeff @ dofs[dofmap.stacked_dofs(cells)][..., None]
 
 
 def _dot(a, b):
@@ -300,9 +293,10 @@ def energy_error(spaces, shifts, solution, problem):
     """Relative energy-norm error of the reconstructed solution.
 
     err^2 = sum_E kappa |grad(u - P u_h)|^2 + tau |beta . grad(u - P u_h)|^2
-    normalized by the same quantity with u alone; P is the element H1
-    projection and tau the cell's ``solution.tau``.  Requires the exact
-    gradient.  Cell c is ``spaces[c]`` translated by ``shifts[c]``.
+    normalized by the same quantity with u alone; P u_h is the cell's row of
+    ``solution.reconstructions`` (the element H1 projection) and tau the
+    cell's ``solution.tau``.  Requires the exact gradient.  Cell c is
+    ``spaces[c]`` translated by ``shifts[c]``.
 
     Cells that share one space object (the translates of one shape) are
     evaluated together, in chunks of CHUNK cells.  The four integrals of
@@ -311,12 +305,11 @@ def energy_error(spaces, shifts, solution, problem):
     """
     if problem.exact_grad is None:
         raise ValueError("energy error needs the exact gradient")
-    dofmap = solution.system.dofmap
     sums = np.empty((len(spaces), 4))  # kappa and tau terms of num, then of den
     for cells in cell_chunks(spaces):
         space = spaces[cells[0]]
         geom = space.geom
-        polys = _projected(space.pinabla_coeff, solution.dofs, dofmap, cells)
+        polys = solution.reconstructions[cells][..., None]
         # a translate's points about its star center are the shape's own
         vals = eval_basis(MonomialBasis(geom, space.k - 1), geom.quad_points).T
         gh = np.concatenate([vals @ (d @ polys) for d in grad_map(space.basis_k)], axis=2)

@@ -119,7 +119,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return _run(args)
-    except (ProbeError, ElementQualityError, MeshError, SolveError, ValueError) as exc:
+    except (ProbeError, ElementQualityError, MeshError, SolveError, ValueError, OSError) as exc:
         print(f"vemsupg: error: {exc}", file=sys.stderr)
         return 1
 

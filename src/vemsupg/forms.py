@@ -73,13 +73,11 @@ class ProblemData:
 class ElementCoefficients:
     """Per-element SUPG data: local velocity bound, Peclet number and tau."""
 
-    def __init__(self, kappa, beta_sup, peclet, tau, m_k, c_tilde=None):
+    def __init__(self, kappa, beta_sup, peclet, tau):
         self.kappa = kappa
         self.beta_sup = beta_sup
         self.peclet = peclet
         self.tau = tau
-        self.m_k = m_k
-        self.c_tilde = c_tilde
 
 
 class LocalForms:
@@ -108,10 +106,11 @@ def tilde_c_k(basis, h_km1):
     """Largest c with c h^2 |lap p|^2 <= |grad p|^2 over P_k (k > 1).
 
     ``basis`` is the degree-k basis of the element and ``h_km1`` its degree
-    k-1 mass matrix.  Computed from the pencil of the gradient and
-    h^2-scaled Laplacian Gram matrices; harmonic polynomials (the Laplacian
-    kernel) are eliminated by minimizing the gradient energy over them, so
-    the value is a true bound for every polynomial with a nonzero Laplacian.
+    k-1 mass matrix.  1/c is the largest eigenvalue of the pencil of the
+    h^2-scaled Laplacian Gram and the gradient Gram on the non-constant
+    members: the constant (member 0) spans the gradient Gram's kernel, so
+    that Gram is positive definite on the others, and harmonic polynomials
+    only add zero eigenvalues.  No cut-off is involved.
     """
     if basis.order <= 1:
         raise ValueError("inverse-inequality constant defined only for k > 1")
@@ -120,23 +119,15 @@ def tilde_c_k(basis, h_km1):
     lap = laplace_map(basis)
     m = len(lap)  # the degree k-2 mass matrix is the leading block
     l = basis.scale**2 * (lap.T @ h_km1[:m, :m] @ lap)
-
-    lam, vec = eigh(l)
-    keep = lam > 1e-12 * lam[-1]
-    vr = vec[:, keep]
-    vk = vec[:, ~keep]
-    s_rr = vr.T @ s @ vr
-    s_rk = vr.T @ s @ vk
-    s_kk = vk.T @ s @ vk
-    schur = s_rr - s_rk @ np.linalg.pinv(s_kk, rcond=1e-12) @ s_rk.T
-    mu = eigh(schur, np.diag(lam[keep]), eigvals_only=True)
-    return float(mu[0])
+    lam = eigh(l[1:, 1:], s[1:, 1:], eigvals_only=True)
+    return float(1.0 / lam[-1])
 
 
-def peclet_tau(geom, kappa, beta_e, k, c_tilde=None):
+def peclet_tau(geom, kappa, beta_e, k):
     """Element Peclet number and SUPG weight tau.
 
-    Pe = m_k beta_e h / kappa with m_1 = 1/3 and m_k = 2 c_tilde for k > 1;
+    Pe = m_k beta_e h / kappa with m_1 = 1/3 and m_k = 2 ``tilde_c_k`` for
+    k > 1, the constant taken from the element's own degree-k basis;
     tau = h/(2 beta_e) min(1, Pe).  A vanishing velocity gives (0, 0), which
     turns all streamline terms off.
     """
@@ -145,9 +136,7 @@ def peclet_tau(geom, kappa, beta_e, k, c_tilde=None):
     if k == 1:
         m_k = 1.0 / 3.0
     else:
-        if c_tilde is None:
-            c_tilde = tilde_c_k(MonomialBasis(geom, k), mass_matrix(MonomialBasis(geom, k - 1)))
-        m_k = 2.0 * c_tilde
+        m_k = 2.0 * tilde_c_k(MonomialBasis(geom, k), mass_matrix(MonomialBasis(geom, k - 1)))
     pe, tau = _peclet_tau(geom.h, kappa, np.asarray(beta_e, dtype=float), m_k)
     return float(pe), float(tau), m_k
 
@@ -164,8 +153,8 @@ def _peclet_tau(h, kappa, beta_e, m_k):
 def element_coefficients(geom, problem, k):
     """Bundle beta bound, Peclet number and tau for one element."""
     b_e = beta_sup(geom, problem.beta)
-    pe, tau, m_k = peclet_tau(geom, problem.kappa, b_e, k)
-    return ElementCoefficients(problem.kappa, b_e, pe, tau, m_k, m_k / 2.0 if k > 1 else None)
+    pe, tau, _ = peclet_tau(geom, problem.kappa, b_e, k)
+    return ElementCoefficients(problem.kappa, b_e, pe, tau)
 
 
 def projected_gradient_gram(space):
@@ -199,14 +188,14 @@ def probe_exhausted(k, trace, cell):
     )
 
 
-def first_coercive(spaces, tol_rel):
+def first_coercive(spaces):
     """First of ``spaces`` whose projected-gradient Gram has a 1-dim kernel.
 
     ``spaces`` yields the trial spaces of one element in increasing ell.  The
     Gram always annihilates constants; the rule accepts the first space for
-    which exactly one relative eigenvalue stays below ``tol_rel``.  The trace
-    holds one entry per ell from 0 on: (ell, relative eigenvalues), or
-    (ell, None) for an increment ``spaces`` skips.
+    which exactly one relative eigenvalue stays below ``DEFAULT_PROBE_TOL``.
+    The trace holds one entry per ell from 0 on: (ell, relative eigenvalues),
+    or (ell, None) for an increment ``spaces`` skips.
     """
     trace = []
     for space in spaces:
@@ -217,14 +206,14 @@ def first_coercive(spaces, tol_rel):
         if lam_max <= 0.0:
             trace.append((space.ell, lam.tolist()))
             continue
-        n_small = int(np.sum(lam < tol_rel * lam_max))
+        n_small = int(np.sum(lam < DEFAULT_PROBE_TOL * lam_max))
         trace.append((space.ell, (lam / lam_max).tolist()))
         if n_small == 1:
             return space
     raise probe_exhausted(space.k, trace, space.geom.cell)
 
 
-def probe_min_ell(geom, k, ell_max=DEFAULT_ELL_MAX, tol_rel=DEFAULT_PROBE_TOL):
+def probe_min_ell(geom, k, ell_max=DEFAULT_ELL_MAX):
     """Smallest increment ``first_coercive`` accepts, all trials on ``geom``.
 
     The cap is >= 0 and the geometry exact to degree 2 (k + ell_max).
@@ -232,7 +221,7 @@ def probe_min_ell(geom, k, ell_max=DEFAULT_ELL_MAX, tol_rel=DEFAULT_PROBE_TOL):
     if ell_max < 0 or geom.exact_degree < 2 * (k + ell_max):
         raise ValueError("probe cap negative or geometry quadrature too weak for it")
     spaces = (LocalSpace(geom, k, ell) for ell in range(ell_max + 1))
-    return first_coercive(spaces, tol_rel).ell
+    return first_coercive(spaces).ell
 
 
 def _beta_at(problem, pts):

@@ -42,7 +42,6 @@ from .errors import ProbeError
 # and perfbench/tracing.py look them up on this module
 from .forms import (  # noqa: F401
     DEFAULT_ELL_MAX,
-    DEFAULT_PROBE_TOL,
     ShapeForms,
     baseline_vem_forms,
     element_coefficients,
@@ -146,7 +145,7 @@ class Shape:
                     # rejected: dropped, a Voronoi mesh has a shape per cell
                     del self.spaces[(k, ell)]
 
-            self.probed[k] = first_coercive(trials(), DEFAULT_PROBE_TOL).ell
+            self.probed[k] = first_coercive(trials()).ell
         return self.probed[k]
 
 

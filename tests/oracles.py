@@ -276,6 +276,39 @@ def laplace_map_by_member(basis):
     return lap
 
 
+def tilde_c_k_by_schur(basis, h_km1):
+    """Largest c with c h^2 |lap p|^2 <= |grad p|^2 over P_k (k > 1).
+
+    Reference for ``forms.tilde_c_k``'s single pencil: the Laplacian kernel
+    (harmonic polynomials, found by a 1e-12 relative cut of the Laplacian
+    Gram's spectrum) is eliminated by a Schur complement of the gradient
+    Gram, and the constant is the smallest eigenvalue of that complement
+    against the kept Laplacian eigenvalues.
+    """
+    from scipy.linalg import eigh
+
+    from vemsupg.basis import grad_map, laplace_map
+
+    if basis.order <= 1:
+        raise ValueError("inverse-inequality constant defined only for k > 1")
+    dx, dy = grad_map(basis)
+    s = dx.T @ h_km1 @ dx + dy.T @ h_km1 @ dy
+    lap = laplace_map(basis)
+    m = len(lap)  # the degree k-2 mass matrix is the leading block
+    l = basis.scale**2 * (lap.T @ h_km1[:m, :m] @ lap)
+
+    lam, vec = eigh(l)
+    keep = lam > 1e-12 * lam[-1]
+    vr = vec[:, keep]
+    vk = vec[:, ~keep]
+    s_rr = vr.T @ s @ vr
+    s_rk = vr.T @ s @ vk
+    s_kk = vk.T @ s @ vk
+    schur = s_rr - s_rk @ np.linalg.pinv(s_kk, rcond=1e-12) @ s_rk.T
+    mu = eigh(schur, np.diag(lam[keep]), eigvals_only=True)
+    return float(mu[0])
+
+
 # -- per-cell post-processing and per-node boundary data -------------------
 # The loops the library ran before it stacked these computations: one cell,
 # or one boundary node, at a time.  They call the library's basis functions,

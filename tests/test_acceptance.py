@@ -152,7 +152,7 @@ def test_criterion_3_reference_square_column():
     got = {}
     for k in (1, 2, 3, 4):
         geom = make_geometry(np.array([[0, 0], [1, 0], [1, 1], [0, 1.0]]), k=k, ell=6)
-        got[k] = probe_min_ell(geom, k, 6, PROBE_TOL)
+        got[k] = probe_min_ell(geom, k, 6)
     # other columns: reported, mismatches logged but allowed
     reference_soft = {
         ("t2", 5): {1: 1, 2: 1, 3: 1, 4: 2},
@@ -171,7 +171,7 @@ def test_criterion_3_reference_square_column():
         for k, want in column.items():
             geom = make_geometry(mesh.cell_vertices(cell), k=k, ell=6, cell=cell)
             try:
-                val = probe_min_ell(geom, k, 6, PROBE_TOL)
+                val = probe_min_ell(geom, k, 6)
             except ProbeError:
                 val = "-"
             mark = "" if val == want else f" (reference {want}, geometry-dependent)"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import UNIT_SQUARE, make_geometry, swirl_problem
-from oracles import Poly2, directional
+from oracles import Poly2, directional, tilde_c_k_by_schur
 from vemsupg.basis import MonomialBasis, mass_matrix, poly_dim
 from vemsupg.errors import ProbeError
 from vemsupg.forms import (
@@ -26,7 +26,7 @@ from vemsupg.forms import (
     sf_forms,
     tilde_c_k,
 )
-from vemsupg.harness import ShapeTable
+from vemsupg.harness import ShapeTable, generate_mesh
 from vemsupg.mesh import generate_cartesian, generate_concave_pentagons, generate_voronoi
 from vemsupg.problems import problem_smooth
 from vemsupg.space import LocalSpace, dof_layout
@@ -115,6 +115,21 @@ class TestTildeC:
         geom = make_geometry(verts, k=k, ell=1)
         space = LocalSpace(geom, k, 1)
         assert ShapeForms(space).c_tilde == pytest.approx(c_tilde(geom, k), rel=1e-10)
+
+    def test_matches_schur_oracle(self):
+        # one pencil on the non-constant members against the route that cuts
+        # the Laplacian kernel at 1e-12 and takes a Schur complement
+        meshes = [generate_mesh("t1", 2), generate_mesh("t2", 4),
+                  generate_voronoi(64, lloyd_iters=100, seed=3)]
+        for mesh in meshes:
+            table = ShapeTable()
+            table.place(mesh, range(mesh.n_cells))
+            for shape in table.shapes.values():
+                for k in (2, 3, 4):
+                    space = shape.space(k, 0)
+                    args = (space.basis_k, space.mass_block(k - 1))
+                    want = tilde_c_k_by_schur(*args)
+                    assert tilde_c_k(*args) == pytest.approx(want, rel=1e-12), (shape.cell, k)
 
 
 class TestPecletTau:

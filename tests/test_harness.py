@@ -559,6 +559,26 @@ class TestCli:
             assert len(res.stderr.splitlines()) == 1
         assert message in res.stderr.splitlines()[-1]
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["mesh", "gen", "--family", "t1", "--n", "2"],
+            ["solve", "--family", "t1", "--n", "2"],
+        ],
+        ids=["mesh-gen", "solve"],
+    )
+    def test_unwritable_out_is_one_line(self, tmp_path, args):
+        # --out below a regular file: the output directory cannot be made
+        # (probe and convergence make it on the same line as solve)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = str(blocker / "sub")
+        res = self.run_cli(*args, "--out", out)
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        [line] = res.stderr.splitlines()
+        assert line.startswith("vemsupg: error: ") and out in line
+
     def test_probe_command(self, tmp_path):
         res = self.run_cli("probe", "--family", "t1", "--k", "2",
                            "--out", str(tmp_path))
