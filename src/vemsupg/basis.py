@@ -62,15 +62,18 @@ class MonomialBasis:
 def eval_basis(basis, points):
     """Evaluate all basis members at ``points`` (n, 2); returns (dim, n).
 
-    Each coordinate is raised to the powers 0..order once; the members are
-    products of gathered rows of those two tables.
+    The powers 0..order of both scaled coordinates are built by one
+    multiplication per power, and members are products of gathered rows, so
+    a stacked point set gives bit for bit the values of its parts.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    xi = (pts[:, 0] - basis.center[0]) / basis.scale
-    eta = (pts[:, 1] - basis.center[1]) / basis.scale
-    powers = np.arange(basis.order + 1)[:, None]
+    t = ((pts - basis.center) / basis.scale).T
+    pw = np.empty((basis.order + 1, *t.shape))
+    pw[0] = 1.0
+    for p in range(basis.order):
+        np.multiply(pw[p], t, out=pw[p + 1])
     a = basis.exponents
-    return (xi[None, :] ** powers)[a[:, 0]] * (eta[None, :] ** powers)[a[:, 1]]
+    return pw[a[:, 0], 0] * pw[a[:, 1], 1]
 
 
 def eval_poly(basis, coeffs, points):

@@ -4,8 +4,9 @@ An element's star center is the Chebyshev center of its kernel (the set of
 points that see the whole boundary), so concave star-shaped cells are handled
 the same way as convex ones.  All element integrals run over a fan
 sub-triangulation rooted at that center.  Centers are computed for many
-polygons at once: a solve clips the kernels of the shapes it places for the
-first time and solves one block-diagonal Chebyshev-center LP per chunk of
+polygons at once: a solve takes the kernels of the shapes it places for the
+first time (a convex shape is its own kernel, any other is clipped) and
+solves one block-diagonal Chebyshev-center LP per chunk of
 ``assemble.CHUNK`` of them.  A single polygon is a chunk of one.
 """
 
@@ -23,8 +24,8 @@ _KERNEL_EPS = 1e-12
 def polygon_signed_area(vertices):
     """Shoelace signed area; positive for counter-clockwise order."""
     v = np.asarray(vertices, dtype=float)
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    nxt = np.concatenate([v[1:], v[:1]])
+    return 0.5 * float(np.sum(v[:, 0] * nxt[:, 1] - nxt[:, 0] * v[:, 1]))
 
 
 def polygon_diameter(vertices):
@@ -59,27 +60,29 @@ def polygon_is_simple(vertices):
 
 
 def polygon_kernel(vertices):
-    """Kernel of a CCW polygon by half-plane clipping of its bounding box.
+    """Kernel of a CCW polygon (m, 2), or None when it is empty.
 
-    Returns the kernel polygon (m, 2) or None when it is empty.
+    A polygon of positive area without a right turn is convex and its own
+    kernel; any other polygon's kernel is clipped by ``_clipped_kernel``.
     """
+    v = np.asarray(vertices, dtype=float)
+    d = np.concatenate([v[1:], v[:1]]) - v
+    nd = np.concatenate([d[1:], d[:1]])
+    if np.all(d[:, 0] * nd[:, 1] - d[:, 1] * nd[:, 0] >= 0.0) and polygon_signed_area(v) > 0.0:
+        return v
+    return _clipped_kernel(v)
+
+
+def _clipped_kernel(vertices):
+    """Kernel of a CCW polygon by half-plane clipping of its bounding box, or None."""
     v = np.asarray(vertices, dtype=float)
     lo, hi = v.min(axis=0), v.max(axis=0)
     pad = 0.5 * max(hi - lo)
-    poly = np.array(
-        [
-            [lo[0] - pad, lo[1] - pad],
-            [hi[0] + pad, lo[1] - pad],
-            [hi[0] + pad, hi[1] + pad],
-            [lo[0] - pad, hi[1] + pad],
-        ]
-    )
-    n = len(v)
+    (x0, y0), (x1, y1) = lo - pad, hi + pad
+    poly = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
     scale = polygon_diameter(v)
-    for i in range(n):
-        a, b = v[i], v[(i + 1) % n]
-        d = b - a
-        poly = _clip_half_plane(poly, a, d, scale)
+    for a, b in zip(v, np.concatenate([v[1:], v[:1]])):
+        poly = _clip_half_plane(poly, a, b - a, scale)
         if poly is None:
             return None
     return poly
@@ -115,7 +118,7 @@ def chebyshev_center(kernels):
     blocks, offsets = [], []
     for v in kernels:
         v = np.asarray(v, dtype=float)
-        d = np.roll(v, -1, axis=0) - v
+        d = np.concatenate([v[1:], v[:1]]) - v
         ln = np.hypot(d[:, 0], d[:, 1])
         keep = ln != 0.0
         nrm = np.column_stack([d[keep, 1], -d[keep, 0]]) / ln[keep, None]  # outward for CCW
@@ -137,20 +140,25 @@ def chebyshev_center(kernels):
 def kernel_balls(polys):
     """Kernel Chebyshev centers (C, 2) and radii (C,) of CCW polygons, NaN where none.
 
-    Kernels are clipped one by one; the centers of the non-empty ones come
+    Kernels are found one by one; the centers of the non-empty ones come
     from one ``chebyshev_center`` LP per chunk of CHUNK polygons.  Returns
     the centers, the radii and, for each polygon without a usable kernel,
-    its index mapped to the reason: an empty kernel, a degenerate one
-    (radius at most 1e-12 of the diameter), or a failed LP, which marks
-    every polygon of its chunk.
+    its index mapped to the reason: non-finite vertex coordinates, a
+    zero-length edge (two consecutive vertices at one point), an empty
+    kernel, a degenerate one (radius at most 1e-12 of the diameter), or a
+    failed LP, which marks every polygon of its chunk.
     """
     centers = np.full((len(polys), 2), np.nan)
     radii = np.full(len(polys), np.nan)
     faults = {}
     kernels = []
     for i, v in enumerate(polys):
-        kernel = polygon_kernel(v)
-        if kernel is None:
+        v = np.asarray(v, dtype=float)
+        if not np.isfinite(v).all():
+            faults[i] = "non-finite vertex coordinates"
+        elif (np.concatenate([v[1:], v[:1]]) == v).all(axis=1).any():
+            faults[i] = "zero-length edge"
+        elif (kernel := polygon_kernel(v)) is None:
             faults[i] = "polygon is not star-shaped (empty kernel)"
         else:
             kernels.append((i, kernel))
@@ -225,7 +233,7 @@ class ElementGeometry:
         self.exact_degree = int(exact_degree)
         self.n_edge_points = int(n_edge_points)
 
-        nxt = np.roll(v, -1, axis=0)
+        nxt = np.concatenate([v[1:], v[:1]])
         tang = nxt - v
         self.edge_lengths = np.hypot(tang[:, 0], tang[:, 1])
         self.edge_tangents = tang / self.edge_lengths[:, None]

@@ -22,6 +22,7 @@ order puts lower degrees first: projectors read leading blocks.
 import functools
 
 import numpy as np
+from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 
 from .basis import (
     MonomialBasis,
@@ -38,10 +39,16 @@ _RCOND_MIN = 1e-14
 
 
 def _checked_solve(mat, rhs, what, cell):
-    cond = np.linalg.cond(mat)
-    if not np.isfinite(cond) or 1.0 / cond < _RCOND_MIN:
-        raise ElementQualityError(f"singular {what} system (cond={cond:.3e})", cell)
-    return np.linalg.solve(mat, rhs)
+    """Solve ``mat @ x = rhs`` (rhs (n, m)) by one LU factorization.
+
+    Raises ElementQualityError naming ``cell`` when a pivot is zero or LAPACK's
+    1-norm reciprocal-condition estimate is non-finite or below ``_RCOND_MIN``.
+    """
+    lu, piv, info = dgetrf(mat)
+    rcond = dgecon(lu, np.abs(mat).sum(axis=0).max())[0] if info == 0 else 0.0
+    if not (np.isfinite(rcond) and rcond >= _RCOND_MIN):
+        raise ElementQualityError(f"singular {what} system (rcond={rcond:.3e})", cell)
+    return dgetrs(lu, piv, rhs)[0]
 
 
 def _gram_solve(gram, rhs, what, cell):
@@ -85,7 +92,7 @@ class DofLayout:
     def nodes(self, vertices):
         """Vertices, then each edge's internal nodes: the (n_nodes, 2) DOF nodes."""
         v = np.asarray(vertices, dtype=float)
-        d = np.roll(v, -1, axis=0) - v
+        d = np.concatenate([v[1:], v[:1]]) - v
         internal = v[:, None, :] + self.edge_internal_params[:, None] * d[:, None, :]
         return np.vstack([v, internal.reshape(-1, 2)])
 

@@ -143,13 +143,15 @@ def test_quadrature_exactness_invariant(mesh_t2):
 
 @pytest.mark.parametrize("order", range(9))
 def test_tables_match_member_loops_bitwise(order):
-    # values and maps from per-order tables equal, bit for bit, the
-    # member-by-member construction they replace
+    # maps from per-order tables equal, bit for bit, the member-by-member
+    # construction they replace; values built by repeated multiplication
+    # stay within `order` ulp of the member-by-member powers
     rng = np.random.default_rng(order)
     cell = SimpleNamespace(star_center=rng.random(2), h=0.1 + rng.random())
     basis = MonomialBasis(cell, order)
     pts = rng.random((37, 2))
-    assert np.array_equal(eval_basis(basis, pts), eval_basis_by_member(basis, pts))
+    got, want = eval_basis(basis, pts), eval_basis_by_member(basis, pts)
+    np.testing.assert_array_max_ulp(got, want, maxulp=max(order, 1))
     for got, want in zip(grad_map(basis), grad_map_by_member(basis)):
         assert np.array_equal(got, want)
     assert np.array_equal(laplace_map(basis), laplace_map_by_member(basis))
@@ -160,3 +162,19 @@ def test_tables_match_member_loops_bitwise(order):
     assert not monomial_exponents(order).flags.writeable
     # callers get their own, writable copies of the scaled maps
     assert all(m.flags.writeable for m in (*grad_map(basis), laplace_map(basis)))
+
+
+@pytest.mark.parametrize("order", [3, 6])
+def test_stacked_points_match_parts_bitwise(order):
+    # one call on a stacked point set gives the per-part calls' bits, for
+    # parts shorter than a vector register and a whole longer than numpy's
+    # ufunc buffer (8192 elements), where `**` took another path
+    rng = np.random.default_rng(10 + order)
+    cell = SimpleNamespace(star_center=rng.random(2), h=0.1 + rng.random())
+    basis = MonomialBasis(cell, order)
+    pts = rng.random((9000, 2))
+    parts = np.split(pts, [1, 4, 11, 64, 150, 4000])
+    stacked = eval_basis(basis, pts)
+    assert np.array_equal(stacked, np.hstack([eval_basis(basis, p) for p in parts]))
+    one_by_one = np.hstack([eval_basis(basis, p[None]) for p in pts[:200]])
+    assert np.array_equal(stacked[:, :200], one_by_one)

@@ -446,6 +446,57 @@ class TestStarCenters:
         assert np.flatnonzero(~report.star_ok).tolist() == sorted(bad)
 
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_zero_length_edge_named(self, k):
+        # vertices 1 and 4 coincide: the fault is named before any division
+        mesh = PolyMesh([[0, 0], [1, 0], [1, 1], [0, 1], [1, 0]], [[0, 1, 4, 2, 3]])
+        with pytest.raises(ElementQualityError) as info:
+            solve_problem(mesh, problem_smooth(), k)
+        assert str(info.value) == "cell 0: zero-length edge"
+        assert np.isnan(check_regularity(mesh).rho).all()
+
+    def test_non_finite_vertex_named(self):
+        mesh = PolyMesh([[0, 0], [1, 0], [1, np.nan], [0, 1]], [[0, 1, 2, 3]])
+        with pytest.raises(ElementQualityError) as info:
+            solve_problem(mesh, problem_smooth(), 1)
+        assert str(info.value) == "cell 0: non-finite vertex coordinates"
+
+    @pytest.mark.parametrize(
+        "make_mesh, n_convex",
+        [(lambda: generate_voronoi(256, lloyd_iters=100, seed=3), 256),
+         (lambda: generate_concave_pentagons(4), 16)],
+        ids=["voronoi", "pentagons"],
+    )
+    def test_convex_cells_are_their_own_kernel(self, make_mesh, n_convex):
+        # a convex cell skips the clipping, and its center agrees with the one
+        # of its clipped kernel; every other cell is still clipped
+        import vemsupg.geometry as geometry
+
+        mesh = make_mesh()
+        polys = [mesh.cell_vertices(c) for c in range(mesh.n_cells)]
+        kernels = [geometry.polygon_kernel(v) for v in polys]
+        convex = [c for c, (v, kv) in enumerate(zip(polys, kernels)) if np.array_equal(kv, v)]
+        assert len(convex) == n_convex
+        for c in set(range(mesh.n_cells)) - set(convex):
+            assert np.array_equal(kernels[c], geometry._clipped_kernel(polys[c]))
+        centers, _ = geometry.star_centers(polys, list(range(mesh.n_cells)))
+        clipped_kernels = [geometry._clipped_kernel(polys[c]) for c in convex]
+        clipped, _ = geometry.chebyshev_center(clipped_kernels)
+        for c, center in zip(convex, clipped):
+            h = geometry.polygon_diameter(polys[c])
+            assert np.abs(centers[c] - center).max() <= 1e-13 * h, c
+
+    def test_convex_shortcut_keeps_the_faults(self):
+        import vemsupg.geometry as geometry
+
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        with pytest.raises(ElementQualityError, match="^cell 0: polygon is not star-shaped"):
+            geometry.star_centers([square[::-1]], [0])
+        sliver = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-13]])
+        with pytest.raises(ElementQualityError, match="^cell 4: polygon kernel is degenerate"):
+            geometry.star_centers([square, sliver], [3, 4])
+
+
 def _locate_by_scan(res, pt):
     """The original point location: every cell, then every fan triangle."""
     for c in range(res.mesh.n_cells):

@@ -4,10 +4,13 @@ import pytest
 from conftest import UNIT_SQUARE, make_geometry
 from oracles import hat_pinabla_square_k1, l2_projection_coeffs
 from vemsupg.basis import MonomialBasis, eval_basis, eval_poly, grad_map, poly_dim
+from vemsupg.errors import ElementQualityError
 from vemsupg.quadrature import edge_rule
 from vemsupg.space import (
     DofLayout,
     LocalSpace,
+    _checked_solve,
+    _gram_solve,
     dof_layout,
     enhancement_degrees,
     lagrange_values,
@@ -287,3 +290,18 @@ class TestConformity:
                     assert v == pytest.approx(values[i], rel=1e-12, abs=1e-13)
                 values[i] = v
         assert np.all(np.isfinite(values))
+
+
+@pytest.mark.parametrize("solve", [_checked_solve, _gram_solve])
+@pytest.mark.parametrize(
+    "mat",
+    [[[1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0 - 1e-15], [1.0 - 1e-15, 1.0]]],
+    ids=["singular", "rcond-below-1e-14"],
+)
+def test_guarded_solve_names_the_cell(solve, mat):
+    # neither an exactly singular factor nor a tiny condition estimate lets
+    # a LinAlgError or a meaningless solution through
+    with pytest.raises(ElementQualityError) as info:
+        solve(np.array(mat), np.ones((2, 3)), "mass", 7)
+    assert str(info.value).startswith("cell 7: singular mass system (rcond=")
+    assert info.value.cell == 7
