@@ -137,7 +137,7 @@ def _run(args):
     if args.command == "probe":
         config = _config_from(args, (2,))
         orders = (1, 2, 3, 4) if args.all_orders else (args.k,)
-        families = None if args.all_families else [args.family]
+        families = FAMILIES if args.all_families else [args.family]
         table = probe_table(config, orders=orders, families=families)
         print(format_probe_table(table))
         return 0

@@ -119,33 +119,34 @@ class Shape:
         self.probed = {}
 
     def space(self, k, ell):
-        if (k, ell) not in self.spaces:
-            geom = ElementGeometry(
-                self.vertices, 2 * (k + ell) + 2, k + ell + 1, cell=self.cell,
-                center=self.center,
-            )
-            self.spaces[(k, ell)] = LocalSpace(geom, k, ell)
-        return self.spaces[(k, ell)]
+        """This shape's (k, ell) space, built on first use and kept."""
+        return self.spaces.setdefault((k, ell), self._trial(k, ell))
+
+    def _trial(self, k, ell):
+        """The kept (k, ell) space, or a new one that is not kept."""
+        if (k, ell) in self.spaces:
+            return self.spaces[(k, ell)]
+        geom = ElementGeometry(self.vertices, 2 * (k + ell) + 2, k + ell + 1, cell=self.cell,
+                               center=self.center)
+        return LocalSpace(geom, k, ell)
 
     def probe(self, k):
         """Smallest coercive increment at order k, tried on this shape's spaces.
 
         Trials start at the rank bound: the increments below it are rejected
-        by a dimension count, so their spaces are not built.
+        by a dimension count, so their spaces are not built.  A trial reuses a
+        space that is already kept; of the new ones only the accepted space is
+        kept, since a Voronoi mesh has a shape per cell.
         """
         if k not in self.probed:
             start = rank_bound_ell(dof_layout(len(self.vertices), k).n_dofs, k)
             if start > DEFAULT_ELL_MAX:
                 skipped = [(ell, None) for ell in range(DEFAULT_ELL_MAX + 1)]
                 raise probe_exhausted(k, skipped, self.cell)
-
-            def trials():
-                for ell in range(start, DEFAULT_ELL_MAX + 1):
-                    yield self.space(k, ell)
-                    # rejected: dropped, a Voronoi mesh has a shape per cell
-                    del self.spaces[(k, ell)]
-
-            self.probed[k] = first_coercive(trials()).ell
+            trials = (self._trial(k, ell) for ell in range(start, DEFAULT_ELL_MAX + 1))
+            accepted = first_coercive(trials)
+            self.spaces[(k, accepted.ell)] = accepted
+            self.probed[k] = accepted.ell
         return self.probed[k]
 
 
@@ -238,7 +239,7 @@ class SolveResult:
         self.dofmap = dofmap
         self.spaces = spaces
         self.shifts = shifts
-        self._cell_tables = None  # padded per-cell arrays, for ``sample``
+        self._cell_tables = None  # boxes and fan triangles, for ``sample``
 
     @property
     def mean_peclet(self):
@@ -248,7 +249,7 @@ class SolveResult:
         return energy_error(self.spaces, self.shifts, self.solution, problem)
 
     def sample(self, points):
-        """Evaluate the reconstructed solution at points inside the domain."""
+        """Evaluate the solution at points of the domain, each on the first cell holding it."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         cells = self._locate(pts)
         local = pts - self.shifts[cells]  # each point moved onto its cell's shape
@@ -259,38 +260,32 @@ class SolveResult:
         return out
 
     def _locate(self, pts):
-        """Lowest-index cell holding each point: all-edges test, then fan triangles.
+        """Lowest-index cell holding each point, by the fan triangles of the cells.
 
-        Only cells whose padded vertex bounding box holds the point are
-        tested.  Both tests accept points up to about 1e-12/|edge| outside a
+        Every cell is star-shaped about its star center, so its fan triangles
+        cover it.  Only cells whose padded bounding box holds the point are
+        tested.  The test accepts points up to about 1e-12/|edge| outside a
         cell; the pad of 1e-3 of the box size covers that with a wide margin.
-        Cells are padded to the largest with zero-length edges and NaN triangles.
+        Cells are padded to the largest by repeating their own triangles.
         """
         if self._cell_tables is None:
-            width = max(len(cell) for cell in self.mesh.cells) + 1
-            loops = self.mesh.vertices[
-                [list(cell) + [cell[0]] * (width - len(cell)) for cell in self.mesh.cells]
-            ]
-            tris = np.full((len(loops), width - 1, 3, 2), np.nan)
+            width = max(len(cell) for cell in self.mesh.cells)
+            tris = np.empty((self.mesh.n_cells, width, 3, 2))
             for cells in cell_chunks(self.spaces):
-                shape_tris = self.spaces[cells[0]].geom.triangles
-                tris[cells, : len(shape_tris)] = shape_tris + self.shifts[cells][:, None, None]
-            lo, hi = loops.min(axis=1), loops.max(axis=1)
+                fan = self.spaces[cells[0]].geom.triangles
+                tris[cells] = fan[np.arange(width) % len(fan)] + self.shifts[cells][:, None, None]
+            lo, hi = tris.min(axis=(1, 2)), tris.max(axis=(1, 2))
             pad = 1e-3 * (hi - lo).max(axis=1, keepdims=True)
-            self._cell_tables = lo - pad, hi + pad, loops, tris
-        lo, hi, loops, tris = self._cell_tables
+            self._cell_tables = lo - pad, hi + pad, tris
+        lo, hi, tris = self._cell_tables
         out = np.full(len(pts), -1)
         step = max(1, 2**20 // len(lo))  # bounds the point-by-box table
         for start in range(0, len(pts), step):
             p = pts[start : start + step]
             ip, ic = np.nonzero(((lo <= p[:, None]) & (p[:, None] <= hi)).all(axis=2))
-            q = p[ip, None]
-            hit = np.all(_cross(loops[ic, :-1], loops[ic, 1:], q) >= -1e-12, axis=1)
-            # concave cells: fall back to the sub-triangulation test
-            rest = np.isin(ip, ip[hit], invert=True)
-            a, b, c, q = tris[ic[rest], :, 0], tris[ic[rest], :, 1], tris[ic[rest], :, 2], q[rest]
+            a, b, c, q = tris[ic, :, 0], tris[ic, :, 1], tris[ic, :, 2], p[ip, None]
             side = np.minimum(np.minimum(_cross(a, b, q), _cross(b, c, q)), _cross(c, a, q))
-            hit[rest] = np.any(side >= -1e-12, axis=1)
+            hit = np.any(side >= -1e-12, axis=1)
             # pairs run by point, then by increasing cell: keep each point's first
             found, first = np.unique(ip[hit], return_index=True)
             out[start + found] = ic[hit][first]
@@ -373,16 +368,29 @@ class ExperimentConfig:
 
 
 def _fmt(x):
-    return format(float(x), ".17g")
+    """One CSV field: empty for None, an integer as it is, a float to 17 digits."""
+    if x is None:
+        return ""
+    return str(x) if isinstance(x, numbers.Integral) else format(float(x), ".17g")
 
 
 class ConvergenceReport:
-    """Per-refinement errors and the observed rates from the last two rows."""
+    """Per-refinement errors and the observed rates between consecutive rows.
+
+    ``rows`` hold level, h_max, n_dof, err_sf, err_vem (None without the
+    baseline) and mean_pe; the report adds ratio, alpha_sf and alpha_vem.
+    """
 
     HEADER = "level,h_max,n_dof,err_sf,err_vem,ratio,mean_pe,alpha_sf,alpha_vem"
 
     def __init__(self, rows):
-        self.rows = rows
+        self.rows = [dict(row) for row in rows]
+        for prev, row in zip([None] + self.rows, self.rows):
+            row["ratio"] = None if row["err_vem"] is None else row["err_vem"] / row["err_sf"]
+            for err, alpha in (("err_sf", "alpha_sf"), ("err_vem", "alpha_vem")):
+                known = prev is not None and None not in (prev[err], row[err])
+                row[alpha] = (self.rate(prev["h_max"], row["h_max"], prev[err], row[err])
+                              if known else None)
 
     @staticmethod
     def rate(h_prev, h_cur, e_prev, e_cur):
@@ -397,21 +405,8 @@ class ConvergenceReport:
         return self.rows[-1]["alpha_vem"] if len(self.rows) > 1 else None
 
     def to_csv(self):
-        lines = [self.HEADER]
-        for row in self.rows:
-            cells = [
-                str(row["level"]),
-                _fmt(row["h_max"]),
-                str(row["n_dof"]),
-                _fmt(row["err_sf"]),
-                _fmt(row["err_vem"]) if row["err_vem"] is not None else "",
-                _fmt(row["ratio"]) if row["ratio"] is not None else "",
-                _fmt(row["mean_pe"]),
-                _fmt(row["alpha_sf"]) if row["alpha_sf"] is not None else "",
-                _fmt(row["alpha_vem"]) if row["alpha_vem"] is not None else "",
-            ]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        rows = [",".join(_fmt(row[name]) for name in self.HEADER.split(",")) for row in self.rows]
+        return "\n".join([self.HEADER] + rows) + "\n"
 
     def write(self, path):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -442,20 +437,8 @@ def run_convergence(config):
                 "n_dof": res_sf.solution.n_dofs,
                 "err_sf": err_sf,
                 "err_vem": err_vem,
-                "ratio": (err_vem / err_sf) if err_vem is not None else None,
                 "mean_pe": res_sf.mean_peclet,
-                "alpha_sf": None,
-                "alpha_vem": None,
             }
-            if rows:
-                prev = rows[-1]
-                row["alpha_sf"] = ConvergenceReport.rate(
-                    prev["h_max"], row["h_max"], prev["err_sf"], row["err_sf"]
-                )
-                if err_vem is not None and prev["err_vem"] is not None:
-                    row["alpha_vem"] = ConvergenceReport.rate(
-                        prev["h_max"], row["h_max"], prev["err_vem"], row["err_vem"]
-                    )
             rows.append(row)
             log.line(
                 f"level={level} n={n} h={row['h_max']:.6g} ndof={row['n_dof']} "
@@ -499,7 +482,7 @@ def run_field(config):
 PROBE_MESH_SIZE = {"t1": 2, "t2": 2, "t3": 10}
 
 
-def probe_table(config, orders=(1, 2, 3, 4), families=None):
+def probe_table(config, orders=(1, 2, 3, 4), families=FAMILIES):
     """Minimal increments per (family, vertex count, order).
 
     Each family contributes one representative mesh; every distinct cell
@@ -507,8 +490,6 @@ def probe_table(config, orders=(1, 2, 3, 4), families=None):
     increment (the safe choice when shapes of equal vertex count differ).
     Entries that exhaust the search cap are marked with an em dash.
     """
-    if families is None:
-        families = [config.family] if config.family else list(FAMILIES)
     with _RunLog(config) as log:
         table = {}
         for family in families:
@@ -519,18 +500,15 @@ def probe_table(config, orders=(1, 2, 3, 4), families=None):
             seen = ShapeTable()
             seen.place(mesh, range(mesh.n_cells))
             for k in orders:
+                ells = {}  # vertex count -> probed increments, None where it fails
                 for shape in seen.shapes.values():
-                    n_v = len(shape.vertices)
                     try:
                         ell = shape.probe(k)
                     except ProbeError:
                         ell = None
-                    key = (family, n_v, k)
-                    cur = table.get(key)
-                    if cur is None or (ell is not None and cur != "—" and ell > cur):
-                        table[key] = ell if ell is not None else "—"
-                    elif ell is None:
-                        table[key] = "—"
+                    ells.setdefault(len(shape.vertices), []).append(ell)
+                for n_v, found in ells.items():
+                    table[(family, n_v, k)] = "—" if None in found else max(found)
             log.line(f"probed family={family} shapes={len(seen.shapes)}")
         if config.out_dir:
             path = os.path.join(config.out_dir, "probe_table.csv")

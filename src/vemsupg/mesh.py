@@ -8,6 +8,7 @@ interior edges must be shared by exactly two cells with opposite orientation.
 
 import itertools
 import json
+import sys
 
 import numpy as np
 from scipy.spatial import Voronoi, cKDTree
@@ -35,6 +36,8 @@ class PolyMesh:
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be an (n, 2) array")
         self.cells = [list(map(int, c)) for c in cells]
+        if not self.cells:
+            raise MeshError("mesh has no cells")
         self._build_topology()
         self._validate(check_simple=check_simple)
         if boundary_labels is None:
@@ -55,14 +58,14 @@ class PolyMesh:
         cell_edges = []
         for c, cell in enumerate(self.cells):
             if len(cell) < 3:
-                raise MeshError(f"cell {c} has fewer than 3 vertices")
+                raise MeshError(f"cell {c}: fewer than 3 vertices")
             loc = []
             for i, a in enumerate(cell):
                 b = cell[(i + 1) % len(cell)]
                 if not (0 <= a < n_vert) or not (0 <= b < n_vert):
-                    raise MeshError(f"cell {c} references missing vertex")
+                    raise MeshError(f"cell {c}: references missing vertex")
                 if a == b:
-                    raise MeshError(f"cell {c} has a zero-length edge")
+                    raise MeshError(f"cell {c}: zero-length edge")
                 key = (a, b) if a < b else (b, a)
                 e = edge_index.get(key)
                 if e is None:
@@ -87,9 +90,9 @@ class PolyMesh:
             poly = self.vertices[cell]
             area = polygon_signed_area(poly)
             if area <= 0.0:
-                raise MeshError(f"cell {c} is not counter-clockwise (signed area {area:g})")
+                raise MeshError(f"cell {c}: not counter-clockwise (signed area {area:g})")
             if check_simple and not polygon_is_simple(poly):
-                raise MeshError(f"cell {c} is self-intersecting")
+                raise MeshError(f"cell {c}: self-intersecting")
             areas.append(area)
         self.cell_areas = np.asarray(areas)
         boundary = []
@@ -420,6 +423,16 @@ def write_mesh(mesh, path):
         fh.write("\n".join(lines) + "\n")
 
 
+def _is_index(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_coordinate(x):
+    """A finite number: not a boolean, null, NaN, an infinity or beyond the float range."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
+
+
 def read_mesh(path):
     """Read a mesh file, validating every mesh invariant."""
     with open(path, encoding="utf-8") as fh:
@@ -427,26 +440,28 @@ def read_mesh(path):
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise MeshFormatError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise MeshFormatError(f"{path}: expected a JSON object")
     for key in ("vertices", "cells", "boundary_labels"):
         if key not in data:
             raise MeshFormatError(f"{path}: missing key {key!r}")
-    verts = data["vertices"]
-    if not all(isinstance(v, list) and len(v) == 2 for v in verts):
-        raise MeshFormatError(f"{path}: vertices must be [x, y] pairs")
+        if not isinstance(data[key], list):
+            raise MeshFormatError(f"{path}: {key!r} must be a list")
+    for i, v in enumerate(data["vertices"]):
+        if not (isinstance(v, list) and len(v) == 2 and all(map(_is_coordinate, v))):
+            raise MeshFormatError(f"{path}: vertex {i} must be a pair of finite numbers, not {v!r}")
     for i, cell in enumerate(data["cells"]):
-        if not isinstance(cell, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in cell
-        ):
+        if not isinstance(cell, list) or not all(map(_is_index, cell)):
             raise MeshFormatError(f"{path}: cell {i} must be a list of integers")
     labels = {}
-    for item in data["boundary_labels"]:
-        try:
-            labels[(int(item["cell"]), int(item["edge"]))] = str(item["label"])
-        except (KeyError, TypeError) as exc:
-            raise MeshFormatError(f"{path}: bad boundary label entry {item!r}") from None
+    for i, item in enumerate(data["boundary_labels"]):
+        if not (isinstance(item, dict) and _is_index(item.get("cell"))
+                and _is_index(item.get("edge")) and isinstance(item.get("label"), str)):
+            raise MeshFormatError(f"{path}: bad boundary label entry {i}: {item!r}")
+        labels[(item["cell"], item["edge"])] = item["label"]
     try:
         mesh = PolyMesh(
-            np.asarray(verts, dtype=float),
+            np.asarray(data["vertices"], dtype=float),
             data["cells"],
             boundary_labels=labels,
             check_simple=True,

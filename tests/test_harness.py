@@ -1,6 +1,7 @@
 import itertools
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -8,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import swirl_problem
+from conftest import UNIT_SQUARE, swirl_problem
 from vemsupg.assemble import DofMap, apply_dirichlet, assemble, solve
 from vemsupg.forms import (
     baseline_vem_forms,
@@ -17,7 +18,7 @@ from vemsupg.forms import (
     rank_bound_ell,
     sf_forms,
 )
-from vemsupg.errors import ElementQualityError
+from vemsupg.errors import ElementQualityError, MeshError, ProbeError, SolveError
 from vemsupg.geometry import ElementGeometry
 from vemsupg.harness import (
     ConvergenceReport,
@@ -224,6 +225,16 @@ class TestSolveDrivers:
         built = trials(pentagons, firsts, res.solution.ell)
         assert built == 2  # 4 from ell = 0
         assert calls == {"lp": 1, "c_tilde": 2, "geometry": built, "space": built}
+
+    def test_probe_keeps_spaces_handed_out(self):
+        # the probe on a square at k = 2 rejects ell = 1 and accepts ell = 2;
+        # the ell = 1 space handed out before it stays the shape's own
+        mesh = generate_mesh("t1", 2)
+        [(shape, _)] = ShapeTable().place(mesh, [0])
+        handed_out = shape.space(2, 1)
+        assert shape.probe(2) == 2
+        assert shape.space(2, 1) is handed_out
+        assert set(shape.spaces) == {(2, 1), (2, 2)}
 
     def test_monomials_evaluated_once_per_point_set(self, monkeypatch):
         # a space evaluates its degree k+ell monomials at the volume points
@@ -543,6 +554,57 @@ def test_sample_location_matches_scan(make_mesh):
         res.sample([[1.5, 0.5]])
 
 
+def _one_cell(vertices, cell):
+    return PolyMesh(np.array(vertices, dtype=float), [cell])
+
+
+SWEEP_MESHES = {
+    "t3-16-seed0": lambda: generate_mesh("t3", 16, seed=0),
+    "voronoi256-lloyd100-seed3": lambda: generate_voronoi(256, lloyd_iters=100, seed=3),
+    "voronoi256-lloyd20-seed3": lambda: generate_voronoi(256, lloyd_iters=20, seed=3),
+    "voronoi64-lloyd20-seed1": lambda: generate_voronoi(64, lloyd_iters=20, seed=1),
+    "pentagons8": lambda: generate_concave_pentagons(8),
+    "t1-8": lambda: generate_mesh("t1", 8),
+    "clockwise": lambda: _one_cell(UNIT_SQUARE, [0, 3, 2, 1]),
+    "repeated-index": lambda: _one_cell([*UNIT_SQUARE, [0.5, 0.5]], [0, 1, 2, 0, 3]),
+    "thin": lambda: _one_cell([[0, 0], [1, 0], [1, 1e-9], [0, 1e-9]], [0, 1, 2, 3]),
+    "coincident": lambda: _one_cell([*UNIT_SQUARE, [1, 0]], [0, 1, 4, 2, 3]),
+    "nan-vertex": lambda: _one_cell([[0, 0], [1, 0], [1, np.nan], [0, 1]], [0, 1, 2, 3]),
+    # the left cell has a 180-degree vertex at 6, where the two right cells meet
+    "hanging-node": lambda: PolyMesh(
+        np.array([[0, 0], [0.5, 0], [1, 0], [0, 1], [0.5, 1], [1, 1], [0.5, 0.5], [1, 0.5]]),
+        [[0, 1, 6, 4, 3], [1, 2, 7, 6], [6, 7, 5, 4]],
+    ),
+    "square-6-extra": lambda: _one_cell(
+        [[0, 0]] + [[i / 7, 0] for i in range(1, 7)] + [[1, 0], [1, 1], [0, 1]], list(range(10))
+    ),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", list(SWEEP_MESHES))
+def test_input_sweep(name, k):
+    # every case solves or fails with a typed one-line error naming a cell,
+    # and the solve leaves the caller's mesh as it was
+    error = None
+    try:
+        mesh = SWEEP_MESHES[name]()
+    except MeshError as exc:  # rejected on construction
+        error = exc
+    else:
+        vertices, cells = mesh.vertices.copy(), [list(c) for c in mesh.cells]
+        labels = dict(mesh.boundary_labels)
+        try:
+            solve_problem(mesh, problem_test2(), k, ell="auto")
+        except (MeshError, ElementQualityError, ProbeError, SolveError) as exc:
+            error = exc
+        assert np.array_equal(mesh.vertices, vertices, equal_nan=True)
+        assert mesh.cells == cells and mesh.boundary_labels == labels
+    if error is not None:
+        assert re.match(r"cell \d+: ", str(error)) and "\n" not in str(error), str(error)
+
+
 class TestCli:
     def run_cli(self, *args):
         return subprocess.run(
@@ -629,6 +691,12 @@ class TestCli:
         assert "Traceback" not in res.stderr
         [line] = res.stderr.splitlines()
         assert line.startswith("vemsupg: error: ") and out in line
+
+    def test_probe_all_families(self, tmp_path):
+        res = self.run_cli("probe", "--all-families", "--k", "1", "--out", str(tmp_path))
+        assert res.returncode == 0, res.stderr
+        head = res.stdout.splitlines()[0].split()
+        assert {col.split(":")[0] for col in head[1:]} == {"t1", "t2", "t3"}
 
     def test_probe_command(self, tmp_path):
         res = self.run_cli("probe", "--family", "t1", "--k", "2",

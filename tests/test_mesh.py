@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,39 @@ class TestMeshIO:
         ):
             read_mesh(path)
 
+    @pytest.mark.parametrize(
+        "key, value, entry",
+        [
+            ("vertices", [[0, 0], [1, 0], ["1", 1], [0, 1]], "vertex 2"),
+            ("vertices", [[0, 0], [1, 0], [1, None], [0, 1]], "vertex 2"),
+            ("vertices", [[0, 0], [float("nan"), 0], [1, 1], [0, 1]], "vertex 1"),
+            ("vertices", [[0, 0], [1, 0], [1, 1], [True, 1]], "vertex 3"),
+            ("vertices", [[0, 0], [10**400, 0], [1, 1], [0, 1]], "vertex 1"),
+            ("vertices", 5, "'vertices'"),
+            ("cells", 5, "'cells'"),
+            ("boundary_labels", 5, "'boundary_labels'"),
+            ("boundary_labels", [{"cell": "x", "edge": 0, "label": "left"}],
+             "boundary label entry 0"),
+            ("boundary_labels", [{"cell": 0, "edge": 0, "label": None}],
+             "boundary label entry 0"),
+        ],
+        ids=["string", "null", "nan", "bool", "huge", "vertices-5", "cells-5",
+             "labels-5", "label-cell-x", "label-null"],
+    )
+    def test_malformed_entry_named(self, tmp_path, key, value, entry):
+        # a one-line MeshFormatError naming the file and the entry, never a
+        # raw ValueError or TypeError, and no NaN or boolean read as a number
+        data = {"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]], "cells": [[0, 1, 2, 3]],
+                "boundary_labels": []}
+        data[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(MeshFormatError) as info:
+            read_mesh(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: ") and entry in message
+        assert "\n" not in message
+
     def test_voronoi_round_trip(self, tmp_path, mesh_t3):
         path = tmp_path / "v.json"
         write_mesh(mesh_t3, path)
@@ -235,6 +270,10 @@ class TestMeshIO:
 
 
 class TestTopologyValidation:
+    def test_no_cells(self):
+        with pytest.raises(MeshError, match="^mesh has no cells$"):
+            PolyMesh(np.array([[0, 0], [1, 0], [1, 1.0]]), [])
+
     def test_orientation_required(self):
         with pytest.raises(MeshError, match="counter-clockwise"):
             PolyMesh(np.array([[0, 0], [1, 0], [1, 1], [0, 1.0]]), [[0, 3, 2, 1]])
