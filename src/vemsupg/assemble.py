@@ -13,19 +13,37 @@ _RESIDUAL_TOL = 1e-10
 CHUNK = 64
 
 
-def cell_chunks(keys):
+def cell_chunks(keys, members=None):
     """Indices of the cells with equal ``keys``, in chunks of at most CHUNK.
 
-    Groups come in the order of their first cell, cells in increasing order.
-    Keyed by their spaces, a group is the cells that share one space object
-    (spaces compare by identity).
+    Groups come in the order of their first cell, cells in increasing order,
+    or, with ``members`` (an integer per cell), by member first: keyed by
+    their stacks, the translates of one member of a stack then fill chunks
+    together.  Keys compare by value, so spaces compare by identity.
     """
     groups = {}
     for c, key in enumerate(keys):
         groups.setdefault(key, []).append(c)
     for cells in groups.values():
+        cells = np.array(cells)
+        if members is not None:
+            cells = cells[np.argsort(members[cells], kind="stable")]
         for start in range(0, len(cells), CHUNK):
-            yield np.array(cells[start : start + CHUNK])
+            yield cells[start : start + CHUNK]
+
+
+def stack_rows(index, size):
+    """Index into the tables of a stack of ``size`` members for cells of members ``index``.
+
+    Cells of one member read its tables unbatched, so that stacked products
+    broadcast them; cells of every member in order read the tables as they
+    are; any other mix gathers one row per cell.
+    """
+    if (index == index[0]).all():
+        return index[0]
+    if len(index) == size and (index == np.arange(size)).all():
+        return slice(None)
+    return index
 
 
 class DofMap:
@@ -266,17 +284,22 @@ class DiscreteSolution:
     def attach_reconstructions(self, dofmap, spaces, peclet, tau):
         """Attach each cell's P_k coefficients, increment, Peclet number and tau.
 
-        The coefficients are computed per chunk of cells sharing a space.
+        Cell c's space ``spaces[c]`` is a view into a stack; the coefficients
+        are computed per chunk of cells on one stack.
         """
         self.reconstructions = np.empty((len(spaces), spaces[0].pinabla_coeff.shape[0]))
         self.ell = np.array([s.ell for s in spaces], dtype=int)
         self.peclet = peclet
         self.tau = tau
-        for cells in cell_chunks(spaces):
+        stacks = [s.stack for s in spaces]
+        members = np.array([s.index for s in spaces])
+        for cells in cell_chunks(stacks, members):
             # a stack of matrix-vector products, not one matrix product: each
             # cell's coefficients are then bit for bit those of ``coeff @ local``
+            stack = stacks[cells[0]]
+            coeff = stack.pinabla_coeff[stack_rows(members[cells], len(stack.h_full))]
             local = self.dofs[dofmap.stacked_dofs(cells)][..., None]
-            self.reconstructions[cells] = (spaces[cells[0]].pinabla_coeff @ local)[..., 0]
+            self.reconstructions[cells] = (coeff @ local)[..., 0]
         return self
 
 

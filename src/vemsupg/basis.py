@@ -5,6 +5,8 @@ A basis member with exponent pair (a1, a2) is
 center and h its diameter.  Members are ordered graded-lexicographically:
 degree blocks in increasing total degree, x-power descending inside a block.
 Derivatives act on coefficient vectors as exact linear maps between bases.
+A basis on a stack of elements has one center and scale per element, and
+its tables carry the stack's leading cell axis.
 """
 
 import functools
@@ -43,7 +45,8 @@ class MonomialBasis:
     Parameters
     ----------
     geom : ElementGeometry
-        Element providing the star center, diameter and quadrature.
+        Element (or stack of elements) providing the star center, diameter
+        and quadrature.
     order : int
         Maximal total degree.
     """
@@ -54,26 +57,31 @@ class MonomialBasis:
         self.geom = geom
         self.order = order
         self.center = np.asarray(geom.star_center, dtype=float)
-        self.scale = float(geom.h)
+        self.scale = np.asarray(geom.h, dtype=float)
         self.exponents = monomial_exponents(order)
         self.dim = poly_dim(order)
 
 
 def eval_basis(basis, points):
-    """Evaluate all basis members at ``points`` (n, 2); returns (dim, n).
+    """Evaluate all basis members at ``points`` (..., n, 2); returns (..., dim, n).
 
-    The powers 0..order of both scaled coordinates are built by one
-    multiplication per power, and members are products of gathered rows, so
-    a stacked point set gives bit for bit the values of its parts.
+    On a stack of elements the leading axes of ``points`` follow the
+    stack's cells.  The powers 0..order of both scaled coordinates are built
+    by one multiplication per power, and members are products of gathered
+    rows, so a stacked point set gives bit for bit the values of its parts.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    t = ((pts - basis.center) / basis.scale).T
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[None]
+    t = (pts - basis.center[..., None, :]) / basis.scale[..., None, None]
+    t = t.transpose(t.ndim - 1, *range(t.ndim - 1))  # coordinates first: (2, ..., n)
     pw = np.empty((basis.order + 1, *t.shape))
     pw[0] = 1.0
     for p in range(basis.order):
         np.multiply(pw[p], t, out=pw[p + 1])
     a = basis.exponents
-    return pw[a[:, 0], 0] * pw[a[:, 1], 1]
+    vals = pw[a[:, 0], 0] * pw[a[:, 1], 1]  # (dim, ..., n)
+    return vals.transpose(*range(1, vals.ndim - 1), 0, vals.ndim - 1)
 
 
 def eval_poly(basis, coeffs, points):
@@ -118,13 +126,13 @@ def grad_map(basis):
     1/h chain factor of the scaled coordinates.
     """
     dx, dy, _ = _derivative_patterns(basis.order)
-    inv_h = 1.0 / basis.scale
+    inv_h = 1.0 / basis.scale[..., None, None]
     return dx * inv_h, dy * inv_h
 
 
 def laplace_map(basis):
     """Coefficient map of the Laplacian from P_n to P_{n-2}."""
-    return _derivative_patterns(basis.order)[2] * (1.0 / basis.scale**2)
+    return _derivative_patterns(basis.order)[2] * (1.0 / basis.scale**2)[..., None, None]
 
 
 def div_map(basis):
@@ -132,8 +140,7 @@ def div_map(basis):
 
     Acts on stacked vector coefficients [x-component; y-component].
     """
-    dx, dy = grad_map(basis)
-    return np.hstack([dx, dy])
+    return np.concatenate(grad_map(basis), axis=-1)
 
 
 def mass_matrix(basis):
@@ -149,5 +156,5 @@ def mass_matrix(basis):
             f"mass matrix of order {basis.order} needs {2 * basis.order}"
         )
     vals = eval_basis(basis, geom.quad_points)
-    return (vals * geom.quad_weights) @ vals.T
+    return (vals * geom.quad_weights[..., None, :]) @ vals.mT
 

@@ -1,5 +1,7 @@
 """Exception types raised by the solver library."""
 
+import numpy as np
+
 
 class MeshError(Exception):
     """Invalid mesh topology or geometry (bad orientation, dangling index, ...)."""
@@ -32,3 +34,16 @@ class ProbeError(Exception):
 
 class SolveError(Exception):
     """Linear solve failed (singular factorization or residual above tolerance)."""
+
+
+def first_failure(failed, cells):
+    """Flat position and cell id of the entry of ``failed`` with the lowest cell id.
+
+    ``failed`` is an array of flags with at least one set; ``cells`` gives
+    one cell id per entry, or one for all.  Ids may be None, which sort
+    first, so without ids the first failing entry is named.
+    """
+    at = np.flatnonzero(failed)
+    ids = np.broadcast_to(np.asarray(cells, dtype=object), np.shape(failed)).ravel()[at]
+    j = min(range(len(at)), key=lambda j: -1 if ids[j] is None else ids[j])
+    return int(at[j]), ids[j]

@@ -9,8 +9,8 @@ and restores coercivity with the usual dof-dof stabilization.
 """
 
 import numpy as np
-from scipy.linalg import eigh
 
+from .assemble import stack_rows
 from .basis import MonomialBasis, div_map, eval_basis, grad_map, laplace_map, mass_matrix
 from .errors import ProbeError
 from .space import LocalSpace
@@ -105,22 +105,25 @@ def beta_sup(geom, beta):
 def tilde_c_k(basis, h_km1):
     """Largest c with c h^2 |lap p|^2 <= |grad p|^2 over P_k (k > 1).
 
-    ``basis`` is the degree-k basis of the element and ``h_km1`` its degree
-    k-1 mass matrix.  1/c is the largest eigenvalue of the pencil of the
-    h^2-scaled Laplacian Gram and the gradient Gram on the non-constant
-    members: the constant (member 0) spans the gradient Gram's kernel, so
-    that Gram is positive definite on the others, and harmonic polynomials
-    only add zero eigenvalues.  No cut-off is involved.
+    ``basis`` is the degree-k basis of the element (or of a stack of them)
+    and ``h_km1`` its degree k-1 mass matrix.  1/c is the largest eigenvalue
+    of the pencil of the h^2-scaled Laplacian Gram and the gradient Gram on
+    the non-constant members: the constant (member 0) spans the gradient
+    Gram's kernel, so that Gram is positive definite on the others, and
+    harmonic polynomials only add zero eigenvalues.  No cut-off is involved.
+    The pencil is reduced by the Cholesky factor of the gradient Gram and
+    solved by one batched ``eigvalsh``.
     """
     if basis.order <= 1:
         raise ValueError("inverse-inequality constant defined only for k > 1")
     dx, dy = grad_map(basis)
-    s = dx.T @ h_km1 @ dx + dy.T @ h_km1 @ dy
+    s = dx.mT @ h_km1 @ dx + dy.mT @ h_km1 @ dy
     lap = laplace_map(basis)
-    m = len(lap)  # the degree k-2 mass matrix is the leading block
-    l = basis.scale**2 * (lap.T @ h_km1[:m, :m] @ lap)
-    lam = eigh(l[1:, 1:], s[1:, 1:], eigvals_only=True)
-    return float(1.0 / lam[-1])
+    m = lap.shape[-2]  # the degree k-2 mass matrix is the leading block
+    l = basis.scale[..., None, None] ** 2 * (lap.mT @ h_km1[..., :m, :m] @ lap)
+    inv_low = np.linalg.inv(np.linalg.cholesky(s[..., 1:, 1:]))
+    lam = np.linalg.eigvalsh(inv_low @ l[..., 1:, 1:] @ inv_low.mT)
+    return 1.0 / lam[..., -1]
 
 
 def peclet_tau(geom, kappa, beta_e, k):
@@ -138,7 +141,7 @@ def peclet_tau(geom, kappa, beta_e, k):
     else:
         m_k = 2.0 * tilde_c_k(MonomialBasis(geom, k), mass_matrix(MonomialBasis(geom, k - 1)))
     pe, tau = _peclet_tau(geom.h, kappa, np.asarray(beta_e, dtype=float), m_k)
-    return float(pe), float(tau), m_k
+    return float(pe), float(tau), float(m_k)
 
 
 def _peclet_tau(h, kappa, beta_e, m_k):
@@ -162,7 +165,24 @@ def projected_gradient_gram(space):
     degree = space.k + space.ell - 1
     gx, gy = space.pizero_grad(degree)
     h = space.mass_block(degree)
-    return gx.T @ h @ gx + gy.T @ h @ gy
+    return gx.mT @ h @ gx + gy.mT @ h @ gy
+
+
+def coercive(space):
+    """The probe rule on every cell of ``space``: (accepted, relative eigenvalues).
+
+    The projected-gradient Gram always annihilates constants; the rule
+    accepts a cell for which exactly one eigenvalue stays below
+    ``DEFAULT_PROBE_TOL`` of the largest.  The eigenvalues of a cell come
+    relative to its largest, or as they are where the largest is not
+    positive (such a cell is rejected).  One batched ``eigvalsh`` serves a
+    stack.
+    """
+    gram = projected_gradient_gram(space)
+    lam = np.linalg.eigvalsh(0.5 * (gram + gram.mT))
+    top = lam[..., -1:]
+    accepted = (top[..., 0] > 0.0) & (np.sum(lam < DEFAULT_PROBE_TOL * top, axis=-1) == 1)
+    return accepted, np.divide(lam, top, out=lam.copy(), where=top > 0.0)
 
 
 def rank_bound_ell(n_dofs, k):
@@ -189,26 +209,19 @@ def probe_exhausted(k, trace, cell):
 
 
 def first_coercive(spaces):
-    """First of ``spaces`` whose projected-gradient Gram has a 1-dim kernel.
+    """First of ``spaces`` (one cell each) that ``coercive`` accepts.
 
     ``spaces`` yields the trial spaces of one element in increasing ell.  The
-    Gram always annihilates constants; the rule accepts the first space for
-    which exactly one relative eigenvalue stays below ``DEFAULT_PROBE_TOL``.
-    The trace holds one entry per ell from 0 on: (ell, relative eigenvalues),
-    or (ell, None) for an increment ``spaces`` skips.
+    trace holds one entry per ell from 0 on: (ell, eigenvalues as
+    ``coercive`` gives them), or (ell, None) for an increment ``spaces``
+    skips.
     """
     trace = []
     for space in spaces:
         trace += [(ell, None) for ell in range(len(trace), space.ell)]
-        gram = projected_gradient_gram(space)
-        lam = np.linalg.eigvalsh(0.5 * (gram + gram.T))
-        lam_max = lam[-1]
-        if lam_max <= 0.0:
-            trace.append((space.ell, lam.tolist()))
-            continue
-        n_small = int(np.sum(lam < DEFAULT_PROBE_TOL * lam_max))
-        trace.append((space.ell, (lam / lam_max).tolist()))
-        if n_small == 1:
+        accepted, lam = coercive(space)
+        trace.append((space.ell, lam.tolist()))
+        if accepted:
             return space
     raise probe_exhausted(space.k, trace, space.geom.cell)
 
@@ -332,18 +345,20 @@ def baseline_vem_forms(geom, space, coeffs, problem, sigma=None):
 
 
 class ShapeForms:
-    """Batched local forms of the translates of one cell shape at fixed (k, ell).
+    """Batched local forms of the cells placed on a stack of shapes at fixed (k, ell).
 
     Every projector matrix is translation-invariant, so the tables below
-    (projected gradients, test functions and divergences at the shape's
-    quadrature points, the diffusion Gram and the inverse-inequality
-    constant) serve every cell of the shape.  Per cell only the samples of
-    the velocity and of the source differ; ``batch`` takes them for many
-    cells at once and forms the same matrices as ``sf_forms`` (or, with
-    ``stabilized``, ``baseline_vem_forms``) with stacked matrix products.
+    (per member of the stack: projected gradients, test functions and
+    divergences at its quadrature points, the diffusion Gram and the
+    inverse-inequality constant) serve every cell that is a translate of
+    that member.  Per cell only the samples of the velocity and of the
+    source differ; ``batch`` takes them for many cells at once and forms the
+    same matrices as ``sf_forms`` (or, with ``stabilized``,
+    ``baseline_vem_forms``) with stacked matrix products.
     """
 
     def __init__(self, space, stabilized=False):
+        """Tables of the stack ``space`` (a stacked ``LocalSpace``, not a one-cell view)."""
         if stabilized and space.ell != 0:
             raise ValueError("baseline forms require the standard space (ell = 0)")
         k, ell = space.k, space.ell
@@ -352,13 +367,13 @@ class ShapeForms:
         pts = geom.quad_points
         self.space = space
         self.c_tilde = tilde_c_k(space.basis_k, space.mass_block(k - 1)) if k > 1 else None
-        self.m_k = 1.0 / 3.0 if k == 1 else 2.0 * self.c_tilde
+        self.m_k = np.full(len(pts), 1.0 / 3.0) if k == 1 else 2.0 * self.c_tilde
         self.gram = projected_gradient_gram(space)
         # degree k+ell-1 monomials at the points; lower degrees read leading columns
-        vals = eval_basis(MonomialBasis(geom, degree), pts).T
+        vals = eval_basis(MonomialBasis(geom, degree), pts).mT
 
         def at_points(coeffs):
-            return vals[:, : len(coeffs)] @ coeffs
+            return vals[..., : coeffs.shape[-2]] @ coeffs
 
         low_grad = space.pizero_grad(low)
         self.grad = tuple(map(at_points, space.pizero_grad(degree)))
@@ -366,45 +381,49 @@ class ShapeForms:
         self.test = at_points(space.pizero_scalar(low))
         self.div = None
         if k > 1:
-            self.div = at_points(div_map(MonomialBasis(geom, low)) @ np.vstack(low_grad))
+            div = div_map(MonomialBasis(geom, low)) @ np.concatenate(low_grad, axis=-2)
+            self.div = at_points(div)
         self.stab = None
         if stabilized:
             resid = np.eye(space.n_dofs) - space.pinabla_dof
-            self.stab = resid.T @ resid
+            self.stab = resid.mT @ resid
         # velocity samples for beta_sup: volume points first, then edges
-        self.samples = np.vstack([pts, geom.edge_points.reshape(-1, 2)])
+        self.samples = np.concatenate([pts, geom.edge_points.reshape(len(pts), -1, 2)], axis=1)
 
-    def batch(self, problem, shifts):
-        """Peclet numbers, tau, local matrices and loads of the cells at ``shifts`` (C, 2).
+    def batch(self, problem, index, shifts):
+        """Peclet numbers, tau, local matrices and loads of cells placed on the stack.
 
-        Returns (C,), (C,), (C, n, n) and (C, n) arrays.  Each matrix is
-        a + b + d, summed in the order of ``LocalForms.full``, with the
-        stabilization of the baseline already in a.
+        Cell i is member ``index[i]`` of the stack translated by
+        ``shifts[i]``.  Returns (C,), (C,), (C, n, n) and (C, n) arrays.
+        Each matrix is a + b + d, summed in the order of ``LocalForms.full``,
+        with the stabilization of the baseline already in a.
         """
         geom = self.space.geom
-        n_cells, nq = len(shifts), len(geom.quad_weights)
-        w = geom.quad_weights
+        at = stack_rows(index, len(self.m_k))
+        n_cells, nq = len(shifts), geom.quad_weights.shape[-1]
+        w = geom.quad_weights[at][..., None]
         kappa = problem.kappa
-        pts = self.samples[None, :, :] + shifts[:, None, :]
+        pts = self.samples[at] + shifts[:, None, :]
         beta = _beta_at(problem, pts.reshape(-1, 2)).reshape(n_cells, -1, 2)
         beta_e = np.hypot(beta[..., 0], beta[..., 1]).max(axis=1)
         beta = beta[:, :nq]
         fvals = np.asarray(problem.source(pts[:, :nq].reshape(-1, 2)), dtype=float)
-        pe, tau = _peclet_tau(geom.h, kappa, beta_e, self.m_k)
+        pe, tau = _peclet_tau(geom.h[at], kappa, beta_e, self.m_k[at])
 
         def streamline(grad):
-            return beta[..., :1] * grad[0] + beta[..., 1:] * grad[1]
+            return beta[..., :1] * grad[0][at] + beta[..., 1:] * grad[1][at]
 
         s = streamline(self.grad)
-        s_t = s.transpose(0, 2, 1)
+        s_t = s.mT
         t = tau[:, None, None]
-        a = kappa * self.gram + t * (s_t @ (w[:, None] * s))
+        a = kappa * self.gram[at] + t * (s_t @ (w * s))
         if self.stab is not None:
-            a = a + (kappa + tau * beta_e**2)[:, None, None] * self.stab
+            a = a + (kappa + tau * beta_e**2)[:, None, None] * self.stab[at]
         s_low = s if self.grad_low is self.grad else streamline(self.grad_low)
-        matrices = a + self.test.T @ (w[:, None] * s_low)
+        test = self.test[at]
+        matrices = a + test.mT @ (w * s_low)
         if self.div is not None:
-            matrices = matrices + (-t * kappa) * (s_t @ (w[:, None] * self.div))
-        wf = w * fvals.reshape(n_cells, nq)
-        loads = ((self.test + t * s).transpose(0, 2, 1) @ wf[..., None])[..., 0]
+            matrices = matrices + (-t * kappa) * (s_t @ (w * self.div[at]))
+        wf = w[..., 0] * fvals.reshape(n_cells, nq)
+        loads = ((test + t * s).mT @ wf[..., None])[..., 0]
         return pe, tau, matrices, loads

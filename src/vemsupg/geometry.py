@@ -7,32 +7,36 @@ sub-triangulation rooted at that center.  Centers are computed for many
 polygons at once: a solve takes the kernels of the shapes it places for the
 first time (a convex shape is its own kernel, any other is clipped) and
 solves one block-diagonal Chebyshev-center LP per chunk of
-``assemble.CHUNK`` of them.  A single polygon is a chunk of one.
+``assemble.CHUNK`` of them.  A single polygon is a chunk of one.  Element
+geometry is built the same way, for a stack of polygons with one vertex
+count at once.
 """
+
+import copy
 
 import numpy as np
 from scipy.linalg import block_diag
 from scipy.optimize import linprog
 
 from .assemble import CHUNK
-from .errors import ElementQualityError
+from .errors import ElementQualityError, first_failure
 from .quadrature import edge_rule, map_rule_to_triangle, triangle_rule
 
 _KERNEL_EPS = 1e-12
 
 
 def polygon_signed_area(vertices):
-    """Shoelace signed area; positive for counter-clockwise order."""
+    """Shoelace signed area of polygons (..., nv, 2); positive for counter-clockwise order."""
     v = np.asarray(vertices, dtype=float)
-    nxt = np.concatenate([v[1:], v[:1]])
-    return 0.5 * float(np.sum(v[:, 0] * nxt[:, 1] - nxt[:, 0] * v[:, 1]))
+    nxt = np.concatenate([v[..., 1:, :], v[..., :1, :]], axis=-2)
+    return 0.5 * np.sum(v[..., 0] * nxt[..., 1] - nxt[..., 0] * v[..., 1], axis=-1)
 
 
 def polygon_diameter(vertices):
-    """Largest vertex-to-vertex distance."""
+    """Largest vertex-to-vertex distance of polygons (..., nv, 2)."""
     v = np.asarray(vertices, dtype=float)
-    diff = v[:, None, :] - v[None, :, :]
-    return float(np.sqrt((diff**2).sum(axis=2).max()))
+    diff = v[..., :, None, :] - v[..., None, :, :]
+    return np.sqrt((diff**2).sum(axis=-1).max(axis=(-2, -1)))
 
 
 def polygon_is_simple(vertices):
@@ -185,19 +189,29 @@ def star_centers(polys, cells):
     """
     centers, radii, faults = kernel_balls(polys)
     if faults:
-        i = min(faults, key=lambda i: cells[i])
-        raise ElementQualityError(faults[i], cells[i])
+        failed = np.zeros(len(polys), dtype=bool)
+        failed[list(faults)] = True
+        i, cell = first_failure(failed, cells)
+        raise ElementQualityError(faults[i], cell)
     return centers, radii
 
 
 class ElementGeometry:
-    """Per-element geometric data and quadrature.
+    """Geometric data and quadrature of a stack of polygons with one vertex count.
 
-    Attributes
-    ----------
+    ``vertices`` (C, nv, 2) gives a stack of C cells, and every per-cell
+    attribute below then carries a leading cell axis.  ``vertices`` (nv, 2)
+    gives one cell: the cell-0 view of a stack of one.  ``geom[i]`` is the
+    view of cell i, ``geom[index]`` for an index array the stack of those
+    cells; their arrays are views or copies of the stack's.
+
+    Per-cell attributes
+    -------------------
     vertices : (nv, 2) array, CCW
+    cell : cell id, or None
     h : diameter
     area : polygon area
+    perimeter : boundary length
     star_center : kernel Chebyshev center (x_E, y_E)
     kernel_radius : inscribed-circle radius of the kernel
     edge_lengths, edge_normals, edge_tangents : per-edge data (outward normals)
@@ -207,50 +221,84 @@ class ElementGeometry:
     edge_points : (nv, n_edge_points, 2) Gauss points, edge e from vertex e
         to vertex e+1
     edge_weights : (nv, n_edge_points) Gauss weights, summing to each length
-    edge_params : (n_edge_points,) Gauss nodes in [0, 1], shared by all edges
 
-    ``center`` optionally passes a known (star center, kernel radius) pair,
-    so that geometries of one polygon at several quadrature degrees share a
-    single kernel and Chebyshev-center computation.
+    Shared: ``n_vertices``, ``exact_degree``, ``n_edge_points`` and
+    ``edge_params``, the (n_edge_points,) Gauss nodes in [0, 1].
+
+    ``cell`` gives the cell id of each polygon (one id for one polygon), and
+    ``center`` optionally the known (star centers, kernel radii), so that
+    geometries of one polygon at several quadrature degrees share a single
+    kernel and Chebyshev-center computation.
     """
+
+    PER_CELL = frozenset(["vertices", "cell", "h", "area", "perimeter", "star_center",
+                          "kernel_radius", "edge_lengths", "edge_normals", "edge_tangents",
+                          "triangles", "quad_points", "quad_weights", "edge_points",
+                          "edge_weights"])
 
     def __init__(self, vertices, exact_degree, n_edge_points, cell=None, center=None):
         v = np.asarray(vertices, dtype=float)
-        if len(v) < 3:
-            raise ElementQualityError("polygon needs at least 3 vertices", cell)
+        one = v.ndim == 2
+        if one:
+            v, cell = v[None], [cell]
+            if center is not None:
+                center = np.asarray(center[0], dtype=float)[None], np.array([center[1]])
+        cells = np.empty(len(v), dtype=object)
+        cells[:] = [None] * len(v) if cell is None else list(cell)
+        if v.shape[1] < 3:
+            raise ElementQualityError("polygon needs at least 3 vertices",
+                                      first_failure(np.ones(len(v), dtype=bool), cells)[1])
         area = polygon_signed_area(v)
-        if area <= 0.0:
-            raise ElementQualityError("polygon is not counter-clockwise", cell)
-        self.cell = cell
+        if (area <= 0.0).any():
+            raise ElementQualityError("polygon is not counter-clockwise",
+                                      first_failure(area <= 0.0, cells)[1])
+        self.cell = cells
         self.vertices = v
-        self.n_vertices = len(v)
+        self.n_vertices = v.shape[1]
         self.area = area
         self.h = polygon_diameter(v)
         if center is None:
-            centers, radii = star_centers([v], [cell])
-            center = centers[0], float(radii[0])
-        self.star_center, self.kernel_radius = center
+            center = star_centers(list(v), cells)
+        self.star_center, self.kernel_radius = (np.asarray(a, dtype=float) for a in center)
         self.exact_degree = int(exact_degree)
         self.n_edge_points = int(n_edge_points)
 
-        nxt = np.concatenate([v[1:], v[:1]])
+        nxt = np.concatenate([v[:, 1:], v[:, :1]], axis=1)
         tang = nxt - v
-        self.edge_lengths = np.hypot(tang[:, 0], tang[:, 1])
-        self.edge_tangents = tang / self.edge_lengths[:, None]
-        self.edge_normals = np.column_stack(
-            [self.edge_tangents[:, 1], -self.edge_tangents[:, 0]]
-        )
+        self.edge_lengths = np.hypot(tang[..., 0], tang[..., 1])
+        self.edge_tangents = tang / self.edge_lengths[..., None]
+        self.edge_normals = np.stack([self.edge_tangents[..., 1], -self.edge_tangents[..., 0]],
+                                     axis=-1)
 
         self.triangles = np.stack(
-            [np.broadcast_to(self.star_center, v.shape), v, nxt], axis=1
+            [np.broadcast_to(self.star_center[:, None, :], v.shape), v, nxt], axis=2
         )
         pts, wts = map_rule_to_triangle(
             *triangle_rule(self.exact_degree), self.triangles
         )
-        self.quad_points = pts.reshape(-1, 2)
-        self.quad_weights = wts.reshape(-1)
+        self.quad_points = pts.reshape(len(v), -1, 2)
+        self.quad_weights = wts.reshape(len(v), -1)
         self.edge_points, self.edge_weights, self.edge_params = edge_rule(
             v, nxt, self.n_edge_points
         )
-        self.perimeter = float(self.edge_lengths.sum())
+        self.perimeter = self.edge_lengths.sum(axis=-1)
+        if one:
+            self.__dict__.update(self[0].__dict__)
 
+    def __getitem__(self, at):
+        """Cell ``at`` (an int) as a one-cell geometry, or cells ``at`` (an index array) as a stack."""
+        out = object.__new__(type(self))
+        out.__dict__ = {name: value[at] if name in self.PER_CELL else value
+                        for name, value in self.__dict__.items()}
+        return out
+
+    def as_stack(self):
+        """This geometry with a leading cell axis: a one-cell geometry becomes a stack of one."""
+        if np.ndim(self.h):
+            return self
+        out = copy.copy(self)
+        for name in self.PER_CELL:
+            setattr(out, name, np.asarray(getattr(self, name))[None])
+        out.cell = np.empty(1, dtype=object)
+        out.cell[0] = self.cell
+        return out

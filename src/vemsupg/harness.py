@@ -4,20 +4,25 @@ Every solve builds its element data through one shape table.  Cells that
 are translated copies of one another (all cells of a cartesian grid, the two
 pentagons of the concave tiling) share one kernel and star center, one
 space per (k, ell) and one probe result, built on the first cell of the
-shape.  The probe tries the shape's own (k, ell) spaces in increasing ell,
-from the smallest ell a dimension count allows, and the solve keeps the one
-it accepts; the rejected trials are dropped.  A cell is a placement of its
-shape: the shape's space plus the cell's shift from the shape's first cell.
+shape; on a Voronoi mesh every cell is its own shape, with zero shift.
+Shapes are built in groups of one (vertex count, k, ell): each group is
+cut into stacks of up to ``STACK`` shapes, and a stack is one stacked
+geometry, one stacked space and, in the solve, one set of form tables.  A
+shape's space is its view into its stack.  The probe runs in rounds: every
+shape first tries the smallest ell a dimension count allows, a round
+decides one stack of trial spaces per vertex count with one batched
+eigenvalue solve, the accepted members become a stack that the solve keeps
+and the rejected shapes try the next ell.  A cell is a placement of its
+shape: the shape's view plus the cell's shift from the shape's first cell.
 Since every projector matrix is translation-invariant, the shift only moves
 the points at which velocity, source and exact solution are sampled, so the
-local forms and loads of each shape are formed in stacked batches from one
-set of form tables.  The batches stay stacked: each goes to ``assemble`` as
-its cells with their (C, n, n) matrices and (C, n) loads, and its Peclet
-numbers and tau fill per-cell arrays, so no per-cell coefficient or form
-object is made.  The solve result, the energy error and ``sample`` keep the
-shape's space and the shift, never a per-cell copy of the element.
-On a Voronoi mesh every cell is its own shape, with zero shift, and the same
-path runs with groups of one.
+local forms and loads of each stack's cells are formed in batches from the
+stack's form tables, each cell reading its own member's.  The batches stay
+stacked: each goes to ``assemble`` as its cells with their (C, n, n)
+matrices and (C, n) loads, and its Peclet numbers and tau fill per-cell
+arrays, so no per-cell coefficient or form object is made.  The solve
+result, the energy error and ``sample`` keep the shape's view and the
+shift, never a per-cell copy of the element.
 """
 
 import copy
@@ -44,8 +49,8 @@ from .forms import (  # noqa: F401
     DEFAULT_ELL_MAX,
     ShapeForms,
     baseline_vem_forms,
+    coercive,
     element_coefficients,
-    first_coercive,
     probe_exhausted,
     probe_min_ell,
     rank_bound_ell,
@@ -100,14 +105,15 @@ def _shape_signatures(polys):
 
 
 class Shape:
-    """Element data of one cell shape, built on the first cell that has it.
+    """One cell shape: its first cell, star center and the spaces built for it.
 
-    Every other cell of the shape is a translate of that cell, and all its
+    Every other cell of the shape is a translate of the first, and all its
     projector matrices are translation-invariant (integrals run in
     star-centered scaled monomials), so spaces and probe results are built
-    once here and shared.  Each (k, ell) space carries its own geometry,
-    exact to the degree the space needs; all of them share the shape's
-    kernel star center, which ``ShapeTable.place`` computes.
+    once and shared.  A (k, ell) space is the shape's view into a stack
+    built for many shapes of its vertex count at once (``build_spaces``,
+    ``probe_shapes``); every geometry of the shape shares the kernel star
+    center that ``ShapeTable.place`` computes.
     """
 
     def __init__(self, verts, anchor, cell, center):
@@ -119,35 +125,88 @@ class Shape:
         self.probed = {}
 
     def space(self, k, ell):
-        """This shape's (k, ell) space, built on first use and kept."""
-        return self.spaces.setdefault((k, ell), self._trial(k, ell))
-
-    def _trial(self, k, ell):
-        """The kept (k, ell) space, or a new one that is not kept."""
-        if (k, ell) in self.spaces:
-            return self.spaces[(k, ell)]
-        geom = ElementGeometry(self.vertices, 2 * (k + ell) + 2, k + ell + 1, cell=self.cell,
-                               center=self.center)
-        return LocalSpace(geom, k, ell)
+        """This shape's (k, ell) space, built on first use (as a stack of one) and kept."""
+        if (k, ell) not in self.spaces:
+            build_spaces([self], k, ell)
+        return self.spaces[(k, ell)]
 
     def probe(self, k):
-        """Smallest coercive increment at order k, tried on this shape's spaces.
-
-        Trials start at the rank bound: the increments below it are rejected
-        by a dimension count, so their spaces are not built.  A trial reuses a
-        space that is already kept; of the new ones only the accepted space is
-        kept, since a Voronoi mesh has a shape per cell.
-        """
-        if k not in self.probed:
-            start = rank_bound_ell(dof_layout(len(self.vertices), k).n_dofs, k)
-            if start > DEFAULT_ELL_MAX:
-                skipped = [(ell, None) for ell in range(DEFAULT_ELL_MAX + 1)]
-                raise probe_exhausted(k, skipped, self.cell)
-            trials = (self._trial(k, ell) for ell in range(start, DEFAULT_ELL_MAX + 1))
-            accepted = first_coercive(trials)
-            self.spaces[(k, accepted.ell)] = accepted
-            self.probed[k] = accepted.ell
+        """Smallest coercive increment at order k (see ``probe_shapes``)."""
+        failed = probe_shapes([self], k)
+        if failed:
+            raise probe_exhausted(k, failed[self], self.cell)
         return self.probed[k]
+
+
+def _stack_space(shapes, k, ell):
+    """The stacked (k, ell) space of ``shapes``, which have one vertex count."""
+    geom = ElementGeometry(
+        np.array([shape.vertices for shape in shapes]), 2 * (k + ell) + 2, k + ell + 1,
+        cell=[shape.cell for shape in shapes],
+        center=(np.array([shape.center[0] for shape in shapes]),
+                np.array([shape.center[1] for shape in shapes])),
+    )
+    return LocalSpace(geom, k, ell)
+
+
+# shapes per stacked space; a stack's form tables and batch temporaries hold
+# every point of every member, so this bounds their memory
+STACK = 16
+
+
+def _chunks(items):
+    return [items[start : start + STACK] for start in range(0, len(items), STACK)]
+
+
+def build_spaces(shapes, k, ell):
+    """Give each of ``shapes`` (one vertex count) its (k, ell) space, built in stacks of STACK."""
+    for chunk in _chunks(shapes):
+        stack = _stack_space(chunk, k, ell)
+        for i, shape in enumerate(chunk):
+            shape.spaces[(k, ell)] = stack[i]
+
+
+def probe_shapes(shapes, k):
+    """Smallest coercive increment of each shape at order k, probed in rounds.
+
+    Shapes are grouped by vertex count.  A group's trials start at the rank
+    bound: the increments below it are rejected by a dimension count, so
+    their spaces are not built.  Each round builds the trial spaces of the
+    group's pending shapes at one increment as stacks of STACK and decides
+    each stack with one batched eigenvalue solve (``coercive``); the
+    accepted shapes keep their views into a stack of the accepted members,
+    the rejected ones go on to the next increment.  Sets ``probed[k]`` of
+    every accepted shape and returns, for each shape still rejected at
+    ``DEFAULT_ELL_MAX``, its trace as ``first_coercive`` records it.
+    """
+    groups = {}
+    for shape in shapes:
+        if k not in shape.probed:
+            groups.setdefault(len(shape.vertices), {})[shape] = None
+    failed = {}
+    for n_v, group in groups.items():
+        group = list(group)
+        start = rank_bound_ell(dof_layout(n_v, k).n_dofs, k)
+        traces = {shape: [(ell, None) for ell in range(min(start, DEFAULT_ELL_MAX + 1))]
+                  for shape in group}
+        for ell in range(start, DEFAULT_ELL_MAX + 1):
+            rejected = []
+            for chunk in _chunks(group):
+                trial = _stack_space(chunk, k, ell)
+                accepted, lam = coercive(trial)
+                for shape, rel in zip(chunk, lam.tolist()):
+                    traces[shape].append((ell, rel))
+                keep = np.flatnonzero(accepted)
+                kept = trial if len(keep) == len(chunk) else trial[keep]
+                for j, i in enumerate(keep.tolist()):
+                    chunk[i].spaces.setdefault((k, ell), kept[j])
+                    chunk[i].probed[k] = ell
+                rejected += [chunk[i] for i in np.flatnonzero(~accepted)]
+            group = rejected
+            if not group:
+                break
+        failed.update((shape, traces[shape]) for shape in group)
+    return failed
 
 
 class ShapeTable:
@@ -205,12 +264,27 @@ def _check_ell(ell, mesh):
                                  f"(the first is cell {c})")
 
 
-def _choose_ell(mesh, c, shape, k, ell_mode):
+def _spaces(shapes, k, ell_mode):
+    """The (k, ell) space of each of ``shapes``, by probe for "auto", else by ``ell_mode``.
+
+    A failed probe raises the ``ProbeError`` of the shape with the lowest cell.
+    """
     if ell_mode == "auto":
-        return shape.probe(k)
-    if isinstance(ell_mode, dict):
-        return ell_mode[len(mesh.cells[c])]
-    return int(ell_mode)
+        failed = probe_shapes(shapes, k)
+        if failed:
+            shape = min(failed, key=lambda shape: shape.cell)
+            raise probe_exhausted(k, failed[shape], shape.cell)
+        ells = [shape.probed[k] for shape in shapes]
+    else:
+        ells = [ell_mode[len(shape.vertices)] if isinstance(ell_mode, dict) else int(ell_mode)
+                for shape in shapes]
+        missing = {}
+        for shape, ell in zip(shapes, ells):
+            if (k, ell) not in shape.spaces:
+                missing.setdefault((len(shape.vertices), ell), []).append(shape)
+        for (_, ell), group in missing.items():
+            build_spaces(group, k, ell)
+    return {shape: shape.spaces[(k, ell)] for shape, ell in zip(shapes, ells)}
 
 
 def build_element(mesh, c, k, ell_mode, cache):
@@ -220,8 +294,8 @@ def build_element(mesh, c, k, ell_mode, cache):
     """
     _check_ell(ell_mode, mesh)
     [(shape, shift)] = cache.place(mesh, [c])
-    ell = _choose_ell(mesh, c, shape, k, ell_mode)
-    return shape.space(k, ell), shift, ell
+    space = _spaces([shape], k, ell_mode)[shape]
+    return space, shift, space.ell
 
 
 class SolveResult:
@@ -316,19 +390,21 @@ def solve_problem(mesh, problem, k, ell="auto", method="sf"):
         ell = 0
     placed = ShapeTable().place(mesh, range(mesh.n_cells))
     shifts = np.array([shift for _, shift in placed])
-    spaces = [
-        shape.space(k, _choose_ell(mesh, c, shape, k, ell))
-        for c, (shape, _) in enumerate(placed)
-    ]
+    by_shape = _spaces(list(dict.fromkeys(shape for shape, _ in placed)), k, ell)
+    spaces = [by_shape[shape] for shape, _ in placed]
+    stacks = [space.stack for space in spaces]
+    members = np.array([space.index for space in spaces])
     peclet, tau = np.empty(mesh.n_cells), np.empty(mesh.n_cells)
     blocks = []
     tables = None
-    for cells in cell_chunks(spaces):
-        space = spaces[cells[0]]
-        if tables is None or tables.space is not space:
-            # form tables live for one space only: a Voronoi mesh has one per cell
-            tables = ShapeForms(space, stabilized=method == "vem")
-        peclet[cells], tau[cells], matrices, loads = tables.batch(problem, shifts[cells])
+    for cells in cell_chunks(stacks, members):
+        stack = stacks[cells[0]]
+        if tables is None or tables.space is not stack:
+            # form tables live for one stack only
+            tables = ShapeForms(stack, stabilized=method == "vem")
+        peclet[cells], tau[cells], matrices, loads = tables.batch(
+            problem, members[cells], shifts[cells]
+        )
         blocks.append((cells, matrices, loads))
     dofmap = DofMap(mesh, k)
     system = assemble(dofmap, blocks)

@@ -85,6 +85,11 @@ class PolyMesh:
         self.n_edges = len(edges)
 
     def _validate(self, check_simple):
+        if not np.isfinite(self.vertices).all():
+            finite = np.isfinite(self.vertices).all(axis=1)
+            for c, cell in enumerate(self.cells):
+                if not finite[cell].all():
+                    raise MeshError(f"cell {c}: non-finite vertex coordinates")
         areas = []
         for c, cell in enumerate(self.cells):
             poly = self.vertices[cell]

@@ -110,11 +110,13 @@ class TestTildeC:
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_space_mass_block_matches_own(self, k):
-        # the form tables read the leading block of the space's mass matrix
+        # the form tables read the leading block of the space's mass matrix;
+        # a one-cell space is a view into a stack of one
         verts = generate_voronoi(9, lloyd_iters=5, seed=2).cell_vertices(4)
         geom = make_geometry(verts, k=k, ell=1)
         space = LocalSpace(geom, k, 1)
-        assert ShapeForms(space).c_tilde == pytest.approx(c_tilde(geom, k), rel=1e-10)
+        tables = ShapeForms(space.stack)
+        assert tables.c_tilde[space.index] == pytest.approx(c_tilde(geom, k), rel=1e-10)
 
     def test_matches_schur_oracle(self):
         # one pencil on the non-constant members against the route that cuts
@@ -605,19 +607,26 @@ class TestShapeForms:
     @pytest.mark.parametrize("family", ["t1", "t2", "t3"])
     def test_batch_matches_per_element_forms(self, family, method):
         # each cell's stacked matrix, load, Peclet number and tau equal the
-        # reference forms built on the cell's own geometry, to roundoff
+        # reference forms built on the cell's own geometry, to roundoff; the
+        # cells of a stack come in cell order, so t1 reads one member's
+        # tables, t2 gathers the two members' rows and t3 takes all members
+        from vemsupg.harness import _spaces
+
         mesh = self.MESHES[family]()
         placed = ShapeTable().place(mesh, range(mesh.n_cells))
         shifts = np.array([shift for _, shift in placed])
-        by_shape = {}
-        for c, (shape, _) in enumerate(placed):
-            by_shape.setdefault(shape, []).append(c)
+        shapes = list(dict.fromkeys(shape for shape, _ in placed))
         build = sf_forms if method == "sf" else baseline_vem_forms
         for k, problem in itertools.product((1, 2, 3), (problem_smooth(), swirl_problem())):
-            for shape, cells in by_shape.items():
-                ell = shape.probe(k) if method == "sf" else 0
-                tables = ShapeForms(shape.space(k, ell), stabilized=method == "vem")
-                pe, tau, mats, loads = tables.batch(problem, shifts[cells])
+            spaces = _spaces(shapes, k, "auto" if method == "sf" else 0)
+            by_stack = {}
+            for c, (shape, _) in enumerate(placed):
+                by_stack.setdefault(spaces[shape].stack, []).append(c)
+            for stack, cells in by_stack.items():
+                ell = stack.ell
+                index = np.array([spaces[placed[c][0]].index for c in cells])
+                tables = ShapeForms(stack, stabilized=method == "vem")
+                pe, tau, mats, loads = tables.batch(problem, index, shifts[cells])
                 for i, c in enumerate(cells):
                     geom = make_geometry(mesh.cell_vertices(c), k=k, ell=ell, cell=c)
                     coef = element_coefficients(geom, problem, k)

@@ -180,11 +180,12 @@ class TestSolveDrivers:
 
     def test_shape_table_builds_once_per_shape(self, monkeypatch):
         # one kernel LP for the shapes of a chunk (all of them here), its
-        # centers shared by every geometry of the shape,
-        # one inverse-inequality constant per shape and order, and one
-        # geometry and space per probed trial ell = start..ell of each shape,
-        # where start is the rank bound: the solve keeps the accepted trial
-        # instead of building it again
+        # centers shared by every geometry of the shape; one stacked geometry
+        # and space per probe round, that is per vertex count and trial ell
+        # from the rank bound on (the solve keeps the accepted members
+        # instead of building them again); and one inverse-inequality
+        # constant call per stack of accepted members, here one per
+        # (vertex count, ell)
         import vemsupg.forms as forms
         import vemsupg.geometry as geometry
 
@@ -205,26 +206,24 @@ class TestSolveDrivers:
                             counted("geometry", ElementGeometry.__init__))
         monkeypatch.setattr(LocalSpace, "__init__", counted("space", LocalSpace.__init__))
 
-        def trials(mesh, cells, ell):
-            starts = [rank_bound_ell(dof_layout(len(mesh.cells[c]), 2).n_dofs, 2)
-                      for c in cells]
-            return int(np.sum(ell[cells] - starts + 1))
+        def rounds_and_stacks(mesh, ell):
+            n_v = np.array([len(cell) for cell in mesh.cells])
+            rounds = sum(int(ell[n_v == nv].max()) - rank_bound_ell(dof_layout(nv, 2).n_dofs, 2) + 1
+                         for nv in np.unique(n_v))
+            return rounds, len(set(zip(n_v.tolist(), ell.tolist())))
 
         voronoi = generate_voronoi(16, lloyd_iters=20, seed=1)
         res = solve_problem(voronoi, problem_smooth(), 2, ell="auto")
-        built = trials(voronoi, np.arange(16), res.solution.ell)
-        assert built == 16  # 34 spaces when every probe starts at ell = 0
-        assert calls == {"lp": 1, "c_tilde": 16, "geometry": built, "space": built}
+        rounds, stacks = rounds_and_stacks(voronoi, res.solution.ell)
+        assert (rounds, stacks) == (4, 4)  # 16 geometries and spaces cell by cell
+        assert calls == {"lp": 1, "c_tilde": stacks, "geometry": rounds, "space": rounds}
         pentagons = generate_mesh("t2", 4)
-        table = ShapeTable()
-        table.place(pentagons, range(pentagons.n_cells))
-        firsts = np.array([shape.cell for shape in table.shapes.values()])
         calls.update(dict.fromkeys(calls, 0))
         res = solve_problem(pentagons, problem_smooth(), 2, ell="auto")
         assert sorted(set(res.solution.ell.tolist())) == [1]  # both shapes
-        built = trials(pentagons, firsts, res.solution.ell)
-        assert built == 2  # 4 from ell = 0
-        assert calls == {"lp": 1, "c_tilde": 2, "geometry": built, "space": built}
+        rounds, stacks = rounds_and_stacks(pentagons, res.solution.ell)
+        assert (rounds, stacks) == (1, 1)  # the two shapes form one stack
+        assert calls == {"lp": 1, "c_tilde": stacks, "geometry": rounds, "space": rounds}
 
     def test_probe_keeps_spaces_handed_out(self):
         # the probe on a square at k = 2 rejects ell = 1 and accepts ell = 2;
@@ -237,13 +236,14 @@ class TestSolveDrivers:
         assert set(shape.spaces) == {(2, 1), (2, 2)}
 
     def test_monomials_evaluated_once_per_point_set(self, monkeypatch):
-        # a space evaluates its degree k+ell monomials at the volume points
-        # (its mass matrix) and at the edge points, and its P_k monomials at
-        # the DOF nodes; every lower degree reads leading blocks of those.
-        # Each ShapeForms evaluates once more, at the volume points, and
-        # tilde_c_k reads the space's mass matrix.  Both meshes build one
-        # space per shape at k = 2 (see above), so a solve makes 3 + 1 calls
-        # per shape
+        # a stacked space evaluates its degree k+ell monomials at the volume
+        # points (its mass matrices) and at the edge points, and its P_k
+        # monomials at the DOF nodes, once for all its cells; every lower
+        # degree reads leading blocks of those.  Each ShapeForms evaluates
+        # once more, at the volume points, and tilde_c_k reads the space's
+        # mass matrices.  At k = 2 the Voronoi mesh builds 4 stacks of trial
+        # spaces and keeps 4 stacks, the pentagons 1 and 1 (see above), so
+        # a solve makes 3 calls per trial stack and 1 per kept stack
         import vemsupg.basis as basis
         import vemsupg.forms as forms
         import vemsupg.space as space
@@ -259,10 +259,10 @@ class TestSolveDrivers:
             monkeypatch.setattr(module, "eval_basis", counted)
         voronoi = generate_voronoi(16, lloyd_iters=20, seed=1)
         solve_problem(voronoi, problem_smooth(), 2, ell="auto")
-        assert calls[0] == 4 * 16  # 208 when each projector evaluated its own
+        assert calls[0] == 3 * 4 + 4  # 64 cell by cell, 208 projector by projector
         calls[0] = 0
         solve_problem(generate_mesh("t2", 4), problem_smooth(), 2, ell="auto")
-        assert calls[0] == 4 * 2  # 26 when each projector evaluated its own
+        assert calls[0] == 3 + 1  # 8 shape by shape, 26 projector by projector
 
     @pytest.mark.parametrize("ell", [1.7, True, -1, {4: 1.5}, {4: -1}, None, "1"])
     def test_bad_ell_rejected_before_elements(self, ell, monkeypatch):
@@ -377,6 +377,45 @@ class TestSolveDrivers:
             assert str(info.value) == f"ell has no increment for {message}"
 
 
+class TestStackedElements:
+    """Element data built in stacks of shapes with one vertex count."""
+
+    def test_probe_choices_on_benchmark_mesh(self):
+        # the increments the probe picks on the voronoi_auto mesh, measured
+        # when every cell was probed on its own: probing in rounds over
+        # stacks must not move one of them
+        mesh = generate_voronoi(256, lloyd_iters=100, seed=3)
+        want = {1: {1: 256}, 2: {1: 223, 2: 33}, 3: {1: 193, 2: 63}}
+        for k, hist in want.items():
+            ell = solve_problem(mesh, problem_test2(), k, ell="auto").solution.ell
+            assert dict(zip(*np.unique(ell, return_counts=True))) == hist, k
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_stacked_spaces_match_stack_of_one(self, k):
+        # each cell's view into its stack matches the space built for that
+        # cell alone (a stack of one) on the same star center; at k = 3 the
+        # probe exhausts its cap on cell 6 of this mesh, so every cell takes
+        # ell = 2 there
+        mesh = generate_voronoi(64, lloyd_iters=20, seed=1)
+        ell = "auto"
+        if k == 3:
+            with pytest.raises(ProbeError, match="^cell 6: "):
+                solve_problem(mesh, problem_smooth(), k, ell=ell)
+            ell = 2
+        res = solve_problem(mesh, problem_smooth(), k, ell=ell)
+        assert max(len(space.stack.h_full) for space in res.spaces) > 1
+        for c, space in enumerate(res.spaces):
+            ell = space.ell
+            geom = ElementGeometry(mesh.cell_vertices(c), 2 * (k + ell) + 2, k + ell + 1, cell=c,
+                                   center=(space.geom.star_center, space.geom.kernel_radius))
+            alone = LocalSpace(geom, k, ell)
+            pairs = [(space.h_full, alone.h_full), (space.pinabla_coeff, alone.pinabla_coeff),
+                     (space.moments, alone.moments),
+                     *zip(space.pizero_grad(k + ell - 1), alone.pizero_grad(k + ell - 1))]
+            for got, ref in pairs:
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), c
+
+
 def _slit(mesh, cell, neighbour):
     """``mesh`` with a thin finger of ``neighbour`` pushed into ``cell``.
 
@@ -467,7 +506,19 @@ class TestStarCenters:
         assert np.isnan(check_regularity(mesh).rho).all()
 
     def test_non_finite_vertex_named(self):
-        mesh = PolyMesh([[0, 0], [1, 0], [1, np.nan], [0, 1]], [[0, 1, 2, 3]])
+        # PolyMesh rejects the vertex, naming the lowest cell that uses it;
+        # kernel_balls still faults a mesh whose vertices change afterwards
+        with pytest.raises(MeshError) as info:
+            PolyMesh([[0, 0], [1, 0], [1, np.nan], [0, 1]], [[0, 1, 2, 3]])
+        assert str(info.value) == "cell 0: non-finite vertex coordinates"
+        two = [[0, 0], [0.5, 0], [1, 0], [1, 1], [0.5, 1], [0, 1]]
+        for bad, first in ((2, 1), (4, 0)):
+            verts = np.array(two, dtype=float)
+            verts[bad, 0] = np.inf
+            with pytest.raises(MeshError, match=f"^cell {first}: non-finite vertex coordinates$"):
+                PolyMesh(verts, [[0, 1, 4, 5], [1, 2, 3, 4]])
+        mesh = PolyMesh(UNIT_SQUARE.copy(), [[0, 1, 2, 3]])
+        mesh.vertices[2, 1] = np.nan
         with pytest.raises(ElementQualityError) as info:
             solve_problem(mesh, problem_smooth(), 1)
         assert str(info.value) == "cell 0: non-finite vertex coordinates"

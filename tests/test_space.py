@@ -5,6 +5,7 @@ from conftest import UNIT_SQUARE, make_geometry
 from oracles import hat_pinabla_square_k1, l2_projection_coeffs
 from vemsupg.basis import MonomialBasis, eval_basis, eval_poly, grad_map, poly_dim
 from vemsupg.errors import ElementQualityError
+from vemsupg.geometry import ElementGeometry
 from vemsupg.quadrature import edge_rule
 from vemsupg.space import (
     DofLayout,
@@ -305,3 +306,27 @@ def test_guarded_solve_names_the_cell(solve, mat):
         solve(np.array(mat), np.ones((2, 3)), "mass", 7)
     assert str(info.value).startswith("cell 7: singular mass system (rcond=")
     assert info.value.cell == 7
+
+
+THIN_QUAD = [[0.0, 0.0], [1.0, 0.0], [1.0, 1e-9], [0.0, 1e-9]]
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["ascending", "descending"])
+@pytest.mark.parametrize("bad", [[12], [12, 14]], ids=["12", "12-and-14"])
+def test_stacked_guard_names_lowest_failing_cell(bad, order):
+    # a stack of quads with cell ids 10..14 (in either order) where the thin
+    # ones make the projector Gram singular: the whole stack fails, naming
+    # the lowest failing cell id, not the first failing position
+    cells = list(range(10, 15))[::order]
+    verts = np.array([THIN_QUAD if c in bad else UNIT_SQUARE + [c, 0.0] for c in cells])
+    geom = ElementGeometry(verts, 2 * (2 + 1) + 2, 2 + 1 + 1, cell=cells)
+    with pytest.raises(ElementQualityError) as info:
+        LocalSpace(geom, 2, 1)
+    assert str(info.value).startswith("cell 12: singular projector Gram system (rcond=")
+    assert info.value.cell == 12
+    # the good cells alone build, each as it builds on its own
+    good = [i for i, c in enumerate(cells) if c not in bad]
+    stack = LocalSpace(geom[np.array(good)], 2, 1)
+    for j, i in enumerate(good):
+        alone = LocalSpace(make_geometry(verts[i], k=2, ell=1, cell=cells[i]), 2, 1)
+        assert np.array_equal(stack[j].pinabla_coeff, alone.pinabla_coeff)

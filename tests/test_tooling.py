@@ -77,3 +77,34 @@ def test_one_center_lp_per_chunk_of_new_shapes(monkeypatch):
     sizes.clear()
     solve_problem(generate_mesh("t2", 4), problem_smooth(), 2)
     assert sizes == [2]
+
+
+def test_traced_tiny_round(tmp_path):
+    # the benchmark's --trace 1 mode on one tiny voronoi_auto round, twice,
+    # as perfbench/selfcheck.py checks it: the rounds finish, exact counts
+    # repeat, and the layer self times cover the traced wall time up to the
+    # untraced rest (bench.other_s), which stays within 3% of it
+    tracing, workloads = _load("tracing"), _load("workloads")
+    saved = [(owner, attr, getattr(owner, attr)) for owner, attr, _ in tracing.PATCHES]
+    workload = workloads.WORKLOADS["voronoi_auto"](1, True, str(tmp_path))
+    workload.make_inputs()
+    workload.round()
+    tracer = tracing.Tracer()
+    measured = []
+    for _ in range(2):
+        tracer.install()
+        try:
+            traced = tracer.span(tracing.ROOT, workload.round)
+        finally:
+            tracer.uninstall()
+        assert traced.failed == 0
+        measured.append(tracing.layer_metrics(tracer))
+        tracer.reset()
+    assert all(getattr(owner, attr) is fn for owner, attr, fn in saved)
+    (first, _), (second, wall) = measured
+    counts = [name for name in first if not name.endswith(("_s", "_ms_per_point"))]
+    assert {name: first[name] for name in counts} == {name: second[name] for name in counts}
+    covered = sum(v for name, v in second.items()
+                  if name.endswith("_s") and name != "bench.other_s")
+    assert abs(covered + second["bench.other_s"] - wall) <= 1e-6 * wall
+    assert abs(covered - wall) <= 0.03 * wall, (covered, wall)
