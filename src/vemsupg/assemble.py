@@ -13,37 +13,32 @@ _RESIDUAL_TOL = 1e-10
 CHUNK = 64
 
 
-def cell_chunks(keys, members=None):
-    """Indices of the cells with equal ``keys``, in chunks of at most CHUNK.
+def stack_chunks(spaces):
+    """Chunks of at most CHUNK cells on one stack, as (stack, rows, cells).
 
-    Groups come in the order of their first cell, cells in increasing order,
-    or, with ``members`` (an integer per cell), by member first: keyed by
-    their stacks, the translates of one member of a stack then fill chunks
-    together.  Keys compare by value, so spaces compare by identity.
+    ``spaces[c]`` is cell c's view into its stack.  Stacks come in the order
+    of their first cell, a stack's cells by member, then by cell, so the
+    translates of one member fill chunks together.  ``rows`` indexes the
+    stack's tables for the chunk's cells: the member itself when they are
+    translates of one member, so that stacked products broadcast its tables
+    unbatched; every row when they are the members in order; else one row
+    per cell.
     """
     groups = {}
-    for c, key in enumerate(keys):
-        groups.setdefault(key, []).append(c)
-    for cells in groups.values():
+    for c, space in enumerate(spaces):
+        groups.setdefault(space.stack, []).append(c)
+    members = np.array([space.index for space in spaces])
+    for stack, cells in groups.items():
         cells = np.array(cells)
-        if members is not None:
-            cells = cells[np.argsort(members[cells], kind="stable")]
+        cells = cells[np.argsort(members[cells], kind="stable")]
         for start in range(0, len(cells), CHUNK):
-            yield cells[start : start + CHUNK]
-
-
-def stack_rows(index, size):
-    """Index into the tables of a stack of ``size`` members for cells of members ``index``.
-
-    Cells of one member read its tables unbatched, so that stacked products
-    broadcast them; cells of every member in order read the tables as they
-    are; any other mix gathers one row per cell.
-    """
-    if (index == index[0]).all():
-        return index[0]
-    if len(index) == size and (index == np.arange(size)).all():
-        return slice(None)
-    return index
+            chunk = cells[start : start + CHUNK]
+            rows = members[chunk]
+            if (rows == rows[0]).all():
+                rows = rows[0]
+            elif len(rows) == len(stack.h_full) and (rows == np.arange(len(rows))).all():
+                rows = slice(None)
+            yield stack, rows, chunk
 
 
 class DofMap:
@@ -291,13 +286,10 @@ class DiscreteSolution:
         self.ell = np.array([s.ell for s in spaces], dtype=int)
         self.peclet = peclet
         self.tau = tau
-        stacks = [s.stack for s in spaces]
-        members = np.array([s.index for s in spaces])
-        for cells in cell_chunks(stacks, members):
+        for stack, rows, cells in stack_chunks(spaces):
             # a stack of matrix-vector products, not one matrix product: each
             # cell's coefficients are then bit for bit those of ``coeff @ local``
-            stack = stacks[cells[0]]
-            coeff = stack.pinabla_coeff[stack_rows(members[cells], len(stack.h_full))]
+            coeff = stack.pinabla_coeff[rows]
             local = self.dofs[dofmap.stacked_dofs(cells)][..., None]
             self.reconstructions[cells] = (coeff @ local)[..., 0]
         return self
@@ -321,21 +313,20 @@ def energy_error(spaces, shifts, solution, problem):
     cell's ``solution.tau``.  Requires the exact gradient.  Cell c is
     ``spaces[c]`` translated by ``shifts[c]``.
 
-    Cells that share one space object (the translates of one shape) are
-    evaluated together, in chunks of CHUNK cells.  The four integrals of
-    each cell are summed over its own points, then added into the totals in
-    cell order.
+    Cells on one stack are evaluated together, in chunks of CHUNK cells,
+    each on its member's points.  The four integrals of each cell are summed
+    over its own points, then added into the totals in cell order.
     """
     if problem.exact_grad is None:
         raise ValueError("energy error needs the exact gradient")
     sums = np.empty((len(spaces), 4))  # kappa and tau terms of num, then of den
-    for cells in cell_chunks(spaces):
-        space = spaces[cells[0]]
-        geom = space.geom
+    for stack, rows, cells in stack_chunks(spaces):
+        geom = stack.geom[rows]
         polys = solution.reconstructions[cells][..., None]
         # a translate's points about its star center are the shape's own
-        vals = eval_basis(MonomialBasis(geom, space.k - 1), geom.quad_points).T
-        gh = np.concatenate([vals @ (d @ polys) for d in grad_map(space.basis_k)], axis=2)
+        vals = eval_basis(MonomialBasis(geom, stack.k - 1), geom.quad_points).mT
+        grads = grad_map(MonomialBasis(geom, stack.k))
+        gh = np.concatenate([vals @ (d @ polys) for d in grads], axis=2)
         pts = geom.quad_points + shifts[cells][:, None, :]
         flat = pts.reshape(-1, 2)
         gu = np.asarray(problem.exact_grad(flat), dtype=float).reshape(pts.shape)

@@ -10,7 +10,6 @@ and restores coercivity with the usual dof-dof stabilization.
 
 import numpy as np
 
-from .assemble import stack_rows
 from .basis import MonomialBasis, div_map, eval_basis, grad_map, laplace_map, mass_matrix
 from .errors import ProbeError
 from .space import LocalSpace
@@ -390,16 +389,16 @@ class ShapeForms:
         # velocity samples for beta_sup: volume points first, then edges
         self.samples = np.concatenate([pts, geom.edge_points.reshape(len(pts), -1, 2)], axis=1)
 
-    def batch(self, problem, index, shifts):
+    def batch(self, problem, at, shifts):
         """Peclet numbers, tau, local matrices and loads of cells placed on the stack.
 
-        Cell i is member ``index[i]`` of the stack translated by
-        ``shifts[i]``.  Returns (C,), (C,), (C, n, n) and (C, n) arrays.
+        Cell i is a member of the stack translated by ``shifts[i]``; ``at``
+        picks the cells' members (``rows`` of ``assemble.stack_chunks``, or
+        an index array).  Returns (C,), (C,), (C, n, n) and (C, n) arrays.
         Each matrix is a + b + d, summed in the order of ``LocalForms.full``,
         with the stabilization of the baseline already in a.
         """
         geom = self.space.geom
-        at = stack_rows(index, len(self.m_k))
         n_cells, nq = len(shifts), geom.quad_weights.shape[-1]
         w = geom.quad_weights[at][..., None]
         kappa = problem.kappa

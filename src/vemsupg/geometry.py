@@ -4,19 +4,19 @@ An element's star center is the Chebyshev center of its kernel (the set of
 points that see the whole boundary), so concave star-shaped cells are handled
 the same way as convex ones.  All element integrals run over a fan
 sub-triangulation rooted at that center.  Centers are computed for many
-polygons at once: a solve takes the kernels of the shapes it places for the
-first time (a convex shape is its own kernel, any other is clipped) and
-solves one block-diagonal Chebyshev-center LP per chunk of
-``assemble.CHUNK`` of them.  A single polygon is a chunk of one.  Element
-geometry is built the same way, for a stack of polygons with one vertex
-count at once.
+polygons at once: the polygons a solve places for the first time are
+checked in arrays, one per vertex count (a convex polygon is its own kernel,
+any other is clipped), and one sparse block-diagonal Chebyshev-center LP is
+solved per chunk of ``assemble.CHUNK`` kernels.  A single polygon is a
+chunk of one.  Element geometry is built the same way, for a stack of
+polygons with one vertex count at once.
 """
 
 import copy
 
 import numpy as np
-from scipy.linalg import block_diag
 from scipy.optimize import linprog
+from scipy.sparse import csr_array
 
 from .assemble import CHUNK
 from .errors import ElementQualityError, first_failure
@@ -43,38 +43,47 @@ def polygon_is_simple(vertices):
     """True if no two non-adjacent edges intersect."""
     v = np.asarray(vertices, dtype=float)
     n = len(v)
+    i, j = np.triu_indices(n, 2)
+    i, j = i[(j + 1) % n != i], j[(j + 1) % n != i]  # edges i and j share no vertex
+    p, q, r, s = v[i], v[(i + 1) % n], v[j], v[(j + 1) % n]
 
-    def cross2(u, w):
-        return u[0] * w[1] - u[1] * w[0]
+    def cross(u, w):
+        return u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]
 
-    def segs_cross(p, q, r, s):
-        d1 = cross2(q - p, r - p)
-        d2 = cross2(q - p, s - p)
-        d3 = cross2(s - r, p - r)
-        d4 = cross2(s - r, q - r)
-        return (d1 * d2 < 0) and (d3 * d4 < 0)
+    crossing = (cross(q - p, r - p) * cross(q - p, s - p) < 0) & (
+        cross(s - r, p - r) * cross(s - r, q - r) < 0)
+    return not crossing.any()
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            if segs_cross(v[i], v[(i + 1) % n], v[j], v[(j + 1) % n]):
-                return False
-    return True
+
+def polygon_groups(polys):
+    """Positions and stacked (C, nv, 2) float vertices of the polygons of each vertex count."""
+    n_v = np.array([len(v) for v in polys], dtype=int)
+    for nv in np.unique(n_v):
+        at = np.flatnonzero(n_v == nv)
+        yield at, np.array([polys[i] for i in at], dtype=float)
+
+
+def edge_vectors(vertices):
+    """Edge vectors of polygons (..., nv, 2): edge e runs from vertex e to vertex e + 1."""
+    return np.roll(vertices, -1, axis=-2) - vertices
+
+
+def _convex(vertices):
+    """Which polygons (C, nv, 2) have positive area and no right turn: each is its own kernel."""
+    d = edge_vectors(vertices)
+    nd = np.roll(d, -1, axis=-2)
+    turns = d[..., 0] * nd[..., 1] - d[..., 1] * nd[..., 0]
+    return (turns >= 0.0).all(axis=-1) & (polygon_signed_area(vertices) > 0.0)
 
 
 def polygon_kernel(vertices):
     """Kernel of a CCW polygon (m, 2), or None when it is empty.
 
-    A polygon of positive area without a right turn is convex and its own
-    kernel; any other polygon's kernel is clipped by ``_clipped_kernel``.
+    A convex polygon is its own kernel; any other polygon's kernel is
+    clipped by ``_clipped_kernel``.
     """
     v = np.asarray(vertices, dtype=float)
-    d = np.concatenate([v[1:], v[:1]]) - v
-    nd = np.concatenate([d[1:], d[:1]])
-    if np.all(d[:, 0] * nd[:, 1] - d[:, 1] * nd[:, 0] >= 0.0) and polygon_signed_area(v) > 0.0:
-        return v
-    return _clipped_kernel(v)
+    return v if _convex(v[None])[0] else _clipped_kernel(v)
 
 
 def _clipped_kernel(vertices):
@@ -85,8 +94,8 @@ def _clipped_kernel(vertices):
     (x0, y0), (x1, y1) = lo - pad, hi + pad
     poly = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
     scale = polygon_diameter(v)
-    for a, b in zip(v, np.concatenate([v[1:], v[:1]])):
-        poly = _clip_half_plane(poly, a, b - a, scale)
+    for a, d in zip(v, edge_vectors(v)):
+        poly = _clip_half_plane(poly, a, d, scale)
         if poly is None:
             return None
     return poly
@@ -95,20 +104,16 @@ def _clipped_kernel(vertices):
 def _clip_half_plane(poly, a, d, scale):
     """Clip convex ``poly`` to the half-plane left of the ray a + t*d."""
     cut = -_KERNEL_EPS * scale * np.hypot(*d)
-    out = []
-    m = len(poly)
     rel = poly - a
     side = d[0] * rel[:, 1] - d[1] * rel[:, 0]
-    for i in range(m):
-        j = (i + 1) % m
-        if side[i] >= cut:
-            out.append(poly[i])
-        if (side[i] > cut > side[j]) or (side[j] > cut > side[i]):
-            t = (side[i] - cut) / (side[i] - side[j])
-            out.append(poly[i] + t * (poly[j] - poly[i]))
-    if len(out) < 3:
-        return None
-    return np.asarray(out)
+    j = np.roll(np.arange(len(poly)), -1)
+    cross = ((side > cut) & (cut > side[j])) | ((side[j] > cut) & (cut > side))
+    i = np.flatnonzero(cross)
+    t = (side[i] - cut) / (side[i] - side[j[i]])
+    out = np.repeat(poly, 2, axis=0)  # each vertex, then the crossing of its edge
+    out[2 * i + 1] = poly[i] + t[:, None] * (poly[j[i]] - poly[i])
+    out = out[np.column_stack([side >= cut, cross]).ravel()]
+    return out if len(out) >= 3 else None
 
 
 def chebyshev_center(kernels):
@@ -117,22 +122,27 @@ def chebyshev_center(kernels):
     One LP for all of them: polygon i's block holds its own rows
     n_e . c_i + r_i <= n_e . a_e (outward unit normals n_e, edge start points
     a_e, r_i >= 0), and the objective is the sum of the radii, so each
-    block's optimum is its own polygon's.
+    block's optimum is its own polygon's.  The rows of all polygons are
+    formed at once, and the block-diagonal matrix is passed sparse.
     """
-    blocks, offsets = [], []
-    for v in kernels:
-        v = np.asarray(v, dtype=float)
-        d = np.concatenate([v[1:], v[:1]]) - v
-        ln = np.hypot(d[:, 0], d[:, 1])
-        keep = ln != 0.0
-        nrm = np.column_stack([d[keep, 1], -d[keep, 0]]) / ln[keep, None]  # outward for CCW
-        blocks.append(np.column_stack([nrm, np.ones(len(nrm))]))
-        offsets.append(np.vecdot(nrm, v[keep]))
+    sizes = np.array([len(v) for v in kernels])
+    v = np.concatenate(kernels, dtype=float)
+    ends = np.cumsum(sizes)
+    nxt = np.arange(1, len(v) + 1)
+    nxt[ends - 1] = ends - sizes
+    d = v[nxt] - v
+    ln = np.hypot(d[:, 0], d[:, 1])
+    keep = ln != 0.0
+    nrm = np.column_stack([d[keep, 1], -d[keep, 0]]) / ln[keep, None]  # outward for CCW
+    cols = 3 * np.repeat(np.arange(len(kernels)), sizes)[keep, None] + np.arange(3)
+    a_ub = csr_array((np.column_stack([nrm, np.ones(len(nrm))]).ravel(), cols.ravel(),
+                      np.arange(0, cols.size + 1, 3)), shape=(len(nrm), 3 * len(kernels)))
+    a_ub.eliminate_zeros()  # as a dense matrix would be read
     res = linprog(
-        c=np.tile([0.0, 0.0, -1.0], len(blocks)),
-        A_ub=block_diag(*blocks),
-        b_ub=np.concatenate(offsets),
-        bounds=[(None, None), (None, None), (0.0, None)] * len(blocks),
+        c=np.tile([0.0, 0.0, -1.0], len(kernels)),
+        A_ub=a_ub,
+        b_ub=np.vecdot(nrm, v[keep]),
+        bounds=np.tile([[-np.inf, np.inf], [-np.inf, np.inf], [0.0, np.inf]], (len(kernels), 1)),
         method="highs",
     )
     if not res.success:
@@ -144,40 +154,43 @@ def chebyshev_center(kernels):
 def kernel_balls(polys):
     """Kernel Chebyshev centers (C, 2) and radii (C,) of CCW polygons, NaN where none.
 
-    Kernels are found one by one; the centers of the non-empty ones come
-    from one ``chebyshev_center`` LP per chunk of CHUNK polygons.  Returns
-    the centers, the radii and, for each polygon without a usable kernel,
-    its index mapped to the reason: non-finite vertex coordinates, a
+    Polygons are checked in stacks of one vertex count; only the non-convex
+    ones are clipped.  The centers of the non-empty kernels, in polygon
+    order, come from one ``chebyshev_center`` LP per chunk of CHUNK.
+    Returns the centers, the radii and, for each polygon without a usable
+    kernel, its index mapped to the reason: non-finite vertex coordinates, a
     zero-length edge (two consecutive vertices at one point), an empty
     kernel, a degenerate one (radius at most 1e-12 of the diameter), or a
     failed LP, which marks every polygon of its chunk.
     """
     centers = np.full((len(polys), 2), np.nan)
     radii = np.full(len(polys), np.nan)
-    faults = {}
-    kernels = []
-    for i, v in enumerate(polys):
-        v = np.asarray(v, dtype=float)
-        if not np.isfinite(v).all():
-            faults[i] = "non-finite vertex coordinates"
-        elif (np.concatenate([v[1:], v[:1]]) == v).all(axis=1).any():
-            faults[i] = "zero-length edge"
-        elif (kernel := polygon_kernel(v)) is None:
-            faults[i] = "polygon is not star-shaped (empty kernel)"
-        else:
-            kernels.append((i, kernel))
-    for start in range(0, len(kernels), CHUNK):
-        at, chunk = zip(*kernels[start : start + CHUNK])
+    diameters = np.full(len(polys), np.nan)
+    reasons = np.full(len(polys), "", dtype=object)
+    kernels = {}
+    for at, v in polygon_groups(polys):
+        finite = np.isfinite(v).all(axis=(1, 2))
+        reasons[at[~finite]] = "non-finite vertex coordinates"
+        at, v = at[finite], v[finite]
+        short = (edge_vectors(v) == 0.0).all(axis=2).any(axis=1)
+        reasons[at[short]] = "zero-length edge"
+        at, v = at[~short], v[~short]
+        diameters[at] = polygon_diameter(v)
+        convex = _convex(v)
+        kernels.update(zip(at[convex].tolist(), v[convex]))
+        kernels.update(zip(at[~convex].tolist(), map(_clipped_kernel, v[~convex])))
+    placed = sorted(i for i, kernel in kernels.items() if kernel is not None)
+    reasons[list(kernels.keys() - set(placed))] = "polygon is not star-shaped (empty kernel)"
+    for start in range(0, len(placed), CHUNK):
+        at = placed[start : start + CHUNK]
         try:
-            centers[list(at)], radii[list(at)] = chebyshev_center(chunk)
+            centers[at], radii[at] = chebyshev_center([kernels[i] for i in at])
         except ElementQualityError as exc:
-            faults.update(dict.fromkeys(at, str(exc)))
-            continue
-        for i in at:
-            if radii[i] <= _KERNEL_EPS * polygon_diameter(polys[i]):
-                faults[i] = "polygon kernel is degenerate"
-                centers[i], radii[i] = np.nan, np.nan
-    return centers, radii, faults
+            reasons[at] = str(exc)
+    degenerate = radii <= _KERNEL_EPS * diameters
+    reasons[degenerate] = "polygon kernel is degenerate"
+    centers[degenerate], radii[degenerate] = np.nan, np.nan
+    return centers, radii, {i: reasons[i] for i in np.flatnonzero(reasons).tolist()}
 
 
 def star_centers(polys, cells):

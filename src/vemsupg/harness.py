@@ -36,12 +36,12 @@ from .assemble import (
     DofMap,
     apply_dirichlet,
     assemble,
-    cell_chunks,
     energy_error,
     export_vtk,
     solve,
+    stack_chunks,
 )
-from .basis import eval_basis
+from .basis import MonomialBasis, eval_basis
 from .errors import ProbeError
 # the per-element forms and the one-geometry probe are not called here: callers
 # and perfbench/tracing.py look them up on this module
@@ -328,9 +328,10 @@ class SolveResult:
         cells = self._locate(pts)
         local = pts - self.shifts[cells]  # each point moved onto its cell's shape
         out = np.empty(len(pts))
-        for group in cell_chunks([self.spaces[c] for c in cells]):
-            vals = eval_basis(self.spaces[cells[group[0]]].basis_k, local[group])
-            out[group] = np.sum(self.solution.reconstructions[cells[group]] * vals.T, axis=1)
+        for stack, rows, group in stack_chunks([self.spaces[c] for c in cells]):
+            # each point about its own member's center: (points, dim, 1) values
+            vals = eval_basis(MonomialBasis(stack.geom[rows], stack.k), local[group][:, None])
+            out[group] = np.sum(self.solution.reconstructions[cells[group]] * vals[..., 0], axis=1)
         return out
 
     def _locate(self, pts):
@@ -345,9 +346,9 @@ class SolveResult:
         if self._cell_tables is None:
             width = max(len(cell) for cell in self.mesh.cells)
             tris = np.empty((self.mesh.n_cells, width, 3, 2))
-            for cells in cell_chunks(self.spaces):
-                fan = self.spaces[cells[0]].geom.triangles
-                tris[cells] = fan[np.arange(width) % len(fan)] + self.shifts[cells][:, None, None]
+            for stack, rows, cells in stack_chunks(self.spaces):
+                fan = stack.geom.triangles[:, np.arange(width) % stack.geom.n_vertices]
+                tris[cells] = fan[rows] + self.shifts[cells][:, None, None]
             lo, hi = tris.min(axis=(1, 2)), tris.max(axis=(1, 2))
             pad = 1e-3 * (hi - lo).max(axis=1, keepdims=True)
             self._cell_tables = lo - pad, hi + pad, tris
@@ -392,19 +393,14 @@ def solve_problem(mesh, problem, k, ell="auto", method="sf"):
     shifts = np.array([shift for _, shift in placed])
     by_shape = _spaces(list(dict.fromkeys(shape for shape, _ in placed)), k, ell)
     spaces = [by_shape[shape] for shape, _ in placed]
-    stacks = [space.stack for space in spaces]
-    members = np.array([space.index for space in spaces])
     peclet, tau = np.empty(mesh.n_cells), np.empty(mesh.n_cells)
     blocks = []
     tables = None
-    for cells in cell_chunks(stacks, members):
-        stack = stacks[cells[0]]
+    for stack, rows, cells in stack_chunks(spaces):
         if tables is None or tables.space is not stack:
             # form tables live for one stack only
             tables = ShapeForms(stack, stabilized=method == "vem")
-        peclet[cells], tau[cells], matrices, loads = tables.batch(
-            problem, members[cells], shifts[cells]
-        )
+        peclet[cells], tau[cells], matrices, loads = tables.batch(problem, rows, shifts[cells])
         blocks.append((cells, matrices, loads))
     dofmap = DofMap(mesh, k)
     system = assemble(dofmap, blocks)

@@ -14,7 +14,8 @@ import numpy as np
 from scipy.spatial import Voronoi, cKDTree
 
 from .errors import MeshError, MeshFormatError
-from .geometry import kernel_balls, polygon_diameter, polygon_is_simple, polygon_signed_area
+from .geometry import (edge_vectors, kernel_balls, polygon_diameter, polygon_groups,
+                       polygon_is_simple, polygon_signed_area)
 
 _SNAP_TOL = 1e-9
 _AREA_RTOL = 1e-12
@@ -388,10 +389,10 @@ def check_regularity(mesh):
     polys = [mesh.cell_vertices(c) for c in range(mesh.n_cells)]
     min_edge = np.empty(mesh.n_cells)
     h = np.empty(mesh.n_cells)
-    for c, poly in enumerate(polys):
-        h[c] = polygon_diameter(poly)
-        edge_vec = np.roll(poly, -1, axis=0) - poly
-        min_edge[c] = np.hypot(edge_vec[:, 0], edge_vec[:, 1]).min()
+    for cells, v in polygon_groups(polys):
+        h[cells] = polygon_diameter(v)
+        edges = edge_vectors(v)
+        min_edge[cells] = np.hypot(edges[..., 0], edges[..., 1]).min(axis=1)
     _, rho, _ = kernel_balls(polys)
     return RegularityReport(rho, min_edge, h, ~np.isnan(rho))
 

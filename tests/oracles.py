@@ -442,3 +442,106 @@ def generate_voronoi_by_cell(n_cells, lloyd_iters=100, seed=0):
     cells, verts = clipped_voronoi_by_cell(sites)
     verts, cells = _compress_vertices(_snap_to_sides(verts), cells)
     return PolyMesh(verts, cells)
+
+
+# -- per-polygon placement ---------------------------------------------------
+# Kernels and Chebyshev centers as the library found them before it placed
+# polygons in arrays: one polygon at a time, and one dense block-diagonal LP
+# per chunk.  A non-convex polygon's kernel is clipped by the library's
+# ``_clipped_kernel``.
+
+
+def polygon_kernel_by_polygon(v):
+    """Kernel of a CCW polygon (m, 2): itself if convex (positive area, no right turn)."""
+    from vemsupg.geometry import _clipped_kernel, polygon_signed_area
+
+    d = np.concatenate([v[1:], v[:1]]) - v
+    nd = np.concatenate([d[1:], d[:1]])
+    if np.all(d[:, 0] * nd[:, 1] - d[:, 1] * nd[:, 0] >= 0.0) and polygon_signed_area(v) > 0.0:
+        return v
+    return _clipped_kernel(v)
+
+
+def chebyshev_center_by_block_diag(kernels):
+    """Centers (C, 2) and radii (C,) of convex polygons from one dense block-diagonal LP."""
+    from scipy.linalg import block_diag
+    from scipy.optimize import linprog
+
+    from vemsupg.errors import ElementQualityError
+
+    blocks, offsets = [], []
+    for v in kernels:
+        v = np.asarray(v, dtype=float)
+        d = np.concatenate([v[1:], v[:1]]) - v
+        ln = np.hypot(d[:, 0], d[:, 1])
+        keep = ln != 0.0
+        nrm = np.column_stack([d[keep, 1], -d[keep, 0]]) / ln[keep, None]  # outward for CCW
+        blocks.append(np.column_stack([nrm, np.ones(len(nrm))]))
+        offsets.append(np.vecdot(nrm, v[keep]))
+    res = linprog(
+        c=np.tile([0.0, 0.0, -1.0], len(blocks)),
+        A_ub=block_diag(*blocks),
+        b_ub=np.concatenate(offsets),
+        bounds=[(None, None), (None, None), (0.0, None)] * len(blocks),
+        method="highs",
+    )
+    if not res.success:
+        raise ElementQualityError(f"Chebyshev center LP failed: {res.message}")
+    x = res.x.reshape(-1, 3)
+    return x[:, :2].copy(), x[:, 2].copy()
+
+
+def kernel_balls_by_polygon(polys, center=chebyshev_center_by_block_diag):
+    """``geometry.kernel_balls`` with one kernel and one set of fault checks per polygon.
+
+    ``center`` solves the LP of each chunk of CHUNK kernels.
+    """
+    from vemsupg.assemble import CHUNK
+    from vemsupg.errors import ElementQualityError
+    from vemsupg.geometry import polygon_diameter
+
+    centers = np.full((len(polys), 2), np.nan)
+    radii = np.full(len(polys), np.nan)
+    faults = {}
+    kernels = []
+    for i, v in enumerate(polys):
+        v = np.asarray(v, dtype=float)
+        if not np.isfinite(v).all():
+            faults[i] = "non-finite vertex coordinates"
+        elif (np.concatenate([v[1:], v[:1]]) == v).all(axis=1).any():
+            faults[i] = "zero-length edge"
+        elif (kernel := polygon_kernel_by_polygon(v)) is None:
+            faults[i] = "polygon is not star-shaped (empty kernel)"
+        else:
+            kernels.append((i, kernel))
+    for start in range(0, len(kernels), CHUNK):
+        at, chunk = zip(*kernels[start : start + CHUNK])
+        try:
+            centers[list(at)], radii[list(at)] = center(chunk)
+        except ElementQualityError as exc:
+            faults.update(dict.fromkeys(at, str(exc)))
+            continue
+        for i in at:
+            if radii[i] <= 1e-12 * polygon_diameter(polys[i]):
+                faults[i] = "polygon kernel is degenerate"
+                centers[i], radii[i] = np.nan, np.nan
+    return centers, radii, faults
+
+
+def polygon_is_simple_by_pair(vertices):
+    """True if no two non-adjacent edges of the polygon cross, one edge pair at a time."""
+    v = np.asarray(vertices, dtype=float)
+    n = len(v)
+
+    def cross2(u, w):
+        return u[0] * w[1] - u[1] * w[0]
+
+    for i in range(n):
+        for j in range(i + 2, n):
+            if (j + 1) % n == i:
+                continue
+            p, q, r, s = v[i], v[(i + 1) % n], v[j], v[(j + 1) % n]
+            if (cross2(q - p, r - p) * cross2(q - p, s - p) < 0
+                    and cross2(s - r, p - r) * cross2(s - r, q - r) < 0):
+                return False
+    return True

@@ -608,8 +608,9 @@ class TestShapeForms:
     def test_batch_matches_per_element_forms(self, family, method):
         # each cell's stacked matrix, load, Peclet number and tau equal the
         # reference forms built on the cell's own geometry, to roundoff; the
-        # cells of a stack come in cell order, so t1 reads one member's
-        # tables, t2 gathers the two members' rows and t3 takes all members
+        # cells of a stack come by member, so t1 reads one member's tables,
+        # t2 gathers the two members' rows and t3 takes all members
+        from vemsupg.assemble import stack_chunks
         from vemsupg.harness import _spaces
 
         mesh = self.MESHES[family]()
@@ -617,16 +618,14 @@ class TestShapeForms:
         shifts = np.array([shift for _, shift in placed])
         shapes = list(dict.fromkeys(shape for shape, _ in placed))
         build = sf_forms if method == "sf" else baseline_vem_forms
+        kinds = set()
         for k, problem in itertools.product((1, 2, 3), (problem_smooth(), swirl_problem())):
             spaces = _spaces(shapes, k, "auto" if method == "sf" else 0)
-            by_stack = {}
-            for c, (shape, _) in enumerate(placed):
-                by_stack.setdefault(spaces[shape].stack, []).append(c)
-            for stack, cells in by_stack.items():
+            for stack, rows, cells in stack_chunks([spaces[shape] for shape, _ in placed]):
+                kinds.add(type(rows))
                 ell = stack.ell
-                index = np.array([spaces[placed[c][0]].index for c in cells])
                 tables = ShapeForms(stack, stabilized=method == "vem")
-                pe, tau, mats, loads = tables.batch(problem, index, shifts[cells])
+                pe, tau, mats, loads = tables.batch(problem, rows, shifts[cells])
                 for i, c in enumerate(cells):
                     geom = make_geometry(mesh.cell_vertices(c), k=k, ell=ell, cell=c)
                     coef = element_coefficients(geom, problem, k)
@@ -636,3 +635,5 @@ class TestShapeForms:
                     assert self.close(loads[i], lf.rhs), where
                     assert pe[i] == pytest.approx(coef.peclet, rel=1e-12), where
                     assert tau[i] == pytest.approx(coef.tau, rel=1e-12), where
+        want = {"t1": np.integer, "t2": np.ndarray, "t3": slice}[family]
+        assert any(issubclass(kind, want) for kind in kinds)

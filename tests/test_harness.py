@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import UNIT_SQUARE, swirl_problem
+from oracles import chebyshev_center_by_block_diag, kernel_balls_by_polygon
 from vemsupg.assemble import DofMap, apply_dirichlet, assemble, solve
 from vemsupg.forms import (
     baseline_vem_forms,
@@ -559,6 +560,78 @@ class TestStarCenters:
             geometry.star_centers([square, sliver], [3, 4])
 
 
+    @pytest.mark.parametrize(
+        "make_mesh",
+        [lambda: generate_voronoi(256, lloyd_iters=100, seed=3),
+         lambda: generate_concave_pentagons(16),
+         lambda: generate_mesh("t1", 32),
+         lambda: generate_voronoi(256, lloyd_iters=20, seed=1)],
+        ids=["voronoi_auto", "pentagon_layers", "cart_layer_conv", "lloyd20-seed1"],
+    )
+    def test_placement_matches_per_polygon_oracle(self, make_mesh):
+        # the benchmark meshes and one of mixed vertex counts, placed in
+        # arrays, give the per-polygon centers and radii bit for bit
+        import vemsupg.geometry as geometry
+
+        mesh = make_mesh()
+        polys = [mesh.cell_vertices(c) for c in range(mesh.n_cells)]
+        centers, radii, faults = geometry.kernel_balls(polys)
+        want_centers, want_radii, want_faults = kernel_balls_by_polygon(polys)
+        assert np.array_equal(centers, want_centers)
+        assert np.array_equal(radii, want_radii)
+        assert faults == want_faults == {}
+
+    def test_faults_and_chunks_match_per_polygon_oracle(self, monkeypatch):
+        # three chunks of kernels from polygons of four to eight vertices,
+        # with every fault kind inside chunks and next to their boundaries:
+        # the same chunks, centers, radii and faults as the per-polygon loop
+        import vemsupg.geometry as geometry
+        from vemsupg.assemble import CHUNK
+
+        voronoi = generate_voronoi(100, lloyd_iters=20, seed=1)
+        voronoi.vertices[voronoi.cells[40][0]] = np.nan  # after the mesh's own checks
+        pentagons = generate_concave_pentagons(4)  # every other cell is clipped
+        polys = ([voronoi.cell_vertices(c) for c in range(voronoi.n_cells)]
+                 + [pentagons.cell_vertices(c) for c in range(pentagons.n_cells)])
+        sliver = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-13]])
+        faulty = {
+            0: np.array(UNIT_SQUARE, dtype=float)[::-1],  # clockwise: empty kernel
+            CHUNK - 1: np.array([[0, 0], [1, 0], [1, 0], [1, 1], [0, 1]], dtype=float),
+            CHUNK: sliver,
+            CHUNK + 2: np.array([[0, 0], [3, 0], [3, 3], [2, 3], [2, 1], [1, 1], [1, 3], [0, 3]],
+                                dtype=float),  # U shape: empty kernel
+            2 * CHUNK + 3: sliver,
+        }
+        for at in sorted(faulty):
+            polys.insert(at, faulty[at])
+        assert len(polys) > 2 * CHUNK
+
+        def recording(center, sizes):
+            return lambda kernels: sizes.append(len(kernels)) or center(kernels)
+
+        sizes, want_sizes = [], []
+        monkeypatch.setattr(geometry, "chebyshev_center",
+                            recording(geometry.chebyshev_center, sizes))
+        centers, radii, faults = geometry.kernel_balls(polys)
+        want_centers, want_radii, want_faults = kernel_balls_by_polygon(
+            polys, recording(chebyshev_center_by_block_diag, want_sizes)
+        )
+        assert sizes == want_sizes and len(sizes) == 3
+        assert np.array_equal(centers, want_centers, equal_nan=True)
+        assert np.array_equal(radii, want_radii, equal_nan=True)
+        assert faults == want_faults
+        assert set(faults.values()) == {
+            "non-finite vertex coordinates", "zero-length edge", "polygon kernel is degenerate",
+            "polygon is not star-shaped (empty kernel)",
+        }
+        cells = np.random.default_rng(2).permutation(len(polys)) + 10
+        lowest = min(faults, key=lambda i: cells[i])
+        with pytest.raises(ElementQualityError) as info:
+            geometry.star_centers(polys, cells.tolist())
+        assert info.value.cell == cells[lowest]
+        assert str(info.value) == f"cell {cells[lowest]}: {faults[lowest]}"
+
+
 def _locate_by_scan(res, pt):
     """The original point location: every cell, then every fan triangle."""
     for c in range(res.mesh.n_cells):
@@ -603,6 +676,38 @@ def test_sample_location_matches_scan(make_mesh):
     np.testing.assert_array_equal(res._locate(points), want)
     with pytest.raises(ValueError, match="outside"):
         res.sample([[1.5, 0.5]])
+
+
+def test_post_processing_batched_by_stack(monkeypatch):
+    # every cell of this mesh is its own shape, and the 16 shapes fill a few
+    # stacks: the energy error evaluates the monomials once per stack, and
+    # sample once per chunk of CHUNK points on one stack, each point's value
+    # bit for bit the one its cell's own view gives
+    import importlib
+
+    import vemsupg.harness as harness
+    from vemsupg.assemble import CHUNK
+    from vemsupg.basis import eval_basis
+
+    res = solve_problem(generate_voronoi(16, lloyd_iters=20, seed=1), problem_smooth(), 2)
+    stacks = [id(space.stack) for space in res.spaces]
+    assert len(set(stacks)) < 16
+    calls = []
+    for module in (importlib.import_module("vemsupg.assemble"), harness):
+        monkeypatch.setattr(module, "eval_basis",
+                            lambda *args: calls.append(1) or eval_basis(*args))
+    res.error(problem_smooth())
+    assert len(calls) == len(set(stacks))
+    points = np.random.default_rng(1).random((200, 2))
+    cells = res._locate(points)
+    calls.clear()
+    values = res.sample(points)
+    per_stack = np.unique([stacks[c] for c in cells], return_counts=True)[1]
+    assert len(calls) == sum(-(-per_stack // CHUNK))
+    want = [np.sum(res.solution.reconstructions[c]
+                   * eval_basis(res.spaces[c].basis_k, (p - res.shifts[c])[None])[:, 0])
+            for p, c in zip(points, cells)]
+    np.testing.assert_array_equal(values, want)
 
 
 def _one_cell(vertices, cell):

@@ -3,9 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from oracles import clipped_voronoi_by_cell, generate_voronoi_by_cell, polygon_centroid
+from oracles import (
+    clipped_voronoi_by_cell,
+    generate_voronoi_by_cell,
+    polygon_centroid,
+    polygon_is_simple_by_pair,
+)
 from vemsupg.errors import MeshError, MeshFormatError, ElementQualityError
-from vemsupg.geometry import polygon_signed_area, star_centers
+from vemsupg.geometry import polygon_is_simple, polygon_signed_area, star_centers
 from vemsupg.mesh import (
     PolyMesh,
     _clipped_voronoi,
@@ -168,6 +173,28 @@ class TestRegularity:
         mesh = PolyMesh(u_shape / 3.0, [list(range(8))])
         rep = check_regularity(mesh)
         assert not rep.all_star_shaped
+
+
+class TestSimplicity:
+    def test_matches_pairwise_oracle(self):
+        # random polygons, many of them self-intersecting, some with vertices
+        # on a coarse lattice so that edges touch without crossing
+        rng = np.random.default_rng(0)
+        found = 0
+        for n in range(3, 10):
+            for _ in range(200):
+                v = rng.random((n, 2))
+                if rng.random() < 0.3:
+                    v = np.round(3 * v) / 3
+                assert polygon_is_simple(v) == polygon_is_simple_by_pair(v), v
+                found += not polygon_is_simple(v)
+        assert found > 500
+
+    def test_self_intersecting_cell_named(self):
+        # positive area, but edge 2 crosses edge 0
+        verts = [[0.0, 0.0], [4.0, 0.0], [4.0, 3.0], [1.0, -1.0], [0.0, 3.0]]
+        with pytest.raises(MeshError, match="^cell 0: self-intersecting$"):
+            PolyMesh(verts, [[0, 1, 2, 3, 4]], check_simple=True)
 
 
 class TestMeshIO:

@@ -60,8 +60,8 @@ def test_workload_checks_pass_tiny(name, tmp_path):
 
 def test_one_center_lp_per_chunk_of_new_shapes(monkeypatch):
     # the benchmark's geometry.lp span counts calls of this module attribute,
-    # so each call must be one chunk's LP: 16 Voronoi shapes in one call, and
-    # the two pentagon shapes of t2 in one
+    # so each call must be one chunk's LP: 16 Voronoi shapes in one call, the
+    # two pentagon shapes of t2 in one, and 130 Voronoi shapes in chunks of 64
     import vemsupg.geometry as geometry
     from vemsupg.harness import generate_mesh, solve_problem
     from vemsupg.mesh import generate_voronoi
@@ -77,6 +77,9 @@ def test_one_center_lp_per_chunk_of_new_shapes(monkeypatch):
     sizes.clear()
     solve_problem(generate_mesh("t2", 4), problem_smooth(), 2)
     assert sizes == [2]
+    sizes.clear()
+    solve_problem(generate_voronoi(130, lloyd_iters=20, seed=1), problem_smooth(), 1)
+    assert sizes == [64, 64, 2]
 
 
 def test_traced_tiny_round(tmp_path):
