@@ -25,17 +25,9 @@ from .errors import (
     SolveError,
 )
 from .forms import (
-    ElementCoefficients,
-    LocalForms,
     ProblemData,
     baseline_vem_forms,
-    beta_sup,
     element_coefficients,
-    local_a_h,
-    local_b_h,
-    local_d_h,
-    local_rhs,
-    peclet_tau,
     probe_min_ell,
     projected_gradient_gram,
     sf_forms,

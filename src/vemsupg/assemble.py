@@ -54,7 +54,6 @@ class DofMap:
         self.k = k
         self.n_edge_internal = k - 1
         self.n_moments = poly_dim(k - 2)
-        self.vertex_offset = 0
         self.edge_offset = mesh.n_vertices
         self.cell_offset = mesh.n_vertices + mesh.n_edges * self.n_edge_internal
         self.n_dofs = self.cell_offset + mesh.n_cells * self.n_moments

@@ -10,7 +10,7 @@ and restores coercivity with the usual dof-dof stabilization.
 
 import numpy as np
 
-from .basis import MonomialBasis, div_map, eval_basis, grad_map, laplace_map, mass_matrix
+from .basis import MonomialBasis, div_map, eval_basis, grad_map, laplace_map
 from .errors import ProbeError
 from .space import LocalSpace
 
@@ -69,38 +69,6 @@ class ProblemData:
             return len(self.label_priority)
 
 
-class ElementCoefficients:
-    """Per-element SUPG data: local velocity bound, Peclet number and tau."""
-
-    def __init__(self, kappa, beta_sup, peclet, tau):
-        self.kappa = kappa
-        self.beta_sup = beta_sup
-        self.peclet = peclet
-        self.tau = tau
-
-
-class LocalForms:
-    """Local matrices of one element over its DOF basis."""
-
-    def __init__(self, a, b, d, rhs, stab=None):
-        self.a = a
-        self.b = b
-        self.d = d
-        self.rhs = rhs
-        self.stab = stab
-
-    @property
-    def full(self):
-        return self.a + self.b + self.d
-
-
-def beta_sup(geom, beta):
-    """Largest |beta| sampled over the element's volume and edge quadrature."""
-    pts = np.vstack([geom.quad_points, geom.edge_points.reshape(-1, 2)])
-    vals = np.asarray(beta(pts), dtype=float)
-    return float(np.hypot(vals[:, 0], vals[:, 1]).max())
-
-
 def tilde_c_k(basis, h_km1):
     """Largest c with c h^2 |lap p|^2 <= |grad p|^2 over P_k (k > 1).
 
@@ -125,38 +93,17 @@ def tilde_c_k(basis, h_km1):
     return 1.0 / lam[..., -1]
 
 
-def peclet_tau(geom, kappa, beta_e, k):
-    """Element Peclet number and SUPG weight tau.
-
-    Pe = m_k beta_e h / kappa with m_1 = 1/3 and m_k = 2 ``tilde_c_k`` for
-    k > 1, the constant taken from the element's own degree-k basis;
-    tau = h/(2 beta_e) min(1, Pe).  A vanishing velocity gives (0, 0), which
-    turns all streamline terms off.
-    """
-    if kappa <= 0:
-        raise ValueError("diffusivity must be positive")
-    if k == 1:
-        m_k = 1.0 / 3.0
-    else:
-        m_k = 2.0 * tilde_c_k(MonomialBasis(geom, k), mass_matrix(MonomialBasis(geom, k - 1)))
-    pe, tau = _peclet_tau(geom.h, kappa, np.asarray(beta_e, dtype=float), m_k)
-    return float(pe), float(tau), float(m_k)
-
-
 def _peclet_tau(h, kappa, beta_e, m_k):
-    """Peclet numbers and tau for an array of velocity bounds ``beta_e``."""
+    """Peclet numbers Pe = m_k beta_e h / kappa and SUPG weights tau = h/(2 beta_e) min(1, Pe).
+
+    Takes arrays of velocity bounds ``beta_e``; a vanishing bound gives
+    (0, 0), which turns all streamline terms off.
+    """
     moving = beta_e != 0.0
     safe = np.where(moving, beta_e, 1.0)
     pe = np.where(moving, m_k * safe * h / kappa, 0.0)
     tau = np.where(moving, h / (2.0 * safe) * np.minimum(1.0, pe), 0.0)
     return pe, tau
-
-
-def element_coefficients(geom, problem, k):
-    """Bundle beta bound, Peclet number and tau for one element."""
-    b_e = beta_sup(geom, problem.beta)
-    pe, tau, _ = peclet_tau(geom, problem.kappa, b_e, k)
-    return ElementCoefficients(problem.kappa, b_e, pe, tau)
 
 
 def projected_gradient_gram(space):
@@ -240,120 +187,24 @@ def _beta_at(problem, pts):
     return np.asarray(problem.beta(pts), dtype=float)
 
 
-def _grad_values(space, degree, pts):
-    """Projected-gradient values of every DOF basis function at ``pts``."""
-    gx, gy = space.pizero_grad(degree)
-    vals = eval_basis(MonomialBasis(space.geom, degree), pts)
-    return vals.T @ gx, vals.T @ gy
-
-
-def local_a_h(geom, space, coeffs, problem):
-    """Diffusion plus streamline-streamline term, no added stabilization."""
-    degree = space.k + space.ell - 1
-    gx, gy = space.pizero_grad(degree)
-    h = space.mass_block(degree)
-    a = coeffs.kappa * (gx.T @ h @ gx + gy.T @ h @ gy)
-    if coeffs.tau > 0.0:
-        bvals = _beta_at(problem, geom.quad_points)
-        vx, vy = _grad_values(space, degree, geom.quad_points)
-        s = bvals[:, :1] * vx + bvals[:, 1:] * vy
-        a = a + coeffs.tau * (s.T @ (geom.quad_weights[:, None] * s))
-    return a
-
-
-def local_b_h(geom, space, coeffs, problem):
-    """Transport term tested against the degree k-1 scalar projection."""
-    low = space.k - 1
-    proj_v = space.pizero_scalar(low)
-    mvals = eval_basis(MonomialBasis(geom, low), geom.quad_points)
-    tvals = mvals.T @ proj_v
-    bvals = _beta_at(problem, geom.quad_points)
-    vx, vy = _grad_values(space, low, geom.quad_points)
-    s = bvals[:, :1] * vx + bvals[:, 1:] * vy
-    return tvals.T @ (geom.quad_weights[:, None] * s)
-
-
-def local_d_h(geom, space, coeffs, problem):
-    """SUPG consistency term with the Laplacian of the projected gradient."""
-    n = space.n_dofs
-    if coeffs.tau == 0.0 or space.k == 1:
-        return np.zeros((n, n))
-    low = space.k - 1
-    gx, gy = space.pizero_grad(low)
-    div = div_map(MonomialBasis(geom, low)) @ np.vstack([gx, gy])
-    dvals = eval_basis(MonomialBasis(geom, low - 1), geom.quad_points).T @ div
-    bvals = _beta_at(problem, geom.quad_points)
-    vx, vy = _grad_values(space, space.k + space.ell - 1, geom.quad_points)
-    s = bvals[:, :1] * vx + bvals[:, 1:] * vy
-    return -coeffs.tau * coeffs.kappa * (s.T @ (geom.quad_weights[:, None] * dvals))
-
-
-def local_rhs(geom, space, coeffs, problem):
-    """Load vector (f, projected v + tau beta . projected grad v)."""
-    fvals = np.asarray(problem.source(geom.quad_points), dtype=float)
-    low = space.k - 1
-    proj_v = space.pizero_scalar(low)
-    tvals = eval_basis(MonomialBasis(geom, low), geom.quad_points).T @ proj_v
-    test = tvals
-    if coeffs.tau > 0.0:
-        bvals = _beta_at(problem, geom.quad_points)
-        vx, vy = _grad_values(space, space.k + space.ell - 1, geom.quad_points)
-        test = tvals + coeffs.tau * (bvals[:, :1] * vx + bvals[:, 1:] * vy)
-    return test.T @ (geom.quad_weights * fvals)
-
-
-def sf_forms(geom, space, coeffs, problem):
-    """All stabilization-free local forms of one element."""
-    return LocalForms(
-        a=local_a_h(geom, space, coeffs, problem),
-        b=local_b_h(geom, space, coeffs, problem),
-        d=local_d_h(geom, space, coeffs, problem),
-        rhs=local_rhs(geom, space, coeffs, problem),
-    )
-
-
-def baseline_vem_forms(geom, space, coeffs, problem, sigma=None):
-    """Classical VEM-SUPG forms on the standard (ell = 0) space.
-
-    Diffusion and streamline terms use the degree k-1 projected gradient in
-    both slots; coercivity comes from the dof-dof stabilization of the H1
-    projection residual, scaled by sigma = kappa + tau beta_sup^2.
-    """
-    if space.ell != 0:
-        raise ValueError("baseline forms require the standard space (ell = 0)")
-    if sigma is None:
-        sigma = coeffs.kappa + coeffs.tau * coeffs.beta_sup**2
-    low = space.k - 1
-    gx, gy = space.pizero_grad(low)
-    h = space.mass_block(low)
-    a = coeffs.kappa * (gx.T @ h @ gx + gy.T @ h @ gy)
-    if coeffs.tau > 0.0:
-        bvals = _beta_at(problem, geom.quad_points)
-        vx, vy = _grad_values(space, low, geom.quad_points)
-        s = bvals[:, :1] * vx + bvals[:, 1:] * vy
-        a = a + coeffs.tau * (s.T @ (geom.quad_weights[:, None] * s))
-    resid = np.eye(space.n_dofs) - space.pinabla_dof
-    stab = sigma * (resid.T @ resid)
-    return LocalForms(
-        a=a + stab,
-        b=local_b_h(geom, space, coeffs, problem),
-        d=local_d_h(geom, space, coeffs, problem),
-        rhs=local_rhs(geom, space, coeffs, problem),
-        stab=stab,
-    )
-
-
 class ShapeForms:
     """Batched local forms of the cells placed on a stack of shapes at fixed (k, ell).
 
+    A cell's matrix is a_h + b_h + d_h.  With s = beta . (the degree k+ell-1
+    projected gradient), a_h = kappa (projected-gradient Gram) + tau (s, s);
+    b_h tests beta . (the degree k-1 projected gradient) against the degree
+    k-1 L2 projection; d_h = -tau kappa (s, div of the degree k-1 projected
+    gradient).  The load is (f, degree k-1 projection + tau s).  The
+    classical baseline (``stabilized``, on ell = 0) adds to a_h the dof-dof
+    stabilization sigma (I - Pi_nabla)^T (I - Pi_nabla), sigma = kappa + tau
+    beta_e^2, with beta_e the largest |beta| at the cell's volume and edge
+    quadrature points.  Pe and tau take m_1 = 1/3 and m_k = 2 ``tilde_c_k``.
     Every projector matrix is translation-invariant, so the tables below
     (per member of the stack: projected gradients, test functions and
     divergences at its quadrature points, the diffusion Gram and the
     inverse-inequality constant) serve every cell that is a translate of
     that member.  Per cell only the samples of the velocity and of the
-    source differ; ``batch`` takes them for many cells at once and forms the
-    same matrices as ``sf_forms`` (or, with ``stabilized``,
-    ``baseline_vem_forms``) with stacked matrix products.
+    source differ; ``batch`` takes them for many cells at once.
     """
 
     def __init__(self, space, stabilized=False):
@@ -386,7 +237,7 @@ class ShapeForms:
         if stabilized:
             resid = np.eye(space.n_dofs) - space.pinabla_dof
             self.stab = resid.mT @ resid
-        # velocity samples for beta_sup: volume points first, then edges
+        # velocity samples for beta_e: volume points first, then edges
         self.samples = np.concatenate([pts, geom.edge_points.reshape(len(pts), -1, 2)], axis=1)
 
     def batch(self, problem, at, shifts):
@@ -395,8 +246,8 @@ class ShapeForms:
         Cell i is a member of the stack translated by ``shifts[i]``; ``at``
         picks the cells' members (``rows`` of ``assemble.stack_chunks``, or
         an index array).  Returns (C,), (C,), (C, n, n) and (C, n) arrays.
-        Each matrix is a + b + d, summed in the order of ``LocalForms.full``,
-        with the stabilization of the baseline already in a.
+        Each matrix is a + b + d, summed in that order, with the
+        stabilization of the baseline already in a.
         """
         geom = self.space.geom
         n_cells, nq = len(shifts), geom.quad_weights.shape[-1]
@@ -426,3 +277,20 @@ class ShapeForms:
         wf = w[..., 0] * fvals.reshape(n_cells, nq)
         loads = ((test + t * s).mT @ wf[..., None])[..., 0]
         return pe, tau, matrices, loads
+
+
+def sf_forms(space, problem):
+    """(Peclet number, tau, local matrix, load) of the one-cell ``space``, from ``ShapeForms``."""
+    pe, tau, mat, rhs = ShapeForms(space.stack).batch(problem, space.index, np.zeros((1, 2)))
+    return pe[0], tau[0], mat[0], rhs[0]
+
+
+def baseline_vem_forms(space, problem):
+    """``sf_forms`` with the stabilized baseline forms; ``space.ell`` must be 0."""
+    pe, tau, mat, rhs = ShapeForms(space.stack, True).batch(problem, space.index, np.zeros((1, 2)))
+    return pe[0], tau[0], mat[0], rhs[0]
+
+
+def element_coefficients(space, problem):
+    """(Peclet number, tau) of the one-cell ``space``."""
+    return sf_forms(space, problem)[:2]

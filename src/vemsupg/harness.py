@@ -42,8 +42,7 @@ from .assemble import (
     stack_chunks,
 )
 from .basis import MonomialBasis, eval_basis
-from .errors import ProbeError
-# the per-element forms and the one-geometry probe are not called here: callers
+# the one-cell forms and the one-geometry probe are not called here: callers
 # and perfbench/tracing.py look them up on this module
 from .forms import (  # noqa: F401
     DEFAULT_ELL_MAX,
@@ -129,13 +128,6 @@ class Shape:
         if (k, ell) not in self.spaces:
             build_spaces([self], k, ell)
         return self.spaces[(k, ell)]
-
-    def probe(self, k):
-        """Smallest coercive increment at order k (see ``probe_shapes``)."""
-        failed = probe_shapes([self], k)
-        if failed:
-            raise probe_exhausted(k, failed[self], self.cell)
-        return self.probed[k]
 
 
 def _stack_space(shapes, k, ell):
@@ -571,13 +563,12 @@ def probe_table(config, orders=(1, 2, 3, 4), families=FAMILIES):
             )
             seen = ShapeTable()
             seen.place(mesh, range(mesh.n_cells))
+            shapes = list(seen.shapes.values())
             for k in orders:
+                failed = probe_shapes(shapes, k)
                 ells = {}  # vertex count -> probed increments, None where it fails
-                for shape in seen.shapes.values():
-                    try:
-                        ell = shape.probe(k)
-                    except ProbeError:
-                        ell = None
+                for shape in shapes:
+                    ell = None if shape in failed else shape.probed[k]
                     ells.setdefault(len(shape.vertices), []).append(ell)
                 for n_v, found in ells.items():
                     table[(family, n_v, k)] = "—" if None in found else max(found)

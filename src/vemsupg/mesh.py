@@ -129,7 +129,6 @@ class PolyMesh:
             raise MeshError(
                 f"cells do not tile the domain: sum {total!r} vs boundary loop {loop!r}"
             )
-        self.domain_area = total
 
     # -- convenience ------------------------------------------------------
 

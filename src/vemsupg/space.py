@@ -213,7 +213,7 @@ def build_pinabla(geom, k, h_full, edge_vals, nw, traces):
     return coeff, dof_of_poly @ coeff, basis
 
 
-def build_moments(geom, k, ell, pinabla_coeff, h_full):
+def build_moments(geom, k, pinabla_coeff, h_full):
     """Moments (phi_i, m_a) for all |a| <= k + ell on a stack, from the degree k+ell mass matrices.
 
     Low-degree rows come straight from the moment DOFs; the constrained
@@ -224,7 +224,7 @@ def build_moments(geom, k, ell, pinabla_coeff, h_full):
     moments[:, : layout.n_moments, layout.n_nodes :] = (
         geom.area[:, None, None] * np.eye(layout.n_moments)
     )
-    lo = poly_dim(enhancement_degrees(k, ell).start - 1)  # equals n_moments
+    lo = layout.n_moments  # rows of the degrees constrained by the enhancement
     moments[:, lo:] = h_full[:, lo:, : poly_dim(k)] @ pinabla_coeff
     return moments
 
@@ -296,7 +296,7 @@ class LocalSpace:
         self.pinabla_coeff, self.pinabla_dof, self.basis_k = build_pinabla(
             geom, k, self.h_full, edge_vals, nw, traces
         )
-        self.moments = build_moments(geom, k, ell, self.pinabla_coeff, self.h_full)
+        self.moments = build_moments(geom, k, self.pinabla_coeff, self.h_full)
         # [(m_a n_x, phi_i) | (m_a n_y, phi_i)] on the boundary, |a| <= k+ell-1
         mvals = edge_vals[:, : poly_dim(k + ell - 1)]
         self.edge_flux = np.concatenate(

@@ -545,3 +545,209 @@ def polygon_is_simple_by_pair(vertices):
                     and cross2(s - r, p - r) * cross2(s - r, q - r) < 0):
                 return False
     return True
+
+
+# -- per-element SUPG coefficients and local forms --------------------------
+# The library forms every element's coefficients, matrices and loads in
+# stacks (``forms.ShapeForms``).  These are the forms one element at a time,
+# split into their terms: the diffusion-streamline form a_h (with the
+# baseline's stabilization), the transport form b_h, the SUPG consistency
+# form d_h and the load.  They call the library's projectors and basis, so
+# they check the stacking and the summation, not the projectors.
+
+
+class ElementCoefficients:
+    """Per-element SUPG data: local velocity bound, Peclet number and tau."""
+
+    def __init__(self, kappa, beta_sup, peclet, tau):
+        self.kappa = kappa
+        self.beta_sup = beta_sup
+        self.peclet = peclet
+        self.tau = tau
+
+
+class LocalForms:
+    """Local matrices of one element over its DOF basis."""
+
+    def __init__(self, a, b, d, rhs, stab=None):
+        self.a = a
+        self.b = b
+        self.d = d
+        self.rhs = rhs
+        self.stab = stab
+
+    @property
+    def full(self):
+        return self.a + self.b + self.d
+
+
+def beta_sup(geom, beta):
+    """Largest |beta| sampled over the element's volume and edge quadrature."""
+    pts = np.vstack([geom.quad_points, geom.edge_points.reshape(-1, 2)])
+    vals = np.asarray(beta(pts), dtype=float)
+    return float(np.hypot(vals[:, 0], vals[:, 1]).max())
+
+
+def peclet_tau(geom, kappa, beta_e, k):
+    """Element Peclet number and SUPG weight tau.
+
+    Pe = m_k beta_e h / kappa with m_1 = 1/3 and m_k = 2 ``tilde_c_k`` for
+    k > 1, the constant taken from the element's own degree-k basis;
+    tau = h/(2 beta_e) min(1, Pe).  A vanishing velocity gives (0, 0), which
+    turns all streamline terms off.
+    """
+    from vemsupg.basis import MonomialBasis, mass_matrix
+    from vemsupg.forms import _peclet_tau, tilde_c_k
+
+    if kappa <= 0:
+        raise ValueError("diffusivity must be positive")
+    if k == 1:
+        m_k = 1.0 / 3.0
+    else:
+        m_k = 2.0 * tilde_c_k(MonomialBasis(geom, k), mass_matrix(MonomialBasis(geom, k - 1)))
+    pe, tau = _peclet_tau(geom.h, kappa, np.asarray(beta_e, dtype=float), m_k)
+    return float(pe), float(tau), float(m_k)
+
+
+def element_coefficients(geom, problem, k):
+    """Bundle beta bound, Peclet number and tau for one element."""
+    b_e = beta_sup(geom, problem.beta)
+    pe, tau, _ = peclet_tau(geom, problem.kappa, b_e, k)
+    return ElementCoefficients(problem.kappa, b_e, pe, tau)
+
+
+def _beta_at(problem, pts):
+    return np.asarray(problem.beta(pts), dtype=float)
+
+
+def _grad_values(space, degree, pts):
+    """Projected-gradient values of every DOF basis function at ``pts``."""
+    from vemsupg.basis import MonomialBasis, eval_basis
+
+    gx, gy = space.pizero_grad(degree)
+    vals = eval_basis(MonomialBasis(space.geom, degree), pts)
+    return vals.T @ gx, vals.T @ gy
+
+
+def local_a_h(geom, space, coeffs, problem):
+    """Diffusion plus streamline-streamline term, no added stabilization."""
+    degree = space.k + space.ell - 1
+    gx, gy = space.pizero_grad(degree)
+    h = space.mass_block(degree)
+    a = coeffs.kappa * (gx.T @ h @ gx + gy.T @ h @ gy)
+    if coeffs.tau > 0.0:
+        bvals = _beta_at(problem, geom.quad_points)
+        vx, vy = _grad_values(space, degree, geom.quad_points)
+        s = bvals[:, :1] * vx + bvals[:, 1:] * vy
+        a = a + coeffs.tau * (s.T @ (geom.quad_weights[:, None] * s))
+    return a
+
+
+def local_b_h(geom, space, coeffs, problem):
+    """Transport term tested against the degree k-1 scalar projection."""
+    from vemsupg.basis import MonomialBasis, eval_basis
+
+    low = space.k - 1
+    proj_v = space.pizero_scalar(low)
+    mvals = eval_basis(MonomialBasis(geom, low), geom.quad_points)
+    tvals = mvals.T @ proj_v
+    bvals = _beta_at(problem, geom.quad_points)
+    vx, vy = _grad_values(space, low, geom.quad_points)
+    s = bvals[:, :1] * vx + bvals[:, 1:] * vy
+    return tvals.T @ (geom.quad_weights[:, None] * s)
+
+
+def local_d_h(geom, space, coeffs, problem):
+    """SUPG consistency term with the Laplacian of the projected gradient."""
+    from vemsupg.basis import MonomialBasis, div_map, eval_basis
+
+    n = space.n_dofs
+    if coeffs.tau == 0.0 or space.k == 1:
+        return np.zeros((n, n))
+    low = space.k - 1
+    gx, gy = space.pizero_grad(low)
+    div = div_map(MonomialBasis(geom, low)) @ np.vstack([gx, gy])
+    dvals = eval_basis(MonomialBasis(geom, low - 1), geom.quad_points).T @ div
+    bvals = _beta_at(problem, geom.quad_points)
+    vx, vy = _grad_values(space, space.k + space.ell - 1, geom.quad_points)
+    s = bvals[:, :1] * vx + bvals[:, 1:] * vy
+    return -coeffs.tau * coeffs.kappa * (s.T @ (geom.quad_weights[:, None] * dvals))
+
+
+def local_rhs(geom, space, coeffs, problem):
+    """Load vector (f, projected v + tau beta . projected grad v)."""
+    from vemsupg.basis import MonomialBasis, eval_basis
+
+    fvals = np.asarray(problem.source(geom.quad_points), dtype=float)
+    low = space.k - 1
+    proj_v = space.pizero_scalar(low)
+    tvals = eval_basis(MonomialBasis(geom, low), geom.quad_points).T @ proj_v
+    test = tvals
+    if coeffs.tau > 0.0:
+        bvals = _beta_at(problem, geom.quad_points)
+        vx, vy = _grad_values(space, space.k + space.ell - 1, geom.quad_points)
+        test = tvals + coeffs.tau * (bvals[:, :1] * vx + bvals[:, 1:] * vy)
+    return test.T @ (geom.quad_weights * fvals)
+
+
+def sf_forms(geom, space, coeffs, problem):
+    """All stabilization-free local forms of one element."""
+    return LocalForms(
+        a=local_a_h(geom, space, coeffs, problem),
+        b=local_b_h(geom, space, coeffs, problem),
+        d=local_d_h(geom, space, coeffs, problem),
+        rhs=local_rhs(geom, space, coeffs, problem),
+    )
+
+
+def baseline_vem_forms(geom, space, coeffs, problem, sigma=None):
+    """Classical VEM-SUPG forms on the standard (ell = 0) space.
+
+    Diffusion and streamline terms use the degree k-1 projected gradient in
+    both slots; coercivity comes from the dof-dof stabilization of the H1
+    projection residual, scaled by sigma = kappa + tau beta_sup^2.
+    """
+    if space.ell != 0:
+        raise ValueError("baseline forms require the standard space (ell = 0)")
+    if sigma is None:
+        sigma = coeffs.kappa + coeffs.tau * coeffs.beta_sup**2
+    low = space.k - 1
+    gx, gy = space.pizero_grad(low)
+    h = space.mass_block(low)
+    a = coeffs.kappa * (gx.T @ h @ gx + gy.T @ h @ gy)
+    if coeffs.tau > 0.0:
+        bvals = _beta_at(problem, geom.quad_points)
+        vx, vy = _grad_values(space, low, geom.quad_points)
+        s = bvals[:, :1] * vx + bvals[:, 1:] * vy
+        a = a + coeffs.tau * (s.T @ (geom.quad_weights[:, None] * s))
+    resid = np.eye(space.n_dofs) - space.pinabla_dof
+    stab = sigma * (resid.T @ resid)
+    return LocalForms(
+        a=a + stab,
+        b=local_b_h(geom, space, coeffs, problem),
+        d=local_d_h(geom, space, coeffs, problem),
+        rhs=local_rhs(geom, space, coeffs, problem),
+        stab=stab,
+    )
+
+
+# -- the probe table, one shape at a time -----------------------------------
+
+
+def probe_table_by_shape(families, orders, seed=0, lloyd_iters=100):
+    """``harness.probe_table``'s table with every shape probed alone, as a stack of one."""
+    from vemsupg.harness import PROBE_MESH_SIZE, ShapeTable, generate_mesh, probe_shapes
+
+    table = {}
+    for family in families:
+        mesh = generate_mesh(family, PROBE_MESH_SIZE[family], seed=seed, lloyd_iters=lloyd_iters)
+        seen = ShapeTable()
+        seen.place(mesh, range(mesh.n_cells))
+        for k in orders:
+            ells = {}  # vertex count -> probed increments, None where it fails
+            for shape in seen.shapes.values():
+                ell = None if probe_shapes([shape], k) else shape.probed[k]
+                ells.setdefault(len(shape.vertices), []).append(ell)
+            for n_v, found in ells.items():
+                table[(family, n_v, k)] = "—" if None in found else max(found)
+    return table

@@ -1,10 +1,12 @@
 import copy
 import importlib
+import itertools
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import oracles
 from conftest import make_geometry, swirl_problem
 from oracles import boundary_values_by_node, energy_error_by_cell
 from vemsupg.assemble import (
@@ -16,7 +18,7 @@ from vemsupg.assemble import (
     solve,
 )
 from vemsupg.errors import MeshError, SolveError
-from vemsupg.forms import ProblemData, element_coefficients, local_a_h, sf_forms
+from vemsupg.forms import ProblemData
 from vemsupg.geometry import ElementGeometry
 from vemsupg.harness import solve_problem
 from vemsupg.mesh import generate_cartesian, relabel_boundary
@@ -28,15 +30,16 @@ assemble_module = importlib.import_module("vemsupg.assemble")
 
 
 def build_cells(mesh, problem, k, ell):
+    """Every cell's geometry, space, coefficients and forms from the per-element oracle."""
     geoms, spaces, coeffs, forms = [], [], [], []
     for c in range(mesh.n_cells):
         geom = make_geometry(mesh.cell_vertices(c), k=k, ell=ell, cell=c)
         space = LocalSpace(geom, k, ell)
-        coef = element_coefficients(geom, problem, k)
+        coef = oracles.element_coefficients(geom, problem, k)
         geoms.append(geom)
         spaces.append(space)
         coeffs.append(coef)
-        forms.append(sf_forms(geom, space, coef, problem))
+        forms.append(oracles.sf_forms(geom, space, coef, problem))
     return geoms, spaces, coeffs, forms
 
 
@@ -162,19 +165,31 @@ class TestAssemble:
             assemble(DofMap(mesh, 1), blocks)
 
     def test_solve_builds_no_per_cell_objects(self, monkeypatch):
-        # the solve keeps Peclet, tau and the local forms in stacked arrays
+        # the solve keeps Peclet, tau and the local forms in stacked arrays:
+        # it calls none of the one-cell entry points, and ShapeForms.batch
+        # once per chunk of cells on one stack
         import vemsupg.forms as forms
+        import vemsupg.harness as harness
+        from vemsupg.assemble import stack_chunks
+        from vemsupg.mesh import generate_voronoi
 
         calls = []
-        for cls in (forms.ElementCoefficients, forms.LocalForms):
-            real = cls.__init__
-            monkeypatch.setattr(
-                cls, "__init__",
-                lambda self, *a, real=real, **kw: calls.append(1) or real(self, *a, **kw),
-            )
-        for method in ("sf", "vem"):
-            res = solve_problem(generate_cartesian(3, 3), problem_test1(), 2, method=method)
-            assert res.solution.peclet.shape == res.solution.tau.shape == (9,)
+        for module, name in itertools.product(
+            (forms, harness), ("sf_forms", "baseline_vem_forms", "element_coefficients")
+        ):
+            monkeypatch.setattr(module, name, lambda *a, name=name: calls.append(name))
+        batches = []
+        batch = forms.ShapeForms.batch
+        monkeypatch.setattr(forms.ShapeForms, "batch",
+                            lambda self, *a: batches.append(1) or batch(self, *a))
+        meshes = [generate_cartesian(3, 3), generate_voronoi(40, lloyd_iters=20, seed=1)]
+        for mesh, method in itertools.product(meshes, ("sf", "vem")):
+            batches.clear()
+            res = solve_problem(mesh, problem_test1(), 2, method=method)
+            n = mesh.n_cells
+            assert res.solution.peclet.shape == res.solution.tau.shape == (n,)
+            assert len(batches) == len(list(stack_chunks(res.spaces))) > 0
+        assert len(batches) > 1  # the Voronoi cells fill several stacks
         assert calls == []
 
 
@@ -395,8 +410,8 @@ class TestEnergyError:
         blocks = []
         for c, space in enumerate(result.spaces):
             geom = make_geometry(mesh.cell_vertices(c), k=2, ell=space.ell, cell=c)
-            coef = element_coefficients(geom, problem, 2)
-            a = local_a_h(geom, LocalSpace(geom, 2, space.ell), coef, problem)
+            coef = oracles.element_coefficients(geom, problem, 2)
+            a = oracles.local_a_h(geom, LocalSpace(geom, 2, space.ell), coef, problem)
             blocks.append((np.array([c]), a[None], np.zeros((1, len(a)))))
         a_only = assemble(result.dofmap, blocks)
         u = result.solution.dofs

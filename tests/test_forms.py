@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import oracles
 from conftest import UNIT_SQUARE, make_geometry, swirl_problem
 from oracles import Poly2, directional, tilde_c_k_by_schur
 from vemsupg.basis import MonomialBasis, mass_matrix, poly_dim
@@ -13,20 +14,15 @@ from vemsupg.forms import (
     ProblemData,
     ShapeForms,
     baseline_vem_forms,
-    beta_sup,
     element_coefficients,
-    local_a_h,
-    local_b_h,
-    local_d_h,
-    local_rhs,
-    peclet_tau,
+    probe_exhausted,
     probe_min_ell,
     projected_gradient_gram,
     rank_bound_ell,
     sf_forms,
     tilde_c_k,
 )
-from vemsupg.harness import ShapeTable, generate_mesh
+from vemsupg.harness import ShapeTable, generate_mesh, probe_shapes
 from vemsupg.mesh import generate_cartesian, generate_concave_pentagons, generate_voronoi
 from vemsupg.problems import problem_smooth
 from vemsupg.space import LocalSpace, dof_layout
@@ -43,27 +39,46 @@ def make_problem(kappa=1.0, beta=BETA1, source=None):
     )
 
 
+def one_cell(verts, k, ell, cell=None):
+    """A one-cell geometry and its (k, ell) space, the cell-0 view of a stack of one."""
+    geom = make_geometry(verts, k=k, ell=ell, cell=cell)
+    return geom, LocalSpace(geom, k, ell)
+
+
+def probe_alone(shape, k):
+    """The smallest coercive increment of one shape, probed as a stack of one."""
+    failed = probe_shapes([shape], k)
+    if failed:
+        raise probe_exhausted(k, failed[shape], shape.cell)
+    return shape.probed[k]
+
+
 class TestBetaSup:
+    # the velocity bound beta_e enters the solve through Pe = beta_e h / (3 kappa)
+    # at k = 1, so each bound is read from the Peclet number of a unit square
+
+    @staticmethod
+    def peclet(beta):
+        geom, space = one_cell(UNIT_SQUARE, 1, 1)
+        pe, _ = element_coefficients(space, make_problem(beta=beta))
+        return pe, geom.h
+
     def test_constant_field(self):
-        geom = make_geometry(UNIT_SQUARE, k=1, ell=1)
+        pe, h = self.peclet(BETA1)
         expect = np.sqrt(1.0 + 0.545**2)  # direct arithmetic oracle
-        assert beta_sup(geom, make_problem().beta) == pytest.approx(expect, rel=1e-15)
+        assert pe == pytest.approx(expect * h / 3.0, rel=1e-15)
 
     def test_zero_field(self):
-        geom = make_geometry(UNIT_SQUARE, k=1, ell=1)
-        assert beta_sup(geom, make_problem(beta=(0.0, 0.0)).beta) == 0.0
+        pe, _ = self.peclet((0.0, 0.0))
+        assert pe == 0.0
 
     def test_unit_vector(self):
-        geom = make_geometry(UNIT_SQUARE, k=1, ell=1)
-        beta = (np.cos(np.pi / 4), np.sin(np.pi / 4))
-        assert beta_sup(geom, make_problem(beta=beta).beta) == pytest.approx(
-            1.0, abs=1e-15
-        )
+        pe, h = self.peclet((np.cos(np.pi / 4), np.sin(np.pi / 4)))
+        assert pe == pytest.approx(h / 3.0, rel=1e-15)
 
     def test_variable_field_max_over_samples(self):
-        geom = make_geometry(UNIT_SQUARE, k=1, ell=1)
-        field = lambda pts: np.column_stack([pts[:, 0], np.zeros(len(pts))])
-        got = beta_sup(geom, field)
+        pe, h = self.peclet(lambda pts: np.column_stack([pts[:, 0], np.zeros(len(pts))]))
+        got = 3.0 * pe / h
         assert 0.9 < got <= 1.0  # sup of |x| over the square sampled at quadrature
 
 
@@ -135,40 +150,38 @@ class TestTildeC:
 
 
 class TestPecletTau:
+    # a square with diameter exactly 0.1
+    SIDE = 0.1 / np.sqrt(2.0)
+
     def test_advection_dominated_values(self):
-        geom = make_geometry(0.1 * UNIT_SQUARE, k=1, ell=1)  # h = 0.1 sqrt(2)? no
-        # build a square with diameter exactly 0.1
-        side = 0.1 / np.sqrt(2.0)
-        geom = make_geometry(side * UNIT_SQUARE, k=1, ell=1)
+        geom, space = one_cell(self.SIDE * UNIT_SQUARE, 1, 1)
         assert geom.h == pytest.approx(0.1, rel=1e-14)
         beta_e = np.sqrt(1.0 + 0.545**2)
-        pe, tau, m_k = peclet_tau(geom, 1e-9, beta_e, 1)
-        assert m_k == pytest.approx(1.0 / 3.0)
+        pe, tau = element_coefficients(space, make_problem(kappa=1e-9))
+        assert ShapeForms(space.stack).m_k[space.index] == pytest.approx(1.0 / 3.0)
         assert pe == pytest.approx(beta_e * 0.1 / 3.0 / 1e-9, rel=1e-13)
         assert pe > 1
         assert tau == pytest.approx(0.1 / (2 * beta_e), rel=1e-13)
 
     def test_diffusion_dominated_values(self):
-        side = 0.1 / np.sqrt(2.0)
-        geom = make_geometry(side * UNIT_SQUARE, k=1, ell=1)
-        pe, tau, _ = peclet_tau(geom, 1.0, 1.0, 1)
+        _, space = one_cell(self.SIDE * UNIT_SQUARE, 1, 1)
+        pe, tau = element_coefficients(space, make_problem(kappa=1.0, beta=(1.0, 0.0)))
         assert pe == pytest.approx(0.1 / 3.0, rel=1e-13)
         assert tau == pytest.approx(0.05 * pe, rel=1e-13)
 
     def test_zero_velocity_convention(self):
-        geom = make_geometry(UNIT_SQUARE, k=1, ell=1)
-        pe, tau, _ = peclet_tau(geom, 1.0, 0.0, 1)
+        _, space = one_cell(UNIT_SQUARE, 1, 1)
+        pe, tau = element_coefficients(space, make_problem(beta=(0.0, 0.0)))
         assert (pe, tau) == (0.0, 0.0)
 
     def test_kappa_positive_required(self):
-        geom = make_geometry(UNIT_SQUARE, k=1, ell=1)
         with pytest.raises(ValueError):
-            peclet_tau(geom, 0.0, 1.0, 1)
+            make_problem(kappa=0.0)
 
     def test_branch_continuity_at_peclet_one(self):
         # both branches of tau meet at Pe = 1: evaluating the capped and the
         # linear branch at the crossing gives bit-identical values
-        geom = make_geometry(UNIT_SQUARE, k=1, ell=1)
+        geom, space = one_cell(UNIT_SQUARE, 1, 1)
         beta_e = 1.0
         capped = geom.h / (2 * beta_e) * min(1.0, 1.0)
         linear = geom.h / (2 * beta_e) * 1.0
@@ -176,8 +189,10 @@ class TestPecletTau:
         # and the sweep across the crossing is continuous to first order
         kappa_star = geom.h / 3.0  # Pe(kappa_star) = 1 exactly
         eps = 1e-12
-        _, tau_lo, _ = peclet_tau(geom, kappa_star * (1 + eps), beta_e, 1)
-        _, tau_hi, _ = peclet_tau(geom, kappa_star * (1 - eps), beta_e, 1)
+        _, tau_lo = element_coefficients(
+            space, make_problem(kappa=kappa_star * (1 + eps), beta=(beta_e, 0.0)))
+        _, tau_hi = element_coefficients(
+            space, make_problem(kappa=kappa_star * (1 - eps), beta=(beta_e, 0.0)))
         tau_at = geom.h / 2.0
         assert abs(tau_lo - tau_hi) <= 4 * eps * tau_at
 
@@ -286,7 +301,7 @@ class TestProbe:
                 geom = make_geometry(mesh.cell_vertices(c), k=k, ell=6, cell=c)
                 picks = []
                 for probe in (lambda: probe_min_ell(geom, k),
-                              lambda: shape.probe(k)):
+                              lambda: probe_alone(shape, k)):
                     try:
                         picks.append(probe())
                     except ProbeError as err:
@@ -363,27 +378,29 @@ def _poly_pair(space, rng):
 
 
 class TestLocalForms:
+    # the split into a_h, b_h, d_h and the load exists only in the per-element
+    # oracle; properties of the whole matrix and load run on the solver's
+    # one-cell ``sf_forms``
+
     @pytest.fixture()
     def square_space(self):
-        geom = make_geometry(UNIT_SQUARE, k=2, ell=2)
-        return geom, LocalSpace(geom, 2, 2)
+        return one_cell(UNIT_SQUARE, 2, 2)
 
     def test_a_h_constants_kernel(self, square_space):
         geom, space = square_space
         problem = make_problem(kappa=1.0)
-        coeffs = element_coefficients(geom, problem, 2)
-        a = local_a_h(geom, space, coeffs, problem)
+        coeffs = oracles.element_coefficients(geom, problem, 2)
+        a = oracles.local_a_h(geom, space, coeffs, problem)
         ones = space.polynomial_dofs(np.r_[1.0, np.zeros(5)])
         assert a @ ones == pytest.approx(np.zeros(space.n_dofs), abs=1e-12)
         assert a == pytest.approx(a.T, abs=1e-12)
         assert np.linalg.eigvalsh(a).min() > -1e-12
 
     def test_a_h_pure_diffusion_equals_gram(self, square_space):
-        geom, space = square_space
-        problem = make_problem(kappa=1.0, beta=(0.0, 0.0))
-        coeffs = element_coefficients(geom, problem, 2)
-        a = local_a_h(geom, space, coeffs, problem)
-        assert a == pytest.approx(projected_gradient_gram(space), rel=1e-12)
+        # without velocity the whole local matrix is the diffusion Gram
+        _, space = square_space
+        _, _, mat, _ = sf_forms(space, make_problem(kappa=1.0, beta=(0.0, 0.0)))
+        assert mat == pytest.approx(projected_gradient_gram(space), rel=1e-12)
 
     @pytest.mark.parametrize("k,ell", [(1, 1), (2, 2)])
     def test_a_h_polynomial_consistency(self, k, ell, mesh_t2):
@@ -392,11 +409,10 @@ class TestLocalForms:
         rng = np.random.default_rng(23)
         c = 1
         verts = mesh_t2.cell_vertices(c)
-        geom = make_geometry(verts, k=k, ell=ell, cell=c)
-        space = LocalSpace(geom, k, ell)
+        geom, space = one_cell(verts, k, ell, cell=c)
         problem = make_problem(kappa=0.7)
-        coeffs = element_coefficients(geom, problem, k)
-        a = local_a_h(geom, space, coeffs, problem)
+        coeffs = oracles.element_coefficients(geom, problem, k)
+        a = oracles.local_a_h(geom, space, coeffs, problem)
         p, q = _poly_pair(space, rng)
         pd = space.polynomial_dofs(p)
         qd = space.polynomial_dofs(q)
@@ -412,26 +428,73 @@ class TestLocalForms:
         expect += coeffs.tau * sup_term.integrate(verts, geom.star_center)
         assert got == pytest.approx(expect, rel=1e-11)
 
+    @pytest.mark.parametrize("k,ell", [(1, 1), (2, 2)])
+    @pytest.mark.parametrize("where", ["square", "concave"])
+    def test_sf_forms_polynomial_consistency(self, k, ell, where, mesh_t2):
+        # the solver's whole matrix and load on polynomials against exact
+        # integrals: with constant beta the degree k-1 projections are exact
+        # on beta . grad p and on a source of degree k-1, so
+        #   q M p = kappa (grad p, grad q) + tau (beta.grad p, beta.grad q)
+        #           + (beta.grad p, q) - tau kappa (lap p, beta.grad q)
+        #   rhs p = (f, p + tau beta.grad p)
+        c = 1  # odd cells of the pentagon tiling are concave
+        verts = UNIT_SQUARE if where == "square" else mesh_t2.cell_vertices(c)
+        geom, space = one_cell(verts, k, ell, cell=c)
+        if where == "concave":
+            e = np.roll(verts, -1, axis=0) - verts
+            turns = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
+            assert turns.min() < 0.0 < turns.max()
+        rng = np.random.default_rng(43)
+        fpoly = Poly2.from_scaled_coeffs(
+            rng.standard_normal(poly_dim(k - 1)),
+            MonomialBasis(geom, k - 1).exponents.tolist(), geom.h,
+        )
+
+        def source(pts):
+            rel = np.atleast_2d(pts) - geom.star_center
+            return sum(cc * rel[:, 0] ** a * rel[:, 1] ** b for (a, b), cc in fpoly.terms.items())
+
+        kappa = 0.3
+        _, tau, mat, rhs = sf_forms(space, make_problem(kappa=kappa, source=source))
+        p, q = _poly_pair(space, rng)
+        exps = space.basis_k.exponents.tolist()
+        pp = Poly2.from_scaled_coeffs(p, exps, geom.h)
+        qq = Poly2.from_scaled_coeffs(q, exps, geom.h)
+        bgrad_p = directional(pp.dx(), pp.dy(), BETA1)
+        bgrad_q = directional(qq.dx(), qq.dy(), BETA1)
+        terms = [
+            kappa * (pp.dx() * qq.dx() + pp.dy() * qq.dy()),
+            tau * (bgrad_p * bgrad_q),
+            bgrad_p * qq,
+            -tau * kappa * ((pp.dx().dx() + pp.dy().dy()) * bgrad_q),
+        ]
+        parts = [term.integrate(verts, geom.star_center) for term in terms]
+        got = space.polynomial_dofs(q) @ mat @ space.polynomial_dofs(p)
+        assert abs(got - sum(parts)) <= 1e-11 * sum(map(abs, parts))
+        load = [(fpoly * pp).integrate(verts, geom.star_center),
+                tau * (fpoly * bgrad_p).integrate(verts, geom.star_center)]
+        got = rhs @ space.polynomial_dofs(p)
+        assert abs(got - sum(load)) <= 1e-11 * sum(map(abs, load))
+
     def test_b_h_constant_column_zero(self, square_space):
         geom, space = square_space
         problem = make_problem()
-        coeffs = element_coefficients(geom, problem, 2)
-        b = local_b_h(geom, space, coeffs, problem)
+        coeffs = oracles.element_coefficients(geom, problem, 2)
+        b = oracles.local_b_h(geom, space, coeffs, problem)
         ones = space.polynomial_dofs(np.r_[1.0, np.zeros(5)])
         assert b @ ones == pytest.approx(np.zeros(space.n_dofs), abs=1e-13)
 
     def test_b_h_zero_velocity(self, square_space):
         geom, space = square_space
         problem = make_problem(beta=(0.0, 0.0))
-        coeffs = element_coefficients(geom, problem, 2)
-        assert np.all(local_b_h(geom, space, coeffs, problem) == 0.0)
+        coeffs = oracles.element_coefficients(geom, problem, 2)
+        assert np.all(oracles.local_b_h(geom, space, coeffs, problem) == 0.0)
 
     def test_b_h_polynomial_consistency_k1(self):
-        geom = make_geometry(UNIT_SQUARE, k=1, ell=1)
-        space = LocalSpace(geom, 1, 1)
+        geom, space = one_cell(UNIT_SQUARE, 1, 1)
         problem = make_problem()
-        coeffs = element_coefficients(geom, problem, 1)
-        b = local_b_h(geom, space, coeffs, problem)
+        coeffs = oracles.element_coefficients(geom, problem, 1)
+        b = oracles.local_b_h(geom, space, coeffs, problem)
         rng = np.random.default_rng(29)
         p, q = _poly_pair(space, rng)
         pd = space.polynomial_dofs(p)
@@ -447,23 +510,22 @@ class TestLocalForms:
         assert got == pytest.approx(expect, rel=1e-12)
 
     def test_d_h_zero_for_k1(self):
-        geom = make_geometry(UNIT_SQUARE, k=1, ell=1)
-        space = LocalSpace(geom, 1, 1)
+        geom, space = one_cell(UNIT_SQUARE, 1, 1)
         problem = make_problem()
-        coeffs = element_coefficients(geom, problem, 1)
-        assert np.all(local_d_h(geom, space, coeffs, problem) == 0.0)
+        coeffs = oracles.element_coefficients(geom, problem, 1)
+        assert np.all(oracles.local_d_h(geom, space, coeffs, problem) == 0.0)
 
     def test_d_h_zero_velocity(self, square_space):
         geom, space = square_space
         problem = make_problem(beta=(0.0, 0.0))
-        coeffs = element_coefficients(geom, problem, 2)
-        assert np.all(local_d_h(geom, space, coeffs, problem) == 0.0)
+        coeffs = oracles.element_coefficients(geom, problem, 2)
+        assert np.all(oracles.local_d_h(geom, space, coeffs, problem) == 0.0)
 
     def test_d_h_polynomial_consistency_k2(self, square_space):
         geom, space = square_space
         problem = make_problem(kappa=0.3)
-        coeffs = element_coefficients(geom, problem, 2)
-        d = local_d_h(geom, space, coeffs, problem)
+        coeffs = oracles.element_coefficients(geom, problem, 2)
+        d = oracles.local_d_h(geom, space, coeffs, problem)
         rng = np.random.default_rng(31)
         p, q = _poly_pair(space, rng)
         pd = space.polynomial_dofs(p)
@@ -480,19 +542,15 @@ class TestLocalForms:
         assert got == pytest.approx(expect, rel=1e-11)
 
     def test_rhs_zero_source(self, square_space):
-        geom, space = square_space
-        problem = make_problem()
-        coeffs = element_coefficients(geom, problem, 2)
-        assert np.all(local_rhs(geom, space, coeffs, problem) == 0.0)
+        _, space = square_space
+        assert np.all(sf_forms(space, make_problem())[3] == 0.0)
 
     def test_rhs_unit_source_k1_mean(self):
-        geom = make_geometry(UNIT_SQUARE, k=1, ell=1)
-        space = LocalSpace(geom, 1, 1)
+        _, space = one_cell(UNIT_SQUARE, 1, 1)
         problem = make_problem(
             beta=(0.0, 0.0), source=lambda pts: np.ones(len(np.atleast_2d(pts)))
         )
-        coeffs = element_coefficients(geom, problem, 1)
-        rhs = local_rhs(geom, space, coeffs, problem)
+        rhs = sf_forms(space, problem)[3]
         # entry i equals the mean of phi_i times the area
         expect = space.moments[0, :]
         assert rhs == pytest.approx(expect, rel=1e-12)
@@ -513,15 +571,13 @@ class TestLocalForms:
                 ) ** b
             return out
 
-        problem = make_problem(source=source)
-        coeffs = element_coefficients(geom, problem, 2)
-        rhs = local_rhs(geom, space, coeffs, problem)
+        _, tau, _, rhs = sf_forms(space, make_problem(source=source))
         p, _ = _poly_pair(space, rng)
         pd = space.polynomial_dofs(p)
         got = rhs @ pd
         exps = space.basis_k.exponents.tolist()
         pp = Poly2.from_scaled_coeffs(p, exps, geom.h)
-        test_part = pp + coeffs.tau * directional(pp.dx(), pp.dy(), BETA1)
+        test_part = pp + tau * directional(pp.dx(), pp.dy(), BETA1)
         expect = (fpoly * test_part).integrate(UNIT_SQUARE, geom.star_center)
         assert got == pytest.approx(expect, rel=1e-11)
 
@@ -529,32 +585,27 @@ class TestLocalForms:
 class TestBaseline:
     @pytest.fixture()
     def square0(self):
-        geom = make_geometry(UNIT_SQUARE, k=2, ell=0)
-        return geom, LocalSpace(geom, 2, 0)
+        return one_cell(UNIT_SQUARE, 2, 0)
 
     def test_requires_standard_space(self):
-        geom = make_geometry(UNIT_SQUARE, k=2, ell=1)
-        space = LocalSpace(geom, 2, 1)
-        problem = make_problem()
-        coeffs = element_coefficients(geom, problem, 2)
+        _, space = one_cell(UNIT_SQUARE, 2, 1)
         with pytest.raises(ValueError):
-            baseline_vem_forms(geom, space, coeffs, problem)
+            baseline_vem_forms(space, make_problem())
 
     def test_stabilization_annihilates_polynomials(self, square0):
-        geom, space = square0
-        problem = make_problem()
-        coeffs = element_coefficients(geom, problem, 2)
-        forms = baseline_vem_forms(geom, space, coeffs, problem)
+        # the stabilization table the solve scales by sigma per cell
+        _, space = square0
+        stab = ShapeForms(space.stack, stabilized=True).stab[space.index]
         rng = np.random.default_rng(41)
         p = rng.standard_normal(poly_dim(2))
         pd = space.polynomial_dofs(p)
-        assert forms.stab @ pd == pytest.approx(np.zeros(space.n_dofs), abs=1e-10)
+        assert stab @ pd == pytest.approx(np.zeros(space.n_dofs), abs=1e-10)
 
     def test_spd_beyond_constants(self, square0):
         geom, space = square0
         problem = make_problem()
-        coeffs = element_coefficients(geom, problem, 2)
-        forms = baseline_vem_forms(geom, space, coeffs, problem)
+        coeffs = oracles.element_coefficients(geom, problem, 2)
+        forms = oracles.baseline_vem_forms(geom, space, coeffs, problem)
         lam = np.linalg.eigvalsh(0.5 * (forms.a + forms.a.T))
         assert lam[0] > -1e-12 * lam[-1]
         assert lam[1] > 1e-8 * lam[-1]  # what the stabilization buys
@@ -562,11 +613,11 @@ class TestBaseline:
     def test_kappa_scaling(self, square0):
         geom, space = square0
         p1 = make_problem(kappa=1e-6)
-        c1 = element_coefficients(geom, p1, 2)
-        f1 = baseline_vem_forms(geom, space, c1, p1)
+        c1 = oracles.element_coefficients(geom, p1, 2)
+        f1 = oracles.baseline_vem_forms(geom, space, c1, p1)
         p2 = make_problem(kappa=2e-6)
-        c2 = element_coefficients(geom, p2, 2)
-        f2 = baseline_vem_forms(geom, space, c2, p2)
+        c2 = oracles.element_coefficients(geom, p2, 2)
+        f2 = oracles.baseline_vem_forms(geom, space, c2, p2)
         # advection-dominated regime: tau unchanged, consistency part and
         # sigma adjust with kappa; rebuild from hand-scaled pieces
         assert c2.tau == pytest.approx(c1.tau, rel=1e-13)
@@ -580,11 +631,10 @@ class TestBaseline:
 
 def test_sf_forms_bundle(mesh_t3):
     c = 2
-    geom = make_geometry(mesh_t3.cell_vertices(c), k=1, ell=1, cell=c)
-    space = LocalSpace(geom, 1, 1)
+    geom, space = one_cell(mesh_t3.cell_vertices(c), 1, 1, cell=c)
     problem = make_problem()
-    coeffs = element_coefficients(geom, problem, 1)
-    forms = sf_forms(geom, space, coeffs, problem)
+    coeffs = oracles.element_coefficients(geom, problem, 1)
+    forms = oracles.sf_forms(geom, space, coeffs, problem)
     assert forms.full == pytest.approx(forms.a + forms.b + forms.d)
     gram = projected_gradient_gram(space)
     assert gram @ np.ones(space.n_dofs) == pytest.approx(
@@ -600,14 +650,15 @@ class TestShapeForms:
     }
 
     @staticmethod
-    def close(got, ref):
-        return np.abs(got - ref).max() <= 1e-11 * np.abs(ref).max()
+    def close(got, ref, rel=1e-11):
+        return np.abs(got - ref).max() <= rel * np.abs(ref).max()
 
     @pytest.mark.parametrize("method", ["sf", "vem"])
     @pytest.mark.parametrize("family", ["t1", "t2", "t3"])
     def test_batch_matches_per_element_forms(self, family, method):
-        # each cell's stacked matrix, load, Peclet number and tau equal the
-        # reference forms built on the cell's own geometry, to roundoff; the
+        # each cell's stacked matrix, load, Peclet number and tau, and those
+        # of the one-cell entry points on the cell's own space, equal the
+        # oracle's forms built on the cell's own geometry, to roundoff; the
         # cells of a stack come by member, so t1 reads one member's tables,
         # t2 gathers the two members' rows and t3 takes all members
         from vemsupg.assemble import stack_chunks
@@ -617,7 +668,8 @@ class TestShapeForms:
         placed = ShapeTable().place(mesh, range(mesh.n_cells))
         shifts = np.array([shift for _, shift in placed])
         shapes = list(dict.fromkeys(shape for shape, _ in placed))
-        build = sf_forms if method == "sf" else baseline_vem_forms
+        build = oracles.sf_forms if method == "sf" else oracles.baseline_vem_forms
+        entry = sf_forms if method == "sf" else baseline_vem_forms
         kinds = set()
         for k, problem in itertools.product((1, 2, 3), (problem_smooth(), swirl_problem())):
             spaces = _spaces(shapes, k, "auto" if method == "sf" else 0)
@@ -627,13 +679,19 @@ class TestShapeForms:
                 tables = ShapeForms(stack, stabilized=method == "vem")
                 pe, tau, mats, loads = tables.batch(problem, rows, shifts[cells])
                 for i, c in enumerate(cells):
-                    geom = make_geometry(mesh.cell_vertices(c), k=k, ell=ell, cell=c)
-                    coef = element_coefficients(geom, problem, k)
-                    lf = build(geom, LocalSpace(geom, k, ell), coef, problem)
+                    geom, space = one_cell(mesh.cell_vertices(c), k, ell, cell=c)
+                    coef = oracles.element_coefficients(geom, problem, k)
+                    lf = build(geom, space, coef, problem)
                     where = (k, problem.name, c)
                     assert self.close(mats[i], lf.full), where
                     assert self.close(loads[i], lf.rhs), where
                     assert pe[i] == pytest.approx(coef.peclet, rel=1e-12), where
                     assert tau[i] == pytest.approx(coef.tau, rel=1e-12), where
+                    one_pe, one_tau, mat, rhs = entry(space, problem)
+                    assert self.close(mat, lf.full, rel=1e-12), where
+                    assert self.close(rhs, lf.rhs, rel=1e-12), where
+                    for got in ((one_pe, one_tau), element_coefficients(space, problem)):
+                        assert got[0] == pytest.approx(coef.peclet, rel=1e-12), where
+                        assert got[1] == pytest.approx(coef.tau, rel=1e-12), where
         want = {"t1": np.integer, "t2": np.ndarray, "t3": slice}[family]
         assert any(issubclass(kind, want) for kind in kinds)

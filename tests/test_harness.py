@@ -9,16 +9,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import oracles
 from conftest import UNIT_SQUARE, swirl_problem
 from oracles import chebyshev_center_by_block_diag, kernel_balls_by_polygon
 from vemsupg.assemble import DofMap, apply_dirichlet, assemble, solve
-from vemsupg.forms import (
-    baseline_vem_forms,
-    element_coefficients,
-    probe_min_ell,
-    rank_bound_ell,
-    sf_forms,
-)
+from vemsupg.forms import probe_min_ell, rank_bound_ell
 from vemsupg.errors import ElementQualityError, MeshError, ProbeError, SolveError
 from vemsupg.geometry import ElementGeometry
 from vemsupg.harness import (
@@ -27,6 +22,7 @@ from vemsupg.harness import (
     ShapeTable,
     format_probe_table,
     generate_mesh,
+    probe_shapes,
     probe_table,
     run_convergence,
     run_field,
@@ -117,6 +113,18 @@ class TestProbeTable:
         assert csv[0] == "family,n_vertices,k,ell"
         assert len(csv) == 5
 
+    def test_table_in_stacks_matches_shape_by_shape(self, tmp_path):
+        # one probe_shapes call per family and order gives the table and the
+        # CSV of probing every shape alone
+        cfg = ExperimentConfig(out_dir=str(tmp_path))
+        table = probe_table(cfg, orders=(1, 2, 3, 4))
+        want = oracles.probe_table_by_shape(("t1", "t2", "t3"), (1, 2, 3, 4))
+        assert table == want
+        assert "—" in want.values()  # an exhausted entry is among them
+        csv = ["family,n_vertices,k,ell"] + [f"{f},{n_v},{k},{want[(f, n_v, k)]}"
+                                              for f, n_v, k in sorted(want)]
+        assert (tmp_path / "probe_table.csv").read_text(encoding="utf-8").splitlines() == csv
+
     def test_probe_minimality_in_table(self):
         # by search order the table never reports a larger value than the
         # first passing increment
@@ -149,7 +157,7 @@ class TestSolveDrivers:
     def test_shape_cache_matches_direct_build(self):
         # the shape table with batched forms agrees to roundoff with an
         # independent build of every cell from scratch, probed on one
-        # geometry exact to the cap
+        # geometry exact to the cap, with the per-element oracle's forms
         meshes = {
             "t1": generate_mesh("t1", 3),
             "t2": generate_mesh("t2", 2),
@@ -168,8 +176,8 @@ class TestSolveDrivers:
                     ell = probe_min_ell(probe_geom, k)
                 geom = ElementGeometry(verts, 2 * (k + ell) + 2, k + ell + 1, cell=c)
                 space = LocalSpace(geom, k, ell)
-                coef = element_coefficients(geom, problem, k)
-                build = sf_forms if method == "sf" else baseline_vem_forms
+                coef = oracles.element_coefficients(geom, problem, k)
+                build = oracles.sf_forms if method == "sf" else oracles.baseline_vem_forms
                 lf = build(geom, space, coef, problem)
                 blocks.append((np.array([c]), lf.full[None], lf.rhs[None]))
             dofmap = DofMap(mesh, k)
@@ -232,7 +240,8 @@ class TestSolveDrivers:
         mesh = generate_mesh("t1", 2)
         [(shape, _)] = ShapeTable().place(mesh, [0])
         handed_out = shape.space(2, 1)
-        assert shape.probe(2) == 2
+        assert probe_shapes([shape], 2) == {}
+        assert shape.probed[2] == 2
         assert shape.space(2, 1) is handed_out
         assert set(shape.spaces) == {(2, 1), (2, 2)}
 
@@ -298,7 +307,7 @@ class TestSolveDrivers:
 
         monkeypatch.setattr(harness, "_RunLog", Recorded)
         monkeypatch.setattr(harness, "solve_problem", fail)
-        monkeypatch.setattr(harness.Shape, "probe", fail)
+        monkeypatch.setattr(harness, "probe_shapes", fail)
         cfg = ExperimentConfig(family="t1", refinements=(2,), out_dir=str(tmp_path))
         with pytest.raises(RuntimeError, match="solve failed"):
             run(cfg)
@@ -390,6 +399,30 @@ class TestStackedElements:
         for k, hist in want.items():
             ell = solve_problem(mesh, problem_test2(), k, ell="auto").solution.ell
             assert dict(zip(*np.unique(ell, return_counts=True))) == hist, k
+
+    def test_increments_do_not_depend_on_lp_chunk(self, monkeypatch):
+        # a cell's star center depends, at about 1e-14 h, on which shapes share
+        # its chunk of the center LP; 78 of these 256 cells sit within a
+        # decade of the probe's cutoff at k = 3, yet the increments must not
+        # move.  Measured: with chunks of 16 (1) instead of 64 the k = 3
+        # smooth energy error moves by 2.7e-9 (5.7e-9) relative, the k = 2
+        # one by up to 8.6e-13
+        import vemsupg.geometry as geometry
+
+        sizes = []
+        real = geometry.chebyshev_center
+        monkeypatch.setattr(
+            geometry, "chebyshev_center", lambda kernels: sizes.append(len(kernels)) or real(kernels)
+        )
+        mesh = generate_voronoi(256, lloyd_iters=100, seed=3)
+        for k in (1, 2, 3):
+            ells = []
+            for chunk in (1, 16, 64):
+                monkeypatch.setattr(geometry, "CHUNK", chunk)
+                sizes.clear()
+                ells.append(solve_problem(mesh, problem_smooth(), k, ell="auto").solution.ell)
+                assert sizes == [chunk] * (256 // chunk)
+            assert all(np.array_equal(ell, ells[-1]) for ell in ells), k
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_stacked_spaces_match_stack_of_one(self, k):

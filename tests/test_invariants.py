@@ -86,15 +86,18 @@ def test_test2_mesh_peclet_magnitude():
 
 
 def test_coefficient_invariants(acceptance_meshes):
+    # the solver's Peclet number and tau; the velocity bound from the oracle
+    from oracles import beta_sup
     from vemsupg.forms import element_coefficients
+    from vemsupg.space import LocalSpace
 
     problem = problem_test1()
     for mesh in acceptance_meshes.values():
         for c in (0, mesh.n_cells - 1):
             geom = make_geometry(mesh.cell_vertices(c), k=2, ell=1, cell=c)
-            coef = element_coefficients(geom, problem, 2)
-            assert coef.peclet >= 0.0
-            assert 0.0 <= coef.tau <= geom.h / (2.0 * coef.beta_sup)
+            pe, tau = element_coefficients(LocalSpace(geom, 2, 1), problem)
+            assert pe >= 0.0
+            assert 0.0 <= tau <= geom.h / (2.0 * beta_sup(geom, problem.beta))
 
 
 def test_variable_velocity_field_end_to_end():
