@@ -8,6 +8,10 @@ from .basis import MonomialBasis, eval_basis, grad_map, poly_dim
 from .errors import MeshError, SolveError
 
 _RESIDUAL_TOL = 1e-10
+# SuperLU's symmetric mode pivots on the diagonal unless it falls below this
+# fraction of its column's largest entry; a nonzero value keeps off-diagonal
+# pivoting for the cases that need it
+DIAG_PIVOT_THRESH = 0.01
 # cells stacked in one batch (forms, reconstructions, energy error); bounds
 # the batch's temporaries
 CHUNK = 64
@@ -247,7 +251,14 @@ def solve(system):
         print(f"solve: n={system.n_dofs} residual=0.0e+00")
         return DiscreteSolution(full, system, residual=0.0)
     try:
-        lu = spla.splu(a)
+        # every assembled matrix has a symmetric pattern (dense local blocks):
+        # order A^T + A by minimum degree and pivot on the diagonal
+        lu = spla.splu(
+            a,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=DIAG_PIVOT_THRESH,
+            options={"SymmetricMode": True},
+        )
         x = lu.solve(b)
     except RuntimeError as exc:
         raise SolveError(f"sparse factorization failed: {exc}") from None
@@ -259,16 +270,24 @@ def solve(system):
         raise SolveError(f"residual {residual:.3e} above tolerance {_RESIDUAL_TOL:g}")
     full[system.free_idx] = x
     print(f"solve: n={system.n_dofs} residual={residual:.6e}")
-    return DiscreteSolution(full, system, residual=residual)
+    solution = DiscreteSolution(full, system, residual=residual)
+    solution.lu_nnz = lu.L.nnz + lu.U.nnz
+    return solution
 
 
 class DiscreteSolution:
-    """Global DOF vector plus per-element polynomial reconstructions."""
+    """Global DOF vector plus per-element polynomial reconstructions.
+
+    ``nnz`` counts the nonzeros of the reduced matrix and ``lu_nnz`` those of
+    its sparse LU factors (``L.nnz + U.nnz``), 0 when nothing was factored.
+    """
 
     def __init__(self, dofs, system, residual):
         self.dofs = dofs
         self.system = system
         self.residual = residual
+        self.nnz = system.reduced_matrix.nnz
+        self.lu_nnz = 0
         self.n_dofs = len(dofs)
         self.reconstructions = None  # (n_cells, dim P_k) coefficients
         self.ell = None

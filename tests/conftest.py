@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,27 @@ from vemsupg.geometry import ElementGeometry
 from vemsupg.mesh import generate_cartesian, generate_concave_pentagons, generate_voronoi
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+
+_SHARED_MESHES = {}
+
+
+def shared_mesh(generator, *args, **kwargs):
+    """``generator(*args, **kwargs)``, built once per test session.
+
+    Calls that bind the generator's parameters to the same values share one
+    mesh.  Its arrays are read-only, so a test that writes into a shared mesh
+    fails; a test that changes a mesh builds or copies its own.
+    """
+    bound = inspect.signature(generator).bind(*args, **kwargs)
+    bound.apply_defaults()
+    key = (generator, tuple(bound.arguments.items()))
+    if key not in _SHARED_MESHES:
+        mesh = generator(*args, **kwargs)
+        for value in vars(mesh).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        _SHARED_MESHES[key] = mesh
+    return _SHARED_MESHES[key]
 
 
 def make_geometry(verts, k=1, ell=1, cell=None):

@@ -394,6 +394,28 @@ def boundary_values_by_node(dofmap, problem):
     return idx, np.array([best[i][1] for i in idx])
 
 
+def refined_solve(matrix, rhs, steps=5):
+    """Sparse solve refined ``steps`` times with ``np.longdouble`` residuals.
+
+    The corrections come from scipy's default ``splu`` (COLAMD, partial
+    pivoting) of ``matrix``; the residual b - A x is summed in extended
+    precision, so the result is accurate to about the double rounding of x.
+    """
+    import scipy.sparse.linalg as spla
+
+    a = matrix.tocsr()
+    lu = spla.splu(a.tocsc())
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    data = a.data.astype(np.longdouble)
+    b = np.asarray(rhs, dtype=np.longdouble)
+    x = lu.solve(np.asarray(rhs, dtype=float)).astype(np.longdouble)
+    for _ in range(steps):
+        r = b.copy()
+        np.subtract.at(r, rows, data * x[a.indices])
+        x += lu.solve(r.astype(float))
+    return x.astype(float)
+
+
 def polygon_centroid(vertices):
     """Area centroid of a simple polygon (one shoelace per polygon)."""
     v = np.asarray(vertices, dtype=float)

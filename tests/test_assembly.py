@@ -5,9 +5,10 @@ import itertools
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import oracles
-from conftest import make_geometry, swirl_problem
+from conftest import make_geometry, shared_mesh, swirl_problem
 from oracles import boundary_values_by_node, energy_error_by_cell
 from vemsupg.assemble import (
     DofMap,
@@ -21,7 +22,7 @@ from vemsupg.errors import MeshError, SolveError
 from vemsupg.forms import ProblemData
 from vemsupg.geometry import ElementGeometry
 from vemsupg.harness import solve_problem
-from vemsupg.mesh import generate_cartesian, relabel_boundary
+from vemsupg.mesh import generate_cartesian, generate_voronoi, relabel_boundary
 from vemsupg.problems import problem_smooth, problem_test1, problem_test2
 from vemsupg.space import LocalSpace
 
@@ -297,21 +298,77 @@ class TestSolve:
         assert "solve: n=" in out
         assert "residual=" in out
 
-    def test_singular_system_raises(self):
-        mat = sp.csr_matrix(np.zeros((3, 3)))
+    @staticmethod
+    def free_system(mat, rhs):
+        """A system of ``mat`` with no Dirichlet DOF, ready for ``solve``."""
         from vemsupg.assemble import GlobalSystem
 
         class FakeMap:
-            n_dofs = 3
+            n_dofs = mat.shape[0]
 
-        system = GlobalSystem(mat, np.ones(3), FakeMap())
+        system = GlobalSystem(mat, rhs, FakeMap())
         system.fixed_idx = np.empty(0, dtype=int)
         system.fixed_vals = np.empty(0)
-        system.free_idx = np.arange(3)
+        system.free_idx = np.arange(mat.shape[0])
         system.reduced_matrix = mat
-        system.reduced_rhs = np.ones(3)
-        with pytest.raises(SolveError):
-            solve(system)
+        system.reduced_rhs = rhs
+        return system
+
+    def test_singular_system_raises(self):
+        mat = sp.csr_matrix(np.zeros((3, 3)))
+        with pytest.raises(SolveError, match="Factor is exactly singular"):
+            solve(self.free_system(mat, np.ones(3)))
+
+    def test_pivots_off_a_small_diagonal(self, monkeypatch):
+        # nonsingular, but every diagonal entry lies far below the threshold
+        # times its column's largest entry: the symmetric-mode factor must
+        # pivot off the diagonal and still meet the residual guard
+        n = 8
+        mat = sp.diags([np.ones(n - 1), np.full(n, 1e-12), np.ones(n - 1)], [-1, 0, 1]).tocsc()
+        factors = []
+        real = assemble_module.spla.splu
+
+        def spy(*args, **kwargs):
+            factors.append(real(*args, **kwargs))
+            return factors[-1]
+
+        monkeypatch.setattr(assemble_module.spla, "splu", spy)
+        solution = solve(self.free_system(mat, np.arange(1.0, n + 1)))
+        [lu] = factors
+        assert not np.array_equal(lu.perm_r, lu.perm_c)
+        assert solution.residual <= 1e-12
+
+    def test_factorization_facts(self):
+        # 32x32 test1 at k = 3, stabilization-free: the symmetric-mode LU of
+        # the reduced matrix fills less than scipy's default COLAMD LU of it
+        # (0.53M against 1.31M nonzeros), and solve leaves its input as it was
+        res = solve_problem(generate_cartesian(32, 32), problem_test1(), 3, ell={4: 2})
+        reduced = res.solution.system.reduced_matrix
+        assert res.solution.nnz == reduced.nnz
+        colamd = spla.splu(reduced.tocsc())
+        assert 0 < res.solution.lu_nnz < colamd.L.nnz + colamd.U.nnz
+        a, b = reduced.copy(), res.solution.system.reduced_rhs.copy()
+        before = [a.format, a.shape, a.data.copy(), a.indices.copy(), a.indptr.copy(), b.copy()]
+        system = self.free_system(a, b)
+        solution = solve(system)
+        assert system.reduced_matrix is a and system.reduced_rhs is b
+        after = [a.format, a.shape, a.data, a.indices, a.indptr, b]
+        assert all(np.array_equal(x, y) for x, y in zip(before, after))
+        assert (solution.nnz, solution.lu_nnz) == (res.solution.nnz, res.solution.lu_nnz)
+        assert np.array_equal(solution.dofs, res.solution.dofs[res.solution.system.free_idx])
+
+    def test_voronoi_k3_matches_refined_reference(self):
+        # the voronoi_auto system at k = 3 has a diagonal from 3.7e-4 to 93
+        # and a 1-norm condition estimate of 1.8e10; against a reference
+        # refined with extended-precision residuals, COLAMD with partial
+        # pivoting erred by 2.2e-10 of max |DOF|, the symmetric-mode factor
+        # by 1.6e-12
+        mesh = shared_mesh(generate_voronoi, 256, lloyd_iters=100, seed=3)
+        solution = solve_problem(mesh, problem_test2(), 3, ell="auto").solution
+        system = solution.system
+        want = oracles.refined_solve(system.reduced_matrix, system.reduced_rhs)
+        error = np.abs(solution.dofs[system.free_idx] - want).max()
+        assert error < 2e-11 * np.abs(want).max()
 
     def test_single_interior_dof(self):
         mesh = generate_cartesian(2, 2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import UNIT_SQUARE, make_geometry, swirl_problem
+from conftest import UNIT_SQUARE, make_geometry, shared_mesh, swirl_problem
 from oracles import Poly2, directional, tilde_c_k_by_schur
 from vemsupg.basis import MonomialBasis, mass_matrix, poly_dim
 from vemsupg.errors import ProbeError
@@ -137,7 +137,7 @@ class TestTildeC:
         # one pencil on the non-constant members against the route that cuts
         # the Laplacian kernel at 1e-12 and takes a Schur complement
         meshes = [generate_mesh("t1", 2), generate_mesh("t2", 4),
-                  generate_voronoi(64, lloyd_iters=100, seed=3)]
+                  shared_mesh(generate_voronoi, 64, lloyd_iters=100, seed=3)]
         for mesh in meshes:
             table = ShapeTable()
             table.place(mesh, range(mesh.n_cells))
@@ -235,7 +235,7 @@ class TestProbe:
         # seed-0 Voronoi cell 130 exhausts the cap at order 3
         from vemsupg.mesh import generate_voronoi
 
-        mesh = generate_voronoi(256, lloyd_iters=100, seed=0)
+        mesh = shared_mesh(generate_voronoi, 256, lloyd_iters=100, seed=0)
         geom = make_geometry(mesh.cell_vertices(130), k=3, ell=6, cell=130)
         with pytest.raises(ProbeError) as err:
             probe_min_ell(geom, 3)
@@ -247,7 +247,7 @@ class TestProbe:
         from vemsupg.harness import solve_problem
         from vemsupg.problems import problem_test2
 
-        mesh = generate_voronoi(64, lloyd_iters=20, seed=1)
+        mesh = shared_mesh(generate_voronoi, 64, lloyd_iters=20, seed=1)
         with pytest.raises(ProbeError) as err:
             solve_problem(mesh, problem_test2(), 3, ell="auto")
         assert err.value.cell == 6
@@ -266,7 +266,7 @@ class TestProbe:
             2: "1211111121111111111221111111111111111111211111211111112111111211",
             3: "1311111121111111111221211121112111111111211111212111112211111112",
         }
-        mesh = generate_voronoi(64, lloyd_iters=100, seed=3)
+        mesh = shared_mesh(generate_voronoi, 64, lloyd_iters=100, seed=3)
         for k, want in expect.items():
             res = solve_problem(mesh, problem_test2(), k, ell="auto")
             assert "".join(map(str, res.solution.ell)) == want, f"k={k}"
@@ -281,8 +281,8 @@ class TestProbe:
         from vemsupg.mesh import generate_concave_pentagons, generate_voronoi
 
         meshes = {
-            "lloyd100-seed3": generate_voronoi(64, lloyd_iters=100, seed=3),
-            "lloyd20-seed1": generate_voronoi(64, lloyd_iters=20, seed=1),
+            "lloyd100-seed3": shared_mesh(generate_voronoi, 64, lloyd_iters=100, seed=3),
+            "lloyd20-seed1": shared_mesh(generate_voronoi, 64, lloyd_iters=20, seed=1),
             "t2-n4": generate_concave_pentagons(4),
         }
         skipped, fewest = 0, np.inf

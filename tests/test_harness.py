@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import UNIT_SQUARE, swirl_problem
+from conftest import UNIT_SQUARE, shared_mesh, swirl_problem
 from oracles import chebyshev_center_by_block_diag, kernel_balls_by_polygon
 from vemsupg.assemble import DofMap, apply_dirichlet, assemble, solve
 from vemsupg.forms import probe_min_ell, rank_bound_ell
@@ -394,7 +394,7 @@ class TestStackedElements:
         # the increments the probe picks on the voronoi_auto mesh, measured
         # when every cell was probed on its own: probing in rounds over
         # stacks must not move one of them
-        mesh = generate_voronoi(256, lloyd_iters=100, seed=3)
+        mesh = shared_mesh(generate_voronoi, 256, lloyd_iters=100, seed=3)
         want = {1: {1: 256}, 2: {1: 223, 2: 33}, 3: {1: 193, 2: 63}}
         for k, hist in want.items():
             ell = solve_problem(mesh, problem_test2(), k, ell="auto").solution.ell
@@ -405,8 +405,8 @@ class TestStackedElements:
         # its chunk of the center LP; 78 of these 256 cells sit within a
         # decade of the probe's cutoff at k = 3, yet the increments must not
         # move.  Measured: with chunks of 16 (1) instead of 64 the k = 3
-        # smooth energy error moves by 2.7e-9 (5.7e-9) relative, the k = 2
-        # one by up to 8.6e-13
+        # smooth energy error moves by 3.3e-11 (4.9e-10) relative, the k = 2
+        # one by up to 6.7e-13
         import vemsupg.geometry as geometry
 
         sizes = []
@@ -414,7 +414,7 @@ class TestStackedElements:
         monkeypatch.setattr(
             geometry, "chebyshev_center", lambda kernels: sizes.append(len(kernels)) or real(kernels)
         )
-        mesh = generate_voronoi(256, lloyd_iters=100, seed=3)
+        mesh = shared_mesh(generate_voronoi, 256, lloyd_iters=100, seed=3)
         for k in (1, 2, 3):
             ells = []
             for chunk in (1, 16, 64):
@@ -430,7 +430,7 @@ class TestStackedElements:
         # cell alone (a stack of one) on the same star center; at k = 3 the
         # probe exhausts its cap on cell 6 of this mesh, so every cell takes
         # ell = 2 there
-        mesh = generate_voronoi(64, lloyd_iters=20, seed=1)
+        mesh = shared_mesh(generate_voronoi, 64, lloyd_iters=20, seed=1)
         ell = "auto"
         if k == 3:
             with pytest.raises(ProbeError, match="^cell 6: "):
@@ -484,7 +484,7 @@ class TestStarCenters:
 
     @pytest.mark.parametrize("n_cells", [64, 256])
     def test_stacked_centers_match_standalone(self, n_cells):
-        mesh = generate_voronoi(n_cells, lloyd_iters=100, seed=3)
+        mesh = shared_mesh(generate_voronoi, n_cells, lloyd_iters=100, seed=3)
         res = solve_problem(mesh, problem_smooth(), 1, ell=1)
         for c, space in enumerate(res.spaces):
             center, radius, h = self.standalone(mesh, c)
@@ -516,7 +516,7 @@ class TestStarCenters:
 
     @pytest.mark.parametrize("bad", [[31], [40, 31]])
     def test_non_star_cell_named(self, bad):
-        mesh = generate_voronoi(64, lloyd_iters=100, seed=3)
+        mesh = shared_mesh(generate_voronoi, 64, lloyd_iters=100, seed=3)
         for c in bad:
             neighbour = next(d for d in range(mesh.n_cells) if d not in bad
                              and len(set(mesh.cells[c]) & set(mesh.cells[d])) == 2)
@@ -559,7 +559,7 @@ class TestStarCenters:
 
     @pytest.mark.parametrize(
         "make_mesh, n_convex",
-        [(lambda: generate_voronoi(256, lloyd_iters=100, seed=3), 256),
+        [(lambda: shared_mesh(generate_voronoi, 256, lloyd_iters=100, seed=3), 256),
          (lambda: generate_concave_pentagons(4), 16)],
         ids=["voronoi", "pentagons"],
     )
@@ -595,7 +595,7 @@ class TestStarCenters:
 
     @pytest.mark.parametrize(
         "make_mesh",
-        [lambda: generate_voronoi(256, lloyd_iters=100, seed=3),
+        [lambda: shared_mesh(generate_voronoi, 256, lloyd_iters=100, seed=3),
          lambda: generate_concave_pentagons(16),
          lambda: generate_mesh("t1", 32),
          lambda: generate_voronoi(256, lloyd_iters=20, seed=1)],
@@ -748,10 +748,10 @@ def _one_cell(vertices, cell):
 
 
 SWEEP_MESHES = {
-    "t3-16-seed0": lambda: generate_mesh("t3", 16, seed=0),
-    "voronoi256-lloyd100-seed3": lambda: generate_voronoi(256, lloyd_iters=100, seed=3),
-    "voronoi256-lloyd20-seed3": lambda: generate_voronoi(256, lloyd_iters=20, seed=3),
-    "voronoi64-lloyd20-seed1": lambda: generate_voronoi(64, lloyd_iters=20, seed=1),
+    "t3-16-seed0": lambda: shared_mesh(generate_mesh, "t3", 16, seed=0),
+    "voronoi256-lloyd100-seed3": lambda: shared_mesh(generate_voronoi, 256, lloyd_iters=100, seed=3),
+    "voronoi256-lloyd20-seed3": lambda: shared_mesh(generate_voronoi, 256, lloyd_iters=20, seed=3),
+    "voronoi64-lloyd20-seed1": lambda: shared_mesh(generate_voronoi, 64, lloyd_iters=20, seed=1),
     "pentagons8": lambda: generate_concave_pentagons(8),
     "t1-8": lambda: generate_mesh("t1", 8),
     "clockwise": lambda: _one_cell(UNIT_SQUARE, [0, 3, 2, 1]),

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import shared_mesh
 from oracles import (
     clipped_voronoi_by_cell,
     generate_voronoi_by_cell,
@@ -97,6 +98,21 @@ class TestVoronoi:
         assert np.array_equal(a.vertices, b.vertices)
         assert a.cells == b.cells
         assert a.boundary_labels == b.boundary_labels
+
+    def test_shared_mesh_is_a_read_only_build(self):
+        # the tests' session cache hands out the generator's own mesh, once
+        # per binding of its parameters, with arrays nobody can write into
+        mesh = shared_mesh(generate_voronoi, 16, lloyd_iters=20, seed=1)
+        assert shared_mesh(generate_voronoi, 16, 20, 1) is mesh
+        assert shared_mesh(generate_voronoi, 16, lloyd_iters=20, seed=2) is not mesh
+        fresh = generate_voronoi(16, lloyd_iters=20, seed=1)
+        assert np.array_equal(mesh.vertices, fresh.vertices)
+        assert np.array_equal(mesh.cell_areas, fresh.cell_areas)
+        assert mesh.cells == fresh.cells and mesh.boundary_labels == fresh.boundary_labels
+        with pytest.raises(ValueError, match="read-only"):
+            mesh.vertices[0, 0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            mesh.cell_areas[0] = 0.5
 
     def test_histogram_relaxed(self):
         mesh = generate_voronoi(100, lloyd_iters=100, seed=7)
