@@ -271,7 +271,7 @@ def solve(system):
     full[system.free_idx] = x
     print(f"solve: n={system.n_dofs} residual={residual:.6e}")
     solution = DiscreteSolution(full, system, residual=residual)
-    solution.lu_nnz = lu.L.nnz + lu.U.nnz
+    solution.lu_nnz = lu.nnz
     return solution
 
 
@@ -279,7 +279,8 @@ class DiscreteSolution:
     """Global DOF vector plus per-element polynomial reconstructions.
 
     ``nnz`` counts the nonzeros of the reduced matrix and ``lu_nnz`` those of
-    its sparse LU factors (``L.nnz + U.nnz``), 0 when nothing was factored.
+    its sparse LU factors, SuperLU's own count (``lu.nnz``), 0 when nothing
+    was factored.
     """
 
     def __init__(self, dofs, system, residual):

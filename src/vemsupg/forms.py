@@ -24,7 +24,9 @@ class ProblemData:
     Parameters
     ----------
     kappa : positive diffusivity
-    beta : constant 2-vector or callable points (n, 2) -> (n, 2)
+    beta : constant 2-vector or callable points (n, 2) -> (n, 2); a constant
+        is kept as ``beta_constant`` (None for a callable), which the local
+        forms read in place of sampling the field
     source : callable points -> values (the right-hand side f)
     dirichlet : dict mapping boundary label -> callable points -> values;
         the key "*" is a wildcard fallback
@@ -183,10 +185,6 @@ def probe_min_ell(geom, k, ell_max=DEFAULT_ELL_MAX):
     return first_coercive(spaces).ell
 
 
-def _beta_at(problem, pts):
-    return np.asarray(problem.beta(pts), dtype=float)
-
-
 class ShapeForms:
     """Batched local forms of the cells placed on a stack of shapes at fixed (k, ell).
 
@@ -204,7 +202,9 @@ class ShapeForms:
     divergences at its quadrature points, the diffusion Gram and the
     inverse-inequality constant) serve every cell that is a translate of
     that member.  Per cell only the samples of the velocity and of the
-    source differ; ``batch`` takes them for many cells at once.
+    source differ; ``batch`` takes them for many cells at once.  A constant
+    velocity does not differ either: then tau and every matrix depend on the
+    member alone, and ``batch`` forms them once per member.
     """
 
     def __init__(self, space, stabilized=False):
@@ -237,7 +237,7 @@ class ShapeForms:
         if stabilized:
             resid = np.eye(space.n_dofs) - space.pinabla_dof
             self.stab = resid.mT @ resid
-        # velocity samples for beta_e: volume points first, then edges
+        # samples of a callable velocity for beta_e: volume points first, then edges
         self.samples = np.concatenate([pts, geom.edge_points.reshape(len(pts), -1, 2)], axis=1)
 
     def batch(self, problem, at, shifts):
@@ -245,16 +245,25 @@ class ShapeForms:
 
         Cell i is a member of the stack translated by ``shifts[i]``; ``at``
         picks the cells' members (``rows`` of ``assemble.stack_chunks``, or
-        an index array).  Returns (C,), (C,), (C, n, n) and (C, n) arrays.
-        Each matrix is a + b + d, summed in that order, with the
-        stabilization of the baseline already in a.
+        an index array).  Returns (C,), (C,), (C, n, n) and (C, n) arrays,
+        the first three as read-only views.  Each matrix is a + b + d,
+        summed in that order, with the stabilization of the baseline already
+        in a.  A constant velocity (``problem.beta_constant``) is one sample,
+        so beta_e = |beta|; on translates of one member (``at`` an int) the
+        Peclet number, tau and matrix are then formed once and broadcast
+        over the cells with stride 0.
         """
         geom = self.space.geom
         n_cells, nq = len(shifts), geom.quad_weights.shape[-1]
         w = geom.quad_weights[at][..., None]
         kappa = problem.kappa
-        pts = self.samples[at] + shifts[:, None, :]
-        beta = _beta_at(problem, pts.reshape(-1, 2)).reshape(n_cells, -1, 2)
+        if problem.beta_constant is None:
+            pts = self.samples[at] + shifts[:, None, :]
+            beta = problem.beta(pts.reshape(-1, 2))
+            beta = np.asarray(beta, dtype=float).reshape(n_cells, -1, 2)
+        else:
+            pts = geom.quad_points[at] + shifts[:, None, :]
+            beta = problem.beta_constant.reshape(1, 1, 2)
         beta_e = np.hypot(beta[..., 0], beta[..., 1]).max(axis=1)
         beta = beta[:, :nq]
         fvals = np.asarray(problem.source(pts[:, :nq].reshape(-1, 2)), dtype=float)
@@ -276,7 +285,8 @@ class ShapeForms:
             matrices = matrices + (-t * kappa) * (s_t @ (w * self.div[at]))
         wf = w[..., 0] * fvals.reshape(n_cells, nq)
         loads = ((test + t * s).mT @ wf[..., None])[..., 0]
-        return pe, tau, matrices, loads
+        matrices = np.broadcast_to(matrices, (n_cells,) + matrices.shape[-2:])
+        return np.broadcast_to(pe, n_cells), np.broadcast_to(tau, n_cells), matrices, loads
 
 
 def sf_forms(space, problem):

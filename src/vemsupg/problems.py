@@ -49,22 +49,26 @@ def _layer_grad(pts):
     return np.column_stack([(px + p * qx) * e, (py + p * qy) * e])
 
 
-def _layer_laplace(pts):
+def _layer_grad_laplace(pts):
     x, y = _split(pts)
     p, px, py, pxx, pyy, q, qx, qy, qxx, qyy = _layer_parts(x, y)
     e = np.exp(q)
+    grad = np.column_stack([(px + p * qx) * e, (py + p * qy) * e])
     uxx = (pxx + 2.0 * px * qx + p * (qxx + qx**2)) * e
     uyy = (pyy + 2.0 * py * qy + p * (qyy + qy**2)) * e
-    return uxx + uyy
+    return grad, uxx + uyy
 
 
-def advection_diffusion_source(kappa, beta, grad, laplace):
-    """Right-hand side -kappa lap u + beta . grad u for a known solution."""
+def advection_diffusion_source(kappa, beta, grad_laplace):
+    """Right-hand side -kappa lap u + beta . grad u for a known solution.
+
+    ``grad_laplace`` maps points to (grad u, lap u), evaluated together.
+    """
     beta = np.asarray(beta, dtype=float)
 
     def f(pts):
-        g = grad(pts)
-        return -kappa * laplace(pts) + g @ beta
+        g, lap = grad_laplace(pts)
+        return -kappa * lap + g @ beta
 
     return f
 
@@ -76,7 +80,7 @@ def problem_test1():
     return ProblemData(
         kappa=kappa,
         beta=beta,
-        source=advection_diffusion_source(kappa, beta, _layer_grad, _layer_laplace),
+        source=advection_diffusion_source(kappa, beta, _layer_grad_laplace),
         dirichlet={"*": _layer_u},
         exact=_layer_u,
         exact_grad=_layer_grad,
@@ -121,22 +125,18 @@ def problem_smooth(kappa=1e-6, beta=(1.0, 0.545)):
         x, y = _split(pts)
         return np.sin(np.pi * x) * np.sin(np.pi * y)
 
-    def grad(pts):
+    def grad_laplace(pts):
         x, y = _split(pts)
-        return np.column_stack(
-            [
-                np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
-                np.pi * np.sin(np.pi * x) * np.cos(np.pi * y),
-            ]
-        )
+        sx, cx, sy, cy = np.sin(np.pi * x), np.cos(np.pi * x), np.sin(np.pi * y), np.cos(np.pi * y)
+        return np.column_stack([np.pi * cx * sy, np.pi * sx * cy]), -2.0 * np.pi**2 * (sx * sy)
 
-    def laplace(pts):
-        return -2.0 * np.pi**2 * u(pts)
+    def grad(pts):
+        return grad_laplace(pts)[0]
 
     return ProblemData(
         kappa=kappa,
         beta=beta,
-        source=advection_diffusion_source(kappa, beta, grad, laplace),
+        source=advection_diffusion_source(kappa, beta, grad_laplace),
         dirichlet={"*": u},
         exact=u,
         exact_grad=grad,

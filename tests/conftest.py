@@ -31,6 +31,14 @@ def shared_mesh(generator, *args, **kwargs):
     return _SHARED_MESHES[key]
 
 
+def share_voronoi(monkeypatch, module):
+    """For one test, route ``module.generate_voronoi`` through ``shared_mesh``."""
+    monkeypatch.setattr(
+        module, "generate_voronoi",
+        lambda *args, **kwargs: shared_mesh(generate_voronoi, *args, **kwargs),
+    )
+
+
 def make_geometry(verts, k=1, ell=1, cell=None):
     return ElementGeometry(verts, 2 * (k + ell) + 2, k + ell + 1, cell=cell)
 

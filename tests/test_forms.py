@@ -653,6 +653,68 @@ class TestShapeForms:
     def close(got, ref, rel=1e-11):
         return np.abs(got - ref).max() <= rel * np.abs(ref).max()
 
+    @staticmethod
+    def chunks(mesh, k, method):
+        """(form tables, rows, shifts) of each chunk ``solve_problem`` forms on ``mesh``."""
+        from vemsupg.assemble import stack_chunks
+        from vemsupg.harness import _spaces
+
+        placed = ShapeTable().place(mesh, range(mesh.n_cells))
+        shifts = np.array([shift for _, shift in placed])
+        shapes = list(dict.fromkeys(shape for shape, _ in placed))
+        spaces = _spaces(shapes, k, "auto" if method == "sf" else 0)
+        return [
+            (ShapeForms(stack, stabilized=method == "vem"), rows, shifts[cells])
+            for stack, rows, cells in stack_chunks([spaces[shape] for shape, _ in placed])
+        ]
+
+    @pytest.mark.parametrize("beta", [BETA1, (0.0, 0.0)])
+    @pytest.mark.parametrize("method", ["sf", "vem"])
+    @pytest.mark.parametrize(
+        "mesh",
+        [
+            lambda: generate_cartesian(4, 4),
+            lambda: generate_concave_pentagons(2),
+            lambda: generate_voronoi(16, lloyd_iters=20, seed=1),
+        ],
+        ids=["t1", "t2", "t3"],
+    )
+    def test_constant_beta_matches_callable_path(self, mesh, method, beta):
+        # a constant velocity is one sample and its forms are formed once per
+        # member of a chunk of translates; the same field as a callable takes
+        # the per-cell path, sampled at every point of every cell; the t1
+        # chunk is one member's translates, t2 gathers two members' rows and
+        # t3 takes every member
+        mesh = mesh()
+        const = problem_smooth(kappa=1e-2, beta=beta)
+        field = ProblemData(
+            const.kappa, lambda pts: np.tile(beta, (len(pts), 1)), const.source, const.dirichlet
+        )
+        assert field.beta_constant is None
+        for k in (1, 2, 3):
+            for tables, rows, shifts in self.chunks(mesh, k, method):
+                got = tables.batch(const, rows, shifts)
+                want = tables.batch(field, rows, shifts)
+                for name, g, w in zip(("pe", "tau", "matrices", "loads"), got, want):
+                    assert g.shape == w.shape and np.array_equal(g, w), (k, name)
+
+    def test_constant_beta_forms_each_member_once(self):
+        # on a chunk of translates of one member a constant velocity gives one
+        # matrix, Peclet number and tau, broadcast read-only over the cells
+        # (stride 0); the loads, whose source samples differ, and the forms of
+        # a varying velocity stay per cell
+        for method, k in itertools.product(("sf", "vem"), (1, 2, 3)):
+            [(tables, rows, shifts)] = self.chunks(generate_cartesian(4, 4), k, method)
+            assert isinstance(rows, np.integer) and len(shifts) == 16
+            pe, tau, mats, loads = tables.batch(problem_smooth(), rows, shifts)
+            assert mats.strides[0] == pe.strides[0] == tau.strides[0] == 0
+            assert not mats.flags.writeable
+            assert loads.strides[0] != 0
+            assert len(np.unique(loads, axis=0)) == 16
+            _, _, swirl_mats, _ = tables.batch(swirl_problem(), rows, shifts)
+            assert swirl_mats.strides[0] != 0
+            assert len(np.unique(swirl_mats, axis=0)) == 16
+
     @pytest.mark.parametrize("method", ["sf", "vem"])
     @pytest.mark.parametrize("family", ["t1", "t2", "t3"])
     def test_batch_matches_per_element_forms(self, family, method):

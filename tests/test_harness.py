@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import UNIT_SQUARE, shared_mesh, swirl_problem
+from conftest import UNIT_SQUARE, share_voronoi, shared_mesh, swirl_problem
 from oracles import chebyshev_center_by_block_diag, kernel_balls_by_polygon
 from vemsupg.assemble import DofMap, apply_dirichlet, assemble, solve
 from vemsupg.forms import probe_min_ell, rank_bound_ell
@@ -113,9 +113,12 @@ class TestProbeTable:
         assert csv[0] == "family,n_vertices,k,ell"
         assert len(csv) == 5
 
-    def test_table_in_stacks_matches_shape_by_shape(self, tmp_path):
+    def test_table_in_stacks_matches_shape_by_shape(self, tmp_path, monkeypatch):
         # one probe_shapes call per family and order gives the table and the
         # CSV of probing every shape alone
+        import vemsupg.harness as harness
+
+        share_voronoi(monkeypatch, harness)
         cfg = ExperimentConfig(out_dir=str(tmp_path))
         table = probe_table(cfg, orders=(1, 2, 3, 4))
         want = oracles.probe_table_by_shape(("t1", "t2", "t3"), (1, 2, 3, 4))

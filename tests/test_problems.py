@@ -2,7 +2,17 @@ import numpy as np
 import pytest
 
 from oracles import fd_gradient, fd_laplacian
-from vemsupg.problems import get_problem, problem_smooth, problem_test1, problem_test2
+from vemsupg.problems import _layer_parts, get_problem, problem_smooth, problem_test1, problem_test2
+
+
+def layer_laplace(pts):
+    """Laplacian of the test1 solution on its own, from the same closed-form parts."""
+    pts = np.atleast_2d(pts)
+    p, px, py, pxx, pyy, q, qx, qy, qxx, qyy = _layer_parts(pts[:, 0], pts[:, 1])
+    e = np.exp(q)
+    uxx = (pxx + 2.0 * px * qx + p * (qxx + qx**2)) * e
+    uyy = (pyy + 2.0 * py * qy + p * (qyy + qy**2)) * e
+    return uxx + uyy
 
 
 class TestTest1:
@@ -98,6 +108,19 @@ class TestSmooth:
         pts = np.array([[0.5, 0.5]])
         # f = -kappa lap u = 2 pi^2 u at the center
         assert p.source(pts)[0] == pytest.approx(2 * np.pi**2, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["test1", "smooth"])
+def test_source_matches_separate_derivative_calls(name):
+    # each source evaluates grad u and lap u in one pass; its values equal
+    # -kappa lap u + grad u . beta from a gradient and a Laplacian call
+    p = get_problem(name)
+    rng = np.random.default_rng(0)
+    pts = np.vstack([rng.random((40, 2)), 0.5 + 0.05 * rng.standard_normal((40, 2))])
+    laplace = layer_laplace if name == "test1" else lambda x: -2.0 * np.pi**2 * p.exact(x)
+    want = -p.kappa * laplace(pts) + p.exact_grad(pts) @ p.beta_constant
+    assert np.abs(want).max() > 0.1
+    assert np.array_equal(p.source(pts), want)
 
 
 def test_registry():

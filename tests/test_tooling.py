@@ -10,6 +10,8 @@ import pathlib
 
 import pytest
 
+from conftest import share_voronoi
+
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -49,9 +51,11 @@ def test_solve_result_error_calls_module_energy_error(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["cart_layer_conv", "voronoi_auto", "pentagon_layers"])
-def test_workload_checks_pass_tiny(name, tmp_path):
+def test_workload_checks_pass_tiny(name, tmp_path, monkeypatch):
     # one tiny round, then the checks the benchmark runs after its rounds
-    workload = _load("workloads").WORKLOADS[name](1, True, str(tmp_path))
+    workloads = _load("workloads")
+    share_voronoi(monkeypatch, workloads)
+    workload = workloads.WORKLOADS[name](1, True, str(tmp_path))
     workload.make_inputs()
     one = workload.round()
     assert one.failed == 0
@@ -82,12 +86,13 @@ def test_one_center_lp_per_chunk_of_new_shapes(monkeypatch):
     assert sizes == [64, 64, 2]
 
 
-def test_traced_tiny_round(tmp_path):
+def test_traced_tiny_round(tmp_path, monkeypatch):
     # the benchmark's --trace 1 mode on one tiny voronoi_auto round, twice,
     # as perfbench/selfcheck.py checks it: the rounds finish, exact counts
     # repeat, and the layer self times cover the traced wall time up to the
     # untraced rest (bench.other_s), which stays within 3% of it
     tracing, workloads = _load("tracing"), _load("workloads")
+    share_voronoi(monkeypatch, workloads)
     saved = [(owner, attr, getattr(owner, attr)) for owner, attr, _ in tracing.PATCHES]
     workload = workloads.WORKLOADS["voronoi_auto"](1, True, str(tmp_path))
     workload.make_inputs()
