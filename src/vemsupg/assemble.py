@@ -6,6 +6,7 @@ import scipy.sparse.linalg as spla
 
 from .basis import MonomialBasis, eval_basis, grad_map, poly_dim
 from .errors import MeshError, SolveError
+from .quadrature import gauss_lobatto_interior
 
 _RESIDUAL_TOL = 1e-10
 # SuperLU's symmetric mode pivots on the diagonal unless it falls below this
@@ -108,10 +109,7 @@ class DofMap:
         unresolvable boundary edge.
         """
         mesh, n_int = self.mesh, self.n_edge_internal
-        from .quadrature import gauss_lobatto_interior
-
-        params = gauss_lobatto_interior(self.k)
-        edges = {}  # label -> (position in boundary order, cell, local edge)
+        groups = {}  # label -> positions of its edges in boundary order
         for j, (c, i) in enumerate(mesh.boundary_edges):
             label = mesh.boundary_labels.get((c, i))
             if label is None:
@@ -120,36 +118,31 @@ class DofMap:
                 raise MeshError(
                     f"no Dirichlet data for boundary label {label!r} (cell {c})"
                 )
-            edges.setdefault(label, []).append((j, c, i))
-        if not edges:
-            return np.empty(0, dtype=int), np.empty(0)
-        t = np.arange(n_int)
-        dofs, ranks, firsts, vals = [], [], [], []
-        for label, members in edges.items():
-            pos, ends, edge_ids = [], [], []
-            for j, c, i in members:
-                cell = mesh.cells[c]
-                pos.append(j)
-                ends.append((cell[i], cell[(i + 1) % len(cell)]))
-                edge_ids.append(mesh.cell_edges[c][i])
-            ends = np.array(ends, dtype=int)
-            e, forward = np.array(edge_ids, dtype=int).T
-            pa, pb = mesh.vertices[ends[:, 0]], mesh.vertices[ends[:, 1]]
-            internal = pa[:, None, :] + params[:, None] * (pb - pa)[:, None, :]
-            # per edge: its two vertices, then its internal nodes along the edge
-            pts = np.concatenate([pa[:, None], pb[:, None], internal], axis=1)
+            groups.setdefault(label, []).append(j)
+        c, i = np.array(mesh.boundary_edges, dtype=int).reshape(-1, 2).T
+        # per edge, in the cell's own DOF table: its two vertices, then its
+        # internal nodes along the CCW edge direction
+        n_v = (np.diff(self.offsets)[c] - self.n_moments) // self.k
+        local = np.column_stack(
+            [i, (i + 1) % n_v, (n_v + n_int * i)[:, None] + np.arange(n_int)]
+        )
+        dofs = self.flat[self.offsets[c][:, None] + local]
+        pa, pb = mesh.vertices[dofs[:, 0]], mesh.vertices[dofs[:, 1]]
+        params = gauss_lobatto_interior(self.k)
+        internal = pa[:, None, :] + params[:, None] * (pb - pa)[:, None, :]
+        pts = np.concatenate([pa[:, None], pb[:, None], internal], axis=1)
+        vals = np.empty(dofs.shape)
+        ranks = np.empty(len(dofs), dtype=int)
+        for label, pos in groups.items():
             g = problem.dirichlet_for(label)
-            vals.append(np.asarray(g(pts.reshape(-1, 2)), dtype=float))
-            slot = np.where(forward[:, None] == 1, t, n_int - 1 - t)
-            dofs.append(np.hstack([ends, self.edge_offset + e[:, None] * n_int + slot]).ravel())
-            ranks.append(np.full(len(dofs[-1]), problem.label_rank(label)))
-            firsts.append(np.repeat(pos, 2 + n_int))
-        dofs, vals = np.concatenate(dofs), np.concatenate(vals)
+            vals[pos] = np.reshape(g(pts[pos].reshape(-1, 2)), (len(pos), -1))
+            ranks[pos] = problem.label_rank(label)
         # sorted by DOF, then rank, then boundary position: an edge offers each
         # of its DOFs once, so the first entry of each DOF is the winning offer
-        pick = np.lexsort((np.concatenate(firsts), np.concatenate(ranks), dofs))
-        idx, first = np.unique(dofs[pick], return_index=True)
-        return idx, vals[pick[first]]
+        firsts = np.repeat(np.arange(len(dofs)), dofs.shape[1])
+        pick = np.lexsort((firsts, np.repeat(ranks, dofs.shape[1]), dofs.ravel()))
+        idx, first = np.unique(dofs.ravel()[pick], return_index=True)
+        return idx, vals.ravel()[pick[first]]
 
 
 class GlobalSystem:
@@ -224,10 +217,11 @@ def assemble(dofmap, blocks):
 def apply_dirichlet(system, problem):
     """Eliminate prescribed boundary DOFs, correcting the right-hand side."""
     idx, vals = system.dofmap.boundary_values(problem)
-    mask = np.zeros(system.n_dofs, dtype=bool)
-    mask[idx] = True
-    free = np.nonzero(~mask)[0]
-    rows = system.matrix.tocsc()[free]
+    mask = np.ones(system.n_dofs, dtype=bool)
+    mask[idx] = False
+    free = np.flatnonzero(mask)
+    # CSC slices columns cheaply: convert the free rows alone, once
+    rows = system.matrix[free].tocsc()
     system.fixed_idx = idx
     system.fixed_vals = vals
     system.free_idx = free
@@ -360,14 +354,9 @@ def energy_error(spaces, shifts, solution, problem):
                 np.sum(w * _dot(bvals, gu) ** 2, axis=1),
             ]
         )
-    kappa = problem.kappa
-    num = 0.0
-    den = 0.0
-    for tau, (err_k, err_t, u_k, u_t) in zip(solution.tau.tolist(), sums.tolist()):
-        num += kappa * err_k
-        num += tau * err_t
-        den += kappa * u_k
-        den += tau * u_t
+    # one sequential sum per total, kappa term then tau term cell by cell
+    terms = np.stack([problem.kappa * sums[:, 0::2], solution.tau[:, None] * sums[:, 1::2]], 1)
+    num, den = np.add.accumulate(terms.reshape(-1, 2))[-1].tolist()
     if den == 0.0:
         raise ValueError("energy error undefined: exact solution has zero energy")
     return float(np.sqrt(num / den))

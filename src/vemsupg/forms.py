@@ -156,33 +156,22 @@ def probe_exhausted(k, trace, cell):
     )
 
 
-def first_coercive(spaces):
-    """First of ``spaces`` (one cell each) that ``coercive`` accepts.
-
-    ``spaces`` yields the trial spaces of one element in increasing ell.  The
-    trace holds one entry per ell from 0 on: (ell, eigenvalues as
-    ``coercive`` gives them), or (ell, None) for an increment ``spaces``
-    skips.
-    """
-    trace = []
-    for space in spaces:
-        trace += [(ell, None) for ell in range(len(trace), space.ell)]
-        accepted, lam = coercive(space)
-        trace.append((space.ell, lam.tolist()))
-        if accepted:
-            return space
-    raise probe_exhausted(space.k, trace, space.geom.cell)
-
-
 def probe_min_ell(geom, k, ell_max=DEFAULT_ELL_MAX):
-    """Smallest increment ``first_coercive`` accepts, all trials on ``geom``.
+    """Smallest increment ``coercive`` accepts, trials from 0 up on ``geom``.
 
-    The cap is >= 0 and the geometry exact to degree 2 (k + ell_max).
+    The cap is >= 0 and the geometry exact to degree 2 (k + ell_max).  The
+    ``ProbeError`` of a failed probe holds one trace entry per trial: (ell,
+    eigenvalues as ``coercive`` gives them).
     """
     if ell_max < 0 or geom.exact_degree < 2 * (k + ell_max):
         raise ValueError("probe cap negative or geometry quadrature too weak for it")
-    spaces = (LocalSpace(geom, k, ell) for ell in range(ell_max + 1))
-    return first_coercive(spaces).ell
+    trace = []
+    for ell in range(ell_max + 1):
+        accepted, lam = coercive(LocalSpace(geom, k, ell))
+        trace.append((ell, lam.tolist()))
+        if accepted:
+            return ell
+    raise probe_exhausted(k, trace, geom.cell)
 
 
 class ShapeForms:

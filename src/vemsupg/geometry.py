@@ -227,7 +227,7 @@ class ElementGeometry:
     perimeter : boundary length
     star_center : kernel Chebyshev center (x_E, y_E)
     kernel_radius : inscribed-circle radius of the kernel
-    edge_lengths, edge_normals, edge_tangents : per-edge data (outward normals)
+    edge_normals : (nv, 2) outward unit normals, edge e from vertex e to e+1
     triangles : (nv, 3, 2) fan sub-triangulation from the star center
     quad_points, quad_weights : (nv * nq, 2) and (nv * nq,) volume rule,
         exact to ``exact_degree``, triangle by triangle
@@ -245,9 +245,8 @@ class ElementGeometry:
     """
 
     PER_CELL = frozenset(["vertices", "cell", "h", "area", "perimeter", "star_center",
-                          "kernel_radius", "edge_lengths", "edge_normals", "edge_tangents",
-                          "triangles", "quad_points", "quad_weights", "edge_points",
-                          "edge_weights"])
+                          "kernel_radius", "edge_normals", "triangles", "quad_points",
+                          "quad_weights", "edge_points", "edge_weights"])
 
     def __init__(self, vertices, exact_degree, n_edge_points, cell=None, center=None):
         v = np.asarray(vertices, dtype=float)
@@ -278,10 +277,10 @@ class ElementGeometry:
 
         nxt = np.concatenate([v[:, 1:], v[:, :1]], axis=1)
         tang = nxt - v
-        self.edge_lengths = np.hypot(tang[..., 0], tang[..., 1])
-        self.edge_tangents = tang / self.edge_lengths[..., None]
-        self.edge_normals = np.stack([self.edge_tangents[..., 1], -self.edge_tangents[..., 0]],
-                                     axis=-1)
+        lengths = np.hypot(tang[..., 0], tang[..., 1])
+        unit = tang / lengths[..., None]
+        self.edge_normals = np.stack([unit[..., 1], -unit[..., 0]], axis=-1)
+        self.perimeter = lengths.sum(axis=-1)
 
         self.triangles = np.stack(
             [np.broadcast_to(self.star_center[:, None, :], v.shape), v, nxt], axis=2
@@ -294,7 +293,6 @@ class ElementGeometry:
         self.edge_points, self.edge_weights, self.edge_params = edge_rule(
             v, nxt, self.n_edge_points
         )
-        self.perimeter = self.edge_lengths.sum(axis=-1)
         if one:
             self.__dict__.update(self[0].__dict__)
 

@@ -169,7 +169,7 @@ def probe_shapes(shapes, k):
     accepted shapes keep their views into a stack of the accepted members,
     the rejected ones go on to the next increment.  Sets ``probed[k]`` of
     every accepted shape and returns, for each shape still rejected at
-    ``DEFAULT_ELL_MAX``, its trace as ``first_coercive`` records it.
+    ``DEFAULT_ELL_MAX``, its trace as ``probe_min_ell`` records it.
     """
     groups = {}
     for shape in shapes:

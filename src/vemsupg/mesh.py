@@ -78,7 +78,6 @@ class PolyMesh:
                 loc.append((e, a < b))
             cell_edges.append(loc)
         self.edges = edges
-        self.edge_index = edge_index
         self.edge_cells = edge_cells
         self.cell_edges = cell_edges
         self.n_vertices = n_vert
@@ -367,10 +366,6 @@ class RegularityReport:
             self.regularity_constant = min(self.min_rho_ratio, self.min_edge_ratio)
         else:
             self.min_rho_ratio = self.min_edge_ratio = self.regularity_constant = 0.0
-
-    @property
-    def all_star_shaped(self):
-        return bool(self.star_ok.all())
 
     def __repr__(self):
         return (

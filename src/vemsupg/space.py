@@ -155,17 +155,6 @@ def lagrange_values(nodes, params):
     return out
 
 
-def enhancement_degrees(k, ell):
-    """Moment degrees constrained through the H1 projection.
-
-    The remaining moments (degrees <= k-2 when k >= 2) are genuine DOFs; the
-    exclusive lower bound keeps the DOF set unisolvent.  For k = 1 every
-    degree from 0 to 1+ell is constrained.
-    """
-    lo = k - 1 if k >= 2 else 0
-    return range(lo, k + ell + 1)
-
-
 def build_pinabla(geom, k, h_full, edge_vals, nw, traces):
     """H1-type projector of order k on a stack of elements.
 
@@ -353,15 +342,3 @@ class LocalSpace:
         nodal = coeffs @ eval_basis(self.basis_k, layout.nodes(self.geom.vertices))
         moments = self.h_full[: layout.n_moments, : self.basis_k.dim] @ coeffs
         return np.concatenate([nodal, moments / self.geom.area])
-
-    def interpolate(self, func):
-        """DOF vector of a smooth function (vertex/edge values, quadrature moments; one cell)."""
-        geom, layout = self.geom, self.layout
-        dofs = np.zeros(layout.n_dofs)
-        dofs[: layout.n_nodes] = func(layout.nodes(geom.vertices))
-        if layout.n_moments:
-            fvals = func(geom.quad_points)
-            basis_m = MonomialBasis(geom, self.k - 2)
-            mvals = eval_basis(basis_m, geom.quad_points)
-            dofs[layout.n_nodes :] = (mvals @ (geom.quad_weights * fvals)) / geom.area
-        return dofs

@@ -394,6 +394,24 @@ def boundary_values_by_node(dofmap, problem):
     return idx, np.array([best[i][1] for i in idx])
 
 
+def interpolate(space, func):
+    """DOF vector of a smooth function on a one-cell space.
+
+    Vertex and edge values at the layout's nodes, then the scaled moments
+    against the degree k-2 monomials by the cell's volume quadrature.
+    """
+    from vemsupg.basis import MonomialBasis, eval_basis
+
+    geom, layout = space.geom, space.layout
+    dofs = np.zeros(layout.n_dofs)
+    dofs[: layout.n_nodes] = func(layout.nodes(geom.vertices))
+    if layout.n_moments:
+        fvals = func(geom.quad_points)
+        mvals = eval_basis(MonomialBasis(geom, space.k - 2), geom.quad_points)
+        dofs[layout.n_nodes :] = (mvals @ (geom.quad_weights * fvals)) / geom.area
+    return dofs
+
+
 def refined_solve(matrix, rhs, steps=5):
     """Sparse solve refined ``steps`` times with ``np.longdouble`` residuals.
 

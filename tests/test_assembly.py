@@ -231,10 +231,10 @@ class TestDirichlet:
     @pytest.mark.parametrize(
         "family, problem, orders",
         [
-            ("t1", "test1", (1, 3)),
-            ("t1", "sides", (1, 2, 3)),
-            ("t2", "test2", (1, 2, 3)),
-            ("t3", "test2", (1, 2, 3)),
+            ("t1", "test1", (1, 3, 4)),
+            ("t1", "sides", (1, 2, 3, 4)),
+            ("t2", "test2", (1, 2, 3, 4)),
+            ("t3", "test2", (1, 2, 3, 4)),
         ],
     )
     def test_values_match_node_loop(self, acceptance_meshes, family, problem, orders):
@@ -262,6 +262,22 @@ class TestDirichlet:
             ref_idx, ref_vals = boundary_values_by_node(dofmap, problem)
             assert np.array_equal(idx, ref_idx)
             assert np.array_equal(vals, ref_vals)
+
+    def test_reduction_matches_dense_slices(self):
+        mesh = generate_cartesian(3, 3)
+        problem = problem_smooth()
+        _, _, _, forms = build_cells(mesh, problem, 2, 2)
+        system = assemble(DofMap(mesh, 2), cell_blocks(forms))
+        matrix = system.matrix
+        a, b = matrix.toarray(), system.rhs.copy()
+        apply_dirichlet(system, problem)
+        assert system.matrix is matrix and system.matrix.format == "csr"
+        assert np.array_equal(system.matrix.toarray(), a)
+        free, fixed = system.free_idx, system.fixed_idx
+        assert len(fixed) and np.array_equal(np.union1d(free, fixed), np.arange(len(b)))
+        assert np.array_equal(system.reduced_matrix.toarray(), a[free][:, free])
+        want = b[free] - a[free][:, fixed] @ system.fixed_vals
+        assert np.abs(system.reduced_rhs - want).max() <= 1e-14
 
     def test_errors_match_node_loop(self):
         mesh = generate_cartesian(3, 3)

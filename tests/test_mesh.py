@@ -161,13 +161,13 @@ class TestRegularity:
         mesh = generate_cartesian(1, 1)
         rep = check_regularity(mesh)
         assert rep.rho_ratio[0] == pytest.approx(0.5 / np.sqrt(2.0), rel=1e-9)
-        assert rep.all_star_shaped
+        assert rep.star_ok.all()
         assert 0 < rep.regularity_constant <= 1
 
     def test_concave_pentagon_kernel(self):
         mesh = generate_concave_pentagons(1)
         rep = check_regularity(mesh)
-        assert rep.all_star_shaped
+        assert rep.star_ok.all()
         assert np.all(rep.rho > 0)
         # independent check: the center keeps distance rho to every edge line
         [center], [rho] = star_centers([mesh.cell_vertices(1)], [1])
@@ -188,7 +188,7 @@ class TestRegularity:
             star_centers([u_shape], [0])
         mesh = PolyMesh(u_shape / 3.0, [list(range(8))])
         rep = check_regularity(mesh)
-        assert not rep.all_star_shaped
+        assert not rep.star_ok.all()
 
 
 class TestSimplicity:

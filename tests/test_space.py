@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import UNIT_SQUARE, make_geometry
-from oracles import hat_pinabla_square_k1, l2_projection_coeffs
+from oracles import hat_pinabla_square_k1, interpolate, l2_projection_coeffs
 from vemsupg.basis import MonomialBasis, eval_basis, eval_poly, grad_map, poly_dim
 from vemsupg.errors import ElementQualityError
 from vemsupg.geometry import ElementGeometry
@@ -13,7 +13,6 @@ from vemsupg.space import (
     _checked_solve,
     _gram_solve,
     dof_layout,
-    enhancement_degrees,
     lagrange_values,
 )
 
@@ -74,13 +73,6 @@ class TestDofLayout:
         assert vals.sum(axis=1) == pytest.approx(np.ones(7), rel=1e-13)
         vals = lagrange_values(nodes, nodes)
         assert vals == pytest.approx(np.eye(len(nodes)), abs=1e-13)
-
-
-def test_enhancement_degrees():
-    assert list(enhancement_degrees(1, 0)) == [0, 1]
-    assert list(enhancement_degrees(1, 2)) == [0, 1, 2, 3]
-    assert list(enhancement_degrees(2, 0)) == [1, 2]
-    assert list(enhancement_degrees(3, 2)) == [2, 3, 4, 5]
 
 
 class TestPiNabla:
@@ -284,7 +276,7 @@ class TestConformity:
         for c in range(mesh.n_cells):
             geom = make_geometry(mesh.cell_vertices(c), k=k, ell=0, cell=c)
             space = LocalSpace(geom, k, 0)
-            local = space.interpolate(poly)
+            local = interpolate(space, poly)
             idx = dofmap.cell_dofs(c)
             for i, v in zip(idx, local):
                 if np.isfinite(values[i]):

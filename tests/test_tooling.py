@@ -50,6 +50,23 @@ def test_solve_result_error_calls_module_energy_error(monkeypatch):
     assert err == real(*calls[0])
 
 
+def test_solve_problem_calls_module_linear_algebra(monkeypatch):
+    # the benchmark spans scatter, Dirichlet elimination and the linear solve
+    # by patching these module attributes
+    import vemsupg.harness as harness
+    from vemsupg.mesh import generate_cartesian
+    from vemsupg.problems import problem_smooth
+
+    calls = []
+    for name in ("assemble", "apply_dirichlet", "solve"):
+        real = getattr(harness, name)
+        monkeypatch.setattr(
+            harness, name, lambda *args, name=name, real=real: calls.append(name) or real(*args)
+        )
+    harness.solve_problem(generate_cartesian(2, 2), problem_smooth(), 1, ell=1)
+    assert calls == ["assemble", "apply_dirichlet", "solve"]
+
+
 @pytest.mark.parametrize("name", ["cart_layer_conv", "voronoi_auto", "pentagon_layers"])
 def test_workload_checks_pass_tiny(name, tmp_path, monkeypatch):
     # one tiny round, then the checks the benchmark runs after its rounds
