@@ -90,10 +90,6 @@ class DofMap:
         flat.flags.writeable = False
         return offsets, flat
 
-    def cell_dofs(self, c):
-        """Global DOF indices of cell c, aligned with the local layout."""
-        return self.flat[self.offsets[c] : self.offsets[c + 1]]
-
     def stacked_dofs(self, cells):
         """Global DOFs of ``cells``, which have equal DOF counts; shape (C, n)."""
         n = self.offsets[cells[0] + 1] - self.offsets[cells[0]]

@@ -23,8 +23,8 @@ class ProblemData:
 
     Parameters
     ----------
-    kappa : positive diffusivity
-    beta : constant 2-vector or callable points (n, 2) -> (n, 2); a constant
+    kappa : positive finite diffusivity
+    beta : constant finite 2-vector or callable points (n, 2) -> (n, 2); a constant
         is kept as ``beta_constant`` (None for a callable), which the local
         forms read in place of sampling the field
     source : callable points -> values (the right-hand side f)
@@ -39,14 +39,16 @@ class ProblemData:
 
     def __init__(self, kappa, beta, source, dirichlet, label_priority=(),
                  exact=None, exact_grad=None, boundary_classifier=None, name=""):
-        if kappa <= 0:
-            raise ValueError("diffusivity must be positive")
+        if not np.isfinite(kappa) or kappa <= 0:
+            raise ValueError(f"diffusivity must be positive and finite, not {kappa!r}")
         self.kappa = float(kappa)
         if callable(beta):
             self.beta = beta
             self.beta_constant = None
         else:
             const = np.asarray(beta, dtype=float)
+            if const.shape != (2,) or not np.isfinite(const).all():
+                raise ValueError(f"constant velocity must be a finite 2-vector, not {beta!r}")
             self.beta = lambda pts: np.broadcast_to(const, (len(np.atleast_2d(pts)), 2))
             self.beta_constant = const
         self.source = source

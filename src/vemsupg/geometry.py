@@ -76,16 +76,6 @@ def _convex(vertices):
     return (turns >= 0.0).all(axis=-1) & (polygon_signed_area(vertices) > 0.0)
 
 
-def polygon_kernel(vertices):
-    """Kernel of a CCW polygon (m, 2), or None when it is empty.
-
-    A convex polygon is its own kernel; any other polygon's kernel is
-    clipped by ``_clipped_kernel``.
-    """
-    v = np.asarray(vertices, dtype=float)
-    return v if _convex(v[None])[0] else _clipped_kernel(v)
-
-
 def _clipped_kernel(vertices):
     """Kernel of a CCW polygon by half-plane clipping of its bounding box, or None."""
     v = np.asarray(vertices, dtype=float)

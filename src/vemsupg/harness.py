@@ -1,34 +1,35 @@
 """Experiment driver: mesh families, solves, convergence studies, probe tables.
 
-Every solve builds its element data through one shape table.  Cells that
-are translated copies of one another (all cells of a cartesian grid, the two
-pentagons of the concave tiling) share one kernel and star center, one
-space per (k, ell) and one probe result, built on the first cell of the
-shape; on a Voronoi mesh every cell is its own shape, with zero shift.
-Shapes are built in groups of one (vertex count, k, ell): each group is
-cut into stacks of up to ``STACK`` shapes, and a stack is one stacked
-geometry, one stacked space and, in the solve, one set of form tables.  A
-shape's space is its view into its stack.  The probe runs in rounds: every
-shape first tries the smallest ell a dimension count allows, a round
-decides one stack of trial spaces per vertex count with one batched
-eigenvalue solve, the accepted members become a stack that the solve keeps
-and the rejected shapes try the next ell.  A cell is a placement of its
-shape: the shape's view plus the cell's shift from the shape's first cell.
-Since every projector matrix is translation-invariant, the shift only moves
-the points at which velocity, source and exact solution are sampled, so the
-local forms and loads of each stack's cells are formed in batches from the
-stack's form tables, each cell reading its own member's.  The batches stay
-stacked: each goes to ``assemble`` as its cells with their (C, n, n)
-matrices and (C, n) loads, and its Peclet numbers and tau fill per-cell
-arrays, so no per-cell coefficient or form object is made.  The solve
-result, the energy error and ``sample`` keep the shape's view and the
-shift, never a per-cell copy of the element.
+Every solve gets its element data from ``cell_spaces``, the one path from
+cells to spaces.  ``place_shapes`` keys the cells by shape: cells that are
+translated copies of one another (all cells of a cartesian grid, the two
+pentagons of the concave tiling) share one kernel and star center and one
+space, built on the first cell of the shape; on a Voronoi mesh every cell is
+its own shape, with zero shift.  Shapes are built in groups of one (vertex
+count, k, ell): each group is cut into stacks of up to ``STACK`` shapes, and
+a stack is one stacked geometry, one stacked space and, in the solve, one
+set of form tables.  A shape's space is its view into its stack.  The probe
+runs in rounds: every shape first tries the smallest ell a dimension count
+allows, a round decides one stack of trial spaces per vertex count with one
+batched eigenvalue solve, the accepted members become a stack that the solve
+keeps and the rejected shapes try the next ell.  A cell is a placement of
+its shape: the shape's view plus the cell's shift from the shape's first
+cell.  Since every projector matrix is translation-invariant, the shift only
+moves the points at which velocity, source and exact solution are sampled,
+so the local forms and loads of each stack's cells are formed in batches
+from the stack's form tables, each cell reading its own member's.  The
+batches stay stacked: each goes to ``assemble`` as its cells with their
+(C, n, n) matrices and (C, n) loads, and its Peclet numbers and tau fill
+per-cell arrays, so no per-cell coefficient or form object is made.  The
+solve result, the energy error and ``sample`` keep the shape's view and the
+shift, never a per-cell copy of the element.  Shapes carry no spaces: each
+call places and builds anew.
 """
 
 import copy
 import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,7 +86,7 @@ def generate_mesh(family, n, seed=0, lloyd_iters=100, level=0):
     raise ValueError(f"unknown mesh family {family!r}; choose from {FAMILIES}")
 
 
-# -- per-shape element table ----------------------------------------------
+# -- from cells to spaces ---------------------------------------------------
 
 
 def _shape_signatures(polys):
@@ -103,31 +104,49 @@ def _shape_signatures(polys):
     return keys, anchor
 
 
+@dataclass(eq=False)
 class Shape:
-    """One cell shape: its first cell, star center and the spaces built for it.
+    """One cell shape: its first cell's vertices, anchor and kernel ball.
 
     Every other cell of the shape is a translate of the first, and all its
     projector matrices are translation-invariant (integrals run in
-    star-centered scaled monomials), so spaces and probe results are built
-    once and shared.  A (k, ell) space is the shape's view into a stack
-    built for many shapes of its vertex count at once (``build_spaces``,
-    ``probe_shapes``); every geometry of the shape shares the kernel star
-    center that ``ShapeTable.place`` computes.
+    star-centered scaled monomials), so one space per shape serves them all.
     """
 
-    def __init__(self, verts, anchor, cell, center):
-        self.vertices = verts
-        self.anchor = anchor
-        self.cell = cell
-        self.center = center  # (star center, kernel radius)
-        self.spaces = {}
-        self.probed = {}
+    vertices: np.ndarray
+    anchor: np.ndarray  # vertex mean, the point shifts are measured from
+    cell: int
+    center: tuple  # (star center, kernel radius)
 
-    def space(self, k, ell):
-        """This shape's (k, ell) space, built on first use (as a stack of one) and kept."""
-        if (k, ell) not in self.spaces:
-            build_spaces([self], k, ell)
-        return self.spaces[(k, ell)]
+
+def place_shapes(mesh, cells):
+    """The shapes of ``cells`` in first-cell order, each cell's shape and its shift.
+
+    Returns the shapes, the (C,) index ``of`` of each cell's shape in them
+    and the (C, 2) translation of each cell from its shape's first cell.  A
+    cartesian grid has one shape and the pentagon tiling two; on a Voronoi
+    mesh every cell is its own shape.  The star centers of all shapes come
+    from one ``star_centers`` call.
+    """
+    cells = list(cells)
+    n_v = np.array([len(mesh.cells[c]) for c in cells], dtype=int)
+    keys = [None] * len(cells)
+    anchors = np.empty((len(cells), 2))
+    for nv in np.unique(n_v):
+        at = np.flatnonzero(n_v == nv)
+        polys = mesh.vertices[np.array([mesh.cells[cells[i]] for i in at])]
+        group_keys, anchors[at] = _shape_signatures(polys)
+        for i, key in zip(at, group_keys):
+            keys[i] = key
+    index = {}  # key -> shape, numbered by first cell
+    of = np.array([index.setdefault(key, len(index)) for key in keys], dtype=int)
+    first = np.unique(of, return_index=True)[1]
+    firsts = [cells[i] for i in first]
+    polys = [mesh.cell_vertices(c) for c in firsts]
+    centers, radii = star_centers(polys, firsts)
+    shapes = [Shape(verts, anchors[i], c, (center, float(radius)))
+              for i, c, verts, center, radius in zip(first, firsts, polys, centers, radii)]
+    return shapes, of, anchors - anchors[first][of]
 
 
 def _stack_space(shapes, k, ell):
@@ -151,90 +170,53 @@ def _chunks(items):
 
 
 def build_spaces(shapes, k, ell):
-    """Give each of ``shapes`` (one vertex count) its (k, ell) space, built in stacks of STACK."""
+    """The (k, ell) space of each of ``shapes`` (one vertex count), built in stacks of STACK."""
+    spaces = []
     for chunk in _chunks(shapes):
         stack = _stack_space(chunk, k, ell)
-        for i, shape in enumerate(chunk):
-            shape.spaces[(k, ell)] = stack[i]
+        spaces += [stack[i] for i in range(len(chunk))]
+    return spaces
 
 
 def probe_shapes(shapes, k):
-    """Smallest coercive increment of each shape at order k, probed in rounds.
+    """Space of the smallest coercive increment of each shape at order k, probed in rounds.
 
     Shapes are grouped by vertex count.  A group's trials start at the rank
     bound: the increments below it are rejected by a dimension count, so
     their spaces are not built.  Each round builds the trial spaces of the
     group's pending shapes at one increment as stacks of STACK and decides
     each stack with one batched eigenvalue solve (``coercive``); the
-    accepted shapes keep their views into a stack of the accepted members,
-    the rejected ones go on to the next increment.  Sets ``probed[k]`` of
-    every accepted shape and returns, for each shape still rejected at
-    ``DEFAULT_ELL_MAX``, its trace as ``probe_min_ell`` records it.
+    accepted shapes get their views into a stack of the accepted members,
+    the rejected ones go on to the next increment.  Returns the spaces, None
+    for each shape still rejected at ``DEFAULT_ELL_MAX``, and those shapes'
+    traces as ``probe_min_ell`` records them.
     """
     groups = {}
-    for shape in shapes:
-        if k not in shape.probed:
-            groups.setdefault(len(shape.vertices), {})[shape] = None
+    for i, shape in enumerate(shapes):
+        groups.setdefault(len(shape.vertices), []).append(i)
+    spaces = [None] * len(shapes)
     failed = {}
     for n_v, group in groups.items():
-        group = list(group)
         start = rank_bound_ell(dof_layout(n_v, k).n_dofs, k)
-        traces = {shape: [(ell, None) for ell in range(min(start, DEFAULT_ELL_MAX + 1))]
-                  for shape in group}
+        traces = {i: [(ell, None) for ell in range(min(start, DEFAULT_ELL_MAX + 1))]
+                  for i in group}
         for ell in range(start, DEFAULT_ELL_MAX + 1):
             rejected = []
             for chunk in _chunks(group):
-                trial = _stack_space(chunk, k, ell)
+                trial = _stack_space([shapes[i] for i in chunk], k, ell)
                 accepted, lam = coercive(trial)
-                for shape, rel in zip(chunk, lam.tolist()):
-                    traces[shape].append((ell, rel))
+                for i, rel in zip(chunk, lam.tolist()):
+                    traces[i].append((ell, rel))
                 keep = np.flatnonzero(accepted)
                 kept = trial if len(keep) == len(chunk) else trial[keep]
                 for j, i in enumerate(keep.tolist()):
-                    chunk[i].spaces.setdefault((k, ell), kept[j])
-                    chunk[i].probed[k] = ell
+                    spaces[chunk[i]] = kept[j]
                 rejected += [chunk[i] for i in np.flatnonzero(~accepted)]
             group = rejected
             if not group:
                 break
-        failed.update((shape, traces[shape]) for shape in group)
-    return failed
-
-
-class ShapeTable:
-    """The shapes met so far, keyed by ``_shape_signatures``.
-
-    A cartesian grid has one shape and the pentagon tiling two; on a Voronoi
-    mesh every cell is its own shape.  The star centers of the shapes one
-    ``place`` call meets first are computed together, by ``star_centers``.
-    """
-
-    def __init__(self):
-        self.shapes = {}
-
-    def place(self, mesh, cells):
-        """Shape of each cell and the cell's translation from the shape's first cell."""
-        cells = list(cells)
-        n_v = np.array([len(mesh.cells[c]) for c in cells], dtype=int)
-        keys = [None] * len(cells)
-        anchors = np.empty((len(cells), 2))
-        for nv in np.unique(n_v):
-            at = np.flatnonzero(n_v == nv)
-            polys = mesh.vertices[np.array([mesh.cells[cells[i]] for i in at])]
-            group_keys, anchors[at] = _shape_signatures(polys)
-            for i, key in zip(at, group_keys):
-                keys[i] = key
-        new = {}  # key -> position of the key's first cell
-        for i, key in enumerate(keys):
-            if key not in self.shapes:
-                new.setdefault(key, i)
-        firsts = [cells[i] for i in new.values()]
-        polys = [mesh.cell_vertices(c) for c in firsts]
-        centers, radii = star_centers(polys, firsts)
-        for (key, i), verts, center, radius in zip(new.items(), polys, centers, radii):
-            self.shapes[key] = Shape(verts, anchors[i], cells[i], (center, float(radius)))
-        return [(self.shapes[key], anchor - self.shapes[key].anchor)
-                for key, anchor in zip(keys, anchors)]
+        failed.update((shapes[i], traces[i]) for i in group)
+    return spaces, failed
 
 
 def _check_ell(ell, mesh):
@@ -262,32 +244,36 @@ def _spaces(shapes, k, ell_mode):
     A failed probe raises the ``ProbeError`` of the shape with the lowest cell.
     """
     if ell_mode == "auto":
-        failed = probe_shapes(shapes, k)
+        spaces, failed = probe_shapes(shapes, k)
         if failed:
             shape = min(failed, key=lambda shape: shape.cell)
             raise probe_exhausted(k, failed[shape], shape.cell)
-        ells = [shape.probed[k] for shape in shapes]
-    else:
-        ells = [ell_mode[len(shape.vertices)] if isinstance(ell_mode, dict) else int(ell_mode)
-                for shape in shapes]
-        missing = {}
-        for shape, ell in zip(shapes, ells):
-            if (k, ell) not in shape.spaces:
-                missing.setdefault((len(shape.vertices), ell), []).append(shape)
-        for (_, ell), group in missing.items():
-            build_spaces(group, k, ell)
-    return {shape: shape.spaces[(k, ell)] for shape, ell in zip(shapes, ells)}
+        return spaces
+    groups = {}  # (vertex count, ell) -> positions of its shapes
+    for i, shape in enumerate(shapes):
+        n_v = len(shape.vertices)
+        ell = ell_mode[n_v] if isinstance(ell_mode, dict) else int(ell_mode)
+        groups.setdefault((n_v, ell), []).append(i)
+    spaces = [None] * len(shapes)
+    for (_, ell), at in groups.items():
+        for i, space in zip(at, build_spaces([shapes[i] for i in at], k, ell)):
+            spaces[i] = space
+    return spaces
 
 
-def build_element(mesh, c, k, ell_mode, cache):
-    """(space, shift, chosen ell) of one cell, from the shape table ``cache``.
+def cell_spaces(mesh, k, ell_mode):
+    """Each cell's space, its shape's view, and the (n_cells, 2) shifts of the cells from them."""
+    shapes, of, shifts = place_shapes(mesh, range(mesh.n_cells))
+    spaces = _spaces(shapes, k, ell_mode)
+    return [spaces[i] for i in of], shifts
 
-    The cell is the shape's space translated by ``shift``.
-    """
+
+def build_element(mesh, c, k, ell_mode):
+    """(space, shift, chosen ell) of one cell, placed on its own, so its shift is zero."""
     _check_ell(ell_mode, mesh)
-    [(shape, shift)] = cache.place(mesh, [c])
-    space = _spaces([shape], k, ell_mode)[shape]
-    return space, shift, space.ell
+    shapes, _, shifts = place_shapes(mesh, [c])
+    [space] = _spaces(shapes, k, ell_mode)
+    return space, shifts[0], space.ell
 
 
 class SolveResult:
@@ -381,10 +367,7 @@ def solve_problem(mesh, problem, k, ell="auto", method="sf"):
         mesh = relabel_boundary(copy.copy(mesh), problem.boundary_classifier)
     if method == "vem":
         ell = 0
-    placed = ShapeTable().place(mesh, range(mesh.n_cells))
-    shifts = np.array([shift for _, shift in placed])
-    by_shape = _spaces(list(dict.fromkeys(shape for shape, _ in placed)), k, ell)
-    spaces = [by_shape[shape] for shape, _ in placed]
+    spaces, shifts = cell_spaces(mesh, k, ell)
     peclet, tau = np.empty(mesh.n_cells), np.empty(mesh.n_cells)
     blocks = []
     tables = None
@@ -409,7 +392,6 @@ class ExperimentConfig:
     """One experiment: problem, mesh family, order, refinements, outputs."""
 
     problem: str = "smooth"
-    problem_kwargs: dict = field(default_factory=dict)
     family: str = "t1"
     k: int = 1
     ell: object = "auto"  # "auto", a fixed integer or a dict of them by vertex count
@@ -428,7 +410,7 @@ class ExperimentConfig:
             raise ValueError("refinement schedule must strictly decrease h")
 
     def make_problem(self):
-        return get_problem(self.problem, **self.problem_kwargs)
+        return get_problem(self.problem)
 
 
 def _fmt(x):
@@ -561,18 +543,16 @@ def probe_table(config, orders=(1, 2, 3, 4), families=FAMILIES):
             mesh = generate_mesh(
                 family, n, seed=config.seed, lloyd_iters=config.lloyd_iters
             )
-            seen = ShapeTable()
-            seen.place(mesh, range(mesh.n_cells))
-            shapes = list(seen.shapes.values())
+            shapes, _, _ = place_shapes(mesh, range(mesh.n_cells))
             for k in orders:
-                failed = probe_shapes(shapes, k)
+                spaces, _ = probe_shapes(shapes, k)
                 ells = {}  # vertex count -> probed increments, None where it fails
-                for shape in shapes:
-                    ell = None if shape in failed else shape.probed[k]
+                for shape, space in zip(shapes, spaces):
+                    ell = None if space is None else space.ell
                     ells.setdefault(len(shape.vertices), []).append(ell)
                 for n_v, found in ells.items():
                     table[(family, n_v, k)] = "—" if None in found else max(found)
-            log.line(f"probed family={family} shapes={len(seen.shapes)}")
+            log.line(f"probed family={family} shapes={len(shapes)}")
         if config.out_dir:
             path = os.path.join(config.out_dir, "probe_table.csv")
             with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -315,6 +315,11 @@ def tilde_c_k_by_schur(basis, h_km1):
 # so they check the grouping, gathering and reduction order, not the basis.
 
 
+def cell_dofs(dofmap, c):
+    """Global DOF indices of cell c, aligned with the local layout."""
+    return dofmap.flat[dofmap.offsets[c] : dofmap.offsets[c + 1]]
+
+
 def energy_error_by_cell(spaces, shifts, solution, problem):
     """Relative energy-norm error, summed cell by cell in cell order.
 
@@ -332,7 +337,7 @@ def energy_error_by_cell(spaces, shifts, solution, problem):
         geom = space.geom
         pts = geom.quad_points + shift
         center = geom.star_center + shift
-        local = solution.dofs[solution.system.dofmap.cell_dofs(c)]
+        local = solution.dofs[cell_dofs(solution.system.dofmap, c)]
         poly = space.pinabla_coeff @ local
         dx, dy = grad_map(space.basis_k)
         xi, eta = ((pts - center) / geom.h).T
@@ -776,17 +781,17 @@ def baseline_vem_forms(geom, space, coeffs, problem, sigma=None):
 
 def probe_table_by_shape(families, orders, seed=0, lloyd_iters=100):
     """``harness.probe_table``'s table with every shape probed alone, as a stack of one."""
-    from vemsupg.harness import PROBE_MESH_SIZE, ShapeTable, generate_mesh, probe_shapes
+    from vemsupg.harness import PROBE_MESH_SIZE, generate_mesh, place_shapes, probe_shapes
 
     table = {}
     for family in families:
         mesh = generate_mesh(family, PROBE_MESH_SIZE[family], seed=seed, lloyd_iters=lloyd_iters)
-        seen = ShapeTable()
-        seen.place(mesh, range(mesh.n_cells))
+        shapes, _, _ = place_shapes(mesh, range(mesh.n_cells))
         for k in orders:
             ells = {}  # vertex count -> probed increments, None where it fails
-            for shape in seen.shapes.values():
-                ell = None if probe_shapes([shape], k) else shape.probed[k]
+            for shape in shapes:
+                [space], _ = probe_shapes([shape], k)
+                ell = None if space is None else space.ell
                 ells.setdefault(len(shape.vertices), []).append(ell)
             for n_v, found in ells.items():
                 table[(family, n_v, k)] = "—" if None in found else max(found)

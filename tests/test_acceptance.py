@@ -20,8 +20,7 @@ from vemsupg.errors import ProbeError
 from vemsupg.forms import ProblemData, probe_min_ell, projected_gradient_gram
 from vemsupg.harness import (
     ExperimentConfig,
-    ShapeTable,
-    build_element,
+    cell_spaces,
     generate_mesh,
     run_convergence,
     solve_problem,
@@ -43,12 +42,6 @@ def report(criterion, ok, detail, started):
     return line
 
 
-def probed_spaces(mesh, k, cache):
-    return [
-        build_element(mesh, c, k, "auto", cache)[0] for c in range(mesh.n_cells)
-    ]
-
-
 def test_criterion_1_projector_reproduction(acceptance_meshes):
     t0 = time.monotonic()
     rng = np.random.default_rng(1)
@@ -56,9 +49,8 @@ def test_criterion_1_projector_reproduction(acceptance_meshes):
     from vemsupg.basis import grad_map, poly_dim
 
     for name, mesh in acceptance_meshes.items():
-        cache = ShapeTable()
         for k in (1, 2, 3):
-            for space in probed_spaces(mesh, k, cache):
+            for space in cell_spaces(mesh, k, "auto")[0]:
                 p = rng.standard_normal(poly_dim(k))
                 scale = np.abs(p).max()
                 dofs = space.polynomial_dofs(p)
@@ -205,10 +197,9 @@ def test_criterion_4_probe_minimality(acceptance_meshes):
     t0 = time.monotonic()
     checked = 0
     for name, mesh in acceptance_meshes.items():
-        cache = ShapeTable()
         for k in (1, 2, 3):
-            for c in range(mesh.n_cells):
-                space, _, ell = build_element(mesh, c, k, "auto", cache)
+            for c, space in enumerate(cell_spaces(mesh, k, "auto")[0]):
+                ell = space.ell
                 gram = projected_gradient_gram(space)
                 lam = np.linalg.eigvalsh(0.5 * (gram + gram.T))
                 n_small = int(np.sum(lam < PROBE_TOL * lam[-1]))
@@ -233,8 +224,7 @@ def test_criterion_5_convergence_rates():
     alphas = {}
     for k in (1, 2, 3):
         cfg = ExperimentConfig(
-            problem="smooth",
-            problem_kwargs={"kappa": 1e-6, "beta": BETA},
+            problem="smooth",  # at its defaults, kappa = 1e-6 and beta = BETA
             family="t1",
             k=k,
             ell={4: T1_TABLE[k]},

@@ -22,7 +22,7 @@ from vemsupg.forms import (
     sf_forms,
     tilde_c_k,
 )
-from vemsupg.harness import ShapeTable, generate_mesh, probe_shapes
+from vemsupg.harness import build_spaces, cell_spaces, generate_mesh, place_shapes, probe_shapes
 from vemsupg.mesh import generate_cartesian, generate_concave_pentagons, generate_voronoi
 from vemsupg.problems import problem_smooth
 from vemsupg.space import LocalSpace, dof_layout
@@ -47,10 +47,10 @@ def one_cell(verts, k, ell, cell=None):
 
 def probe_alone(shape, k):
     """The smallest coercive increment of one shape, probed as a stack of one."""
-    failed = probe_shapes([shape], k)
+    [space], failed = probe_shapes([shape], k)
     if failed:
         raise probe_exhausted(k, failed[shape], shape.cell)
-    return shape.probed[k]
+    return space.ell
 
 
 class TestBetaSup:
@@ -139,11 +139,10 @@ class TestTildeC:
         meshes = [generate_mesh("t1", 2), generate_mesh("t2", 4),
                   shared_mesh(generate_voronoi, 64, lloyd_iters=100, seed=3)]
         for mesh in meshes:
-            table = ShapeTable()
-            table.place(mesh, range(mesh.n_cells))
-            for shape in table.shapes.values():
+            shapes, _, _ = place_shapes(mesh, range(mesh.n_cells))
+            for shape in shapes:
                 for k in (2, 3, 4):
-                    space = shape.space(k, 0)
+                    [space] = build_spaces([shape], k, 0)
                     args = (space.basis_k, space.mass_block(k - 1))
                     want = tilde_c_k_by_schur(*args)
                     assert tilde_c_k(*args) == pytest.approx(want, rel=1e-12), (shape.cell, k)
@@ -277,7 +276,6 @@ class TestProbe:
         # eigenvalues under the cutoff, so the rule rejects it, and the
         # solve's probe, which starts at the bound, picks the increment that
         # probe_min_ell picks from ell = 0 (or fails on the same cell)
-        from vemsupg.harness import ShapeTable
         from vemsupg.mesh import generate_concave_pentagons, generate_voronoi
 
         meshes = {
@@ -289,10 +287,11 @@ class TestProbe:
         for name, mesh in meshes.items():
             for k, c in itertools.product((1, 2, 3, 4), range(mesh.n_cells)):
                 where = (name, k, c)
-                [(shape, _)] = ShapeTable().place(mesh, [c])
+                [shape], _, _ = place_shapes(mesh, [c])
                 start = rank_bound_ell(dof_layout(len(mesh.cells[c]), k).n_dofs, k)
                 for ell in range(min(start, DEFAULT_ELL_MAX + 1)):
-                    gram = projected_gradient_gram(shape.space(k, ell))
+                    [space] = build_spaces([shape], k, ell)
+                    gram = projected_gradient_gram(space)
                     lam = np.linalg.eigvalsh(0.5 * (gram + gram.T))
                     n_small = int(np.sum(lam < DEFAULT_PROBE_TOL * lam[-1]))
                     assert n_small >= 2, (*where, ell)
@@ -657,15 +656,11 @@ class TestShapeForms:
     def chunks(mesh, k, method):
         """(form tables, rows, shifts) of each chunk ``solve_problem`` forms on ``mesh``."""
         from vemsupg.assemble import stack_chunks
-        from vemsupg.harness import _spaces
 
-        placed = ShapeTable().place(mesh, range(mesh.n_cells))
-        shifts = np.array([shift for _, shift in placed])
-        shapes = list(dict.fromkeys(shape for shape, _ in placed))
-        spaces = _spaces(shapes, k, "auto" if method == "sf" else 0)
+        spaces, shifts = cell_spaces(mesh, k, "auto" if method == "sf" else 0)
         return [
             (ShapeForms(stack, stabilized=method == "vem"), rows, shifts[cells])
-            for stack, rows, cells in stack_chunks([spaces[shape] for shape, _ in placed])
+            for stack, rows, cells in stack_chunks(spaces)
         ]
 
     @pytest.mark.parametrize("beta", [BETA1, (0.0, 0.0)])
@@ -724,18 +719,16 @@ class TestShapeForms:
         # cells of a stack come by member, so t1 reads one member's tables,
         # t2 gathers the two members' rows and t3 takes all members
         from vemsupg.assemble import stack_chunks
-        from vemsupg.harness import _spaces
 
         mesh = self.MESHES[family]()
-        placed = ShapeTable().place(mesh, range(mesh.n_cells))
-        shifts = np.array([shift for _, shift in placed])
-        shapes = list(dict.fromkeys(shape for shape, _ in placed))
         build = oracles.sf_forms if method == "sf" else oracles.baseline_vem_forms
         entry = sf_forms if method == "sf" else baseline_vem_forms
         kinds = set()
-        for k, problem in itertools.product((1, 2, 3), (problem_smooth(), swirl_problem())):
-            spaces = _spaces(shapes, k, "auto" if method == "sf" else 0)
-            for stack, rows, cells in stack_chunks([spaces[shape] for shape, _ in placed]):
+        for k in (1, 2, 3):
+            spaces, shifts = cell_spaces(mesh, k, "auto" if method == "sf" else 0)
+            for problem, (stack, rows, cells) in itertools.product(
+                (problem_smooth(), swirl_problem()), stack_chunks(spaces)
+            ):
                 kinds.add(type(rows))
                 ell = stack.ell
                 tables = ShapeForms(stack, stabilized=method == "vem")

@@ -19,9 +19,11 @@ from vemsupg.geometry import ElementGeometry
 from vemsupg.harness import (
     ConvergenceReport,
     ExperimentConfig,
-    ShapeTable,
+    build_spaces,
+    cell_spaces,
     format_probe_table,
     generate_mesh,
+    place_shapes,
     probe_shapes,
     probe_table,
     run_convergence,
@@ -237,16 +239,64 @@ class TestSolveDrivers:
         assert (rounds, stacks) == (1, 1)  # the two shapes form one stack
         assert calls == {"lp": 1, "c_tilde": stacks, "geometry": rounds, "space": rounds}
 
-    def test_probe_keeps_spaces_handed_out(self):
-        # the probe on a square at k = 2 rejects ell = 1 and accepts ell = 2;
-        # the ell = 1 space handed out before it stays the shape's own
-        mesh = generate_mesh("t1", 2)
-        [(shape, _)] = ShapeTable().place(mesh, [0])
-        handed_out = shape.space(2, 1)
-        assert probe_shapes([shape], 2) == {}
-        assert shape.probed[2] == 2
-        assert shape.space(2, 1) is handed_out
-        assert set(shape.spaces) == {(2, 1), (2, 2)}
+    def test_probe_on_square_rejects_ell_1_accepts_ell_2(self):
+        # the rank bound starts the square's probe at ell = 1 for k = 2
+        from vemsupg.forms import coercive
+
+        shapes, _, _ = place_shapes(generate_mesh("t1", 2), [0])
+        [trial] = build_spaces(shapes, 2, 1)
+        assert not coercive(trial.stack)[0][0]
+        [space], failed = probe_shapes(shapes, 2)
+        assert failed == {} and space.ell == 2
+
+    @pytest.mark.parametrize("family", ["t1", "t2", "t3"])
+    def test_place_shapes(self, family, monkeypatch):
+        # shapes come in first-cell order, each from the first cell of its
+        # index in ``of``, and a cell is its shape's vertices moved by its
+        # shift; the star centers of all shapes come from one call
+        import vemsupg.harness as harness
+
+        calls = []
+        real = harness.star_centers
+        monkeypatch.setattr(harness, "star_centers",
+                            lambda polys, cells: calls.append(list(cells)) or real(polys, cells))
+        mesh = {"t1": lambda: generate_mesh("t1", 3), "t2": lambda: generate_mesh("t2", 4),
+                "t3": lambda: generate_voronoi(16, lloyd_iters=20, seed=1)}[family]()
+        shapes, of, shifts = place_shapes(mesh, range(mesh.n_cells))
+        firsts = [shape.cell for shape in shapes]
+        assert len(shapes) == {"t1": 1, "t2": 2, "t3": 16}[family]
+        assert of.shape == (mesh.n_cells,) and shifts.shape == (mesh.n_cells, 2)
+        assert firsts == sorted(firsts)
+        assert firsts == [int(np.flatnonzero(of == i)[0]) for i in range(len(shapes))]
+        assert calls == [firsts]
+        for c in range(mesh.n_cells):
+            placed = shapes[of[c]].vertices + shifts[c]
+            assert np.abs(placed - mesh.cell_vertices(c)).max() <= 1e-14, (family, c)
+
+    def test_one_placement_per_call_and_no_shared_spaces(self, monkeypatch):
+        # each entry point places its cells once; spaces live on no shape, so
+        # probing leaves the shapes as placed and two calls share no stack
+        import vemsupg.harness as harness
+
+        calls = []
+        real = harness.place_shapes
+        monkeypatch.setattr(harness, "place_shapes", lambda *args: calls.append(1) or real(*args))
+        mesh = generate_mesh("t2", 2)
+        for run in (lambda: solve_problem(mesh, problem_smooth(), 2),
+                    lambda: harness.build_element(mesh, 3, 2, "auto"),
+                    lambda: probe_table(ExperimentConfig(), orders=(1, 2), families=["t2"])):
+            calls.clear()
+            run()
+            assert len(calls) == 1
+        shapes, _, _ = real(mesh, range(mesh.n_cells))
+        placed = [{name: id(value) for name, value in vars(shape).items()} for shape in shapes]
+        probe_shapes(shapes, 2)
+        build_spaces(shapes[:1], 2, 1)
+        assert [{name: id(value) for name, value in vars(shape).items()}
+                for shape in shapes] == placed
+        first, _ = cell_spaces(mesh, 2, "auto")
+        second, _ = cell_spaces(mesh, 2, "auto")
+        assert not {id(space.stack) for space in first} & {id(space.stack) for space in second}
 
     def test_monomials_evaluated_once_per_point_set(self, monkeypatch):
         # a stacked space evaluates its degree k+ell monomials at the volume
@@ -383,7 +433,7 @@ class TestSolveDrivers:
         mesh = generate_mesh(family, 2 if family == "t2" else 4, seed=1, lloyd_iters=20)
         for solve_or_build in (
             lambda: solve_problem(mesh, problem_smooth(), 1, ell=ell),
-            lambda: harness.build_element(mesh, 0, 1, ell, ShapeTable()),
+            lambda: harness.build_element(mesh, 0, 1, ell),
         ):
             with pytest.raises(ValueError) as info:
                 solve_or_build()
@@ -573,7 +623,7 @@ class TestStarCenters:
 
         mesh = make_mesh()
         polys = [mesh.cell_vertices(c) for c in range(mesh.n_cells)]
-        kernels = [geometry.polygon_kernel(v) for v in polys]
+        kernels = [oracles.polygon_kernel_by_polygon(v) for v in polys]
         convex = [c for c, (v, kv) in enumerate(zip(polys, kernels)) if np.array_equal(kv, v)]
         assert len(convex) == n_convex
         for c in set(range(mesh.n_cells)) - set(convex):

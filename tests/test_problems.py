@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import fd_gradient, fd_laplacian
+from vemsupg.forms import ProblemData
 from vemsupg.problems import _layer_parts, get_problem, problem_smooth, problem_test1, problem_test2
 
 
@@ -127,3 +128,25 @@ def test_registry():
     assert get_problem("smooth", kappa=0.5).kappa == 0.5
     with pytest.raises(KeyError):
         get_problem("nope")
+
+
+def _data(kappa=1.0, beta=(1.0, 0.0)):
+    return ProblemData(kappa, beta, lambda p: np.zeros(len(p)), {"*": lambda p: np.zeros(len(p))})
+
+
+@pytest.mark.parametrize("kappa", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_bad_diffusivity_rejected(kappa):
+    # a NaN or infinite kappa used to pass and the solve then blamed the mesh
+    with pytest.raises(ValueError, match="^diffusivity must be positive and finite") as info:
+        _data(kappa=kappa)
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("beta", [(np.nan, 0.0), (np.inf, 1.0), (1.0, 2.0, 3.0), (1.0,),
+                                  [[1.0, 0.0]]])
+def test_bad_constant_velocity_rejected(beta):
+    # non-finite entries reached the solve as a mesh error, a wrong length as
+    # a reshape error inside the forms
+    with pytest.raises(ValueError, match="^constant velocity must be a finite 2-vector") as info:
+        _data(beta=beta)
+    assert "\n" not in str(info.value)

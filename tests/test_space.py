@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import UNIT_SQUARE, make_geometry
-from oracles import hat_pinabla_square_k1, interpolate, l2_projection_coeffs
+from oracles import cell_dofs, hat_pinabla_square_k1, interpolate, l2_projection_coeffs
 from vemsupg.basis import MonomialBasis, eval_basis, eval_poly, grad_map, poly_dim
 from vemsupg.errors import ElementQualityError
 from vemsupg.geometry import ElementGeometry
@@ -277,7 +277,7 @@ class TestConformity:
             geom = make_geometry(mesh.cell_vertices(c), k=k, ell=0, cell=c)
             space = LocalSpace(geom, k, 0)
             local = interpolate(space, poly)
-            idx = dofmap.cell_dofs(c)
+            idx = cell_dofs(dofmap, c)
             for i, v in zip(idx, local):
                 if np.isfinite(values[i]):
                     assert v == pytest.approx(values[i], rel=1e-12, abs=1e-13)

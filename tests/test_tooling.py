@@ -8,6 +8,7 @@ must pass its own checks: the workloads read ``SolveResult.spaces``,
 import importlib.util
 import pathlib
 
+import numpy as np
 import pytest
 
 from conftest import share_voronoi
@@ -66,6 +67,31 @@ def test_solve_problem_calls_module_linear_algebra(monkeypatch):
     harness.solve_problem(generate_cartesian(2, 2), problem_smooth(), 1, ell=1)
     assert calls == ["assemble", "apply_dirichlet", "solve"]
 
+
+
+@pytest.mark.parametrize("family", ["lloyd20-16", "t2-n4"])
+def test_build_element_builds_what_the_solve_builds(family):
+    # the benchmark spans harness.build_element, so it must stay the
+    # library's path: each cell, placed on its own, gets the increment and
+    # (up to its own star center's rounding) the H1 Gram and projector of
+    # the solve's space for it
+    import vemsupg.harness as harness
+    from vemsupg.mesh import generate_voronoi
+    from vemsupg.problems import problem_smooth
+
+    if family == "t2-n4":
+        mesh = harness.generate_mesh("t2", 4)
+    else:
+        mesh = generate_voronoi(16, lloyd_iters=20, seed=1)
+    for k in (1, 2, 3):
+        res = harness.solve_problem(mesh, problem_smooth(), k)
+        for c, want in enumerate(res.spaces):
+            space, shift, ell = harness.build_element(mesh, c, k, "auto")
+            assert ell == space.ell == want.ell, (k, c)
+            assert np.array_equal(shift, [0.0, 0.0])
+            for name in ("h_full", "pinabla_coeff"):
+                got, ref = getattr(space, name), getattr(want, name)
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (k, c, name)
 
 @pytest.mark.parametrize("name", ["cart_layer_conv", "voronoi_auto", "pentagon_layers"])
 def test_workload_checks_pass_tiny(name, tmp_path, monkeypatch):
