@@ -51,8 +51,13 @@ class ProblemData:
                 raise ValueError(f"constant velocity must be a finite 2-vector, not {beta!r}")
             self.beta = lambda pts: np.broadcast_to(const, (len(np.atleast_2d(pts)), 2))
             self.beta_constant = const
+        if not callable(source):
+            raise ValueError(f"source must be callable, not {source!r}")
         self.source = source
         self.dirichlet = dict(dirichlet)
+        for label, g in self.dirichlet.items():
+            if not callable(g):
+                raise ValueError(f"dirichlet[{label!r}] must be callable, not {g!r}")
         self.label_priority = list(label_priority)
         self.exact = exact
         self.exact_grad = exact_grad

@@ -1,11 +1,11 @@
 """Experiment driver: mesh families, solves, convergence studies, probe tables.
 
 Every solve gets its element data from ``cell_spaces``, the one path from
-cells to spaces.  ``place_shapes`` keys the cells by shape: cells that are
-translated copies of one another (all cells of a cartesian grid, the two
-pentagons of the concave tiling) share one kernel and star center and one
-space, built on the first cell of the shape; on a Voronoi mesh every cell is
-its own shape, with zero shift.  Shapes are built in groups of one (vertex
+cells to spaces.  A mesh's ``placement`` keys its cells by shape: cells
+that are translated copies of one another (all cells of a cartesian grid,
+the two pentagons of the concave tiling) share one kernel and star center
+and one space, built on the first cell of the shape; on a Voronoi mesh every
+cell is its own shape, with zero shift.  Shapes are built in groups of one (vertex
 count, k, ell): each group is cut into stacks of up to ``STACK`` shapes, and
 a stack is one stacked geometry, one stacked space and, in the solve, one
 set of form tables.  A shape's space is its view into its stack.  The probe
@@ -22,8 +22,8 @@ batches stay stacked: each goes to ``assemble`` as its cells with their
 (C, n, n) matrices and (C, n) loads, and its Peclet numbers and tau fill
 per-cell arrays, so no per-cell coefficient or form object is made.  The
 solve result, the energy error and ``sample`` keep the shape's view and the
-shift, never a per-cell copy of the element.  Shapes carry no spaces: each
-call places and builds anew.
+shift, never a per-cell copy of the element.  Shapes carry no spaces: a
+mesh is placed once, on first use, and its spaces are built per call.
 """
 
 import copy
@@ -56,11 +56,12 @@ from .forms import (  # noqa: F401
     rank_bound_ell,
     sf_forms,
 )
-from .geometry import ElementGeometry, star_centers
+from .geometry import ElementGeometry
 from .mesh import (
     generate_cartesian,
     generate_concave_pentagons,
     generate_voronoi,
+    place_shapes,
     relabel_boundary,
 )
 from .problems import get_problem
@@ -87,66 +88,6 @@ def generate_mesh(family, n, seed=0, lloyd_iters=100, level=0):
 
 
 # -- from cells to spaces ---------------------------------------------------
-
-
-def _shape_signatures(polys):
-    """Keys equal for translated copies of one polygon, for stacked (C, nv, 2) polygons.
-
-    The key holds the size, so dilated copies get keys of their own.  Returns
-    the keys and the vertex means the translations are measured from.
-    """
-    anchor = polys.mean(axis=1)
-    rel = polys - anchor[:, None, :]
-    h = np.sqrt((rel**2).sum(axis=2).max(axis=1))
-    rel = np.round(rel / h[:, None, None], 12).reshape(len(polys), -1)
-    n_v = polys.shape[1]
-    keys = [(n_v, float(f"{r:.12g}")) + tuple(row) for r, row in zip(h.tolist(), rel.tolist())]
-    return keys, anchor
-
-
-@dataclass(eq=False)
-class Shape:
-    """One cell shape: its first cell's vertices, anchor and kernel ball.
-
-    Every other cell of the shape is a translate of the first, and all its
-    projector matrices are translation-invariant (integrals run in
-    star-centered scaled monomials), so one space per shape serves them all.
-    """
-
-    vertices: np.ndarray
-    anchor: np.ndarray  # vertex mean, the point shifts are measured from
-    cell: int
-    center: tuple  # (star center, kernel radius)
-
-
-def place_shapes(mesh, cells):
-    """The shapes of ``cells`` in first-cell order, each cell's shape and its shift.
-
-    Returns the shapes, the (C,) index ``of`` of each cell's shape in them
-    and the (C, 2) translation of each cell from its shape's first cell.  A
-    cartesian grid has one shape and the pentagon tiling two; on a Voronoi
-    mesh every cell is its own shape.  The star centers of all shapes come
-    from one ``star_centers`` call.
-    """
-    cells = list(cells)
-    n_v = np.array([len(mesh.cells[c]) for c in cells], dtype=int)
-    keys = [None] * len(cells)
-    anchors = np.empty((len(cells), 2))
-    for nv in np.unique(n_v):
-        at = np.flatnonzero(n_v == nv)
-        polys = mesh.vertices[np.array([mesh.cells[cells[i]] for i in at])]
-        group_keys, anchors[at] = _shape_signatures(polys)
-        for i, key in zip(at, group_keys):
-            keys[i] = key
-    index = {}  # key -> shape, numbered by first cell
-    of = np.array([index.setdefault(key, len(index)) for key in keys], dtype=int)
-    first = np.unique(of, return_index=True)[1]
-    firsts = [cells[i] for i in first]
-    polys = [mesh.cell_vertices(c) for c in firsts]
-    centers, radii = star_centers(polys, firsts)
-    shapes = [Shape(verts, anchors[i], c, (center, float(radius)))
-              for i, c, verts, center, radius in zip(first, firsts, polys, centers, radii)]
-    return shapes, of, anchors - anchors[first][of]
 
 
 def _stack_space(shapes, k, ell):
@@ -219,17 +160,18 @@ def probe_shapes(shapes, k):
     return spaces, failed
 
 
+def _is_count(v, least=0):
+    """True for an integer >= ``least`` that is not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= least
+
+
 def _check_ell(ell, mesh):
     """Raise ``ValueError`` unless ``ell`` is "auto", a count >= 0 or a dict of counts.
 
     A dict maps vertex counts to counts and must hold every vertex count of ``mesh``.
     """
-
-    def count(v):
-        return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 0
-
-    if not (isinstance(ell, str) and ell == "auto" or count(ell)
-            or isinstance(ell, dict) and all(map(count, ell.values()))):
+    if not (isinstance(ell, str) and ell == "auto" or _is_count(ell)
+            or isinstance(ell, dict) and all(map(_is_count, ell.values()))):
         raise ValueError(f'ell must be "auto", an integer >= 0 or a dict of them, not {ell!r}')
     if isinstance(ell, dict):
         for c, cell in enumerate(mesh.cells):
@@ -263,7 +205,7 @@ def _spaces(shapes, k, ell_mode):
 
 def cell_spaces(mesh, k, ell_mode):
     """Each cell's space, its shape's view, and the (n_cells, 2) shifts of the cells from them."""
-    shapes, of, shifts = place_shapes(mesh, range(mesh.n_cells))
+    shapes, of, shifts = mesh.placement
     spaces = _spaces(shapes, k, ell_mode)
     return [spaces[i] for i in of], shifts
 
@@ -362,12 +304,15 @@ def solve_problem(mesh, problem, k, ell="auto", method="sf"):
     """
     if method not in ("sf", "vem"):
         raise ValueError("method must be 'sf' or 'vem'")
+    if not _is_count(k, 1):
+        raise ValueError(f"order k must be an integer >= 1, not {k!r}")
     _check_ell(ell, mesh)
-    if problem.boundary_classifier is not None:
-        mesh = relabel_boundary(copy.copy(mesh), problem.boundary_classifier)
     if method == "vem":
         ell = 0
+    # placed on the caller's mesh, so that later solves on it find the placement
     spaces, shifts = cell_spaces(mesh, k, ell)
+    if problem.boundary_classifier is not None:
+        mesh = relabel_boundary(copy.copy(mesh), problem.boundary_classifier)
     peclet, tau = np.empty(mesh.n_cells), np.empty(mesh.n_cells)
     blocks = []
     tables = None
@@ -543,7 +488,7 @@ def probe_table(config, orders=(1, 2, 3, 4), families=FAMILIES):
             mesh = generate_mesh(
                 family, n, seed=config.seed, lloyd_iters=config.lloyd_iters
             )
-            shapes, _, _ = place_shapes(mesh, range(mesh.n_cells))
+            shapes, _, _ = mesh.placement
             for k in orders:
                 spaces, _ = probe_shapes(shapes, k)
                 ells = {}  # vertex count -> probed increments, None where it fails

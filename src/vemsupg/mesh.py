@@ -1,4 +1,4 @@
-"""Polygonal meshes of the unit square: generators, checks, and file I/O.
+"""Polygonal meshes of the unit square: generators, checks, placement, file I/O.
 
 Three mesh families cover the benchmark geometries: tensor-product cartesian
 grids, a deterministic concave/convex pentagon tiling, and Lloyd-relaxed
@@ -6,16 +6,18 @@ clipped Voronoi tessellations.  Cells are stored as CCW vertex-index loops;
 interior edges must be shared by exactly two cells with opposite orientation.
 """
 
+import functools
 import itertools
 import json
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import Voronoi, cKDTree
 
 from .errors import MeshError, MeshFormatError
 from .geometry import (edge_vectors, kernel_balls, polygon_diameter, polygon_groups,
-                       polygon_is_simple, polygon_signed_area)
+                       polygon_is_simple, polygon_signed_area, star_centers)
 
 _SNAP_TOL = 1e-9
 _AREA_RTOL = 1e-12
@@ -30,10 +32,18 @@ class PolyMesh:
     cells : sequence of CCW vertex-index lists
     boundary_labels : dict mapping the (cell, local_edge) of a boundary edge
         -> label string
+
+    Tables derived from the vertices and cells are derived once: the cell
+    areas, the edges and ``boundary_edges`` at construction, and
+    ``placement`` on first use (kept with read-only arrays; a placement that
+    raises is not kept).  So the mesh keeps a read-only copy of the
+    vertices, leaving the caller's array as it was, and its cells are not to
+    be changed.
     """
 
     def __init__(self, vertices, cells, boundary_labels=None, check_simple=False):
-        self.vertices = np.asarray(vertices, dtype=float)
+        self.vertices = np.array(vertices, dtype=float)
+        self.vertices.flags.writeable = False
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be an (n, 2) array")
         self.cells = [list(map(int, c)) for c in cells]
@@ -131,6 +141,13 @@ class PolyMesh:
 
     # -- convenience ------------------------------------------------------
 
+    @functools.cached_property
+    def placement(self):
+        """``place_shapes`` of all cells: the shapes, each cell's shape and its shift."""
+        shapes, of, shifts = place_shapes(self, range(self.n_cells))
+        of.flags.writeable = shifts.flags.writeable = False
+        return shapes, of, shifts
+
     def cell_vertices(self, c):
         return self.vertices[self.cells[c]]
 
@@ -145,6 +162,66 @@ class PolyMesh:
 
     def __repr__(self):
         return f"PolyMesh({self.n_cells} cells, {self.n_vertices} vertices)"
+
+
+def _shape_signatures(polys):
+    """Keys equal for translated copies of one polygon, for stacked (C, nv, 2) polygons.
+
+    The key holds the size, so dilated copies get keys of their own.  Returns
+    the keys and the vertex means the translations are measured from.
+    """
+    anchor = polys.mean(axis=1)
+    rel = polys - anchor[:, None, :]
+    h = np.sqrt((rel**2).sum(axis=2).max(axis=1))
+    rel = np.round(rel / h[:, None, None], 12).reshape(len(polys), -1)
+    n_v = polys.shape[1]
+    keys = [(n_v, float(f"{r:.12g}")) + tuple(row) for r, row in zip(h.tolist(), rel.tolist())]
+    return keys, anchor
+
+
+@dataclass(eq=False)
+class Shape:
+    """One cell shape: its first cell's vertices, anchor and kernel ball.
+
+    Every other cell of the shape is a translate of the first, and all its
+    projector matrices are translation-invariant (integrals run in
+    star-centered scaled monomials), so one space per shape serves them all.
+    """
+
+    vertices: np.ndarray
+    anchor: np.ndarray  # vertex mean, the point shifts are measured from
+    cell: int
+    center: tuple  # (star center, kernel radius)
+
+
+def place_shapes(mesh, cells):
+    """The shapes of ``cells`` in first-cell order, each cell's shape and its shift.
+
+    Returns the shapes, the (C,) index ``of`` of each cell's shape in them
+    and the (C, 2) translation of each cell from its shape's first cell.  A
+    cartesian grid has one shape and the pentagon tiling two; on a Voronoi
+    mesh every cell is its own shape.  The star centers of all shapes come
+    from one ``star_centers`` call.
+    """
+    cells = list(cells)
+    n_v = np.array([len(mesh.cells[c]) for c in cells], dtype=int)
+    keys = [None] * len(cells)
+    anchors = np.empty((len(cells), 2))
+    for nv in np.unique(n_v):
+        at = np.flatnonzero(n_v == nv)
+        polys = mesh.vertices[np.array([mesh.cells[cells[i]] for i in at])]
+        group_keys, anchors[at] = _shape_signatures(polys)
+        for i, key in zip(at, group_keys):
+            keys[i] = key
+    index = {}  # key -> shape, numbered by first cell
+    of = np.array([index.setdefault(key, len(index)) for key in keys], dtype=int)
+    first = np.unique(of, return_index=True)[1]
+    firsts = [cells[i] for i in first]
+    polys = [mesh.cell_vertices(c) for c in firsts]
+    centers, radii = star_centers(polys, firsts)
+    shapes = [Shape(verts, anchors[i], c, (center, float(radius)))
+              for i, c, verts, center, radius in zip(first, firsts, polys, centers, radii)]
+    return shapes, of, anchors - anchors[first][of]
 
 
 def _label_unit_square_sides(mesh):

@@ -55,10 +55,11 @@ def _checked_solve(mat, rhs, what, cell):
     mats, rhss = mat.reshape(-1, *mat.shape[-2:]), rhs.reshape(-1, *rhs.shape[-2:])
     out = np.empty((len(rhss), rhs.shape[-1], rhs.shape[-2])).mT
     rcond = np.zeros(len(mats))
+    norms = np.abs(mats).sum(axis=-2).max(axis=-1)  # 1-norms, one reduction per stack
     for i, (a, b) in enumerate(zip(mats, rhss)):
         lu, piv, info = dgetrf(a)
         if info == 0:
-            rcond[i] = dgecon(lu, np.abs(a).sum(axis=0).max())[0]
+            rcond[i] = dgecon(lu, norms[i])[0]
         if rcond[i] >= _RCOND_MIN:
             out[i] = dgetrs(lu, piv, b)[0]
     failed = ~(rcond >= _RCOND_MIN)

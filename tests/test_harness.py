@@ -254,11 +254,11 @@ class TestSolveDrivers:
         # shapes come in first-cell order, each from the first cell of its
         # index in ``of``, and a cell is its shape's vertices moved by its
         # shift; the star centers of all shapes come from one call
-        import vemsupg.harness as harness
+        import vemsupg.mesh as mesh_module
 
         calls = []
-        real = harness.star_centers
-        monkeypatch.setattr(harness, "star_centers",
+        real = mesh_module.star_centers
+        monkeypatch.setattr(mesh_module, "star_centers",
                             lambda polys, cells: calls.append(list(cells)) or real(polys, cells))
         mesh = {"t1": lambda: generate_mesh("t1", 3), "t2": lambda: generate_mesh("t2", 4),
                 "t3": lambda: generate_voronoi(16, lloyd_iters=20, seed=1)}[family]()
@@ -273,17 +273,32 @@ class TestSolveDrivers:
             placed = shapes[of[c]].vertices + shifts[c]
             assert np.abs(placed - mesh.cell_vertices(c)).max() <= 1e-14, (family, c)
 
-    def test_one_placement_per_call_and_no_shared_spaces(self, monkeypatch):
-        # each entry point places its cells once; spaces live on no shape, so
-        # probing leaves the shapes as placed and two calls share no stack
+    def test_one_placement_per_mesh_and_no_shared_spaces(self, monkeypatch):
+        # a mesh is placed once, by the first solve on it, also when that
+        # solve relabels a copy of it; build_element places its one cell and
+        # probe_table its own meshes.  Spaces live on no shape, so probing
+        # leaves the shapes as placed and two calls share no stack
         import vemsupg.harness as harness
+        import vemsupg.mesh as mesh_module
 
         calls = []
-        real = harness.place_shapes
-        monkeypatch.setattr(harness, "place_shapes", lambda *args: calls.append(1) or real(*args))
+        real = mesh_module.place_shapes
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(mesh_module, "place_shapes", counted)
+        monkeypatch.setattr(harness, "place_shapes", counted)
         mesh = generate_mesh("t2", 2)
-        for run in (lambda: solve_problem(mesh, problem_smooth(), 2),
-                    lambda: harness.build_element(mesh, 3, 2, "auto"),
+        res = solve_problem(mesh, problem_test2(), 1)
+        assert res.mesh is not mesh and "placement" in vars(mesh)
+        solve_problem(mesh, problem_smooth(), 2)
+        solve_problem(mesh, problem_smooth(), 2, method="vem")
+        assert len(calls) == 1
+        solve_problem(generate_mesh("t2", 2), problem_smooth(), 2)
+        assert len(calls) == 2
+        for run in (lambda: harness.build_element(mesh, 3, 2, "auto"),
                     lambda: probe_table(ExperimentConfig(), orders=(1, 2), families=["t2"])):
             calls.clear()
             run()
@@ -337,6 +352,21 @@ class TestSolveDrivers:
         monkeypatch.setattr(harness, "ElementGeometry", no_geometry)
         with pytest.raises(ValueError, match="^ell must be") as info:
             solve_problem(generate_mesh("t1", 2), problem_smooth(), 1, ell=ell)
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("k", [2.0, True, "2", 0])
+    def test_bad_order_rejected_before_placement(self, k, monkeypatch):
+        # k = 2.0 died in the monomial tables and k = True solved as k = 1
+        import vemsupg.harness as harness
+        import vemsupg.mesh as mesh_module
+
+        def no_geometry(*args, **kwargs):
+            raise AssertionError("mesh placed before the order check")
+
+        monkeypatch.setattr(harness, "ElementGeometry", no_geometry)
+        monkeypatch.setattr(mesh_module, "star_centers", no_geometry)
+        with pytest.raises(ValueError, match="^order k must be an integer >= 1") as info:
+            solve_problem(generate_mesh("t1", 2), problem_smooth(), k, ell=1)
         assert "\n" not in str(info.value)
 
     @pytest.mark.parametrize("ell", [np.int64(1), {4: 1}, {4: np.int64(0)}])
@@ -424,12 +454,13 @@ class TestSolveDrivers:
         self, family, ell, message, monkeypatch
     ):
         import vemsupg.harness as harness
+        import vemsupg.mesh as mesh_module
 
         def no_geometry(*args, **kwargs):
             raise AssertionError("element built before the ell check")
 
         monkeypatch.setattr(harness, "ElementGeometry", no_geometry)
-        monkeypatch.setattr(harness, "star_centers", no_geometry)
+        monkeypatch.setattr(mesh_module, "star_centers", no_geometry)
         mesh = generate_mesh(family, 2 if family == "t2" else 4, seed=1, lloyd_iters=20)
         for solve_or_build in (
             lambda: solve_problem(mesh, problem_smooth(), 1, ell=ell),
@@ -467,15 +498,42 @@ class TestStackedElements:
         monkeypatch.setattr(
             geometry, "chebyshev_center", lambda kernels: sizes.append(len(kernels)) or real(kernels)
         )
-        mesh = shared_mesh(generate_voronoi, 256, lloyd_iters=100, seed=3)
+        shared = shared_mesh(generate_voronoi, 256, lloyd_iters=100, seed=3)
         for k in (1, 2, 3):
             ells = []
             for chunk in (1, 16, 64):
                 monkeypatch.setattr(geometry, "CHUNK", chunk)
                 sizes.clear()
+                # a mesh keeps its placement, so each chunk size places a new one
+                mesh = PolyMesh(shared.vertices, shared.cells, shared.boundary_labels)
                 ells.append(solve_problem(mesh, problem_smooth(), k, ell="auto").solution.ell)
                 assert sizes == [chunk] * (256 // chunk)
             assert all(np.array_equal(ell, ells[-1]) for ell in ells), k
+
+    def test_repeated_solve_places_nothing(self, monkeypatch):
+        # a mesh keeps its placement: a second solve on it sends no center LP
+        # and gives what a solve on a newly built copy of the mesh gives
+        import vemsupg.geometry as geometry
+
+        lp_calls = []
+        real = geometry.linprog
+        monkeypatch.setattr(geometry, "linprog",
+                            lambda *args, **kwargs: lp_calls.append(1) or real(*args, **kwargs))
+        shared = shared_mesh(generate_voronoi, 256, lloyd_iters=100, seed=3)
+
+        def new_mesh():
+            return PolyMesh(shared.vertices, shared.cells, shared.boundary_labels)
+
+        mesh, problem = new_mesh(), problem_smooth()
+        solve_problem(mesh, problem_test2(), 2)
+        assert len(lp_calls) == 256 // geometry.CHUNK
+        lp_calls.clear()
+        again = solve_problem(mesh, problem, 2)
+        assert lp_calls == []
+        fresh = solve_problem(new_mesh(), problem, 2)
+        assert np.array_equal(again.solution.dofs, fresh.solution.dofs)
+        assert np.array_equal(again.solution.ell, fresh.solution.ell)
+        assert again.error(problem) == fresh.error(problem)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_stacked_spaces_match_stack_of_one(self, k):
@@ -574,10 +632,12 @@ class TestStarCenters:
             neighbour = next(d for d in range(mesh.n_cells) if d not in bad
                              and len(set(mesh.cells[c]) & set(mesh.cells[d])) == 2)
             mesh = _slit(mesh, c, neighbour)
-        with pytest.raises(ElementQualityError) as info:
-            solve_problem(mesh, problem_smooth(), 1)
-        assert str(info.value) == "cell 31: polygon is not star-shaped (empty kernel)"
-        assert info.value.cell == 31
+        for _ in range(2):  # a placement that raises is not kept
+            with pytest.raises(ElementQualityError) as info:
+                solve_problem(mesh, problem_smooth(), 1)
+            assert str(info.value) == "cell 31: polygon is not star-shaped (empty kernel)"
+            assert info.value.cell == 31
+            assert "placement" not in vars(mesh)
         report = check_regularity(mesh)
         assert np.flatnonzero(np.isnan(report.rho)).tolist() == sorted(bad)
         assert np.flatnonzero(~report.star_ok).tolist() == sorted(bad)
@@ -593,8 +653,9 @@ class TestStarCenters:
         assert np.isnan(check_regularity(mesh).rho).all()
 
     def test_non_finite_vertex_named(self):
-        # PolyMesh rejects the vertex, naming the lowest cell that uses it;
-        # kernel_balls still faults a mesh whose vertices change afterwards
+        # PolyMesh rejects the vertex, naming the lowest cell that uses it; a
+        # mesh's vertices cannot change afterwards, and the star centers
+        # still fault a non-finite polygon
         with pytest.raises(MeshError) as info:
             PolyMesh([[0, 0], [1, 0], [1, np.nan], [0, 1]], [[0, 1, 2, 3]])
         assert str(info.value) == "cell 0: non-finite vertex coordinates"
@@ -604,10 +665,15 @@ class TestStarCenters:
             verts[bad, 0] = np.inf
             with pytest.raises(MeshError, match=f"^cell {first}: non-finite vertex coordinates$"):
                 PolyMesh(verts, [[0, 1, 4, 5], [1, 2, 3, 4]])
+        import vemsupg.geometry as geometry
+
         mesh = PolyMesh(UNIT_SQUARE.copy(), [[0, 1, 2, 3]])
-        mesh.vertices[2, 1] = np.nan
+        with pytest.raises(ValueError, match="read-only"):
+            mesh.vertices[2, 1] = np.nan
+        poly = mesh.cell_vertices(0)
+        poly[2, 1] = np.nan
         with pytest.raises(ElementQualityError) as info:
-            solve_problem(mesh, problem_smooth(), 1)
+            geometry.star_centers([poly], [0])
         assert str(info.value) == "cell 0: non-finite vertex coordinates"
 
     @pytest.mark.parametrize(
@@ -675,9 +741,10 @@ class TestStarCenters:
         from vemsupg.assemble import CHUNK
 
         voronoi = generate_voronoi(100, lloyd_iters=20, seed=1)
-        voronoi.vertices[voronoi.cells[40][0]] = np.nan  # after the mesh's own checks
+        verts = voronoi.vertices.copy()
+        verts[voronoi.cells[40][0]] = np.nan  # past the mesh's own checks
         pentagons = generate_concave_pentagons(4)  # every other cell is clipped
-        polys = ([voronoi.cell_vertices(c) for c in range(voronoi.n_cells)]
+        polys = ([verts[cell] for cell in voronoi.cells]
                  + [pentagons.cell_vertices(c) for c in range(pentagons.n_cells)])
         sliver = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-13]])
         faulty = {

@@ -114,6 +114,18 @@ class TestVoronoi:
         with pytest.raises(ValueError, match="read-only"):
             mesh.cell_areas[0] = 0.5
 
+    def test_mesh_keeps_a_read_only_copy_of_the_vertices(self):
+        # the placement is derived once per mesh, so its vertices cannot
+        # change; the caller's array stays as it was, and writeable
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        mesh = PolyMesh(verts, [[0, 1, 2, 3]])
+        assert verts.flags.writeable and not mesh.vertices.flags.writeable
+        assert not np.shares_memory(verts, mesh.vertices)
+        with pytest.raises(ValueError, match="read-only"):
+            mesh.vertices[0, 0] = 0.5
+        verts[0, 0] = 0.5
+        assert mesh.vertices[0, 0] == 0.0
+
     def test_histogram_relaxed(self):
         mesh = generate_voronoi(100, lloyd_iters=100, seed=7)
         hist = mesh.vertex_count_histogram()

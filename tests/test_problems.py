@@ -150,3 +150,17 @@ def test_bad_constant_velocity_rejected(beta):
     with pytest.raises(ValueError, match="^constant velocity must be a finite 2-vector") as info:
         _data(beta=beta)
     assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("source, dirichlet, field", [
+    (None, {"*": lambda p: np.zeros(len(p))}, "source"),
+    (lambda p: np.zeros(len(p)), {"*": 0.0}, "dirichlet['*']"),
+    (lambda p: np.zeros(len(p)), {"left": lambda p: np.zeros(len(p)), "top": None},
+     "dirichlet['top']"),
+])
+def test_data_that_is_not_callable_rejected(source, dirichlet, field):
+    # a None source used to construct, and the solve then died inside the forms
+    with pytest.raises(ValueError) as info:
+        ProblemData(1.0, (1.0, 0.0), source, dirichlet)
+    assert str(info.value).startswith(f"{field} must be callable, not ")
+    assert "\n" not in str(info.value)
