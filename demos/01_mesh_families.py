@@ -44,5 +44,6 @@ with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "mesh.json")
     write_mesh(mesh, path)
     again = read_mesh(path)
-    same = np.array_equal(again.vertices, mesh.vertices) and again.cells == mesh.cells
+    same = np.array_equal(again.vertices, mesh.vertices) and (
+        [c.tolist() for c in again.cells] == [c.tolist() for c in mesh.cells])
     print(f"wrote {os.path.getsize(path)} bytes; identical after reload: {same}")

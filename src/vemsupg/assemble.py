@@ -46,12 +46,46 @@ def stack_chunks(spaces):
             yield stack, rows, chunk
 
 
-class DofMap:
-    """Global numbering: vertex DOFs, then edge DOFs, then cell moments.
+def _index(a):
+    """``a`` as a read-only int32 index array."""
+    a = np.asarray(a, dtype=np.int32)
+    a.flags.writeable = False
+    return a
 
-    Edge-internal DOFs of a shared edge coincide for both cells: they are
-    stored along the ascending-vertex-index direction, and the symmetric
-    Gauss-Lobatto layout makes the reversed traversal a pure index flip.
+
+def _csc_block(rows, cols, keep_rows, keep_cols):
+    """(take, indices, indptr, shape) of the CSC block of the kept rows and columns.
+
+    ``rows``/``cols`` are the entries of a CSR pattern in data order; the
+    block's CSC data is ``data[take]``.
+    """
+    rank_rows, rank_cols = np.cumsum(keep_rows) - 1, np.cumsum(keep_cols) - 1
+    take = np.flatnonzero(keep_rows[rows] & keep_cols[cols])
+    r, c = rank_rows[rows[take]], rank_cols[cols[take]]
+    order = np.argsort(c, kind="stable")  # each column's rows stay ascending
+    n_cols = int(keep_cols.sum())
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(c, minlength=n_cols))])
+    return _index(take[order]), _index(r[order]), _index(indptr), (int(keep_rows.sum()), n_cols)
+
+
+def _gather(block, data):
+    """The CSC matrix of a ``_csc_block`` from the CSR data it indexes."""
+    take, indices, indptr, shape = block
+    return sp.csc_matrix((data[take], indices, indptr), shape=shape)
+
+
+class DofMap:
+    """Global numbering and assembly plan of one (mesh, k).
+
+    Numbering: vertex DOFs, then edge DOFs, then cell moments.  Edge-internal
+    DOFs of a shared edge coincide for both cells: they are stored along the
+    ascending-vertex-index direction, and the symmetric Gauss-Lobatto layout
+    makes the reversed traversal a pure index flip.  The plan is what
+    depends only on the mesh and k: each cell's DOFs (``flat``, ``offsets``),
+    each local matrix entry's position in the CSR data of the pattern
+    ``indices``/``indptr``, the boundary DOFs ``fixed`` and the ``free``
+    rest, and the gathers ``reduced`` and ``lift`` of the free-by-free and
+    free-by-fixed CSC blocks.  Its index arrays are int32 and read-only.
     """
 
     def __init__(self, mesh, k):
@@ -63,6 +97,7 @@ class DofMap:
         self.cell_offset = mesh.n_vertices + mesh.n_edges * self.n_edge_internal
         self.n_dofs = self.cell_offset + mesh.n_cells * self.n_moments
         self.offsets, self.flat = self._number_cells()
+        self._plan()
 
     def _number_cells(self):
         """Global DOFs of every cell, concatenated in cell order, plus offsets.
@@ -71,15 +106,14 @@ class DofMap:
         (cells, n_dofs) array and scattered into place.
         """
         mesh = self.mesh
-        n_v = np.array([len(cell) for cell in mesh.cells], dtype=int)
+        n_v = mesh.cell_sizes
         sizes = n_v * self.k + self.n_moments
         offsets = np.concatenate([[0], np.cumsum(sizes)])
-        flat = np.empty(offsets[-1], dtype=int)
+        flat = np.empty(offsets[-1], dtype=np.int32)
         t = np.arange(self.n_edge_internal)
         for nv in np.unique(n_v):
             cells = np.flatnonzero(n_v == nv)
-            verts = np.array([mesh.cells[c] for c in cells], dtype=int)
-            edges = np.array([mesh.cell_edges[c] for c in cells], dtype=int)
+            verts, edges = mesh.cell_table(cells)
             internal = np.where(edges[..., 1:].astype(bool), t, self.n_edge_internal - 1 - t)
             edge_dofs = self.edge_offset + edges[..., :1] * self.n_edge_internal + internal
             moments = self.cell_offset + cells[:, None] * self.n_moments + np.arange(
@@ -90,21 +124,53 @@ class DofMap:
         flat.flags.writeable = False
         return offsets, flat
 
+    def _plan(self):
+        """The CSR pattern, each local entry's position in it, the free/fixed split and the gathers."""
+        n = self.n_dofs
+        sizes = np.diff(self.offsets)
+        ends = np.cumsum(sizes * sizes)
+        keys = np.empty(ends[-1], dtype=np.int64)
+        for size in np.unique(sizes):
+            cells = np.flatnonzero(sizes == size)
+            dofs = self.stacked_dofs(cells).astype(np.int64)
+            at = (ends - sizes * sizes)[cells][:, None] + np.arange(size * size)
+            keys[at] = (dofs[:, :, None] * n + dofs[:, None, :]).reshape(len(cells), -1)
+        keys, positions = np.unique(keys, return_inverse=True)
+        rows, cols = keys // n, keys % n
+        fixed = np.zeros(n, dtype=bool)
+        fixed[self._boundary_dofs(self.mesh)] = True
+        self.positions, self.indices, self.fixed, self.free = map(_index, (
+            positions, cols, np.flatnonzero(fixed), np.flatnonzero(~fixed)))
+        self.indptr = _index(np.searchsorted(rows, np.arange(n + 1)))
+        self.reduced = _csc_block(rows, cols, ~fixed, ~fixed)
+        self.lift = _csc_block(rows, cols, ~fixed, fixed)
+
     def stacked_dofs(self, cells):
         """Global DOFs of ``cells``, which have equal DOF counts; shape (C, n)."""
         n = self.offsets[cells[0] + 1] - self.offsets[cells[0]]
         return self.flat[self.offsets[cells][:, None] + np.arange(n)]
 
-    def boundary_values(self, problem):
+    def _boundary_dofs(self, mesh):
+        """(edges, k + 1) DOFs of ``mesh.boundary_edges``: vertices, then internal nodes, CCW."""
+        c, i = np.array(mesh.boundary_edges, dtype=int).reshape(-1, 2).T
+        n_v = mesh.cell_sizes[c]
+        local = np.column_stack(
+            [i, (i + 1) % n_v, (n_v + self.n_edge_internal * i)[:, None]
+             + np.arange(self.n_edge_internal)]
+        )
+        return self.flat[self.offsets[c][:, None] + local]
+
+    def boundary_values(self, problem, mesh=None):
         """Prescribed Dirichlet DOFs and values, with label-priority tie-break.
 
-        Each label's function is evaluated once, on all nodes of its edges.
-        A DOF offered by several edges takes the value of the lowest label
-        rank, then of the first offer in ``mesh.boundary_edges`` order.
-        Returns (indices, values); raises MeshError on an unlabeled or
-        unresolvable boundary edge.
+        The labels are those of ``mesh``, by default the DOF map's own; a
+        relabelled copy of it gives the same DOFs.  Each label's function is
+        evaluated once, on all nodes of its edges.  A DOF offered by several
+        edges takes the value of the lowest label rank, then of the first
+        offer in ``mesh.boundary_edges`` order.  Returns (indices, values);
+        raises MeshError on an unlabeled or unresolvable boundary edge.
         """
-        mesh, n_int = self.mesh, self.n_edge_internal
+        mesh = self.mesh if mesh is None else mesh
         groups = {}  # label -> positions of its edges in boundary order
         for j, (c, i) in enumerate(mesh.boundary_edges):
             label = mesh.boundary_labels.get((c, i))
@@ -115,14 +181,7 @@ class DofMap:
                     f"no Dirichlet data for boundary label {label!r} (cell {c})"
                 )
             groups.setdefault(label, []).append(j)
-        c, i = np.array(mesh.boundary_edges, dtype=int).reshape(-1, 2).T
-        # per edge, in the cell's own DOF table: its two vertices, then its
-        # internal nodes along the CCW edge direction
-        n_v = (np.diff(self.offsets)[c] - self.n_moments) // self.k
-        local = np.column_stack(
-            [i, (i + 1) % n_v, (n_v + n_int * i)[:, None] + np.arange(n_int)]
-        )
-        dofs = self.flat[self.offsets[c][:, None] + local]
+        dofs = self._boundary_dofs(mesh)
         pa, pb = mesh.vertices[dofs[:, 0]], mesh.vertices[dofs[:, 1]]
         params = gauss_lobatto_interior(self.k)
         internal = pa[:, None, :] + params[:, None] * (pb - pa)[:, None, :]
@@ -162,8 +221,10 @@ def assemble(dofmap, blocks):
     ``blocks`` is an iterable of (cells, matrices, loads): cell ids (C,),
     their local matrices (C, n, n) and loads (C, n).  Every cell comes in
     exactly one block.  Values are placed at positions ordered by cell,
-    whatever the order of the blocks, so the reduction order is fixed by
-    cell index and entries are deterministic.
+    whatever the order of the blocks, then summed into the CSR data of the
+    DOF map's pattern by one ``np.bincount`` over its ``positions``, so the
+    reduction order is fixed by cell index and entries are deterministic.
+    The matrix shares the pattern's read-only ``indices`` and ``indptr``.
     """
     offsets = dofmap.offsets
     sizes = np.diff(offsets)
@@ -197,33 +258,29 @@ def assemble(dofmap, blocks):
             raise MeshError(f"cell {c}: local matrix does not match DOF count")
         raise MeshError(f"non-finite local contribution from cell {c}")
     n = dofmap.n_dofs
-    rows = np.empty(len(vals), dtype=int)
-    cols = np.empty(len(vals), dtype=int)
-    for size in np.unique(sizes):
-        cells = np.flatnonzero(sizes == size)
-        dofs = dofmap.stacked_dofs(cells)
-        at = starts[cells][:, None] + np.arange(size * size)
-        rows[at] = np.repeat(dofs, size, axis=1)
-        cols[at] = np.tile(dofs, (1, size))
     rhs = np.bincount(dofmap.flat, weights=load, minlength=n)
-    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    data = np.bincount(dofmap.positions, weights=vals, minlength=len(dofmap.indices))
+    matrix = sp.csr_matrix((data, dofmap.indices, dofmap.indptr), shape=(n, n))
     return GlobalSystem(matrix, rhs, dofmap)
 
 
-def apply_dirichlet(system, problem):
-    """Eliminate prescribed boundary DOFs, correcting the right-hand side."""
-    idx, vals = system.dofmap.boundary_values(problem)
-    mask = np.ones(system.n_dofs, dtype=bool)
-    mask[idx] = False
-    free = np.flatnonzero(mask)
-    # CSC slices columns cheaply: convert the free rows alone, once
-    rows = system.matrix[free].tocsc()
+def apply_dirichlet(system, problem, mesh=None):
+    """Eliminate prescribed boundary DOFs, correcting the right-hand side.
+
+    Values come from the labels of ``mesh``, the DOF map's own by default.
+    Every boundary DOF is prescribed, so the reduced matrix and the lift are
+    the plan's gathers from the assembled CSR data.
+    """
+    plan = system.dofmap
+    idx, vals = plan.boundary_values(problem, mesh)
+    if not np.array_equal(idx, plan.fixed):
+        raise MeshError("Dirichlet DOFs differ from the boundary DOFs of the DOF map")
     system.fixed_idx = idx
     system.fixed_vals = vals
-    system.free_idx = free
-    system.reduced_matrix = rows[:, free]
-    lift = rows[:, idx] @ vals if len(idx) else 0.0
-    system.reduced_rhs = system.rhs[free] - lift
+    system.free_idx = plan.free
+    system.reduced_matrix = _gather(plan.reduced, system.matrix.data)
+    lift = _gather(plan.lift, system.matrix.data) @ vals if len(idx) else 0.0
+    system.reduced_rhs = system.rhs[plan.free] - lift
     return system
 
 
@@ -377,7 +434,7 @@ def export_vtk(solution, mesh, path):
     size = sum(len(c) + 1 for c in mesh.cells)
     lines.append(f"CELLS {mesh.n_cells} {size}")
     for cell in mesh.cells:
-        lines.append(" ".join([str(len(cell))] + [str(v) for v in cell]))
+        lines.append(" ".join(map(str, [len(cell)] + cell.tolist())))
     lines.append(f"CELL_TYPES {mesh.n_cells}")
     lines.extend(["7"] * mesh.n_cells)  # VTK_POLYGON
     lines.append(f"POINT_DATA {mesh.n_vertices}")

@@ -23,7 +23,9 @@ batches stay stacked: each goes to ``assemble`` as its cells with their
 per-cell arrays, so no per-cell coefficient or form object is made.  The
 solve result, the energy error and ``sample`` keep the shape's view and the
 shift, never a per-cell copy of the element.  Shapes carry no spaces: a
-mesh is placed once, on first use, and its spaces are built per call.
+mesh is placed once, on first use, and its spaces are built per call.  The
+DOF map of each order k, the assembly plan, is likewise built on the first
+solve at that order and kept on the mesh (``mesh.dof_map(k)``).
 """
 
 import copy
@@ -34,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assemble import (
-    DofMap,
     apply_dirichlet,
     assemble,
     energy_error,
@@ -174,10 +175,11 @@ def _check_ell(ell, mesh):
             or isinstance(ell, dict) and all(map(_is_count, ell.values()))):
         raise ValueError(f'ell must be "auto", an integer >= 0 or a dict of them, not {ell!r}')
     if isinstance(ell, dict):
-        for c, cell in enumerate(mesh.cells):
-            if len(cell) not in ell:
-                raise ValueError(f"ell has no increment for {len(cell)}-vertex cells "
-                                 f"(the first is cell {c})")
+        missing = [n_v for n_v in np.unique(mesh.cell_sizes).tolist() if n_v not in ell]
+        if missing:
+            c = int(np.argmax(np.isin(mesh.cell_sizes, missing)))
+            raise ValueError(f"ell has no increment for {mesh.cell_sizes[c]}-vertex cells "
+                             f"(the first is cell {c})")
 
 
 def _spaces(shapes, k, ell_mode):
@@ -264,7 +266,7 @@ class SolveResult:
         Cells are padded to the largest by repeating their own triangles.
         """
         if self._cell_tables is None:
-            width = max(len(cell) for cell in self.mesh.cells)
+            width = int(self.mesh.cell_sizes.max())
             tris = np.empty((self.mesh.n_cells, width, 3, 2))
             for stack, rows, cells in stack_chunks(self.spaces):
                 fan = stack.geom.triangles[:, np.arange(width) % stack.geom.n_vertices]
@@ -309,8 +311,10 @@ def solve_problem(mesh, problem, k, ell="auto", method="sf"):
     _check_ell(ell, mesh)
     if method == "vem":
         ell = 0
-    # placed on the caller's mesh, so that later solves on it find the placement
+    # placed and planned on the caller's mesh, so that later solves on it
+    # find the placement and the DOF map
     spaces, shifts = cell_spaces(mesh, k, ell)
+    dofmap = mesh.dof_map(k)
     if problem.boundary_classifier is not None:
         mesh = relabel_boundary(copy.copy(mesh), problem.boundary_classifier)
     peclet, tau = np.empty(mesh.n_cells), np.empty(mesh.n_cells)
@@ -322,9 +326,8 @@ def solve_problem(mesh, problem, k, ell="auto", method="sf"):
             tables = ShapeForms(stack, stabilized=method == "vem")
         peclet[cells], tau[cells], matrices, loads = tables.batch(problem, rows, shifts[cells])
         blocks.append((cells, matrices, loads))
-    dofmap = DofMap(mesh, k)
     system = assemble(dofmap, blocks)
-    apply_dirichlet(system, problem)
+    apply_dirichlet(system, problem, mesh)
     solution = solve(system).attach_reconstructions(dofmap, spaces, peclet, tau)
     return SolveResult(solution, mesh, dofmap, spaces, shifts)
 

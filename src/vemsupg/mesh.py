@@ -6,6 +6,7 @@ clipped Voronoi tessellations.  Cells are stored as CCW vertex-index loops;
 interior edges must be shared by exactly two cells with opposite orientation.
 """
 
+import collections
 import functools
 import itertools
 import json
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import Voronoi, cKDTree
 
+from .assemble import DofMap
 from .errors import MeshError, MeshFormatError
 from .geometry import (edge_vectors, kernel_balls, polygon_diameter, polygon_groups,
                        polygon_is_simple, polygon_signed_area, star_centers)
@@ -34,11 +36,14 @@ class PolyMesh:
         -> label string
 
     Tables derived from the vertices and cells are derived once: the cell
-    areas, the edges and ``boundary_edges`` at construction, and
-    ``placement`` on first use (kept with read-only arrays; a placement that
-    raises is not kept).  So the mesh keeps a read-only copy of the
-    vertices, leaving the caller's array as it was, and its cells are not to
-    be changed.
+    areas, the edges and ``boundary_edges`` at construction, ``placement``
+    on first use and the DOF map of each order k on its first ``dof_map(k)``
+    (kept with read-only arrays; one that raises is not kept).  So the mesh
+    keeps read-only copies: the vertices as an (n, 2) array, leaving the
+    caller's array as it was, ``cells`` as a tuple of int arrays (cell c's
+    CCW loop), ``cell_sizes`` as their vertex counts and ``cell_edges`` as
+    a tuple of (n_v, 2) int arrays (each edge's index and whether the cell
+    runs along it in ascending vertex order).
     """
 
     def __init__(self, vertices, cells, boundary_labels=None, check_simple=False):
@@ -46,11 +51,12 @@ class PolyMesh:
         self.vertices.flags.writeable = False
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be an (n, 2) array")
-        self.cells = [list(map(int, c)) for c in cells]
-        if not self.cells:
+        cells = [list(map(int, c)) for c in cells]
+        if not cells:
             raise MeshError("mesh has no cells")
-        self._build_topology()
+        self._build_topology(cells)
         self._validate(check_simple=check_simple)
+        self._dof_maps = {}  # order k -> DofMap, filled by ``dof_map``
         if boundary_labels is None:
             boundary_labels = _label_unit_square_sides(self)
         self.boundary_labels = dict(boundary_labels)
@@ -61,16 +67,15 @@ class PolyMesh:
 
     # -- topology ---------------------------------------------------------
 
-    def _build_topology(self):
+    def _build_topology(self, cells):
         n_vert = len(self.vertices)
         edge_index = {}
         edges = []
         edge_cells = []
-        cell_edges = []
-        for c, cell in enumerate(self.cells):
+        cell_edges = []  # (edge, ascending) of every cell's edges, cell by cell
+        for c, cell in enumerate(cells):
             if len(cell) < 3:
                 raise MeshError(f"cell {c}: fewer than 3 vertices")
-            loc = []
             for i, a in enumerate(cell):
                 b = cell[(i + 1) % len(cell)]
                 if not (0 <= a < n_vert) or not (0 <= b < n_vert):
@@ -85,14 +90,25 @@ class PolyMesh:
                     edges.append(key)
                     edge_cells.append([])
                 edge_cells[e].append((c, i, a < b))
-                loc.append((e, a < b))
-            cell_edges.append(loc)
+                cell_edges.append((e, a < b))
         self.edges = edges
         self.edge_cells = edge_cells
-        self.cell_edges = cell_edges
         self.n_vertices = n_vert
-        self.n_cells = len(self.cells)
+        self.n_cells = len(cells)
         self.n_edges = len(edges)
+        self.cell_sizes = np.fromiter(map(len, cells), int, len(cells))
+        self._starts = np.cumsum(self.cell_sizes) - self.cell_sizes
+        self._loops = np.fromiter(itertools.chain.from_iterable(cells), int, len(cell_edges))
+        self._edge_table = np.array(cell_edges, dtype=int)
+        for table in (self.cell_sizes, self._starts, self._loops, self._edge_table):
+            table.flags.writeable = False
+        self.cells = tuple(np.split(self._loops, self._starts[1:]))
+        self.cell_edges = tuple(np.split(self._edge_table, self._starts[1:]))
+
+    def cell_table(self, cells):
+        """Loops (C, n_v) and edge tables (C, n_v, 2) of ``cells``, which have one vertex count."""
+        at = self._starts[cells][:, None] + np.arange(self.cell_sizes[cells[0]])
+        return self._loops[at], self._edge_table[at]
 
     def _validate(self, check_simple):
         if not np.isfinite(self.vertices).all():
@@ -124,7 +140,7 @@ class PolyMesh:
             else:
                 a, b = self.edges[e]
                 raise MeshError(f"edge ({a}, {b}) shared by {len(users)} cells")
-        self.boundary_edges = boundary
+        self.boundary_edges = tuple(boundary)
         # tiling consistency: cells must add up to the area enclosed by the
         # boundary loop (interior edge contributions cancel pairwise)
         loop = 0.0
@@ -148,6 +164,12 @@ class PolyMesh:
         of.flags.writeable = shifts.flags.writeable = False
         return shapes, of, shifts
 
+    def dof_map(self, k):
+        """The ``DofMap`` of order k, the mesh's assembly plan: built on first use, one per k."""
+        if k not in self._dof_maps:
+            self._dof_maps[k] = DofMap(self, k)
+        return self._dof_maps[k]
+
     def cell_vertices(self, c):
         return self.vertices[self.cells[c]]
 
@@ -155,10 +177,7 @@ class PolyMesh:
         return max(polygon_diameter(self.cell_vertices(c)) for c in range(self.n_cells))
 
     def vertex_count_histogram(self):
-        counts = {}
-        for cell in self.cells:
-            counts[len(cell)] = counts.get(len(cell), 0) + 1
-        return counts
+        return dict(collections.Counter(self.cell_sizes.tolist()))
 
     def __repr__(self):
         return f"PolyMesh({self.n_cells} cells, {self.n_vertices} vertices)"
@@ -203,20 +222,20 @@ def place_shapes(mesh, cells):
     mesh every cell is its own shape.  The star centers of all shapes come
     from one ``star_centers`` call.
     """
-    cells = list(cells)
-    n_v = np.array([len(mesh.cells[c]) for c in cells], dtype=int)
+    cells = np.asarray(cells, dtype=int)
+    n_v = mesh.cell_sizes[cells]
     keys = [None] * len(cells)
     anchors = np.empty((len(cells), 2))
     for nv in np.unique(n_v):
         at = np.flatnonzero(n_v == nv)
-        polys = mesh.vertices[np.array([mesh.cells[cells[i]] for i in at])]
+        polys = mesh.vertices[mesh.cell_table(cells[at])[0]]
         group_keys, anchors[at] = _shape_signatures(polys)
         for i, key in zip(at, group_keys):
             keys[i] = key
     index = {}  # key -> shape, numbered by first cell
     of = np.array([index.setdefault(key, len(index)) for key in keys], dtype=int)
     first = np.unique(of, return_index=True)[1]
-    firsts = [cells[i] for i in first]
+    firsts = cells[first].tolist()
     polys = [mesh.cell_vertices(c) for c in firsts]
     centers, radii = star_centers(polys, firsts)
     shapes = [Shape(verts, anchors[i], c, (center, float(radius)))
@@ -485,7 +504,7 @@ def write_mesh(mesh, path):
     lines.append('  "cells": [')
     for i, cell in enumerate(mesh.cells):
         comma = "," if i + 1 < mesh.n_cells else ""
-        lines.append("    [" + ", ".join(str(v) for v in cell) + f"]{comma}")
+        lines.append("    [" + ", ".join(map(str, cell.tolist())) + f"]{comma}")
     lines.append("  ],")
     lines.append('  "boundary_labels": [')
     items = sorted(mesh.boundary_labels.items())

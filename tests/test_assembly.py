@@ -22,7 +22,7 @@ from vemsupg.errors import MeshError, SolveError
 from vemsupg.forms import ProblemData
 from vemsupg.geometry import ElementGeometry
 from vemsupg.harness import solve_problem
-from vemsupg.mesh import generate_cartesian, generate_voronoi, relabel_boundary
+from vemsupg.mesh import PolyMesh, generate_cartesian, generate_voronoi, relabel_boundary
 from vemsupg.problems import problem_smooth, problem_test1, problem_test2
 from vemsupg.space import LocalSpace
 
@@ -192,6 +192,146 @@ class TestAssemble:
             assert len(batches) == len(list(stack_chunks(res.spaces))) > 0
         assert len(batches) > 1  # the Voronoi cells fill several stacks
         assert calls == []
+
+
+def coo_system(dofmap, forms):
+    """The global matrix of one-cell forms by COO triplets, summed by scipy."""
+    rows, cols, vals = [], [], []
+    for c, lf in enumerate(forms):
+        dofs = cell_dofs(dofmap, c)
+        rows.append(np.repeat(dofs, len(dofs)))
+        cols.append(np.tile(dofs, len(dofs)))
+        vals.append(lf.full.ravel())
+    n = dofmap.n_dofs
+    triplets = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+    return sp.coo_matrix(triplets, shape=(n, n)).tocsr()
+
+
+class TestPlan:
+    """The DOF map of (mesh, k) is its assembly plan, built once and kept on the mesh."""
+
+    def test_pattern_and_gathers_match_triplets_and_slices(self, mesh_t2):
+        # the plan's summed CSR matrix has the pattern of the COO triplets
+        # and their values up to the order of the duplicate sums; its
+        # reduced matrix and lift are the slices of that matrix
+        problem = swirl_problem()
+        _, _, _, forms = build_cells(mesh_t2, problem, 2, 1)
+        dofmap = DofMap(mesh_t2, 2)
+        system = assemble(dofmap, cell_blocks(forms))
+        ref = coo_system(dofmap, forms)
+        assert np.array_equal(system.matrix.indices, ref.indices)
+        assert np.array_equal(system.matrix.indptr, ref.indptr)
+        assert np.abs(system.matrix.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
+        apply_dirichlet(system, problem)
+        a = system.matrix.toarray()
+        free, fixed = system.free_idx, system.fixed_idx
+        reduced = system.reduced_matrix
+        assert reduced.format == "csc" and reduced.has_sorted_indices
+        assert np.array_equal(reduced.toarray(), a[np.ix_(free, free)])
+        assert reduced.nnz == ref[free][:, free].nnz
+        want = system.rhs[free] - a[np.ix_(free, fixed)] @ system.fixed_vals
+        assert np.abs(system.reduced_rhs - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_index_arrays_are_int32_and_read_only(self, mesh_t2):
+        dofmap = DofMap(mesh_t2, 3)
+        arrays = [dofmap.flat, dofmap.positions, dofmap.indices, dofmap.indptr,
+                  dofmap.fixed, dofmap.free, *dofmap.reduced[:3], *dofmap.lift[:3]]
+        for a in arrays:
+            assert a.dtype == np.int32 and not a.flags.writeable
+        assert len(dofmap.positions) == (np.diff(dofmap.offsets) ** 2).sum()
+        assert np.array_equal(np.union1d(dofmap.fixed, dofmap.free), np.arange(dofmap.n_dofs))
+
+    def test_one_plan_per_mesh_and_order(self, monkeypatch):
+        # the sf and vem solves on one (mesh, k), a repeated solve and a
+        # test2 solve on a relabelled copy of the mesh share the plan of the
+        # caller's mesh; numbering runs once per order
+        numbered = []
+        real = DofMap._number_cells
+        monkeypatch.setattr(DofMap, "_number_cells",
+                            lambda self: numbered.append(self.k) or real(self))
+        mesh = generate_cartesian(4, 4)
+        results = [solve_problem(mesh, problem_test1(), 2, ell={4: 1}, method=method)
+                   for method in ("sf", "vem", "sf")]
+        results.append(solve_problem(mesh, problem_test2(), 2, ell={4: 1}))
+        plan = mesh.dof_map(2)
+        assert all(res.dofmap is plan for res in results)
+        assert results[-1].mesh is not mesh and plan.mesh is mesh
+        assert numbered == [2]
+        solve_problem(mesh, problem_test1(), 1, ell={4: 1})
+        assert mesh.dof_map(1) is not plan and mesh.dof_map(2) is plan
+        assert numbered == [2, 1]
+
+    @pytest.mark.parametrize("family", ["t1", "t2", "t3"])
+    def test_second_solve_is_bit_equal_to_the_first(self, acceptance_meshes, family):
+        # the first solve on a mesh builds its plan and the second reuses
+        # it: the same path, so the same bits, as on a newly built mesh
+        base = acceptance_meshes[family]
+        mesh = PolyMesh(base.vertices, base.cells, base.boundary_labels)
+        first, second = (solve_problem(mesh, problem_test2(), 2) for _ in range(2))
+        fresh = solve_problem(PolyMesh(base.vertices, base.cells, base.boundary_labels),
+                              problem_test2(), 2)
+        for res in (second, fresh):
+            assert np.array_equal(res.solution.dofs, first.solution.dofs)
+            assert np.array_equal(res.solution.system.reduced_matrix.data,
+                                  first.solution.system.reduced_matrix.data)
+
+    def test_test2_after_plan_takes_the_relabelled_values(self, mesh_t2):
+        # the plan was keyed on the caller's mesh, with its side labels; a
+        # later test2 solve prescribes the values of its relabelled copy
+        mesh = PolyMesh(mesh_t2.vertices, mesh_t2.cells, mesh_t2.boundary_labels)
+        solve_problem(mesh, problem_smooth(), 2)
+        problem = problem_test2()
+        res = solve_problem(mesh, problem, 2)
+        relabelled = relabel_boundary(copy.copy(mesh_t2), problem.boundary_classifier)
+        idx, vals = DofMap(relabelled, 2).boundary_values(problem)
+        system = res.solution.system
+        assert np.array_equal(system.fixed_idx, idx)
+        assert np.array_equal(system.fixed_vals, vals)
+        assert np.array_equal(res.solution.dofs[idx], vals)
+        assert set(res.mesh.boundary_labels.values()) != set(mesh.boundary_labels.values())
+
+    def test_dirichlet_dofs_must_be_the_plans(self):
+        # every boundary DOF is prescribed: labels that leave a boundary
+        # edge out of the mesh handed to the elimination are refused
+        mesh = generate_cartesian(2, 2)
+        system = solve_problem(mesh, problem_smooth(), 2, ell=1).solution.system
+        other = copy.copy(mesh)
+        other.boundary_edges = mesh.boundary_edges[1:]
+        with pytest.raises(MeshError, match="differ from the boundary DOFs of the DOF map"):
+            apply_dirichlet(system, problem_smooth(), other)
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("missing", "cell 3: 0 local blocks"),
+            ("doubled", "cell 2: 2 local blocks"),
+            ("wrong_size", "cell 1: local matrix does not match"),
+            ("nan_matrix", "non-finite local contribution from cell 3"),
+        ],
+    )
+    def test_bad_blocks_name_the_cell_on_a_kept_plan(self, case, message):
+        # the checks run on every assemble, also when an earlier solve built
+        # the plan, and a rejected assemble leaves the plan as it was
+        mesh = generate_cartesian(2, 2)
+        solve_problem(mesh, problem_smooth(), 1, ell=1)
+        _, _, _, forms = build_cells(mesh, problem_smooth(), 1, 1)
+        blocks = cell_blocks(forms)
+        if case == "missing":
+            del blocks[3]
+        elif case == "doubled":
+            blocks.append(blocks[2])
+        elif case == "wrong_size":
+            blocks[1] = (np.array([1]), np.zeros((1, 3, 3)), np.zeros((1, 3)))
+        else:
+            mats = blocks[3][1].copy()
+            mats[0, 2, 1] = np.inf
+            blocks[3] = (blocks[3][0], mats, blocks[3][2])
+        with pytest.raises(MeshError, match=message):
+            assemble(mesh.dof_map(1), blocks)
+        kept = assemble(mesh.dof_map(1), cell_blocks(forms)).matrix
+        fresh = assemble(DofMap(mesh, 1), cell_blocks(forms)).matrix
+        assert all(np.array_equal(getattr(kept, name), getattr(fresh, name))
+                   for name in ("data", "indices", "indptr"))
 
 
 class TestDirichlet:

@@ -470,6 +470,28 @@ class TestSolveDrivers:
                 solve_or_build()
             assert str(info.value) == f"ell has no increment for {message}"
 
+    def test_ell_dict_check_matches_cell_loop(self):
+        # the check reads the vertex counts as an array; it names the first
+        # cell whose count is missing, as a loop over the cells does
+        from vemsupg.harness import _check_ell
+
+        mesh = shared_mesh(generate_voronoi, 256, lloyd_iters=100, seed=3)
+        counts = sorted(set(mesh.cell_sizes.tolist()))
+        assert len(counts) >= 4
+        for drop in itertools.chain.from_iterable(
+            itertools.combinations(counts, r) for r in range(len(counts) + 1)
+        ):
+            ell = {n_v: 1 for n_v in counts if n_v not in drop}
+            first = next((c for c, cell in enumerate(mesh.cells) if len(cell) not in ell), None)
+            if first is None:
+                _check_ell(ell, mesh)
+                continue
+            want = (f"ell has no increment for {len(mesh.cells[first])}-vertex cells "
+                    f"(the first is cell {first})")
+            with pytest.raises(ValueError) as info:
+                _check_ell(ell, mesh)
+            assert str(info.value) == want
+
 
 class TestStackedElements:
     """Element data built in stacks of shapes with one vertex count."""
@@ -909,7 +931,7 @@ def test_input_sweep(name, k):
         except (MeshError, ElementQualityError, ProbeError, SolveError) as exc:
             error = exc
         assert np.array_equal(mesh.vertices, vertices, equal_nan=True)
-        assert mesh.cells == cells and mesh.boundary_labels == labels
+        assert [c.tolist() for c in mesh.cells] == cells and mesh.boundary_labels == labels
     if error is not None:
         assert re.match(r"cell \d+: ", str(error)) and "\n" not in str(error), str(error)
 

@@ -49,6 +49,31 @@ class TestCartesian:
         with pytest.raises(ValueError):
             generate_cartesian(0, 3)
 
+    def test_cell_topology_is_read_only(self):
+        # placement and DOF maps are derived from the cells once, so on a
+        # solved grid neither rotating a cell's loop nor writing into it nor
+        # into its edges gets past the write
+        from vemsupg.harness import solve_problem
+        from vemsupg.problems import problem_smooth
+
+        m = generate_cartesian(2, 2)
+        solve_problem(m, problem_smooth(), 1, ell=1)
+        loop = m.cells[0].tolist()
+        with pytest.raises(TypeError):
+            m.cells[0] = loop[1:] + loop[:1]
+        with pytest.raises(ValueError, match="read-only"):
+            m.cells[0][:] = loop[1:] + loop[:1]
+        with pytest.raises(ValueError, match="read-only"):
+            m.cells[0][0] = loop[1]
+        with pytest.raises(ValueError, match="read-only"):
+            m.cell_edges[0][0, 1] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            m.cell_sizes[0] = 3
+        with pytest.raises(TypeError):
+            m.boundary_edges[0] = (0, 0)
+        assert m.cells[0].tolist() == loop
+        assert np.array_equal(m.cell_vertices(0), m.vertices[loop])
+
 
 class TestPentagons:
     def test_n1_reflex(self):
@@ -96,7 +121,7 @@ class TestVoronoi:
         a = generate_voronoi(16, lloyd_iters=50, seed=42)
         b = generate_voronoi(16, lloyd_iters=50, seed=42)
         assert np.array_equal(a.vertices, b.vertices)
-        assert a.cells == b.cells
+        assert [c.tolist() for c in a.cells] == [c.tolist() for c in b.cells]
         assert a.boundary_labels == b.boundary_labels
 
     def test_shared_mesh_is_a_read_only_build(self):
@@ -108,7 +133,8 @@ class TestVoronoi:
         fresh = generate_voronoi(16, lloyd_iters=20, seed=1)
         assert np.array_equal(mesh.vertices, fresh.vertices)
         assert np.array_equal(mesh.cell_areas, fresh.cell_areas)
-        assert mesh.cells == fresh.cells and mesh.boundary_labels == fresh.boundary_labels
+        assert [c.tolist() for c in mesh.cells] == [c.tolist() for c in fresh.cells]
+        assert mesh.boundary_labels == fresh.boundary_labels
         with pytest.raises(ValueError, match="read-only"):
             mesh.vertices[0, 0] = 0.5
         with pytest.raises(ValueError, match="read-only"):
@@ -149,7 +175,7 @@ class TestVoronoi:
         mesh = generate_voronoi(n_cells, lloyd_iters=lloyd_iters, seed=seed)
         ref = generate_voronoi_by_cell(n_cells, lloyd_iters=lloyd_iters, seed=seed)
         assert np.array_equal(mesh.vertices, ref.vertices)
-        assert mesh.cells == ref.cells
+        assert [c.tolist() for c in mesh.cells] == [c.tolist() for c in ref.cells]
 
     def test_stacked_centroids_bitwise(self):
         # the first Lloyd step of the 256-cell seed-3 mesh has 8-10 vertex
