@@ -18,34 +18,6 @@ DIAG_PIVOT_THRESH = 0.01
 CHUNK = 64
 
 
-def stack_chunks(spaces):
-    """Chunks of at most CHUNK cells on one stack, as (stack, rows, cells).
-
-    ``spaces[c]`` is cell c's view into its stack.  Stacks come in the order
-    of their first cell, a stack's cells by member, then by cell, so the
-    translates of one member fill chunks together.  ``rows`` indexes the
-    stack's tables for the chunk's cells: the member itself when they are
-    translates of one member, so that stacked products broadcast its tables
-    unbatched; every row when they are the members in order; else one row
-    per cell.
-    """
-    groups = {}
-    for c, space in enumerate(spaces):
-        groups.setdefault(space.stack, []).append(c)
-    members = np.array([space.index for space in spaces])
-    for stack, cells in groups.items():
-        cells = np.array(cells)
-        cells = cells[np.argsort(members[cells], kind="stable")]
-        for start in range(0, len(cells), CHUNK):
-            chunk = cells[start : start + CHUNK]
-            rows = members[chunk]
-            if (rows == rows[0]).all():
-                rows = rows[0]
-            elif len(rows) == len(stack.h_full) and (rows == np.arange(len(rows))).all():
-                rows = slice(None)
-            yield stack, rows, chunk
-
-
 def _index(a):
     """``a`` as a read-only int32 index array."""
     a = np.asarray(a, dtype=np.int32)
@@ -345,14 +317,14 @@ class DiscreteSolution:
     def attach_reconstructions(self, dofmap, spaces, peclet, tau):
         """Attach each cell's P_k coefficients, increment, Peclet number and tau.
 
-        Cell c's space ``spaces[c]`` is a view into a stack; the coefficients
-        are computed per chunk of cells on one stack.
+        ``spaces`` is the solve's ``harness.CellSpaces``: the increments are
+        its ``ell``, and the coefficients are computed per chunk of its ``chunks``.
         """
-        self.reconstructions = np.empty((len(spaces), spaces[0].pinabla_coeff.shape[0]))
-        self.ell = np.array([s.ell for s in spaces], dtype=int)
+        self.reconstructions = np.empty((len(spaces), poly_dim(dofmap.k)))
+        self.ell = spaces.ell
         self.peclet = peclet
         self.tau = tau
-        for stack, rows, cells in stack_chunks(spaces):
+        for stack, rows, cells in spaces.chunks:
             # a stack of matrix-vector products, not one matrix product: each
             # cell's coefficients are then bit for bit those of ``coeff @ local``
             coeff = stack.pinabla_coeff[rows]
@@ -377,16 +349,15 @@ def energy_error(spaces, shifts, solution, problem):
     normalized by the same quantity with u alone; P u_h is the cell's row of
     ``solution.reconstructions`` (the element H1 projection) and tau the
     cell's ``solution.tau``.  Requires the exact gradient.  Cell c is
-    ``spaces[c]`` translated by ``shifts[c]``.
-
-    Cells on one stack are evaluated together, in chunks of CHUNK cells,
-    each on its member's points.  The four integrals of each cell are summed
-    over its own points, then added into the totals in cell order.
+    ``spaces[c]``, a row of the solve's ``harness.CellSpaces``, translated
+    by ``shifts[c]``.  Each chunk of ``spaces.chunks`` is evaluated at once,
+    each cell on its member's points.  The four integrals of each cell are
+    summed over its own points, then added into the totals in cell order.
     """
     if problem.exact_grad is None:
         raise ValueError("energy error needs the exact gradient")
     sums = np.empty((len(spaces), 4))  # kappa and tau terms of num, then of den
-    for stack, rows, cells in stack_chunks(spaces):
+    for stack, rows, cells in spaces.chunks:
         geom = stack.geom[rows]
         polys = solution.reconstructions[cells][..., None]
         # a translate's points about its star center are the shape's own

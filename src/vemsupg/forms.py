@@ -240,7 +240,7 @@ class ShapeForms:
         """Peclet numbers, tau, local matrices and loads of cells placed on the stack.
 
         Cell i is a member of the stack translated by ``shifts[i]``; ``at``
-        picks the cells' members (``rows`` of ``assemble.stack_chunks``, or
+        picks the cells' members (``rows`` of ``harness.CellSpaces.chunks``, or
         an index array).  Returns (C,), (C,), (C, n, n) and (C, n) arrays,
         the first three as read-only views.  Each matrix is a + b + d,
         summed in that order, with the stabilization of the baseline already

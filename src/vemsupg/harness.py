@@ -1,31 +1,26 @@
 """Experiment driver: mesh families, solves, convergence studies, probe tables.
 
 Every solve gets its element data from ``cell_spaces``, the one path from
-cells to spaces.  A mesh's ``placement`` keys its cells by shape: cells
-that are translated copies of one another (all cells of a cartesian grid,
-the two pentagons of the concave tiling) share one kernel and star center
-and one space, built on the first cell of the shape; on a Voronoi mesh every
-cell is its own shape, with zero shift.  Shapes are built in groups of one (vertex
-count, k, ell): each group is cut into stacks of up to ``STACK`` shapes, and
-a stack is one stacked geometry, one stacked space and, in the solve, one
-set of form tables.  A shape's space is its view into its stack.  The probe
-runs in rounds: every shape first tries the smallest ell a dimension count
-allows, a round decides one stack of trial spaces per vertex count with one
-batched eigenvalue solve, the accepted members become a stack that the solve
-keeps and the rejected shapes try the next ell.  A cell is a placement of
-its shape: the shape's view plus the cell's shift from the shape's first
-cell.  Since every projector matrix is translation-invariant, the shift only
-moves the points at which velocity, source and exact solution are sampled,
-so the local forms and loads of each stack's cells are formed in batches
-from the stack's form tables, each cell reading its own member's.  The
-batches stay stacked: each goes to ``assemble`` as its cells with their
-(C, n, n) matrices and (C, n) loads, and its Peclet numbers and tau fill
-per-cell arrays, so no per-cell coefficient or form object is made.  The
-solve result, the energy error and ``sample`` keep the shape's view and the
-shift, never a per-cell copy of the element.  Shapes carry no spaces: a
-mesh is placed once, on first use, and its spaces are built per call.  The
-DOF map of each order k, the assembly plan, is likewise built on the first
-solve at that order and kept on the mesh (``mesh.dof_map(k)``).
+cells to spaces.  A mesh's ``placement`` keys its cells by shape: translated
+copies of one cell (all cells of a cartesian grid, the two pentagons of the
+concave tiling) share one kernel, star center and space, built on the
+shape's first cell; on a Voronoi mesh every cell is its own shape.  Shapes
+of one vertex count and (k, ell) are built in stacks of up to ``STACK``: one
+stacked geometry, one stacked space and, in the solve, one set of form
+tables.  The probe runs in rounds: every shape first tries the smallest ell
+a dimension count allows, a round decides a stack of trial spaces with one
+batched eigenvalue solve, the accepted members become a stack that the
+solve keeps and the rejected shapes try the next ell.  The cells' spaces are
+one table, ``CellSpaces``: the stacks, each cell's stack, member and ell,
+and the chunks of cells on one stack.  Every projector matrix is
+translation-invariant, so a cell's shift from its shape's first cell only
+moves the points at which velocity, source and exact solution are sampled:
+the forms and loads (stacked blocks for ``assemble``), the reconstructions,
+the energy error and ``sample`` run per chunk, each cell reading its
+member's rows of the stack's tables, and no per-cell space, coefficient or
+form object is made.  Shapes carry no spaces: a mesh is placed once, on
+first use, and its spaces are built per call; the DOF map of each order k,
+the assembly plan, is built on its first solve and kept on the mesh.
 """
 
 import copy
@@ -35,14 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assemble import (
-    apply_dirichlet,
-    assemble,
-    energy_error,
-    export_vtk,
-    solve,
-    stack_chunks,
-)
+from .assemble import CHUNK, apply_dirichlet, assemble, energy_error, export_vtk, solve
 from .basis import MonomialBasis, eval_basis
 # the one-cell forms and the one-geometry probe are not called here: callers
 # and perfbench/tracing.py look them up on this module
@@ -57,7 +45,7 @@ from .forms import (  # noqa: F401
     rank_bound_ell,
     sf_forms,
 )
-from .geometry import ElementGeometry
+from .geometry import ElementGeometry, polygon_groups
 from .mesh import (
     generate_cartesian,
     generate_concave_pentagons,
@@ -112,34 +100,37 @@ def _chunks(items):
 
 
 def build_spaces(shapes, k, ell):
-    """The (k, ell) space of each of ``shapes`` (one vertex count), built in stacks of STACK."""
-    spaces = []
-    for chunk in _chunks(shapes):
-        stack = _stack_space(chunk, k, ell)
-        spaces += [stack[i] for i in range(len(chunk))]
-    return spaces
+    """The (k, ``ell``) stacks of ``shapes`` (STACK or fewer of one vertex count), stack and member.
+
+    ``ell`` is a count or a dict of counts by vertex count; stack and member are (S,) arrays.
+    """
+    stacks, stack, member = [], np.empty(len(shapes), dtype=int), np.empty(len(shapes), dtype=int)
+    for group, polys in polygon_groups([shape.vertices for shape in shapes]):
+        for chunk in _chunks(group):
+            stack[chunk], member[chunk] = len(stacks), np.arange(len(chunk))
+            stacks.append(_stack_space([shapes[i] for i in chunk], k,
+                                       ell[polys.shape[1]] if isinstance(ell, dict) else int(ell)))
+    return stacks, stack, member
 
 
 def probe_shapes(shapes, k):
-    """Space of the smallest coercive increment of each shape at order k, probed in rounds.
+    """Spaces of the smallest coercive increment of each shape at order k, probed in rounds.
 
     Shapes are grouped by vertex count.  A group's trials start at the rank
     bound: the increments below it are rejected by a dimension count, so
     their spaces are not built.  Each round builds the trial spaces of the
     group's pending shapes at one increment as stacks of STACK and decides
     each stack with one batched eigenvalue solve (``coercive``); the
-    accepted shapes get their views into a stack of the accepted members,
-    the rejected ones go on to the next increment.  Returns the spaces, None
-    for each shape still rejected at ``DEFAULT_ELL_MAX``, and those shapes'
-    traces as ``probe_min_ell`` records them.
+    accepted members of a trial stack become a stack of their own, the
+    rejected shapes go on to the next increment.  Returns (stacks, stack,
+    member) as ``build_spaces`` does, stack and member -1 for each shape
+    still rejected at ``DEFAULT_ELL_MAX``, and those shapes' traces as
+    ``probe_min_ell`` records them.
     """
-    groups = {}
-    for i, shape in enumerate(shapes):
-        groups.setdefault(len(shape.vertices), []).append(i)
-    spaces = [None] * len(shapes)
+    stacks, stack, member = [], np.full(len(shapes), -1), np.full(len(shapes), -1)
     failed = {}
-    for n_v, group in groups.items():
-        start = rank_bound_ell(dof_layout(n_v, k).n_dofs, k)
+    for group, polys in polygon_groups([shape.vertices for shape in shapes]):
+        start = rank_bound_ell(dof_layout(polys.shape[1], k).n_dofs, k)
         traces = {i: [(ell, None) for ell in range(min(start, DEFAULT_ELL_MAX + 1))]
                   for i in group}
         for ell in range(start, DEFAULT_ELL_MAX + 1):
@@ -150,15 +141,15 @@ def probe_shapes(shapes, k):
                 for i, rel in zip(chunk, lam.tolist()):
                     traces[i].append((ell, rel))
                 keep = np.flatnonzero(accepted)
-                kept = trial if len(keep) == len(chunk) else trial[keep]
-                for j, i in enumerate(keep.tolist()):
-                    spaces[chunk[i]] = kept[j]
-                rejected += [chunk[i] for i in np.flatnonzero(~accepted)]
-            group = rejected
-            if not group:
+                if len(keep):
+                    stack[chunk[keep]], member[chunk[keep]] = len(stacks), np.arange(len(keep))
+                    stacks.append(trial if len(keep) == len(chunk) else trial[keep])
+                rejected += chunk[~accepted].tolist()
+            group = np.array(rejected, dtype=int)
+            if not len(group):
                 break
         failed.update((shapes[i], traces[i]) for i in group)
-    return spaces, failed
+    return (stacks, stack, member), failed
 
 
 def _is_count(v, least=0):
@@ -183,50 +174,80 @@ def _check_ell(ell, mesh):
 
 
 def _spaces(shapes, k, ell_mode):
-    """The (k, ell) space of each of ``shapes``, by probe for "auto", else by ``ell_mode``.
+    """(stacks, stack, member) of ``shapes``: ``probe_shapes`` for "auto", else ``build_spaces``.
 
     A failed probe raises the ``ProbeError`` of the shape with the lowest cell.
     """
-    if ell_mode == "auto":
-        spaces, failed = probe_shapes(shapes, k)
-        if failed:
-            shape = min(failed, key=lambda shape: shape.cell)
-            raise probe_exhausted(k, failed[shape], shape.cell)
-        return spaces
-    groups = {}  # (vertex count, ell) -> positions of its shapes
-    for i, shape in enumerate(shapes):
-        n_v = len(shape.vertices)
-        ell = ell_mode[n_v] if isinstance(ell_mode, dict) else int(ell_mode)
-        groups.setdefault((n_v, ell), []).append(i)
-    spaces = [None] * len(shapes)
-    for (_, ell), at in groups.items():
-        for i, space in zip(at, build_spaces([shapes[i] for i in at], k, ell)):
-            spaces[i] = space
+    if ell_mode != "auto":
+        return build_spaces(shapes, k, ell_mode)
+    spaces, failed = probe_shapes(shapes, k)
+    if failed:
+        shape = min(failed, key=lambda shape: shape.cell)
+        raise probe_exhausted(k, failed[shape], shape.cell)
     return spaces
 
 
+class CellSpaces:
+    """The cells' spaces as arrays: cell c is member ``member[c]`` of ``stacks[stack[c]]``.
+
+    ``ell`` holds each cell's increment.  ``chunks`` lists the batches of at
+    most CHUNK cells on one stack, as (stack, rows, cells).  Stacks come in
+    the order of their first cell, a stack's cells by member, then by cell,
+    so the translates of one member fill chunks together.  ``rows`` indexes
+    the stack's tables for the chunk's cells: the member itself when they
+    are translates of one member, so that stacked products broadcast its
+    tables unbatched; every row when they are the members in order; else one
+    row per cell.  ``spaces[c]``, cell c's one-cell view into its stack, is
+    made on demand; the solve and its post-processing read the arrays.
+    """
+
+    def __init__(self, stacks, stack, member):
+        self.stacks, self.stack, self.member = stacks, stack, member
+        self.ell = np.array([space.ell for space in stacks], dtype=int)[stack]
+        n = len(stack)
+        _, first, which = np.unique(stack, return_index=True, return_inverse=True)
+        order = np.lexsort((np.arange(n), member, first[which]))  # stacks by first cell
+        starts = np.flatnonzero(np.diff(stack[order], prepend=-1)).tolist() + [n]
+        self.chunks = []
+        for start, end in zip(starts, starts[1:]):  # the cells of one stack
+            for lo in range(start, end, CHUNK):
+                cells = order[lo : min(lo + CHUNK, end)]
+                space, rows = stacks[stack[cells[0]]], member[cells]
+                if (rows == rows[0]).all():
+                    rows = rows[0]
+                elif len(rows) == len(space.h_full) and (rows == np.arange(len(rows))).all():
+                    rows = slice(None)
+                self.chunks.append((space, rows, cells))
+
+    def __len__(self):
+        return len(self.stack)
+
+    def __getitem__(self, c):
+        return self.stacks[self.stack[c]][self.member[c]]
+
+
 def cell_spaces(mesh, k, ell_mode):
-    """Each cell's space, its shape's view, and the (n_cells, 2) shifts of the cells from them."""
+    """The cells' ``CellSpaces`` and the (n_cells, 2) shifts of the cells from their shapes."""
     shapes, of, shifts = mesh.placement
-    spaces = _spaces(shapes, k, ell_mode)
-    return [spaces[i] for i in of], shifts
+    stacks, stack, member = _spaces(shapes, k, ell_mode)
+    return CellSpaces(stacks, stack[of], member[of]), shifts
 
 
 def build_element(mesh, c, k, ell_mode):
     """(space, shift, chosen ell) of one cell, placed on its own, so its shift is zero."""
     _check_ell(ell_mode, mesh)
     shapes, _, shifts = place_shapes(mesh, [c])
-    [space] = _spaces(shapes, k, ell_mode)
-    return space, shifts[0], space.ell
+    [stack], _, _ = _spaces(shapes, k, ell_mode)
+    return stack[0], shifts[0], stack.ell
 
 
 class SolveResult:
     """Everything one solve produced, for error evaluation and export.
 
-    Cell c's element is ``spaces[c]`` translated by ``shifts[c]``: the space
-    is its shape's own, shared by every translate of the shape, with the
-    geometry of the shape's first cell, and ``shifts`` (n_cells, 2) holds
-    each cell's translation from that cell.
+    Cell c's element is ``spaces[c]`` translated by ``shifts[c]``:
+    ``spaces`` is the solve's ``CellSpaces``, whose stacks hold each shape's
+    space with the geometry of the shape's first cell, and ``shifts``
+    (n_cells, 2) holds each cell's translation from that cell.
     """
 
     def __init__(self, solution, mesh, dofmap, spaces, shifts):
@@ -245,12 +266,16 @@ class SolveResult:
         return energy_error(self.spaces, self.shifts, self.solution, problem)
 
     def sample(self, points):
-        """Evaluate the solution at points of the domain, each on the first cell holding it."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        """The solution at (n, 2) points or at one 2-vector, each on the first cell holding it."""
+        pts = np.asarray(points, dtype=float)
+        pts = pts[None] if pts.shape == (2,) else pts
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise ValueError(f"points must be (n, 2) or one 2-vector, not shape {pts.shape}")
         cells = self._locate(pts)
         local = pts - self.shifts[cells]  # each point moved onto its cell's shape
         out = np.empty(len(pts))
-        for stack, rows, group in stack_chunks([self.spaces[c] for c in cells]):
+        table = CellSpaces(self.spaces.stacks, self.spaces.stack[cells], self.spaces.member[cells])
+        for stack, rows, group in table.chunks:
             # each point about its own member's center: (points, dim, 1) values
             vals = eval_basis(MonomialBasis(stack.geom[rows], stack.k), local[group][:, None])
             out[group] = np.sum(self.solution.reconstructions[cells[group]] * vals[..., 0], axis=1)
@@ -268,7 +293,7 @@ class SolveResult:
         if self._cell_tables is None:
             width = int(self.mesh.cell_sizes.max())
             tris = np.empty((self.mesh.n_cells, width, 3, 2))
-            for stack, rows, cells in stack_chunks(self.spaces):
+            for stack, rows, cells in self.spaces.chunks:
                 fan = stack.geom.triangles[:, np.arange(width) % stack.geom.n_vertices]
                 tris[cells] = fan[rows] + self.shifts[cells][:, None, None]
             lo, hi = tris.min(axis=(1, 2)), tris.max(axis=(1, 2))
@@ -320,7 +345,7 @@ def solve_problem(mesh, problem, k, ell="auto", method="sf"):
     peclet, tau = np.empty(mesh.n_cells), np.empty(mesh.n_cells)
     blocks = []
     tables = None
-    for stack, rows, cells in stack_chunks(spaces):
+    for stack, rows, cells in spaces.chunks:
         if tables is None or tables.space is not stack:
             # form tables live for one stack only
             tables = ShapeForms(stack, stabilized=method == "vem")
@@ -350,10 +375,14 @@ class ExperimentConfig:
     out_dir: str = None
 
     def __post_init__(self):
-        if not 1 <= self.k <= 4:
-            raise ValueError("order k must be in 1..4")
+        if not (_is_count(self.k, 1) and self.k <= 4):
+            raise ValueError(f"order k must be an integer in 1..4, not {self.k!r}")
         if not self.refinements:
             raise ValueError("refinement schedule is empty")
+        for n in self.refinements:
+            if not _is_count(n, 1):
+                need = "at least 1" if _is_count(n, -np.inf) else "an integer"
+                raise ValueError(f"mesh size n must be {need}, got {n!r}")
         if any(b <= a for a, b in zip(self.refinements, self.refinements[1:])):
             raise ValueError("refinement schedule must strictly decrease h")
 
@@ -493,13 +522,11 @@ def probe_table(config, orders=(1, 2, 3, 4), families=FAMILIES):
             )
             shapes, _, _ = mesh.placement
             for k in orders:
-                spaces, _ = probe_shapes(shapes, k)
-                ells = {}  # vertex count -> probed increments, None where it fails
-                for shape, space in zip(shapes, spaces):
-                    ell = None if space is None else space.ell
-                    ells.setdefault(len(shape.vertices), []).append(ell)
-                for n_v, found in ells.items():
-                    table[(family, n_v, k)] = "—" if None in found else max(found)
+                (stacks, stack, _), _ = probe_shapes(shapes, k)
+                for at, polys in polygon_groups([shape.vertices for shape in shapes]):
+                    found = stack[at].tolist()  # -1 where the probe fails
+                    table[(family, polys.shape[1], k)] = "—" if -1 in found else max(
+                        stacks[s].ell for s in found)
             log.line(f"probed family={family} shapes={len(shapes)}")
         if config.out_dir:
             path = os.path.join(config.out_dir, "probe_table.csv")

@@ -320,6 +320,33 @@ def cell_dofs(dofmap, c):
     return dofmap.flat[dofmap.offsets[c] : dofmap.offsets[c + 1]]
 
 
+def stack_chunks(spaces):
+    """Chunks of at most CHUNK cells on one stack, as (stack, rows, cells), from one-cell views.
+
+    ``spaces[c]`` is cell c's view into its stack.  Cells are grouped by a
+    dict over the views' stacks, in the order of each stack's first cell,
+    then ordered by member with a stable sort; the rows rule is that of
+    ``harness.CellSpaces.chunks``.
+    """
+    from vemsupg.assemble import CHUNK
+
+    groups = {}
+    for c, space in enumerate(spaces):
+        groups.setdefault(space.stack, []).append(c)
+    members = np.array([space.index for space in spaces])
+    for stack, cells in groups.items():
+        cells = np.array(cells)
+        cells = cells[np.argsort(members[cells], kind="stable")]
+        for start in range(0, len(cells), CHUNK):
+            chunk = cells[start : start + CHUNK]
+            rows = members[chunk]
+            if (rows == rows[0]).all():
+                rows = rows[0]
+            elif len(rows) == len(stack.h_full) and (rows == np.arange(len(rows))).all():
+                rows = slice(None)
+            yield stack, rows, chunk
+
+
 def energy_error_by_cell(spaces, shifts, solution, problem):
     """Relative energy-norm error, summed cell by cell in cell order.
 
@@ -790,8 +817,8 @@ def probe_table_by_shape(families, orders, seed=0, lloyd_iters=100):
         for k in orders:
             ells = {}  # vertex count -> probed increments, None where it fails
             for shape in shapes:
-                [space], _ = probe_shapes([shape], k)
-                ell = None if space is None else space.ell
+                (stacks, _, _), _ = probe_shapes([shape], k)
+                ell = stacks[0].ell if stacks else None
                 ells.setdefault(len(shape.vertices), []).append(ell)
             for n_v, found in ells.items():
                 table[(family, n_v, k)] = "—" if None in found else max(found)

@@ -167,11 +167,11 @@ class TestAssemble:
 
     def test_solve_builds_no_per_cell_objects(self, monkeypatch):
         # the solve keeps Peclet, tau and the local forms in stacked arrays:
-        # it calls none of the one-cell entry points, and ShapeForms.batch
-        # once per chunk of cells on one stack
+        # it calls none of the one-cell entry points, ShapeForms.batch once
+        # per chunk of the cell table, and neither the solve nor the energy
+        # error nor sample makes a one-cell view of a space
         import vemsupg.forms as forms
         import vemsupg.harness as harness
-        from vemsupg.assemble import stack_chunks
         from vemsupg.mesh import generate_voronoi
 
         calls = []
@@ -183,13 +183,26 @@ class TestAssemble:
         batch = forms.ShapeForms.batch
         monkeypatch.setattr(forms.ShapeForms, "batch",
                             lambda self, *a: batches.append(1) or batch(self, *a))
+        views = []
+        getitem = LocalSpace.__getitem__
+
+        def counted(self, at):
+            if np.ndim(at) == 0:
+                views.append(at)
+            return getitem(self, at)
+
+        monkeypatch.setattr(LocalSpace, "__getitem__", counted)
+        points = np.random.default_rng(3).random((300, 2))
         meshes = [generate_cartesian(3, 3), generate_voronoi(40, lloyd_iters=20, seed=1)]
         for mesh, method in itertools.product(meshes, ("sf", "vem")):
             batches.clear()
             res = solve_problem(mesh, problem_test1(), 2, method=method)
             n = mesh.n_cells
             assert res.solution.peclet.shape == res.solution.tau.shape == (n,)
-            assert len(batches) == len(list(stack_chunks(res.spaces))) > 0
+            assert len(batches) == len(res.spaces.chunks) > 0
+            res.error(problem_test1())
+            res.sample(points)
+            assert views == [], (mesh, method)
         assert len(batches) > 1  # the Voronoi cells fill several stacks
         assert calls == []
 
@@ -691,20 +704,28 @@ class TestEnergyError:
         assert len(calls) == -(-144 // assemble_module.CHUNK) == 3
 
     def test_mixed_translated_and_independent_elements(self, mesh_t2):
-        # independently built elements, with zero shifts, form groups of one
-        # beside the translates that share their shape's space
+        # independently built elements, with zero shifts, are stacks of one
+        # in the cell table beside the translates that share their shape's
+        # stack
+        from vemsupg.harness import CellSpaces
+
         problem = swirl_problem()
         result = solve_problem(mesh_t2, problem, 2, ell="auto")
-        spaces, shifts = list(result.spaces), result.shifts.copy()
+        table, shifts = result.spaces, result.shifts.copy()
+        stacks, stack, member = list(table.stacks), table.stack.copy(), table.member.copy()
         for c in range(0, mesh_t2.n_cells, 3):
-            ell = spaces[c].ell
+            ell = int(table.ell[c])
             geom = ElementGeometry(
                 mesh_t2.cell_vertices(c), 2 * (2 + ell) + 2, 2 + ell + 1, cell=c
             )
-            spaces[c] = LocalSpace(geom, 2, ell)
+            stack[c], member[c] = len(stacks), 0
+            stacks.append(LocalSpace(geom, 2, ell).stack)
             shifts[c] = 0.0
-        mixed = self.check_against_cell_loop(result, problem, spaces, shifts)
-        assert mixed == pytest.approx(result.error(problem), rel=1e-10)
+        mixed = CellSpaces(stacks, stack, member)
+        assert len(mixed.chunks) > len(table.chunks)
+        assert len({id(space) for space, _, _ in mixed.chunks}) == len(stacks)
+        mixed_err = self.check_against_cell_loop(result, problem, mixed, shifts)
+        assert mixed_err == pytest.approx(result.error(problem), rel=1e-10)
 
 
 class TestVtk:

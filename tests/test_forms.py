@@ -47,10 +47,10 @@ def one_cell(verts, k, ell, cell=None):
 
 def probe_alone(shape, k):
     """The smallest coercive increment of one shape, probed as a stack of one."""
-    [space], failed = probe_shapes([shape], k)
+    (stacks, _, _), failed = probe_shapes([shape], k)
     if failed:
         raise probe_exhausted(k, failed[shape], shape.cell)
-    return space.ell
+    return stacks[0].ell
 
 
 class TestBetaSup:
@@ -142,8 +142,8 @@ class TestTildeC:
             shapes, _, _ = place_shapes(mesh, range(mesh.n_cells))
             for shape in shapes:
                 for k in (2, 3, 4):
-                    [space] = build_spaces([shape], k, 0)
-                    args = (space.basis_k, space.mass_block(k - 1))
+                    [stack], _, _ = build_spaces([shape], k, 0)
+                    args = (stack[0].basis_k, stack[0].mass_block(k - 1))
                     want = tilde_c_k_by_schur(*args)
                     assert tilde_c_k(*args) == pytest.approx(want, rel=1e-12), (shape.cell, k)
 
@@ -290,8 +290,8 @@ class TestProbe:
                 [shape], _, _ = place_shapes(mesh, [c])
                 start = rank_bound_ell(dof_layout(len(mesh.cells[c]), k).n_dofs, k)
                 for ell in range(min(start, DEFAULT_ELL_MAX + 1)):
-                    [space] = build_spaces([shape], k, ell)
-                    gram = projected_gradient_gram(space)
+                    [stack], _, _ = build_spaces([shape], k, ell)
+                    gram = projected_gradient_gram(stack[0])
                     lam = np.linalg.eigvalsh(0.5 * (gram + gram.T))
                     n_small = int(np.sum(lam < DEFAULT_PROBE_TOL * lam[-1]))
                     assert n_small >= 2, (*where, ell)
@@ -655,12 +655,10 @@ class TestShapeForms:
     @staticmethod
     def chunks(mesh, k, method):
         """(form tables, rows, shifts) of each chunk ``solve_problem`` forms on ``mesh``."""
-        from vemsupg.assemble import stack_chunks
-
         spaces, shifts = cell_spaces(mesh, k, "auto" if method == "sf" else 0)
         return [
             (ShapeForms(stack, stabilized=method == "vem"), rows, shifts[cells])
-            for stack, rows, cells in stack_chunks(spaces)
+            for stack, rows, cells in spaces.chunks
         ]
 
     @pytest.mark.parametrize("beta", [BETA1, (0.0, 0.0)])
@@ -718,8 +716,6 @@ class TestShapeForms:
         # oracle's forms built on the cell's own geometry, to roundoff; the
         # cells of a stack come by member, so t1 reads one member's tables,
         # t2 gathers the two members' rows and t3 takes all members
-        from vemsupg.assemble import stack_chunks
-
         mesh = self.MESHES[family]()
         build = oracles.sf_forms if method == "sf" else oracles.baseline_vem_forms
         entry = sf_forms if method == "sf" else baseline_vem_forms
@@ -727,7 +723,7 @@ class TestShapeForms:
         for k in (1, 2, 3):
             spaces, shifts = cell_spaces(mesh, k, "auto" if method == "sf" else 0)
             for problem, (stack, rows, cells) in itertools.product(
-                (problem_smooth(), swirl_problem()), stack_chunks(spaces)
+                (problem_smooth(), swirl_problem()), spaces.chunks
             ):
                 kinds.add(type(rows))
                 ell = stack.ell

@@ -45,6 +45,23 @@ class TestConfig:
             ExperimentConfig(refinements=(16, 8))
         with pytest.raises(ValueError, match="refinement schedule is empty"):
             ExperimentConfig(refinements=())
+        assert ExperimentConfig(k=np.int64(4), refinements=(np.int64(2), 4)).k == 4
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("k", 0, "order k must be an integer in 1..4, not 0"),
+        ("k", 5, "order k must be an integer in 1..4, not 5"),
+        ("k", 2.5, "order k must be an integer in 1..4, not 2.5"),
+        ("k", True, "order k must be an integer in 1..4, not True"),
+        ("k", "2", "order k must be an integer in 1..4, not '2'"),
+        ("refinements", (4, 8.5), "mesh size n must be an integer, got 8.5"),
+        ("refinements", (0, 4), "mesh size n must be at least 1, got 0"),
+        ("refinements", (-3,), "mesh size n must be at least 1, got -3"),
+        ("refinements", (True, 4), "mesh size n must be an integer, got True"),
+        ("refinements", ("4", "8"), "mesh size n must be an integer, got '4'"),
+    ])
+    def test_bad_values_raise_one_line(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ExperimentConfig(**{field: value})
 
     def test_generate_mesh_families(self):
         assert generate_mesh("t1", 3).n_cells == 9
@@ -244,10 +261,11 @@ class TestSolveDrivers:
         from vemsupg.forms import coercive
 
         shapes, _, _ = place_shapes(generate_mesh("t1", 2), [0])
-        [trial] = build_spaces(shapes, 2, 1)
-        assert not coercive(trial.stack)[0][0]
-        [space], failed = probe_shapes(shapes, 2)
+        [trial], _, _ = build_spaces(shapes, 2, 1)
+        assert not coercive(trial)[0][0]
+        ([space], stack, member), failed = probe_shapes(shapes, 2)
         assert failed == {} and space.ell == 2
+        assert stack.tolist() == member.tolist() == [0]
 
     @pytest.mark.parametrize("family", ["t1", "t2", "t3"])
     def test_place_shapes(self, family, monkeypatch):
@@ -311,7 +329,7 @@ class TestSolveDrivers:
                 for shape in shapes] == placed
         first, _ = cell_spaces(mesh, 2, "auto")
         second, _ = cell_spaces(mesh, 2, "auto")
-        assert not {id(space.stack) for space in first} & {id(space.stack) for space in second}
+        assert not {id(stack) for stack in first.stacks} & {id(stack) for stack in second.stacks}
 
     def test_monomials_evaluated_once_per_point_set(self, monkeypatch):
         # a stacked space evaluates its degree k+ell monomials at the volume
@@ -399,7 +417,8 @@ class TestSolveDrivers:
 
     def test_cells_are_shape_placements(self, monkeypatch):
         # each cell is its shape's space plus a shift: translates share one
-        # space object, and a solve builds no per-cell basis
+        # (stack, member) of the cell table, and a solve builds no per-cell
+        # basis
         import vemsupg.basis as basis
 
         meshes = {
@@ -413,7 +432,7 @@ class TestSolveDrivers:
             for c in range(mesh.n_cells):
                 placed = res.spaces[c].geom.vertices + res.shifts[c]
                 assert np.abs(placed - mesh.cell_vertices(c)).max() <= 1e-14, (name, c)
-            distinct = {id(space) for space in res.spaces}
+            distinct = set(zip(res.spaces.stack.tolist(), res.spaces.member.tolist()))
             assert len(distinct) == {"t1": 1, "t2": 2, "t3": 16}[name], name
         assert np.all(res.shifts == 0.0)  # Voronoi cells are shapes of their own
 
@@ -883,6 +902,66 @@ def test_post_processing_batched_by_stack(monkeypatch):
                    * eval_basis(res.spaces[c].basis_k, (p - res.shifts[c])[None])[:, 0])
             for p, c in zip(points, cells)]
     np.testing.assert_array_equal(values, want)
+
+
+@pytest.mark.parametrize("ell, method", [("auto", "sf"), ("auto", "vem"), (2, "sf")],
+                         ids=["auto-sf", "vem", "fixed-sf"])
+@pytest.mark.parametrize("family", ["t1", "t2", "t3"])
+def test_table_chunks_match_view_chunker(family, ell, method, monkeypatch):
+    # the cell table's chunks, and those sample makes of its points, are the
+    # view-list chunker's: the same stack objects, the same rows (type and
+    # value) and the same cells; t1 fills three chunks of one member's
+    # translates, t2 gathers two members' rows, then one member's, and t3
+    # takes whole stacks
+    import vemsupg.harness as harness
+    from vemsupg.assemble import CHUNK
+
+    def same(got, want):
+        assert len(got) == len(want) > 0
+        for (stack, rows, cells), (stack0, rows0, cells0) in zip(got, want):
+            assert stack is stack0
+            assert type(rows) is type(rows0)
+            assert (rows == rows0 if isinstance(rows, slice) else np.array_equal(rows, rows0))
+            assert cells.dtype == cells0.dtype and np.array_equal(cells, cells0)
+
+    mesh = {"t1": lambda: generate_mesh("t1", 12), "t2": lambda: generate_mesh("t2", 6),
+            "t3": lambda: generate_voronoi(40, lloyd_iters=20, seed=1)}[family]()
+    res = solve_problem(mesh, problem_smooth(), 1, ell=ell, method=method)
+    table = res.spaces
+    same(table.chunks, list(oracles.stack_chunks([table[c] for c in range(len(table))])))
+    kinds = {type(rows) for _, rows, _ in table.chunks}
+    assert {"t1": {np.int64}, "t2": {np.ndarray, np.int64}, "t3": {slice}}[family] <= kinds
+    if family == "t1":
+        assert [len(cells) for _, _, cells in table.chunks] == [CHUNK, CHUNK, 144 - 2 * CHUNK]
+    made = []
+    real = harness.CellSpaces
+
+    class Recorded(real):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(harness, "CellSpaces", Recorded)
+    points = np.random.default_rng(4).random((500, 2))
+    res.sample(points)
+    [points_table] = made
+    cells = res._locate(points)
+    same(points_table.chunks, list(oracles.stack_chunks([table[c] for c in cells])))
+
+
+@pytest.mark.parametrize("points", [[[0.5], [0.2]], [[0.5, 0.2, 0.1]], [0.5], 0.5, [[[0.5, 0.2]]]],
+                         ids=["n-by-1", "n-by-3", "1-vector", "scalar", "3d"])
+def test_sample_takes_only_n_by_2_points(points):
+    # an (n, 1) array once broadcast against the (n, 2) shifts and sampled
+    # the diagonal; an (n, 3) one died in numpy's broadcasting
+    res = solve_problem(generate_mesh("t1", 2), problem_smooth(), 1, ell=1)
+    shape = np.shape(points)
+    with pytest.raises(ValueError, match=re.escape(
+            f"points must be (n, 2) or one 2-vector, not shape {shape}")):
+        res.sample(points)
+    one = res.sample([0.3, 0.6])
+    assert one.shape == (1,) and one[0] == res.sample([[0.3, 0.6]])[0]
+    assert res.sample(np.empty((0, 2))).shape == (0,)
 
 
 def _one_cell(vertices, cell):
