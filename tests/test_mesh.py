@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -364,6 +365,61 @@ class TestTopologyValidation:
         cells = [[0, 1, 2, 3], [1, 4, 2], [1, 2, 3]]
         with pytest.raises(MeshError):
             PolyMesh(verts, cells)
+
+    SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
+    PAIR = [[0.1, 0.1], [0.8, 0.1], [0.8, 0.8], [0.1, 0.8]]
+
+    @pytest.mark.parametrize(
+        "vertices, cells, message",
+        [
+            (SQUARE, [[0, 1]], "cell 0: fewer than 3 vertices"),
+            (SQUARE, [[0, 1, 7]], "cell 0: references missing vertex"),
+            (SQUARE, [[0, -1, 2]], "cell 0: references missing vertex"),
+            (SQUARE, [[0, 1, 1, 2]], "cell 0: zero-length edge"),
+            (SQUARE + [[np.nan, 0.5]], [[0, 1, 2], [0, 2, 3, 4]],
+             "cell 1: non-finite vertex coordinates"),
+            (SQUARE, [[0, 3, 2, 1]], r"cell 0: not counter-clockwise \(signed area -1\)"),
+            (SQUARE, [[0, 1, 2], [0, 1, 3]],
+             r"edge \(0, 1\) traversed twice in the same direction \(cells 0 and 1\)"),
+            (SQUARE + [[2, 0]], [[0, 1, 2, 3], [1, 4, 2], [1, 2, 3]],
+             r"edge \(1, 2\) shared by 3 cells"),
+            # two disjoint squares far apart: the shoelace sums part by more
+            # than the tolerance
+            (PAIR + (np.array(PAIR) + 1e6).tolist(), [[0, 1, 2, 3], [4, 5, 6, 7]],
+             "cells do not tile the domain: sum .* vs boundary loop .*"),
+            # the first faulty cell wins, whatever its fault
+            (SQUARE, [[0, 1, 1, 2], [0, 1]], "cell 0: zero-length edge"),
+            (SQUARE, [[0, 3, 2, 1], [0, 1, 9]], "cell 1: references missing vertex"),
+            (SQUARE, [[0, 1], [0, 1, 9]], "cell 0: fewer than 3 vertices"),
+            # in one cell: fewer than 3 before its edges, then edge by edge,
+            # a missing vertex before a zero-length edge on one edge
+            (SQUARE, [[0, 9]], "cell 0: fewer than 3 vertices"),
+            (SQUARE, [[5, 5]], "cell 0: fewer than 3 vertices"),
+            (SQUARE, [[0, 0, 1, 9]], "cell 0: zero-length edge"),
+            (SQUARE, [[0, 1, 9, 9]], "cell 0: references missing vertex"),
+            # orientation before sharing, sharing before tiling
+            (SQUARE, [[0, 1, 2], [0, 1, 3], [0, 3, 2]],
+             r"cell 2: not counter-clockwise \(signed area -0.5\)"),
+        ],
+        ids=["two-vertices", "missing", "negative", "zero-length", "nan", "clockwise",
+             "same-direction", "three-users", "no-tiling", "earlier-cell", "later-cell",
+             "short-first", "short-missing", "short-zero", "zero-then-missing",
+             "missing-on-zero", "orientation-first"],
+    )
+    def test_construction_errors_are_exact(self, vertices, cells, message):
+        with pytest.raises(MeshError, match=f"^{message}$"):
+            PolyMesh(np.array(vertices, dtype=float), cells)
+
+    def test_self_intersecting_cell_read_from_file(self, tmp_path):
+        # positive area, but edge 2 crosses edge 0; a clockwise later cell
+        # does not hide it
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "vertices": [[0, 0], [4, 0], [4, 3], [1, -1], [0, 3], [5, 0], [5, 1]],
+            "cells": [[0, 1, 2, 3, 4], [1, 6, 5]], "boundary_labels": []}))
+        with pytest.raises(MeshFormatError, match=f"^{re.escape(str(path))}: cell 0: "
+                           "self-intersecting$"):
+            read_mesh(path)
 
     def test_tiling_invariant_all_families(self, acceptance_meshes):
         for mesh in acceptance_meshes.values():
