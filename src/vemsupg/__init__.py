@@ -51,7 +51,6 @@ from .mesh import (
     generate_concave_pentagons,
     generate_voronoi,
     read_mesh,
-    relabel_boundary,
     write_mesh,
 )
 from .problems import PROBLEMS, get_problem, problem_smooth, problem_test1, problem_test2

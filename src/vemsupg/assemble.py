@@ -55,8 +55,9 @@ class DofMap:
     makes the reversed traversal a pure index flip.  The plan is what
     depends only on the mesh and k: each cell's DOFs (``flat``, ``offsets``),
     each local matrix entry's position in the CSR data of the pattern
-    ``indices``/``indptr``, the boundary DOFs ``fixed`` and the ``free``
-    rest, and the gathers ``reduced`` and ``lift`` of the free-by-free and
+    ``indices``/``indptr``, the (B, k + 1) DOFs ``boundary`` of the mesh's
+    boundary edges, the boundary DOFs ``fixed`` and the ``free`` rest, and
+    the gathers ``reduced`` and ``lift`` of the free-by-free and
     free-by-fixed CSC blocks.  Its index arrays are int32 and read-only.
     """
 
@@ -97,7 +98,7 @@ class DofMap:
         return offsets, flat
 
     def _plan(self):
-        """The CSR pattern, each local entry's position in it, the free/fixed split and the gathers."""
+        """The CSR pattern, each local entry's position in it, the boundary DOFs and the gathers."""
         n = self.n_dofs
         sizes = np.diff(self.offsets)
         ends = np.cumsum(sizes * sizes)
@@ -109,8 +110,14 @@ class DofMap:
             keys[at] = (dofs[:, :, None] * n + dofs[:, None, :]).reshape(len(cells), -1)
         keys, positions = np.unique(keys, return_inverse=True)
         rows, cols = keys // n, keys % n
+        # each boundary edge's DOFs: its vertices, then its internal nodes, CCW
+        c, i = np.array(self.mesh.boundary_edges, dtype=int).reshape(-1, 2).T
+        n_v = self.mesh.cell_sizes[c]
+        local = np.column_stack([i, (i + 1) % n_v, (n_v + self.n_edge_internal * i)[:, None]
+                                 + np.arange(self.n_edge_internal)])
+        self.boundary = _index(self.flat[self.offsets[c][:, None] + local])
         fixed = np.zeros(n, dtype=bool)
-        fixed[self._boundary_dofs(self.mesh)] = True
+        fixed[self.boundary] = True
         self.positions, self.indices, self.fixed, self.free = map(_index, (
             positions, cols, np.flatnonzero(fixed), np.flatnonzero(~fixed)))
         self.indptr = _index(np.searchsorted(rows, np.arange(n + 1)))
@@ -122,39 +129,31 @@ class DofMap:
         n = self.offsets[cells[0] + 1] - self.offsets[cells[0]]
         return self.flat[self.offsets[cells][:, None] + np.arange(n)]
 
-    def _boundary_dofs(self, mesh):
-        """(edges, k + 1) DOFs of ``mesh.boundary_edges``: vertices, then internal nodes, CCW."""
-        c, i = np.array(mesh.boundary_edges, dtype=int).reshape(-1, 2).T
-        n_v = mesh.cell_sizes[c]
-        local = np.column_stack(
-            [i, (i + 1) % n_v, (n_v + self.n_edge_internal * i)[:, None]
-             + np.arange(self.n_edge_internal)]
-        )
-        return self.flat[self.offsets[c][:, None] + local]
-
-    def boundary_values(self, problem, mesh=None):
+    def boundary_values(self, problem):
         """Prescribed Dirichlet DOFs and values, with label-priority tie-break.
 
-        The labels are those of ``mesh``, by default the DOF map's own; a
-        relabelled copy of it gives the same DOFs.  Each label's function is
-        evaluated once, on all nodes of its edges.  A DOF offered by several
-        edges takes the value of the lowest label rank, then of the first
-        offer in ``mesh.boundary_edges`` order.  Returns (indices, values);
-        raises MeshError on an unlabeled or unresolvable boundary edge.
+        An edge's label is the mesh's, passed through the problem's
+        ``boundary_classifier(start, end, label)`` when it has one; the
+        mesh keeps its own labels.  Each label's function is evaluated once,
+        on all nodes of its edges.  A DOF offered by several edges takes the
+        value of the lowest label rank, then of the first offer in
+        ``mesh.boundary_edges`` order.  Returns (indices, values); raises
+        MeshError on an unlabeled or unresolvable boundary edge.
         """
-        mesh = self.mesh if mesh is None else mesh
+        mesh, classify, dofs = self.mesh, problem.boundary_classifier, self.boundary
+        pa, pb = mesh.vertices[dofs[:, 0]], mesh.vertices[dofs[:, 1]]
         groups = {}  # label -> positions of its edges in boundary order
         for j, (c, i) in enumerate(mesh.boundary_edges):
             label = mesh.boundary_labels.get((c, i))
             if label is None:
                 raise MeshError(f"boundary edge (cell {c}, edge {i}) has no label")
+            if classify is not None:
+                label = classify(pa[j], pb[j], label)
             if problem.dirichlet_for(label) is None:
                 raise MeshError(
                     f"no Dirichlet data for boundary label {label!r} (cell {c})"
                 )
             groups.setdefault(label, []).append(j)
-        dofs = self._boundary_dofs(mesh)
-        pa, pb = mesh.vertices[dofs[:, 0]], mesh.vertices[dofs[:, 1]]
         params = gauss_lobatto_interior(self.k)
         internal = pa[:, None, :] + params[:, None] * (pb - pa)[:, None, :]
         pts = np.concatenate([pa[:, None], pb[:, None], internal], axis=1)
@@ -236,17 +235,14 @@ def assemble(dofmap, blocks):
     return GlobalSystem(matrix, rhs, dofmap)
 
 
-def apply_dirichlet(system, problem, mesh=None):
+def apply_dirichlet(system, problem):
     """Eliminate prescribed boundary DOFs, correcting the right-hand side.
 
-    Values come from the labels of ``mesh``, the DOF map's own by default.
     Every boundary DOF is prescribed, so the reduced matrix and the lift are
     the plan's gathers from the assembled CSR data.
     """
     plan = system.dofmap
-    idx, vals = plan.boundary_values(problem, mesh)
-    if not np.array_equal(idx, plan.fixed):
-        raise MeshError("Dirichlet DOFs differ from the boundary DOFs of the DOF map")
+    idx, vals = plan.boundary_values(problem)
     system.fixed_idx = idx
     system.fixed_vals = vals
     system.free_idx = plan.free

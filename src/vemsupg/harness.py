@@ -20,10 +20,11 @@ the energy error and ``sample`` run per chunk, each cell reading its
 member's rows of the stack's tables, and no per-cell space, coefficient or
 form object is made.  Shapes carry no spaces: a mesh is placed once, on
 first use, and its spaces are built per call; the DOF map of each order k,
-the assembly plan, is built on its first solve and kept on the mesh.
+the assembly plan, is built on its first solve and kept on the mesh.  A
+solve returns the caller's mesh: test2's inflow labels are classified as
+the DOF map reads the mesh's labels, on no relabelled copy.
 """
 
-import copy
 import numbers
 import os
 from dataclasses import dataclass
@@ -51,7 +52,6 @@ from .mesh import (
     generate_concave_pentagons,
     generate_voronoi,
     place_shapes,
-    relabel_boundary,
 )
 from .problems import get_problem
 from .space import LocalSpace, dof_layout
@@ -65,8 +65,7 @@ def generate_mesh(family, n, seed=0, lloyd_iters=100, level=0):
     The Voronoi family cannot be refined by splitting, so each level is
     regenerated with n^2 cells from a level-shifted seed.
     """
-    if n < 1:
-        raise ValueError(f"mesh size n must be at least 1, got {n}")
+    _check_mesh_size(n)
     if family == "t1":
         return generate_cartesian(n, n)
     if family == "t2":
@@ -155,6 +154,13 @@ def probe_shapes(shapes, k):
 def _is_count(v, least=0):
     """True for an integer >= ``least`` that is not a bool."""
     return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= least
+
+
+def _check_mesh_size(n):
+    """Raise a one-line ``ValueError`` unless ``n`` is an integer >= 1."""
+    if not _is_count(n, 1):
+        need = "at least 1" if _is_count(n, -np.inf) else "an integer"
+        raise ValueError(f"mesh size n must be {need}, got {n!r}")
 
 
 def _check_ell(ell, mesh):
@@ -336,12 +342,9 @@ def solve_problem(mesh, problem, k, ell="auto", method="sf"):
     _check_ell(ell, mesh)
     if method == "vem":
         ell = 0
-    # placed and planned on the caller's mesh, so that later solves on it
-    # find the placement and the DOF map
+    # later solves on the mesh find its placement and DOF map
     spaces, shifts = cell_spaces(mesh, k, ell)
     dofmap = mesh.dof_map(k)
-    if problem.boundary_classifier is not None:
-        mesh = relabel_boundary(copy.copy(mesh), problem.boundary_classifier)
     peclet, tau = np.empty(mesh.n_cells), np.empty(mesh.n_cells)
     blocks = []
     tables = None
@@ -352,7 +355,7 @@ def solve_problem(mesh, problem, k, ell="auto", method="sf"):
         peclet[cells], tau[cells], matrices, loads = tables.batch(problem, rows, shifts[cells])
         blocks.append((cells, matrices, loads))
     system = assemble(dofmap, blocks)
-    apply_dirichlet(system, problem, mesh)
+    apply_dirichlet(system, problem)
     solution = solve(system).attach_reconstructions(dofmap, spaces, peclet, tau)
     return SolveResult(solution, mesh, dofmap, spaces, shifts)
 
@@ -377,12 +380,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if not (_is_count(self.k, 1) and self.k <= 4):
             raise ValueError(f"order k must be an integer in 1..4, not {self.k!r}")
+        if not isinstance(self.refinements, (list, tuple)):
+            raise ValueError("refinements must be a list or tuple of mesh sizes, "
+                             f"not {type(self.refinements).__name__}")
         if not self.refinements:
             raise ValueError("refinement schedule is empty")
         for n in self.refinements:
-            if not _is_count(n, 1):
-                need = "at least 1" if _is_count(n, -np.inf) else "an integer"
-                raise ValueError(f"mesh size n must be {need}, got {n!r}")
+            _check_mesh_size(n)
         if any(b <= a for a, b in zip(self.refinements, self.refinements[1:])):
             raise ValueError("refinement schedule must strictly decrease h")
 

@@ -4,12 +4,15 @@ Three mesh families cover the benchmark geometries: tensor-product cartesian
 grids, a deterministic concave/convex pentagon tiling, and Lloyd-relaxed
 clipped Voronoi tessellations.  Cells are stored as CCW vertex-index loops;
 interior edges must be shared by exactly two cells with opposite orientation.
+The topology is built and checked by array operations on one flat table of
+the cells' edges; the boundary is the edges with one user, in edge order.
 """
 
 import collections
 import functools
 import itertools
 import json
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -41,9 +44,12 @@ class PolyMesh:
     (kept with read-only arrays; one that raises is not kept).  So the mesh
     keeps read-only copies: the vertices as an (n, 2) array, leaving the
     caller's array as it was, ``cells`` as a tuple of int arrays (cell c's
-    CCW loop), ``cell_sizes`` as their vertex counts and ``cell_edges`` as
-    a tuple of (n_v, 2) int arrays (each edge's index and whether the cell
-    runs along it in ascending vertex order).
+    CCW loop), ``cell_sizes`` as their vertex counts, ``edges`` as an
+    (E, 2) int array of (low, high) vertex pairs numbered by first use
+    along the loops, ``cell_edges`` as a tuple of (n_v, 2) int arrays (each
+    edge's index and whether the cell runs along it in ascending vertex
+    order) and ``boundary_edges`` as a tuple of the (cell, local edge) of
+    each edge with one user, in edge order.
     """
 
     def __init__(self, vertices, cells, boundary_labels=None, check_simple=False):
@@ -54,8 +60,8 @@ class PolyMesh:
         cells = [list(map(int, c)) for c in cells]
         if not cells:
             raise MeshError("mesh has no cells")
-        self._build_topology(cells)
-        self._validate(check_simple=check_simple)
+        ends = self._build_topology(cells)
+        self._validate(ends, check_simple=check_simple)
         self._dof_maps = {}  # order k -> DofMap, filled by ``dof_map``
         if boundary_labels is None:
             boundary_labels = _label_unit_square_sides(self)
@@ -68,87 +74,89 @@ class PolyMesh:
     # -- topology ---------------------------------------------------------
 
     def _build_topology(self, cells):
-        n_vert = len(self.vertices)
-        edge_index = {}
-        edges = []
-        edge_cells = []
-        cell_edges = []  # (edge, ascending) of every cell's edges, cell by cell
-        for c, cell in enumerate(cells):
-            if len(cell) < 3:
-                raise MeshError(f"cell {c}: fewer than 3 vertices")
-            for i, a in enumerate(cell):
-                b = cell[(i + 1) % len(cell)]
-                if not (0 <= a < n_vert) or not (0 <= b < n_vert):
-                    raise MeshError(f"cell {c}: references missing vertex")
-                if a == b:
-                    raise MeshError(f"cell {c}: zero-length edge")
-                key = (a, b) if a < b else (b, a)
-                e = edge_index.get(key)
-                if e is None:
-                    e = len(edges)
-                    edge_index[key] = e
-                    edges.append(key)
-                    edge_cells.append([])
-                edge_cells[e].append((c, i, a < b))
-                cell_edges.append((e, a < b))
-        self.edges = edges
-        self.edge_cells = edge_cells
-        self.n_vertices = n_vert
+        """Number the edges by first use; return the flat (cell, a, b) table of the cell edges."""
+        n_vert = self.n_vertices = len(self.vertices)
         self.n_cells = len(cells)
-        self.n_edges = len(edges)
-        self.cell_sizes = np.fromiter(map(len, cells), int, len(cells))
-        self._starts = np.cumsum(self.cell_sizes) - self.cell_sizes
-        self._loops = np.fromiter(itertools.chain.from_iterable(cells), int, len(cell_edges))
-        self._edge_table = np.array(cell_edges, dtype=int)
-        for table in (self.cell_sizes, self._starts, self._loops, self._edge_table):
+        sizes = np.fromiter(map(len, cells), int, len(cells))
+        starts = np.cumsum(sizes) - sizes
+        try:
+            a = np.fromiter(itertools.chain.from_iterable(cells), int, sizes.sum())
+        except OverflowError:  # an index beyond the int range is a missing vertex
+            a = np.array([v if 0 <= v < n_vert else -1 for v in itertools.chain(*cells)])
+        cell = np.repeat(np.arange(len(cells)), sizes)
+        nxt = np.arange(1, len(a) + 1)
+        used = sizes > 0
+        nxt[(starts + sizes - 1)[used]] = starts[used]
+        b = a[nxt]
+        missing = (a < 0) | (a >= n_vert) | (b < 0) | (b >= n_vert)
+        bad = missing | (a == b)
+        # the first cell with a fault; in it, fewer than 3 vertices, else its first bad edge
+        faults = np.flatnonzero(sizes < 3)[:1].tolist() + cell[bad][:1].tolist()
+        if faults:
+            c = min(faults)
+            if sizes[c] < 3:
+                raise MeshError(f"cell {c}: fewer than 3 vertices")
+            p = starts[c] + np.argmax(bad[starts[c]:])
+            raise MeshError(f"cell {c}: " + ("references missing vertex" if missing[p]
+                                             else "zero-length edge"))
+        pairs = np.column_stack([np.minimum(a, b), np.maximum(a, b)])
+        _, first, inverse = np.unique(pairs[:, 0] * n_vert + pairs[:, 1],
+                                      return_index=True, return_inverse=True)
+        firsts = np.sort(first)  # each edge's first use, in edge order
+        self.edges = pairs[firsts]
+        self.n_edges = len(firsts)
+        self.cell_sizes, self._starts, self._loops = sizes, starts, a
+        self._edge_table = np.column_stack([np.searchsorted(firsts, first[inverse]), a < b])
+        for table in (self.edges, sizes, starts, a, self._edge_table):
             table.flags.writeable = False
-        self.cells = tuple(np.split(self._loops, self._starts[1:]))
-        self.cell_edges = tuple(np.split(self._edge_table, self._starts[1:]))
+        self.cells = tuple(np.split(a, starts[1:]))
+        self.cell_edges = tuple(np.split(self._edge_table, starts[1:]))
+        return cell, a, b
 
     def cell_table(self, cells):
         """Loops (C, n_v) and edge tables (C, n_v, 2) of ``cells``, which have one vertex count."""
         at = self._starts[cells][:, None] + np.arange(self.cell_sizes[cells[0]])
         return self._loops[at], self._edge_table[at]
 
-    def _validate(self, check_simple):
-        if not np.isfinite(self.vertices).all():
-            finite = np.isfinite(self.vertices).all(axis=1)
-            for c, cell in enumerate(self.cells):
-                if not finite[cell].all():
-                    raise MeshError(f"cell {c}: non-finite vertex coordinates")
-        areas = []
-        for c, cell in enumerate(self.cells):
-            poly = self.vertices[cell]
-            area = polygon_signed_area(poly)
-            if area <= 0.0:
-                raise MeshError(f"cell {c}: not counter-clockwise (signed area {area:g})")
-            if check_simple and not polygon_is_simple(poly):
-                raise MeshError(f"cell {c}: self-intersecting")
-            areas.append(area)
-        self.cell_areas = np.asarray(areas)
-        boundary = []
-        for e, users in enumerate(self.edge_cells):
-            if len(users) == 1:
-                boundary.append(users[0][:2])
-            elif len(users) == 2:
-                if users[0][2] == users[1][2]:
-                    a, b = self.edges[e]
-                    raise MeshError(
-                        f"edge ({a}, {b}) traversed twice in the same direction "
-                        f"(cells {users[0][0]} and {users[1][0]})"
-                    )
-            else:
-                a, b = self.edges[e]
-                raise MeshError(f"edge ({a}, {b}) shared by {len(users)} cells")
-        self.boundary_edges = tuple(boundary)
+    def _validate(self, ends, check_simple):
+        cell, a, b = ends
+        nonfinite = ~np.isfinite(self.vertices).all(axis=1)[a]
+        if nonfinite.any():
+            raise MeshError(f"cell {cell[np.argmax(nonfinite)]}: non-finite vertex coordinates")
+        self.cell_areas = np.empty(self.n_cells)
+        for cells, polys in self.cell_polygons():
+            self.cell_areas[cells] = polygon_signed_area(polys)
+        flipped = np.flatnonzero(self.cell_areas <= 0.0)
+        if check_simple:
+            for c in range(flipped[0] if len(flipped) else self.n_cells):
+                if not polygon_is_simple(self.cell_vertices(c)):
+                    raise MeshError(f"cell {c}: self-intersecting")
+        if len(flipped):
+            c = flipped[0]
+            raise MeshError(f"cell {c}: not counter-clockwise (signed area {self.cell_areas[c]:g})")
+        # each edge's users in cell order: an edge has one or two, in opposite directions
+        edge, ascending = self._edge_table.T
+        users = np.argsort(edge, kind="stable")
+        count = np.bincount(edge)
+        at = np.cumsum(count) - count
+        second = users[np.minimum(at + 1, len(users) - 1)]
+        same = (count == 2) & (ascending[users[at]] == ascending[second])
+        bad = np.flatnonzero((count > 2) | same)
+        if len(bad):
+            e = bad[0]
+            lo, hi = self.edges[e]
+            if count[e] > 2:
+                raise MeshError(f"edge ({lo}, {hi}) shared by {count[e]} cells")
+            raise MeshError(f"edge ({lo}, {hi}) traversed twice in the same direction "
+                            f"(cells {cell[users[at[e]]]} and {cell[second[e]]})")
+        boundary = users[at[count == 1]]
+        self.boundary_edges = tuple(zip(cell[boundary].tolist(),
+                                        (boundary - self._starts[cell[boundary]]).tolist()))
         # tiling consistency: cells must add up to the area enclosed by the
-        # boundary loop (interior edge contributions cancel pairwise)
-        loop = 0.0
-        for c, i in boundary:
-            cell = self.cells[c]
-            a = self.vertices[cell[i]]
-            b = self.vertices[cell[(i + 1) % len(cell)]]
-            loop += 0.5 * (a[0] * b[1] - b[0] * a[1])
+        # boundary loop (interior edge contributions cancel pairwise), summed
+        # edge by edge
+        pa, pb = self.vertices[a[boundary]], self.vertices[b[boundary]]
+        loop = np.cumsum(0.5 * (pa[:, 0] * pb[:, 1] - pb[:, 0] * pa[:, 1]))[-1]
         total = self.cell_areas.sum()
         if abs(total - loop) > _AREA_RTOL * max(abs(loop), 1.0) * self.n_cells:
             raise MeshError(
@@ -173,8 +181,14 @@ class PolyMesh:
     def cell_vertices(self, c):
         return self.vertices[self.cells[c]]
 
+    def cell_polygons(self):
+        """(cells, (C, n_v, 2) vertices) of the cells of each vertex count, by vertex count."""
+        for n_v in np.unique(self.cell_sizes):
+            cells = np.flatnonzero(self.cell_sizes == n_v)
+            yield cells, self.vertices[self.cell_table(cells)[0]]
+
     def max_diameter(self):
-        return max(polygon_diameter(self.cell_vertices(c)) for c in range(self.n_cells))
+        return max(polygon_diameter(polys).max() for _, polys in self.cell_polygons())
 
     def vertex_count_histogram(self):
         return dict(collections.Counter(self.cell_sizes.tolist()))
@@ -245,43 +259,27 @@ def place_shapes(mesh, cells):
 
 def _label_unit_square_sides(mesh):
     """Label boundary edges of a unit-square mesh by the side they lie on."""
-    labels = {}
-    sides = [
-        ("left", 0, 0.0),
-        ("right", 0, 1.0),
-        ("bottom", 1, 0.0),
-        ("top", 1, 1.0),
-    ]
-    for c, i in mesh.boundary_edges:
-        cell = mesh.cells[c]
-        a = mesh.vertices[cell[i]]
-        b = mesh.vertices[cell[(i + 1) % len(cell)]]
-        label = "boundary"
-        for name, axis, value in sides:
-            if abs(a[axis] - value) <= _SNAP_TOL and abs(b[axis] - value) <= _SNAP_TOL:
-                label = name
-                break
-        labels[(c, i)] = label
-    return labels
-
-
-def relabel_boundary(mesh, classifier):
-    """Re-tag boundary edges; ``classifier(p0, p1, old_label) -> new label``."""
-    labels = {}
-    for (c, i), old in mesh.boundary_labels.items():
-        cell = mesh.cells[c]
-        a = mesh.vertices[cell[i]]
-        b = mesh.vertices[cell[(i + 1) % len(cell)]]
-        labels[(c, i)] = classifier(a, b, old)
-    mesh.boundary_labels = labels
-    return mesh
+    c, i = np.array(mesh.boundary_edges, dtype=int).reshape(-1, 2).T
+    ends = mesh.vertices[mesh.edges[mesh._edge_table[mesh._starts[c] + i, 0]]]
+    on = [np.abs(ends[..., axis] - value).max(axis=1) <= _SNAP_TOL
+          for axis, value in ((0, 0.0), (0, 1.0), (1, 0.0), (1, 1.0))]
+    labels = np.select(on, ["left", "right", "bottom", "top"], "boundary")
+    return dict(zip(mesh.boundary_edges, labels.tolist()))
 
 
 # -- generators -------------------------------------------------------------
 
 
+def _check_integers(**counts):
+    """Raise a one-line ``ValueError`` for a count that is not an integer (a bool is not)."""
+    for name, n in counts.items():
+        if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+            raise ValueError(f"{name} must be an integer, got {n!r}")
+
+
 def generate_cartesian(nx, ny):
     """nx-by-ny axis-aligned grid of the unit square."""
+    _check_integers(nx=nx, ny=ny)
     if nx < 1 or ny < 1:
         raise ValueError("cell counts must be >= 1")
     xs = np.linspace(0.0, 1.0, nx + 1)
@@ -302,6 +300,7 @@ def generate_concave_pentagons(n):
     (x0 + 0.75 dx, y0 + 0.5 dy) -> top-midpoint; the right cell has a reflex
     vertex at the interior point.
     """
+    _check_integers(n=n)
     if n < 1:
         raise ValueError("block count must be >= 1")
     d = 1.0 / n
@@ -339,6 +338,7 @@ def generate_voronoi(n_cells, lloyd_iters=100, seed=0):
     centroid updates, and cells are clipped exactly to the square by
     mirroring sites across its four sides.
     """
+    _check_integers(n_cells=n_cells, lloyd_iters=lloyd_iters)
     if n_cells < 2:
         raise ValueError("need at least 2 cells")
     if lloyd_iters < 0:

@@ -385,8 +385,10 @@ def energy_error_by_cell(spaces, shifts, solution, problem):
 def boundary_values_by_node(dofmap, problem):
     """Dirichlet (indices, values) with one Dirichlet call per boundary node.
 
-    A DOF keeps the first offer of the lowest label rank, offers coming in
-    ``mesh.boundary_edges`` order: start vertex, end vertex, internal nodes.
+    Each edge's label is the mesh's, passed through the problem's
+    ``boundary_classifier`` when it has one.  A DOF keeps the first offer of
+    the lowest label rank, offers coming in ``mesh.boundary_edges`` order:
+    start vertex, end vertex, internal nodes.
     """
     from vemsupg.errors import MeshError
     from vemsupg.quadrature import gauss_lobatto_interior
@@ -404,13 +406,15 @@ def boundary_values_by_node(dofmap, problem):
         label = mesh.boundary_labels.get((c, i))
         if label is None:
             raise MeshError(f"boundary edge (cell {c}, edge {i}) has no label")
+        cell = mesh.cells[c]
+        a, b = cell[i], cell[(i + 1) % len(cell)]
+        pa, pb = mesh.vertices[a], mesh.vertices[b]
+        if problem.boundary_classifier is not None:
+            label = problem.boundary_classifier(pa, pb, label)
         g = problem.dirichlet_for(label)
         if g is None:
             raise MeshError(f"no Dirichlet data for boundary label {label!r} (cell {c})")
         rank = problem.label_rank(label)
-        cell = mesh.cells[c]
-        a, b = cell[i], cell[(i + 1) % len(cell)]
-        pa, pb = mesh.vertices[a], mesh.vertices[b]
         offer(a, rank, float(g(pa[None, :])[0]))
         offer(b, rank, float(g(pb[None, :])[0]))
         if n_int:
@@ -464,6 +468,35 @@ def refined_solve(matrix, rhs, steps=5):
         np.subtract.at(r, rows, data * x[a.indices])
         x += lu.solve(r.astype(float))
     return x.astype(float)
+
+
+def topology_by_edge(vertices, cells):
+    """Edges, cell edge tables, boundary edges and cell areas, one edge at a time.
+
+    Edges are numbered by first use along the cells' loops and stored as
+    (low, high) vertex pairs; a cell's table holds each edge's index and
+    whether the cell runs along it in ascending vertex order.  An edge with
+    one user is a boundary edge, (cell, local edge), in edge order.
+    """
+    from vemsupg.geometry import polygon_signed_area
+
+    edge_index, edges, users, tables = {}, [], [], []
+    for c, cell in enumerate(cells):
+        cell = [int(v) for v in cell]
+        tables.append([])
+        for i, a in enumerate(cell):
+            b = cell[(i + 1) % len(cell)]
+            key = (a, b) if a < b else (b, a)
+            e = edge_index.get(key)
+            if e is None:
+                e = edge_index[key] = len(edges)
+                edges.append(key)
+                users.append([])
+            users[e].append((c, i))
+            tables[-1].append((e, a < b))
+    boundary = tuple(used[0] for used in users if len(used) == 1)
+    areas = np.array([polygon_signed_area(vertices[list(cell)]) for cell in cells])
+    return np.array(edges), [np.array(t, dtype=int) for t in tables], boundary, areas
 
 
 def polygon_centroid(vertices):

@@ -22,7 +22,7 @@ from vemsupg.errors import MeshError, SolveError
 from vemsupg.forms import ProblemData
 from vemsupg.geometry import ElementGeometry
 from vemsupg.harness import solve_problem
-from vemsupg.mesh import PolyMesh, generate_cartesian, generate_voronoi, relabel_boundary
+from vemsupg.mesh import PolyMesh, generate_cartesian, generate_voronoi
 from vemsupg.problems import problem_smooth, problem_test1, problem_test2
 from vemsupg.space import LocalSpace
 
@@ -247,17 +247,19 @@ class TestPlan:
 
     def test_index_arrays_are_int32_and_read_only(self, mesh_t2):
         dofmap = DofMap(mesh_t2, 3)
-        arrays = [dofmap.flat, dofmap.positions, dofmap.indices, dofmap.indptr,
+        arrays = [dofmap.flat, dofmap.positions, dofmap.indices, dofmap.indptr, dofmap.boundary,
                   dofmap.fixed, dofmap.free, *dofmap.reduced[:3], *dofmap.lift[:3]]
         for a in arrays:
             assert a.dtype == np.int32 and not a.flags.writeable
         assert len(dofmap.positions) == (np.diff(dofmap.offsets) ** 2).sum()
         assert np.array_equal(np.union1d(dofmap.fixed, dofmap.free), np.arange(dofmap.n_dofs))
+        assert dofmap.boundary.shape == (len(mesh_t2.boundary_edges), 4)
+        assert np.array_equal(np.unique(dofmap.boundary), dofmap.fixed)
 
     def test_one_plan_per_mesh_and_order(self, monkeypatch):
         # the sf and vem solves on one (mesh, k), a repeated solve and a
-        # test2 solve on a relabelled copy of the mesh share the plan of the
-        # caller's mesh; numbering runs once per order
+        # test2 solve share the plan of the caller's mesh, which every
+        # result holds; numbering runs once per order
         numbered = []
         real = DofMap._number_cells
         monkeypatch.setattr(DofMap, "_number_cells",
@@ -268,7 +270,7 @@ class TestPlan:
         results.append(solve_problem(mesh, problem_test2(), 2, ell={4: 1}))
         plan = mesh.dof_map(2)
         assert all(res.dofmap is plan for res in results)
-        assert results[-1].mesh is not mesh and plan.mesh is mesh
+        assert all(res.mesh is mesh for res in results) and plan.mesh is mesh
         assert numbered == [2]
         solve_problem(mesh, problem_test1(), 1, ell={4: 1})
         assert mesh.dof_map(1) is not plan and mesh.dof_map(2) is plan
@@ -289,29 +291,25 @@ class TestPlan:
                                   first.solution.system.reduced_matrix.data)
 
     def test_test2_after_plan_takes_the_relabelled_values(self, mesh_t2):
-        # the plan was keyed on the caller's mesh, with its side labels; a
-        # later test2 solve prescribes the values of its relabelled copy
+        # the plan was built by a solve on the side labels; a later test2
+        # solve prescribes the values of the classified labels, those of a
+        # mesh that carries them (classifying them again changes none)
         mesh = PolyMesh(mesh_t2.vertices, mesh_t2.cells, mesh_t2.boundary_labels)
         solve_problem(mesh, problem_smooth(), 2)
         problem = problem_test2()
         res = solve_problem(mesh, problem, 2)
-        relabelled = relabel_boundary(copy.copy(mesh_t2), problem.boundary_classifier)
+        labels = {}
+        for (c, i), label in mesh_t2.boundary_labels.items():
+            loop = mesh_t2.cells[c]
+            ends = mesh_t2.vertices[[loop[i], loop[(i + 1) % len(loop)]]]
+            labels[(c, i)] = problem.boundary_classifier(*ends, label)
+        relabelled = PolyMesh(mesh_t2.vertices, mesh_t2.cells, labels)
+        assert set(labels.values()) == {"inflow1", "rest"}
         idx, vals = DofMap(relabelled, 2).boundary_values(problem)
         system = res.solution.system
         assert np.array_equal(system.fixed_idx, idx)
         assert np.array_equal(system.fixed_vals, vals)
         assert np.array_equal(res.solution.dofs[idx], vals)
-        assert set(res.mesh.boundary_labels.values()) != set(mesh.boundary_labels.values())
-
-    def test_dirichlet_dofs_must_be_the_plans(self):
-        # every boundary DOF is prescribed: labels that leave a boundary
-        # edge out of the mesh handed to the elimination are refused
-        mesh = generate_cartesian(2, 2)
-        system = solve_problem(mesh, problem_smooth(), 2, ell=1).solution.system
-        other = copy.copy(mesh)
-        other.boundary_edges = mesh.boundary_edges[1:]
-        with pytest.raises(MeshError, match="differ from the boundary DOFs of the DOF map"):
-            apply_dirichlet(system, problem_smooth(), other)
 
     @pytest.mark.parametrize(
         "case, message",
@@ -407,8 +405,6 @@ class TestDirichlet:
         problem = {"test1": problem_test1, "test2": problem_test2}.get(
             problem, self.side_problem
         )()
-        if problem.boundary_classifier is not None:
-            mesh = relabel_boundary(copy.copy(mesh), problem.boundary_classifier)
         for k in orders:
             dofmap = DofMap(mesh, k)
             idx, vals = dofmap.boundary_values(problem)

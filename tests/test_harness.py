@@ -30,7 +30,8 @@ from vemsupg.harness import (
     run_field,
     solve_problem,
 )
-from vemsupg.mesh import PolyMesh, check_regularity, generate_concave_pentagons, generate_voronoi
+from vemsupg.mesh import (PolyMesh, check_regularity, generate_cartesian,
+                          generate_concave_pentagons, generate_voronoi)
 from vemsupg.problems import problem_smooth, problem_test2
 from vemsupg.space import LocalSpace, dof_layout
 
@@ -58,6 +59,9 @@ class TestConfig:
         ("refinements", (-3,), "mesh size n must be at least 1, got -3"),
         ("refinements", (True, 4), "mesh size n must be an integer, got True"),
         ("refinements", ("4", "8"), "mesh size n must be an integer, got '4'"),
+        ("refinements", 8, "refinements must be a list or tuple of mesh sizes, not int"),
+        ("refinements", np.array([4, 8]),
+         "refinements must be a list or tuple of mesh sizes, not ndarray"),
     ])
     def test_bad_values_raise_one_line(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -73,6 +77,21 @@ class TestConfig:
             for n in (0, -3):
                 with pytest.raises(ValueError, match="mesh size n must be at least 1"):
                     generate_mesh(family, n)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: generate_mesh("t1", 2.5), "mesh size n must be an integer, got 2.5"),
+        (lambda: generate_mesh("t2", 2.5), "mesh size n must be an integer, got 2.5"),
+        (lambda: generate_mesh("t3", 2.5), "mesh size n must be an integer, got 2.5"),
+        (lambda: generate_mesh("t1", True), "mesh size n must be an integer, got True"),
+        (lambda: generate_cartesian(3, 2.5), "ny must be an integer, got 2.5"),
+        (lambda: generate_concave_pentagons(2.0), "n must be an integer, got 2.0"),
+        (lambda: generate_voronoi(8.0), "n_cells must be an integer, got 8.0"),
+        (lambda: generate_voronoi(8, lloyd_iters=1.5), "lloyd_iters must be an integer, got 1.5"),
+    ], ids=["t1", "t2", "t3", "bool", "cartesian", "pentagons", "voronoi", "lloyd"])
+    def test_non_integer_mesh_size_raises_one_line(self, make, message):
+        # not numpy's TypeError from linspace or range
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
 
 
 class TestRateFormula:
@@ -293,9 +312,10 @@ class TestSolveDrivers:
 
     def test_one_placement_per_mesh_and_no_shared_spaces(self, monkeypatch):
         # a mesh is placed once, by the first solve on it, also when that
-        # solve relabels a copy of it; build_element places its one cell and
-        # probe_table its own meshes.  Spaces live on no shape, so probing
-        # leaves the shapes as placed and two calls share no stack
+        # solve is test2's, whose result holds the caller's mesh;
+        # build_element places its one cell and probe_table its own meshes.
+        # Spaces live on no shape, so probing leaves the shapes as placed
+        # and two calls share no stack
         import vemsupg.harness as harness
         import vemsupg.mesh as mesh_module
 
@@ -310,7 +330,7 @@ class TestSolveDrivers:
         monkeypatch.setattr(harness, "place_shapes", counted)
         mesh = generate_mesh("t2", 2)
         res = solve_problem(mesh, problem_test2(), 1)
-        assert res.mesh is not mesh and "placement" in vars(mesh)
+        assert res.mesh is mesh and "placement" in vars(mesh)
         solve_problem(mesh, problem_smooth(), 2)
         solve_problem(mesh, problem_smooth(), 2, method="vem")
         assert len(calls) == 1
@@ -450,12 +470,12 @@ class TestSolveDrivers:
         assert counts[0] == counts[1] > 0
 
     def test_solve_leaves_mesh_labels_unchanged(self):
-        # test2 re-tags the boundary for its inflow data on a copy
+        # test2 classifies the boundary for its inflow data as it reads the
+        # labels and writes no label of its own
         mesh = generate_mesh("t2", 2)
         before = dict(mesh.boundary_labels)
-        res = solve_problem(mesh, problem_test2(), 1, ell="auto")
+        solve_problem(mesh, problem_test2(), 1, ell="auto")
         assert mesh.boundary_labels == before
-        assert set(res.mesh.boundary_labels.values()) == {"inflow1", "rest"}
 
     def test_fixed_ell_dict_mode(self):
         mesh = generate_mesh("t1", 2)

@@ -10,6 +10,7 @@ from oracles import (
     generate_voronoi_by_cell,
     polygon_centroid,
     polygon_is_simple_by_pair,
+    topology_by_edge,
 )
 from vemsupg.errors import MeshError, MeshFormatError, ElementQualityError
 from vemsupg.geometry import polygon_is_simple, polygon_signed_area, star_centers
@@ -22,7 +23,6 @@ from vemsupg.mesh import (
     generate_concave_pentagons,
     generate_voronoi,
     read_mesh,
-    relabel_boundary,
     write_mesh,
 )
 
@@ -70,6 +70,8 @@ class TestCartesian:
             m.cell_edges[0][0, 1] = 0
         with pytest.raises(ValueError, match="read-only"):
             m.cell_sizes[0] = 3
+        with pytest.raises(ValueError, match="read-only"):
+            m.edges[0] = (1, 0)
         with pytest.raises(TypeError):
             m.boundary_edges[0] = (0, 0)
         assert m.cells[0].tolist() == loop
@@ -375,6 +377,8 @@ class TestTopologyValidation:
             (SQUARE, [[0, 1]], "cell 0: fewer than 3 vertices"),
             (SQUARE, [[0, 1, 7]], "cell 0: references missing vertex"),
             (SQUARE, [[0, -1, 2]], "cell 0: references missing vertex"),
+            (SQUARE, [[0, 1, 2], [0, 10**30, 3]], "cell 1: references missing vertex"),
+            (SQUARE, [[0, 1, 1], [0, 10**30, 3]], "cell 0: zero-length edge"),
             (SQUARE, [[0, 1, 1, 2]], "cell 0: zero-length edge"),
             (SQUARE + [[np.nan, 0.5]], [[0, 1, 2], [0, 2, 3, 4]],
              "cell 1: non-finite vertex coordinates"),
@@ -401,7 +405,7 @@ class TestTopologyValidation:
             (SQUARE, [[0, 1, 2], [0, 1, 3], [0, 3, 2]],
              r"cell 2: not counter-clockwise \(signed area -0.5\)"),
         ],
-        ids=["two-vertices", "missing", "negative", "zero-length", "nan", "clockwise",
+        ids=["two-vertices", "missing", "negative", "huge", "huge-later", "zero-length", "nan", "clockwise",
              "same-direction", "three-users", "no-tiling", "earlier-cell", "later-cell",
              "short-first", "short-missing", "short-zero", "zero-then-missing",
              "missing-on-zero", "orientation-first"],
@@ -421,6 +425,27 @@ class TestTopologyValidation:
                            "self-intersecting$"):
             read_mesh(path)
 
+    @pytest.mark.parametrize("case", ["t1-8", "t2-4", "voronoi-lloyd20", "read-mesh"])
+    def test_topology_matches_edge_loop(self, tmp_path, case):
+        # the array-built tables are those of one dict lookup per cell edge,
+        # bit for bit: the edges numbered by first use, the cell edge
+        # tables, the boundary in edge order and the cell areas
+        if case == "read-mesh":
+            write_mesh(shared_mesh(generate_concave_pentagons, 3), tmp_path / "m.json")
+            mesh = read_mesh(tmp_path / "m.json")
+        else:
+            mesh = {"t1-8": lambda: generate_cartesian(8, 8),
+                    "t2-4": lambda: generate_concave_pentagons(4),
+                    "voronoi-lloyd20": lambda: generate_voronoi(64, lloyd_iters=20, seed=1)}[case]()
+        edges, tables, boundary, areas = topology_by_edge(mesh.vertices, mesh.cells)
+        assert isinstance(mesh.edges, np.ndarray) and mesh.edges.shape == (mesh.n_edges, 2)
+        assert np.array_equal(mesh.edges, edges) and mesh.edges.dtype == edges.dtype
+        assert len(mesh.cell_edges) == len(tables)
+        assert all(np.array_equal(got, want) for got, want in zip(mesh.cell_edges, tables))
+        assert mesh.boundary_edges == boundary
+        assert np.array_equal(mesh.cell_areas, areas)
+        assert not hasattr(mesh, "edge_cells")
+
     def test_tiling_invariant_all_families(self, acceptance_meshes):
         for mesh in acceptance_meshes.values():
             assert mesh.cell_areas.sum() == pytest.approx(1.0, abs=1e-12)
@@ -431,13 +456,3 @@ class TestTopologyValidation:
         h16 = generate_cartesian(16, 16).max_diameter()
         assert h8 / h16 == pytest.approx(2.0, abs=1e-12)
 
-
-def test_relabel_boundary():
-    mesh = generate_cartesian(5, 5)
-    labels = set(mesh.boundary_labels.values())
-    assert labels == {"left", "right", "bottom", "top"}
-    relabel_boundary(
-        mesh, lambda a, b, old: "inflow" if old == "left" else "other"
-    )
-    labels = set(mesh.boundary_labels.values())
-    assert labels == {"inflow", "other"}

@@ -73,11 +73,10 @@ class TestTest2:
     def test_discontinuity_vertex_resolves_high(self):
         # vertex exactly at (0, 0.2) is claimed by both labels; priority wins
         from vemsupg.assemble import DofMap
-        from vemsupg.mesh import generate_cartesian, relabel_boundary
+        from vemsupg.mesh import generate_cartesian
 
         mesh = generate_cartesian(5, 5)
         p = problem_test2()
-        relabel_boundary(mesh, p.boundary_classifier)
         dofmap = DofMap(mesh, 1)
         idx, vals = dofmap.boundary_values(p)
         target = None
