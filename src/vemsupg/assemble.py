@@ -338,17 +338,17 @@ def _dot(a, b):
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
 
 
-def energy_error(spaces, shifts, solution, problem):
+def energy_error(spaces, solution, problem):
     """Relative energy-norm error of the reconstructed solution.
 
     err^2 = sum_E kappa |grad(u - P u_h)|^2 + tau |beta . grad(u - P u_h)|^2
     normalized by the same quantity with u alone; P u_h is the cell's row of
     ``solution.reconstructions`` (the element H1 projection) and tau the
     cell's ``solution.tau``.  Requires the exact gradient.  Cell c is
-    ``spaces[c]``, a row of the solve's ``harness.CellSpaces``, translated
-    by ``shifts[c]``.  Each chunk of ``spaces.chunks`` is evaluated at once,
-    each cell on its member's points.  The four integrals of each cell are
-    summed over its own points, then added into the totals in cell order.
+    ``spaces[c]`` of the solve's ``harness.CellSpaces``, moved by
+    ``spaces.shift[c]``.  Each chunk of ``spaces.chunks`` is evaluated at
+    once, each cell on its member's points.  The four integrals of each cell
+    are summed over its own points, then added into the totals in cell order.
     """
     if problem.exact_grad is None:
         raise ValueError("energy error needs the exact gradient")
@@ -360,7 +360,7 @@ def energy_error(spaces, shifts, solution, problem):
         vals = eval_basis(MonomialBasis(geom, stack.k - 1), geom.quad_points).mT
         grads = grad_map(MonomialBasis(geom, stack.k))
         gh = np.concatenate([vals @ (d @ polys) for d in grads], axis=2)
-        pts = geom.quad_points + shifts[cells][:, None, :]
+        pts = geom.quad_points + spaces.shift[cells][:, None, :]
         flat = pts.reshape(-1, 2)
         gu = np.asarray(problem.exact_grad(flat), dtype=float).reshape(pts.shape)
         bvals = np.asarray(problem.beta(flat), dtype=float).reshape(pts.shape)

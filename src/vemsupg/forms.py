@@ -8,6 +8,8 @@ classical comparison scheme keeps the degree k-1 projections everywhere
 and restores coercivity with the usual dof-dof stabilization.
 """
 
+import numbers
+
 import numpy as np
 
 from .basis import MonomialBasis, div_map, eval_basis, grad_map, laplace_map
@@ -39,14 +41,17 @@ class ProblemData:
 
     def __init__(self, kappa, beta, source, dirichlet, label_priority=(),
                  exact=None, exact_grad=None, boundary_classifier=None, name=""):
-        if not np.isfinite(kappa) or kappa <= 0:
+        if not (isinstance(kappa, numbers.Real) and np.isfinite(kappa) and kappa > 0):
             raise ValueError(f"diffusivity must be positive and finite, not {kappa!r}")
         self.kappa = float(kappa)
         if callable(beta):
             self.beta = beta
             self.beta_constant = None
         else:
-            const = np.asarray(beta, dtype=float)
+            try:
+                const = np.asarray(beta, dtype=float)
+            except (TypeError, ValueError):  # entries that are not numbers
+                const = np.empty(0)
             if const.shape != (2,) or not np.isfinite(const).all():
                 raise ValueError(f"constant velocity must be a finite 2-vector, not {beta!r}")
             self.beta = lambda pts: np.broadcast_to(const, (len(np.atleast_2d(pts)), 2))
@@ -54,7 +59,11 @@ class ProblemData:
         if not callable(source):
             raise ValueError(f"source must be callable, not {source!r}")
         self.source = source
-        self.dirichlet = dict(dirichlet)
+        try:
+            self.dirichlet = dict(dirichlet)
+        except (TypeError, ValueError):
+            raise ValueError("dirichlet must be a mapping of labels to callables, "
+                             f"not {dirichlet!r}") from None
         for label, g in self.dirichlet.items():
             if not callable(g):
                 raise ValueError(f"dirichlet[{label!r}] must be callable, not {g!r}")

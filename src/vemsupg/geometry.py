@@ -55,14 +55,6 @@ def polygon_is_simple(vertices):
     return not crossing.any()
 
 
-def polygon_groups(polys):
-    """Positions and stacked (C, nv, 2) float vertices of the polygons of each vertex count."""
-    n_v = np.array([len(v) for v in polys], dtype=int)
-    for nv in np.unique(n_v):
-        at = np.flatnonzero(n_v == nv)
-        yield at, np.array([polys[i] for i in at], dtype=float)
-
-
 def edge_vectors(vertices):
     """Edge vectors of polygons (..., nv, 2): edge e runs from vertex e to vertex e + 1."""
     return np.roll(vertices, -1, axis=-2) - vertices
@@ -158,7 +150,10 @@ def kernel_balls(polys):
     diameters = np.full(len(polys), np.nan)
     reasons = np.full(len(polys), "", dtype=object)
     kernels = {}
-    for at, v in polygon_groups(polys):
+    n_v = np.array([len(v) for v in polys], dtype=int)
+    for nv in np.unique(n_v):
+        at = np.flatnonzero(n_v == nv)
+        v = np.array([polys[i] for i in at], dtype=float)
         finite = np.isfinite(v).all(axis=(1, 2))
         reasons[at[~finite]] = "non-finite vertex coordinates"
         at, v = at[finite], v[finite]

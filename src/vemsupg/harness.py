@@ -1,18 +1,18 @@
 """Experiment driver: mesh families, solves, convergence studies, probe tables.
 
 Every solve gets its element data from ``cell_spaces``, the one path from
-cells to spaces.  A mesh's ``placement`` keys its cells by shape: translated
-copies of one cell (all cells of a cartesian grid, the two pentagons of the
-concave tiling) share one kernel, star center and space, built on the
-shape's first cell; on a Voronoi mesh every cell is its own shape.  Shapes
-of one vertex count and (k, ell) are built in stacks of up to ``STACK``: one
-stacked geometry, one stacked space and, in the solve, one set of form
-tables.  The probe runs in rounds: every shape first tries the smallest ell
-a dimension count allows, a round decides a stack of trial spaces with one
+cells to spaces.  A mesh's ``placement`` keys its cells by shape, in arrays:
+translated copies of one cell (all cells of a cartesian grid, the two
+pentagons of the concave tiling) share one kernel, star center and space,
+built on the shape's first cell; on a Voronoi mesh every cell is its own
+shape.  Shapes of one vertex count and (k, ell) are built in stacks of up
+to ``STACK``: one stacked geometry, one stacked space and, in the solve,
+one set of form tables.  The probe runs in rounds: every shape first tries
+the smallest ell a dimension count allows, a round decides a stack of trial spaces with one
 batched eigenvalue solve, the accepted members become a stack that the
 solve keeps and the rejected shapes try the next ell.  The cells' spaces are
-one table, ``CellSpaces``: the stacks, each cell's stack, member and ell,
-and the chunks of cells on one stack.  Every projector matrix is
+one table, ``CellSpaces``: the stacks, each cell's stack, member, ell and
+shift, and the chunks of cells on one stack.  Every projector matrix is
 translation-invariant, so a cell's shift from its shape's first cell only
 moves the points at which velocity, source and exact solution are sampled:
 the forms and loads (stacked blocks for ``assemble``), the reconstructions,
@@ -46,7 +46,7 @@ from .forms import (  # noqa: F401
     rank_bound_ell,
     sf_forms,
 )
-from .geometry import ElementGeometry, polygon_groups
+from .geometry import ElementGeometry
 from .mesh import (
     generate_cartesian,
     generate_concave_pentagons,
@@ -78,13 +78,12 @@ def generate_mesh(family, n, seed=0, lloyd_iters=100, level=0):
 # -- from cells to spaces ---------------------------------------------------
 
 
-def _stack_space(shapes, k, ell):
-    """The stacked (k, ell) space of ``shapes``, which have one vertex count."""
+def _stack_space(mesh, shapes, at, k, ell):
+    """The stacked (k, ell) space of the shapes at positions ``at``, which have one vertex count."""
+    cells = shapes.cell[at]
     geom = ElementGeometry(
-        np.array([shape.vertices for shape in shapes]), 2 * (k + ell) + 2, k + ell + 1,
-        cell=[shape.cell for shape in shapes],
-        center=(np.array([shape.center[0] for shape in shapes]),
-                np.array([shape.center[1] for shape in shapes])),
+        mesh.vertices[mesh.cell_table(cells)[0]], 2 * (k + ell) + 2, k + ell + 1,
+        cell=cells.tolist(), center=(shapes.center[at], shapes.radius[at]),
     )
     return LocalSpace(geom, k, ell)
 
@@ -98,46 +97,53 @@ def _chunks(items):
     return [items[start : start + STACK] for start in range(0, len(items), STACK)]
 
 
-def build_spaces(shapes, k, ell):
-    """The (k, ``ell``) stacks of ``shapes`` (STACK or fewer of one vertex count), stack and member.
+def _shape_groups(mesh, shapes):
+    """Positions and vertex count of the shapes of each vertex count, by vertex count."""
+    n_v = mesh.cell_sizes[shapes.cell]
+    for nv in np.unique(n_v).tolist():
+        yield np.flatnonzero(n_v == nv), nv
+
+
+def build_spaces(mesh, shapes, k, ell):
+    """The (k, ``ell``) stacks of a ``Placement``'s shapes (STACK or fewer of one vertex count).
 
     ``ell`` is a count or a dict of counts by vertex count; stack and member are (S,) arrays.
     """
-    stacks, stack, member = [], np.empty(len(shapes), dtype=int), np.empty(len(shapes), dtype=int)
-    for group, polys in polygon_groups([shape.vertices for shape in shapes]):
+    stacks, (stack, member) = [], np.empty((2, len(shapes.cell)), dtype=int)
+    for group, n_v in _shape_groups(mesh, shapes):
         for chunk in _chunks(group):
             stack[chunk], member[chunk] = len(stacks), np.arange(len(chunk))
-            stacks.append(_stack_space([shapes[i] for i in chunk], k,
-                                       ell[polys.shape[1]] if isinstance(ell, dict) else int(ell)))
+            stacks.append(_stack_space(mesh, shapes, chunk, k,
+                                       ell[n_v] if isinstance(ell, dict) else int(ell)))
     return stacks, stack, member
 
 
-def probe_shapes(shapes, k):
+def probe_shapes(mesh, shapes, k):
     """Spaces of the smallest coercive increment of each shape at order k, probed in rounds.
 
-    Shapes are grouped by vertex count.  A group's trials start at the rank
-    bound: the increments below it are rejected by a dimension count, so
-    their spaces are not built.  Each round builds the trial spaces of the
-    group's pending shapes at one increment as stacks of STACK and decides
-    each stack with one batched eigenvalue solve (``coercive``); the
-    accepted members of a trial stack become a stack of their own, the
-    rejected shapes go on to the next increment.  Returns (stacks, stack,
-    member) as ``build_spaces`` does, stack and member -1 for each shape
-    still rejected at ``DEFAULT_ELL_MAX``, and those shapes' traces as
-    ``probe_min_ell`` records them.
+    The ``Placement``'s shapes are grouped by vertex count.  A group's trials
+    start at the rank bound: the increments below it are rejected by a
+    dimension count, so their spaces are not built.  Each round builds the
+    trial spaces of the group's pending shapes at one increment as stacks of
+    STACK and decides each stack with one batched eigenvalue solve
+    (``coercive``); the accepted members of a trial stack become a stack of
+    their own, the rejected shapes go on to the next increment.  Returns
+    (stacks, stack, member) as ``build_spaces`` does, stack and member -1
+    for each shape still rejected at ``DEFAULT_ELL_MAX``, and those shapes'
+    traces as ``probe_min_ell`` records them, keyed by shape position.
     """
-    stacks, stack, member = [], np.full(len(shapes), -1), np.full(len(shapes), -1)
+    stacks, (stack, member) = [], np.full((2, len(shapes.cell)), -1)
     failed = {}
-    for group, polys in polygon_groups([shape.vertices for shape in shapes]):
-        start = rank_bound_ell(dof_layout(polys.shape[1], k).n_dofs, k)
+    for group, n_v in _shape_groups(mesh, shapes):
+        start = rank_bound_ell(dof_layout(n_v, k).n_dofs, k)
         traces = {i: [(ell, None) for ell in range(min(start, DEFAULT_ELL_MAX + 1))]
-                  for i in group}
+                  for i in group.tolist()}
         for ell in range(start, DEFAULT_ELL_MAX + 1):
             rejected = []
             for chunk in _chunks(group):
-                trial = _stack_space([shapes[i] for i in chunk], k, ell)
+                trial = _stack_space(mesh, shapes, chunk, k, ell)
                 accepted, lam = coercive(trial)
-                for i, rel in zip(chunk, lam.tolist()):
+                for i, rel in zip(chunk.tolist(), lam.tolist()):
                     traces[i].append((ell, rel))
                 keep = np.flatnonzero(accepted)
                 if len(keep):
@@ -147,7 +153,7 @@ def probe_shapes(shapes, k):
             group = np.array(rejected, dtype=int)
             if not len(group):
                 break
-        failed.update((shapes[i], traces[i]) for i in group)
+        failed.update((i, traces[i]) for i in group.tolist())
     return (stacks, stack, member), failed
 
 
@@ -179,36 +185,38 @@ def _check_ell(ell, mesh):
                              f"(the first is cell {c})")
 
 
-def _spaces(shapes, k, ell_mode):
+def _spaces(mesh, shapes, k, ell_mode):
     """(stacks, stack, member) of ``shapes``: ``probe_shapes`` for "auto", else ``build_spaces``.
 
     A failed probe raises the ``ProbeError`` of the shape with the lowest cell.
     """
     if ell_mode != "auto":
-        return build_spaces(shapes, k, ell_mode)
-    spaces, failed = probe_shapes(shapes, k)
+        return build_spaces(mesh, shapes, k, ell_mode)
+    spaces, failed = probe_shapes(mesh, shapes, k)
     if failed:
-        shape = min(failed, key=lambda shape: shape.cell)
-        raise probe_exhausted(k, failed[shape], shape.cell)
+        i = min(failed, key=lambda i: shapes.cell[i])
+        raise probe_exhausted(k, failed[i], int(shapes.cell[i]))
     return spaces
 
 
 class CellSpaces:
     """The cells' spaces as arrays: cell c is member ``member[c]`` of ``stacks[stack[c]]``.
 
-    ``ell`` holds each cell's increment.  ``chunks`` lists the batches of at
-    most CHUNK cells on one stack, as (stack, rows, cells).  Stacks come in
-    the order of their first cell, a stack's cells by member, then by cell,
-    so the translates of one member fill chunks together.  ``rows`` indexes
-    the stack's tables for the chunk's cells: the member itself when they
-    are translates of one member, so that stacked products broadcast its
-    tables unbatched; every row when they are the members in order; else one
-    row per cell.  ``spaces[c]``, cell c's one-cell view into its stack, is
-    made on demand; the solve and its post-processing read the arrays.
+    Its element is that member (on its shape's first cell) moved by
+    ``shift[c]``; ``ell`` holds each increment.  ``chunks`` lists the
+    batches of at most CHUNK cells on one stack, as (stack, rows, cells).
+    Stacks come in the order of their first cell, a stack's cells by member,
+    then by cell, so the translates of one member fill chunks together.
+    ``rows`` indexes the stack's tables for the chunk's cells: the member
+    itself when they are translates of one member, so that stacked products
+    broadcast its tables unbatched; every row when they are the members in
+    order; else one row per cell.  ``spaces[c]``, cell c's one-cell view
+    into its stack, is made on demand; the solve and its post-processing
+    read the arrays.
     """
 
-    def __init__(self, stacks, stack, member):
-        self.stacks, self.stack, self.member = stacks, stack, member
+    def __init__(self, stacks, stack, member, shift):
+        self.stacks, self.stack, self.member, self.shift = stacks, stack, member, shift
         self.ell = np.array([space.ell for space in stacks], dtype=int)[stack]
         n = len(stack)
         _, first, which = np.unique(stack, return_index=True, return_inverse=True)
@@ -233,35 +241,32 @@ class CellSpaces:
 
 
 def cell_spaces(mesh, k, ell_mode):
-    """The cells' ``CellSpaces`` and the (n_cells, 2) shifts of the cells from their shapes."""
-    shapes, of, shifts = mesh.placement
-    stacks, stack, member = _spaces(shapes, k, ell_mode)
-    return CellSpaces(stacks, stack[of], member[of]), shifts
+    """The cells' ``CellSpaces``: the spaces of the mesh's shapes, with its placement's shifts."""
+    shapes = mesh.placement
+    stacks, stack, member = _spaces(mesh, shapes, k, ell_mode)
+    return CellSpaces(stacks, stack[shapes.of], member[shapes.of], shapes.shift)
 
 
 def build_element(mesh, c, k, ell_mode):
     """(space, shift, chosen ell) of one cell, placed on its own, so its shift is zero."""
     _check_ell(ell_mode, mesh)
-    shapes, _, shifts = place_shapes(mesh, [c])
-    [stack], _, _ = _spaces(shapes, k, ell_mode)
-    return stack[0], shifts[0], stack.ell
+    shapes = place_shapes(mesh, [c])
+    [stack], _, _ = _spaces(mesh, shapes, k, ell_mode)
+    return stack[0], shapes.shift[0], stack.ell
 
 
 class SolveResult:
     """Everything one solve produced, for error evaluation and export.
 
-    Cell c's element is ``spaces[c]`` translated by ``shifts[c]``:
-    ``spaces`` is the solve's ``CellSpaces``, whose stacks hold each shape's
-    space with the geometry of the shape's first cell, and ``shifts``
-    (n_cells, 2) holds each cell's translation from that cell.
+    Cell c's element is ``spaces[c]`` translated by ``spaces.shift[c]``:
+    ``spaces`` is the solve's ``CellSpaces``.
     """
 
-    def __init__(self, solution, mesh, dofmap, spaces, shifts):
+    def __init__(self, solution, mesh, dofmap, spaces):
         self.solution = solution
         self.mesh = mesh
         self.dofmap = dofmap
         self.spaces = spaces
-        self.shifts = shifts
         self._cell_tables = None  # boxes and fan triangles, for ``sample``
 
     @property
@@ -269,7 +274,7 @@ class SolveResult:
         return float(np.mean(self.solution.peclet))
 
     def error(self, problem):
-        return energy_error(self.spaces, self.shifts, self.solution, problem)
+        return energy_error(self.spaces, self.solution, problem)
 
     def sample(self, points):
         """The solution at (n, 2) points or at one 2-vector, each on the first cell holding it."""
@@ -277,10 +282,11 @@ class SolveResult:
         pts = pts[None] if pts.shape == (2,) else pts
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError(f"points must be (n, 2) or one 2-vector, not shape {pts.shape}")
-        cells = self._locate(pts)
-        local = pts - self.shifts[cells]  # each point moved onto its cell's shape
+        cells, spaces = self._locate(pts), self.spaces
+        table = CellSpaces(spaces.stacks, spaces.stack[cells], spaces.member[cells],
+                           spaces.shift[cells])
+        local = pts - table.shift  # each point moved onto its cell's shape
         out = np.empty(len(pts))
-        table = CellSpaces(self.spaces.stacks, self.spaces.stack[cells], self.spaces.member[cells])
         for stack, rows, group in table.chunks:
             # each point about its own member's center: (points, dim, 1) values
             vals = eval_basis(MonomialBasis(stack.geom[rows], stack.k), local[group][:, None])
@@ -301,7 +307,7 @@ class SolveResult:
             tris = np.empty((self.mesh.n_cells, width, 3, 2))
             for stack, rows, cells in self.spaces.chunks:
                 fan = stack.geom.triangles[:, np.arange(width) % stack.geom.n_vertices]
-                tris[cells] = fan[rows] + self.shifts[cells][:, None, None]
+                tris[cells] = fan[rows] + self.spaces.shift[cells][:, None, None]
             lo, hi = tris.min(axis=(1, 2)), tris.max(axis=(1, 2))
             pad = 1e-3 * (hi - lo).max(axis=1, keepdims=True)
             self._cell_tables = lo - pad, hi + pad, tris
@@ -343,7 +349,7 @@ def solve_problem(mesh, problem, k, ell="auto", method="sf"):
     if method == "vem":
         ell = 0
     # later solves on the mesh find its placement and DOF map
-    spaces, shifts = cell_spaces(mesh, k, ell)
+    spaces = cell_spaces(mesh, k, ell)
     dofmap = mesh.dof_map(k)
     peclet, tau = np.empty(mesh.n_cells), np.empty(mesh.n_cells)
     blocks = []
@@ -352,12 +358,12 @@ def solve_problem(mesh, problem, k, ell="auto", method="sf"):
         if tables is None or tables.space is not stack:
             # form tables live for one stack only
             tables = ShapeForms(stack, stabilized=method == "vem")
-        peclet[cells], tau[cells], matrices, loads = tables.batch(problem, rows, shifts[cells])
+        peclet[cells], tau[cells], matrices, loads = tables.batch(problem, rows, spaces.shift[cells])
         blocks.append((cells, matrices, loads))
     system = assemble(dofmap, blocks)
     apply_dirichlet(system, problem)
     solution = solve(system).attach_reconstructions(dofmap, spaces, peclet, tau)
-    return SolveResult(solution, mesh, dofmap, spaces, shifts)
+    return SolveResult(solution, mesh, dofmap, spaces)
 
 
 # -- experiment configuration -------------------------------------------------
@@ -524,14 +530,14 @@ def probe_table(config, orders=(1, 2, 3, 4), families=FAMILIES):
             mesh = generate_mesh(
                 family, n, seed=config.seed, lloyd_iters=config.lloyd_iters
             )
-            shapes, _, _ = mesh.placement
+            shapes = mesh.placement
             for k in orders:
-                (stacks, stack, _), _ = probe_shapes(shapes, k)
-                for at, polys in polygon_groups([shape.vertices for shape in shapes]):
+                (stacks, stack, _), _ = probe_shapes(mesh, shapes, k)
+                for at, n_v in _shape_groups(mesh, shapes):
                     found = stack[at].tolist()  # -1 where the probe fails
-                    table[(family, polys.shape[1], k)] = "—" if -1 in found else max(
+                    table[(family, n_v, k)] = "—" if -1 in found else max(
                         stacks[s].ell for s in found)
-            log.line(f"probed family={family} shapes={len(shapes)}")
+            log.line(f"probed family={family} shapes={len(shapes.cell)}")
         if config.out_dir:
             path = os.path.join(config.out_dir, "probe_table.csv")
             with open(path, "w", encoding="utf-8", newline="\n") as fh:

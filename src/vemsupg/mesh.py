@@ -6,6 +6,7 @@ clipped Voronoi tessellations.  Cells are stored as CCW vertex-index loops;
 interior edges must be shared by exactly two cells with opposite orientation.
 The topology is built and checked by array operations on one flat table of
 the cells' edges; the boundary is the edges with one user, in edge order.
+The checks are local to each cell and edge: overlapping cells are accepted.
 """
 
 import collections
@@ -14,18 +15,17 @@ import itertools
 import json
 import numbers
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import Voronoi, cKDTree
 
 from .assemble import DofMap
 from .errors import MeshError, MeshFormatError
-from .geometry import (edge_vectors, kernel_balls, polygon_diameter, polygon_groups,
-                       polygon_is_simple, polygon_signed_area, star_centers)
+from .geometry import (edge_vectors, kernel_balls, polygon_diameter, polygon_is_simple,
+                       polygon_signed_area, star_centers)
 
 _SNAP_TOL = 1e-9
-_AREA_RTOL = 1e-12
 
 
 class PolyMesh:
@@ -74,7 +74,7 @@ class PolyMesh:
     # -- topology ---------------------------------------------------------
 
     def _build_topology(self, cells):
-        """Number the edges by first use; return the flat (cell, a, b) table of the cell edges."""
+        """Number the edges by first use; return the flat (cell, a) table of the edges' starts."""
         n_vert = self.n_vertices = len(self.vertices)
         self.n_cells = len(cells)
         sizes = np.fromiter(map(len, cells), int, len(cells))
@@ -111,7 +111,7 @@ class PolyMesh:
             table.flags.writeable = False
         self.cells = tuple(np.split(a, starts[1:]))
         self.cell_edges = tuple(np.split(self._edge_table, starts[1:]))
-        return cell, a, b
+        return cell, a
 
     def cell_table(self, cells):
         """Loops (C, n_v) and edge tables (C, n_v, 2) of ``cells``, which have one vertex count."""
@@ -119,7 +119,7 @@ class PolyMesh:
         return self._loops[at], self._edge_table[at]
 
     def _validate(self, ends, check_simple):
-        cell, a, b = ends
+        cell, a = ends
         nonfinite = ~np.isfinite(self.vertices).all(axis=1)[a]
         if nonfinite.any():
             raise MeshError(f"cell {cell[np.argmax(nonfinite)]}: non-finite vertex coordinates")
@@ -152,25 +152,13 @@ class PolyMesh:
         boundary = users[at[count == 1]]
         self.boundary_edges = tuple(zip(cell[boundary].tolist(),
                                         (boundary - self._starts[cell[boundary]]).tolist()))
-        # tiling consistency: cells must add up to the area enclosed by the
-        # boundary loop (interior edge contributions cancel pairwise), summed
-        # edge by edge
-        pa, pb = self.vertices[a[boundary]], self.vertices[b[boundary]]
-        loop = np.cumsum(0.5 * (pa[:, 0] * pb[:, 1] - pb[:, 0] * pa[:, 1]))[-1]
-        total = self.cell_areas.sum()
-        if abs(total - loop) > _AREA_RTOL * max(abs(loop), 1.0) * self.n_cells:
-            raise MeshError(
-                f"cells do not tile the domain: sum {total!r} vs boundary loop {loop!r}"
-            )
 
     # -- convenience ------------------------------------------------------
 
     @functools.cached_property
     def placement(self):
-        """``place_shapes`` of all cells: the shapes, each cell's shape and its shift."""
-        shapes, of, shifts = place_shapes(self, range(self.n_cells))
-        of.flags.writeable = shifts.flags.writeable = False
-        return shapes, of, shifts
+        """The ``Placement`` of all cells."""
+        return place_shapes(self, range(self.n_cells))
 
     def dof_map(self, k):
         """The ``DofMap`` of order k, the mesh's assembly plan: built on first use, one per k."""
@@ -212,34 +200,34 @@ def _shape_signatures(polys):
     return keys, anchor
 
 
-@dataclass(eq=False)
-class Shape:
-    """One cell shape: its first cell's vertices, anchor and kernel ball.
+class Placement(NamedTuple):
+    """The shapes of some cells and each cell's place, as read-only arrays.
 
-    Every other cell of the shape is a translate of the first, and all its
-    projector matrices are translation-invariant (integrals run in
-    star-centered scaled monomials), so one space per shape serves them all.
+    Per shape, in first-cell order: ``cell`` (S,) its first cell, ``center``
+    (S, 2) and ``radius`` (S,) that cell's star center and kernel radius.
+    Per placed cell: ``of`` (C,) its shape and ``shift`` (C, 2) its
+    translation from the shape's first cell.  All projector matrices are
+    translation-invariant, so one space per shape serves all its cells.
     """
 
-    vertices: np.ndarray
-    anchor: np.ndarray  # vertex mean, the point shifts are measured from
-    cell: int
-    center: tuple  # (star center, kernel radius)
+    cell: np.ndarray
+    center: np.ndarray
+    radius: np.ndarray
+    of: np.ndarray
+    shift: np.ndarray
 
 
 def place_shapes(mesh, cells):
-    """The shapes of ``cells`` in first-cell order, each cell's shape and its shift.
+    """The ``Placement`` of ``cells``: shapes in first-cell order, each cell's shape and shift.
 
-    Returns the shapes, the (C,) index ``of`` of each cell's shape in them
-    and the (C, 2) translation of each cell from its shape's first cell.  A
-    cartesian grid has one shape and the pentagon tiling two; on a Voronoi
+    A cartesian grid has one shape and the pentagon tiling two; on a Voronoi
     mesh every cell is its own shape.  The star centers of all shapes come
     from one ``star_centers`` call.
     """
     cells = np.asarray(cells, dtype=int)
     n_v = mesh.cell_sizes[cells]
     keys = [None] * len(cells)
-    anchors = np.empty((len(cells), 2))
+    anchors = np.empty((len(cells), 2))  # vertex means, the points shifts are measured from
     for nv in np.unique(n_v):
         at = np.flatnonzero(n_v == nv)
         polys = mesh.vertices[mesh.cell_table(cells[at])[0]]
@@ -249,12 +237,12 @@ def place_shapes(mesh, cells):
     index = {}  # key -> shape, numbered by first cell
     of = np.array([index.setdefault(key, len(index)) for key in keys], dtype=int)
     first = np.unique(of, return_index=True)[1]
-    firsts = cells[first].tolist()
-    polys = [mesh.cell_vertices(c) for c in firsts]
-    centers, radii = star_centers(polys, firsts)
-    shapes = [Shape(verts, anchors[i], c, (center, float(radius)))
-              for i, c, verts, center, radius in zip(first, firsts, polys, centers, radii)]
-    return shapes, of, anchors - anchors[first][of]
+    firsts = cells[first]
+    centers, radii = star_centers([mesh.cell_vertices(c) for c in firsts], firsts.tolist())
+    placement = Placement(firsts, centers, radii, of, anchors - anchors[first][of])
+    for table in placement:
+        table.flags.writeable = False
+    return placement
 
 
 def _label_unit_square_sides(mesh):
@@ -479,7 +467,7 @@ def check_regularity(mesh):
     polys = [mesh.cell_vertices(c) for c in range(mesh.n_cells)]
     min_edge = np.empty(mesh.n_cells)
     h = np.empty(mesh.n_cells)
-    for cells, v in polygon_groups(polys):
+    for cells, v in mesh.cell_polygons():
         h[cells] = polygon_diameter(v)
         edges = edge_vectors(v)
         min_edge[cells] = np.hypot(edges[..., 0], edges[..., 1]).min(axis=1)

@@ -347,10 +347,10 @@ def stack_chunks(spaces):
             yield stack, rows, chunk
 
 
-def energy_error_by_cell(spaces, shifts, solution, problem):
+def energy_error_by_cell(spaces, solution, problem):
     """Relative energy-norm error, summed cell by cell in cell order.
 
-    Cell c is ``spaces[c]`` translated by ``shifts[c]``: its quadrature
+    Cell c is ``spaces[c]`` translated by ``spaces.shift[c]``: its quadrature
     points and star center are placed here, one cell at a time, and the
     scaled monomials are formed about the placed center.  Each cell is
     weighted by ``problem.kappa`` and its ``solution.tau``.
@@ -360,7 +360,7 @@ def energy_error_by_cell(spaces, shifts, solution, problem):
     num = 0.0
     den = 0.0
     kappa = problem.kappa
-    for c, (space, shift, tau) in enumerate(zip(spaces, shifts, solution.tau)):
+    for c, (space, shift, tau) in enumerate(zip(spaces, spaces.shift, solution.tau)):
         geom = space.geom
         pts = geom.quad_points + shift
         center = geom.star_center + shift
@@ -839,6 +839,15 @@ def baseline_vem_forms(geom, space, coeffs, problem, sigma=None):
 # -- the probe table, one shape at a time -----------------------------------
 
 
+def one_shape(shapes, i):
+    """Shape i of a ``Placement`` on its own: its first cell, center and radius, at zero shift."""
+    from vemsupg.mesh import Placement
+
+    at = slice(i, i + 1)
+    return Placement(shapes.cell[at], shapes.center[at], shapes.radius[at],
+                     np.zeros(1, dtype=int), np.zeros((1, 2)))
+
+
 def probe_table_by_shape(families, orders, seed=0, lloyd_iters=100):
     """``harness.probe_table``'s table with every shape probed alone, as a stack of one."""
     from vemsupg.harness import PROBE_MESH_SIZE, generate_mesh, place_shapes, probe_shapes
@@ -846,13 +855,13 @@ def probe_table_by_shape(families, orders, seed=0, lloyd_iters=100):
     table = {}
     for family in families:
         mesh = generate_mesh(family, PROBE_MESH_SIZE[family], seed=seed, lloyd_iters=lloyd_iters)
-        shapes, _, _ = place_shapes(mesh, range(mesh.n_cells))
+        shapes = place_shapes(mesh, range(mesh.n_cells))
         for k in orders:
             ells = {}  # vertex count -> probed increments, None where it fails
-            for shape in shapes:
-                (stacks, _, _), _ = probe_shapes([shape], k)
+            for i, c in enumerate(shapes.cell):
+                (stacks, _, _), _ = probe_shapes(mesh, one_shape(shapes, i), k)
                 ell = stacks[0].ell if stacks else None
-                ells.setdefault(len(shape.vertices), []).append(ell)
+                ells.setdefault(len(mesh.cells[c]), []).append(ell)
             for n_v, found in ells.items():
                 table[(family, n_v, k)] = "—" if None in found else max(found)
     return table

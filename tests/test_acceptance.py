@@ -50,7 +50,7 @@ def test_criterion_1_projector_reproduction(acceptance_meshes):
 
     for name, mesh in acceptance_meshes.items():
         for k in (1, 2, 3):
-            for space in cell_spaces(mesh, k, "auto")[0]:
+            for space in cell_spaces(mesh, k, "auto"):
                 p = rng.standard_normal(poly_dim(k))
                 scale = np.abs(p).max()
                 dofs = space.polynomial_dofs(p)
@@ -198,7 +198,7 @@ def test_criterion_4_probe_minimality(acceptance_meshes):
     checked = 0
     for name, mesh in acceptance_meshes.items():
         for k in (1, 2, 3):
-            for c, space in enumerate(cell_spaces(mesh, k, "auto")[0]):
+            for c, space in enumerate(cell_spaces(mesh, k, "auto")):
                 ell = space.ell
                 gram = projected_gradient_gram(space)
                 lam = np.linalg.eigvalsh(0.5 * (gram + gram.T))

@@ -611,7 +611,7 @@ class TestEnergyError:
         result = solve_problem(mesh, problem, 1, ell=1)
         result.solution.dofs[:] = 0.0
         result.solution.reconstructions[:] = 0.0
-        err = energy_error(result.spaces, result.shifts, result.solution, problem)
+        err = energy_error(result.spaces, result.solution, problem)
         assert err == pytest.approx(1.0, rel=1e-12)
 
     def test_needs_gradient(self):
@@ -621,7 +621,7 @@ class TestEnergyError:
         from vemsupg.problems import problem_test2
 
         with pytest.raises(ValueError):
-            energy_error(result.spaces, result.shifts, result.solution, problem_test2())
+            energy_error(result.spaces, result.solution, problem_test2())
 
     def test_energy_norm_two_ways(self):
         # matrix quadratic form of the reference diffusion-streamline forms
@@ -642,7 +642,7 @@ class TestEnergyError:
         from vemsupg.basis import MonomialBasis, eval_basis
 
         for c, (space, shift, tau) in enumerate(
-            zip(result.spaces, result.shifts, result.solution.tau)
+            zip(result.spaces, result.spaces.shift, result.solution.tau)
         ):
             geom = space.geom
             local = u[cell_dofs(result.dofmap, c)]
@@ -658,15 +658,14 @@ class TestEnergyError:
         assert quad_form == pytest.approx(total, rel=1e-11)
 
     @staticmethod
-    def check_against_cell_loop(result, problem, spaces=None, shifts=None):
+    def check_against_cell_loop(result, problem, spaces=None):
         """Batched error equals the per-cell loop; DOFs and reconstructions untouched."""
         spaces = result.spaces if spaces is None else spaces
-        shifts = result.shifts if shifts is None else shifts
         sol = result.solution
         dofs = sol.dofs.copy()
         recon = sol.reconstructions.copy()
-        err = energy_error(spaces, shifts, sol, problem)
-        ref = energy_error_by_cell(spaces, shifts, sol, problem)
+        err = energy_error(spaces, sol, problem)
+        ref = energy_error_by_cell(spaces, sol, problem)
         assert err == pytest.approx(ref, rel=1e-12)
         assert np.array_equal(sol.dofs, dofs)
         assert np.array_equal(sol.reconstructions, recon)
@@ -707,7 +706,8 @@ class TestEnergyError:
 
         problem = swirl_problem()
         result = solve_problem(mesh_t2, problem, 2, ell="auto")
-        table, shifts = result.spaces, result.shifts.copy()
+        table = result.spaces
+        shifts = table.shift.copy()
         stacks, stack, member = list(table.stacks), table.stack.copy(), table.member.copy()
         for c in range(0, mesh_t2.n_cells, 3):
             ell = int(table.ell[c])
@@ -717,10 +717,10 @@ class TestEnergyError:
             stack[c], member[c] = len(stacks), 0
             stacks.append(LocalSpace(geom, 2, ell).stack)
             shifts[c] = 0.0
-        mixed = CellSpaces(stacks, stack, member)
+        mixed = CellSpaces(stacks, stack, member, shifts)
         assert len(mixed.chunks) > len(table.chunks)
         assert len({id(space) for space, _, _ in mixed.chunks}) == len(stacks)
-        mixed_err = self.check_against_cell_loop(result, problem, mixed, shifts)
+        mixed_err = self.check_against_cell_loop(result, problem, mixed)
         assert mixed_err == pytest.approx(result.error(problem), rel=1e-10)
 
 

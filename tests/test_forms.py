@@ -45,11 +45,11 @@ def one_cell(verts, k, ell, cell=None):
     return geom, LocalSpace(geom, k, ell)
 
 
-def probe_alone(shape, k):
-    """The smallest coercive increment of one shape, probed as a stack of one."""
-    (stacks, _, _), failed = probe_shapes([shape], k)
+def probe_alone(mesh, shapes, k):
+    """The smallest coercive increment of a placement of one shape, probed as a stack of one."""
+    (stacks, _, _), failed = probe_shapes(mesh, shapes, k)
     if failed:
-        raise probe_exhausted(k, failed[shape], shape.cell)
+        raise probe_exhausted(k, failed[0], int(shapes.cell[0]))
     return stacks[0].ell
 
 
@@ -139,13 +139,13 @@ class TestTildeC:
         meshes = [generate_mesh("t1", 2), generate_mesh("t2", 4),
                   shared_mesh(generate_voronoi, 64, lloyd_iters=100, seed=3)]
         for mesh in meshes:
-            shapes, _, _ = place_shapes(mesh, range(mesh.n_cells))
-            for shape in shapes:
+            shapes = place_shapes(mesh, range(mesh.n_cells))
+            for i, c in enumerate(shapes.cell):
                 for k in (2, 3, 4):
-                    [stack], _, _ = build_spaces([shape], k, 0)
+                    [stack], _, _ = build_spaces(mesh, oracles.one_shape(shapes, i), k, 0)
                     args = (stack[0].basis_k, stack[0].mass_block(k - 1))
                     want = tilde_c_k_by_schur(*args)
-                    assert tilde_c_k(*args) == pytest.approx(want, rel=1e-12), (shape.cell, k)
+                    assert tilde_c_k(*args) == pytest.approx(want, rel=1e-12), (c, k)
 
 
 class TestPecletTau:
@@ -287,10 +287,10 @@ class TestProbe:
         for name, mesh in meshes.items():
             for k, c in itertools.product((1, 2, 3, 4), range(mesh.n_cells)):
                 where = (name, k, c)
-                [shape], _, _ = place_shapes(mesh, [c])
+                shapes = place_shapes(mesh, [c])
                 start = rank_bound_ell(dof_layout(len(mesh.cells[c]), k).n_dofs, k)
                 for ell in range(min(start, DEFAULT_ELL_MAX + 1)):
-                    [stack], _, _ = build_spaces([shape], k, ell)
+                    [stack], _, _ = build_spaces(mesh, shapes, k, ell)
                     gram = projected_gradient_gram(stack[0])
                     lam = np.linalg.eigvalsh(0.5 * (gram + gram.T))
                     n_small = int(np.sum(lam < DEFAULT_PROBE_TOL * lam[-1]))
@@ -300,7 +300,7 @@ class TestProbe:
                 geom = make_geometry(mesh.cell_vertices(c), k=k, ell=6, cell=c)
                 picks = []
                 for probe in (lambda: probe_min_ell(geom, k),
-                              lambda: probe_alone(shape, k)):
+                              lambda: probe_alone(mesh, shapes, k)):
                     try:
                         picks.append(probe())
                     except ProbeError as err:
@@ -655,9 +655,9 @@ class TestShapeForms:
     @staticmethod
     def chunks(mesh, k, method):
         """(form tables, rows, shifts) of each chunk ``solve_problem`` forms on ``mesh``."""
-        spaces, shifts = cell_spaces(mesh, k, "auto" if method == "sf" else 0)
+        spaces = cell_spaces(mesh, k, "auto" if method == "sf" else 0)
         return [
-            (ShapeForms(stack, stabilized=method == "vem"), rows, shifts[cells])
+            (ShapeForms(stack, stabilized=method == "vem"), rows, spaces.shift[cells])
             for stack, rows, cells in spaces.chunks
         ]
 
@@ -721,14 +721,14 @@ class TestShapeForms:
         entry = sf_forms if method == "sf" else baseline_vem_forms
         kinds = set()
         for k in (1, 2, 3):
-            spaces, shifts = cell_spaces(mesh, k, "auto" if method == "sf" else 0)
+            spaces = cell_spaces(mesh, k, "auto" if method == "sf" else 0)
             for problem, (stack, rows, cells) in itertools.product(
                 (problem_smooth(), swirl_problem()), spaces.chunks
             ):
                 kinds.add(type(rows))
                 ell = stack.ell
                 tables = ShapeForms(stack, stabilized=method == "vem")
-                pe, tau, mats, loads = tables.batch(problem, rows, shifts[cells])
+                pe, tau, mats, loads = tables.batch(problem, rows, spaces.shift[cells])
                 for i, c in enumerate(cells):
                     geom, space = one_cell(mesh.cell_vertices(c), k, ell, cell=c)
                     coef = oracles.element_coefficients(geom, problem, k)

@@ -279,35 +279,45 @@ class TestSolveDrivers:
         # the rank bound starts the square's probe at ell = 1 for k = 2
         from vemsupg.forms import coercive
 
-        shapes, _, _ = place_shapes(generate_mesh("t1", 2), [0])
-        [trial], _, _ = build_spaces(shapes, 2, 1)
+        mesh = generate_mesh("t1", 2)
+        shapes = place_shapes(mesh, [0])
+        [trial], _, _ = build_spaces(mesh, shapes, 2, 1)
         assert not coercive(trial)[0][0]
-        ([space], stack, member), failed = probe_shapes(shapes, 2)
+        ([space], stack, member), failed = probe_shapes(mesh, shapes, 2)
         assert failed == {} and space.ell == 2
         assert stack.tolist() == member.tolist() == [0]
 
     @pytest.mark.parametrize("family", ["t1", "t2", "t3"])
     def test_place_shapes(self, family, monkeypatch):
         # shapes come in first-cell order, each from the first cell of its
-        # index in ``of``, and a cell is its shape's vertices moved by its
-        # shift; the star centers of all shapes come from one call
+        # index in ``of``, and a cell is its shape's first cell moved by its
+        # shift; the star centers of all shapes come from one call, on the
+        # first cells' polygons, and the placement's five arrays are read-only
         import vemsupg.mesh as mesh_module
 
         calls = []
         real = mesh_module.star_centers
-        monkeypatch.setattr(mesh_module, "star_centers",
-                            lambda polys, cells: calls.append(list(cells)) or real(polys, cells))
+
+        def counted(polys, cells):
+            calls.append((list(cells), [p.tolist() for p in polys]))
+            return real(polys, cells)
+
+        monkeypatch.setattr(mesh_module, "star_centers", counted)
         mesh = {"t1": lambda: generate_mesh("t1", 3), "t2": lambda: generate_mesh("t2", 4),
                 "t3": lambda: generate_voronoi(16, lloyd_iters=20, seed=1)}[family]()
-        shapes, of, shifts = place_shapes(mesh, range(mesh.n_cells))
-        firsts = [shape.cell for shape in shapes]
-        assert len(shapes) == {"t1": 1, "t2": 2, "t3": 16}[family]
-        assert of.shape == (mesh.n_cells,) and shifts.shape == (mesh.n_cells, 2)
+        shapes = place_shapes(mesh, range(mesh.n_cells))
+        assert isinstance(shapes, mesh_module.Placement)
+        firsts = shapes.cell.tolist()
+        n_shapes = {"t1": 1, "t2": 2, "t3": 16}[family]
+        assert len(firsts) == n_shapes
+        assert shapes.center.shape == (n_shapes, 2) and shapes.radius.shape == (n_shapes,)
+        assert shapes.of.shape == (mesh.n_cells,) and shapes.shift.shape == (mesh.n_cells, 2)
+        assert not any(table.flags.writeable for table in shapes)
         assert firsts == sorted(firsts)
-        assert firsts == [int(np.flatnonzero(of == i)[0]) for i in range(len(shapes))]
-        assert calls == [firsts]
+        assert firsts == [int(np.flatnonzero(shapes.of == i)[0]) for i in range(n_shapes)]
+        assert calls == [(firsts, [mesh.cell_vertices(c).tolist() for c in firsts])]
         for c in range(mesh.n_cells):
-            placed = shapes[of[c]].vertices + shifts[c]
+            placed = mesh.cell_vertices(firsts[shapes.of[c]]) + shapes.shift[c]
             assert np.abs(placed - mesh.cell_vertices(c)).max() <= 1e-14, (family, c)
 
     def test_one_placement_per_mesh_and_no_shared_spaces(self, monkeypatch):
@@ -341,14 +351,13 @@ class TestSolveDrivers:
             calls.clear()
             run()
             assert len(calls) == 1
-        shapes, _, _ = real(mesh, range(mesh.n_cells))
-        placed = [{name: id(value) for name, value in vars(shape).items()} for shape in shapes]
-        probe_shapes(shapes, 2)
-        build_spaces(shapes[:1], 2, 1)
-        assert [{name: id(value) for name, value in vars(shape).items()}
-                for shape in shapes] == placed
-        first, _ = cell_spaces(mesh, 2, "auto")
-        second, _ = cell_spaces(mesh, 2, "auto")
+        shapes = real(mesh, range(mesh.n_cells))
+        placed = [table.copy() for table in shapes]
+        probe_shapes(mesh, shapes, 2)
+        build_spaces(mesh, oracles.one_shape(shapes, 0), 2, 1)
+        assert all(map(np.array_equal, shapes, placed))
+        first = cell_spaces(mesh, 2, "auto")
+        second = cell_spaces(mesh, 2, "auto")
         assert not {id(stack) for stack in first.stacks} & {id(stack) for stack in second.stacks}
 
     def test_monomials_evaluated_once_per_point_set(self, monkeypatch):
@@ -448,13 +457,15 @@ class TestSolveDrivers:
         }
         for name, mesh in meshes.items():
             res = solve_problem(mesh, problem_smooth(), 2, ell="auto")
-            assert res.shifts.shape == (mesh.n_cells, 2)
+            # the cell table carries the placement's own shifts
+            assert res.spaces.shift is mesh.placement.shift and not hasattr(res, "shifts")
+            assert res.spaces.shift.shape == (mesh.n_cells, 2)
             for c in range(mesh.n_cells):
-                placed = res.spaces[c].geom.vertices + res.shifts[c]
+                placed = res.spaces[c].geom.vertices + res.spaces.shift[c]
                 assert np.abs(placed - mesh.cell_vertices(c)).max() <= 1e-14, (name, c)
             distinct = set(zip(res.spaces.stack.tolist(), res.spaces.member.tolist()))
             assert len(distinct) == {"t1": 1, "t2": 2, "t3": 16}[name], name
-        assert np.all(res.shifts == 0.0)  # Voronoi cells are shapes of their own
+        assert np.all(res.spaces.shift == 0.0)  # Voronoi cells are shapes of their own
 
         calls = []
         real = basis.MonomialBasis.__init__
@@ -854,7 +865,7 @@ def _locate_by_scan(res, pt):
         rel = pt - verts
         if np.all(d[:, 0] * rel[:, 1] - d[:, 1] * rel[:, 0] >= -1e-12):
             return c
-    for c, (space, shift) in enumerate(zip(res.spaces, res.shifts)):
+    for c, (space, shift) in enumerate(zip(res.spaces, res.spaces.shift)):
         for a, b, cc in space.geom.triangles + shift:
             s1 = (b - a)[0] * (pt - a)[1] - (b - a)[1] * (pt - a)[0]
             s2 = (cc - b)[0] * (pt - b)[1] - (cc - b)[1] * (pt - b)[0]
@@ -919,7 +930,7 @@ def test_post_processing_batched_by_stack(monkeypatch):
     per_stack = np.unique([stacks[c] for c in cells], return_counts=True)[1]
     assert len(calls) == sum(-(-per_stack // CHUNK))
     want = [np.sum(res.solution.reconstructions[c]
-                   * eval_basis(res.spaces[c].basis_k, (p - res.shifts[c])[None])[:, 0])
+                   * eval_basis(res.spaces[c].basis_k, (p - res.spaces.shift[c])[None])[:, 0])
             for p, c in zip(points, cells)]
     np.testing.assert_array_equal(values, want)
 

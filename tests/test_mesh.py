@@ -387,10 +387,6 @@ class TestTopologyValidation:
              r"edge \(0, 1\) traversed twice in the same direction \(cells 0 and 1\)"),
             (SQUARE + [[2, 0]], [[0, 1, 2, 3], [1, 4, 2], [1, 2, 3]],
              r"edge \(1, 2\) shared by 3 cells"),
-            # two disjoint squares far apart: the shoelace sums part by more
-            # than the tolerance
-            (PAIR + (np.array(PAIR) + 1e6).tolist(), [[0, 1, 2, 3], [4, 5, 6, 7]],
-             "cells do not tile the domain: sum .* vs boundary loop .*"),
             # the first faulty cell wins, whatever its fault
             (SQUARE, [[0, 1, 1, 2], [0, 1]], "cell 0: zero-length edge"),
             (SQUARE, [[0, 3, 2, 1], [0, 1, 9]], "cell 1: references missing vertex"),
@@ -401,18 +397,27 @@ class TestTopologyValidation:
             (SQUARE, [[5, 5]], "cell 0: fewer than 3 vertices"),
             (SQUARE, [[0, 0, 1, 9]], "cell 0: zero-length edge"),
             (SQUARE, [[0, 1, 9, 9]], "cell 0: references missing vertex"),
-            # orientation before sharing, sharing before tiling
+            # orientation before sharing
             (SQUARE, [[0, 1, 2], [0, 1, 3], [0, 3, 2]],
              r"cell 2: not counter-clockwise \(signed area -0.5\)"),
         ],
         ids=["two-vertices", "missing", "negative", "huge", "huge-later", "zero-length", "nan", "clockwise",
-             "same-direction", "three-users", "no-tiling", "earlier-cell", "later-cell",
+             "same-direction", "three-users", "earlier-cell", "later-cell",
              "short-first", "short-missing", "short-zero", "zero-then-missing",
              "missing-on-zero", "orientation-first"],
     )
     def test_construction_errors_are_exact(self, vertices, cells, message):
         with pytest.raises(MeshError, match=f"^{message}$"):
             PolyMesh(np.array(vertices, dtype=float), cells)
+
+    @pytest.mark.parametrize("offset", [1e5, 1e6])
+    def test_disjoint_squares_far_apart_are_accepted(self, offset):
+        # two valid squares far apart: the checks are each cell's orientation
+        # and each edge's users, and no area sum is compared, so rounding
+        # cannot reject them
+        mesh = PolyMesh(np.array(self.PAIR + (np.array(self.PAIR) + offset).tolist()),
+                        [[0, 1, 2, 3], [4, 5, 6, 7]])
+        assert mesh.n_cells == 2 and len(mesh.boundary_edges) == 8
 
     def test_self_intersecting_cell_read_from_file(self, tmp_path):
         # positive area, but edge 2 crosses edge 0; a clockwise later cell

@@ -133,19 +133,21 @@ def _data(kappa=1.0, beta=(1.0, 0.0)):
     return ProblemData(kappa, beta, lambda p: np.zeros(len(p)), {"*": lambda p: np.zeros(len(p))})
 
 
-@pytest.mark.parametrize("kappa", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("kappa", [np.nan, np.inf, -np.inf, 0.0, -1.0, "1", None])
 def test_bad_diffusivity_rejected(kappa):
-    # a NaN or infinite kappa used to pass and the solve then blamed the mesh
+    # a NaN or infinite kappa used to pass and the solve then blamed the mesh;
+    # a string or None died in numpy's isfinite
     with pytest.raises(ValueError, match="^diffusivity must be positive and finite") as info:
         _data(kappa=kappa)
     assert "\n" not in str(info.value)
 
 
 @pytest.mark.parametrize("beta", [(np.nan, 0.0), (np.inf, 1.0), (1.0, 2.0, 3.0), (1.0,),
-                                  [[1.0, 0.0]]])
+                                  [[1.0, 0.0]], "ab"])
 def test_bad_constant_velocity_rejected(beta):
     # non-finite entries reached the solve as a mesh error, a wrong length as
-    # a reshape error inside the forms
+    # a reshape error inside the forms, and entries that are not numbers as
+    # numpy's conversion error
     with pytest.raises(ValueError, match="^constant velocity must be a finite 2-vector") as info:
         _data(beta=beta)
     assert "\n" not in str(info.value)
@@ -156,10 +158,13 @@ def test_bad_constant_velocity_rejected(beta):
     (lambda p: np.zeros(len(p)), {"*": 0.0}, "dirichlet['*']"),
     (lambda p: np.zeros(len(p)), {"left": lambda p: np.zeros(len(p)), "top": None},
      "dirichlet['top']"),
+    (lambda p: np.zeros(len(p)), None, "dirichlet"),
 ])
 def test_data_that_is_not_callable_rejected(source, dirichlet, field):
-    # a None source used to construct, and the solve then died inside the forms
+    # a None source used to construct, and the solve then died inside the
+    # forms; a None dirichlet died in dict()
     with pytest.raises(ValueError) as info:
         ProblemData(1.0, (1.0, 0.0), source, dirichlet)
-    assert str(info.value).startswith(f"{field} must be callable, not ")
+    kind = "a mapping of labels to callables" if dirichlet is None else "callable"
+    assert str(info.value).startswith(f"{field} must be {kind}, not ")
     assert "\n" not in str(info.value)
