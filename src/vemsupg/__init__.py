@@ -11,6 +11,7 @@ from .assemble import (
     DofMap,
     DiscreteSolution,
     GlobalSystem,
+    ReducedSystem,
     apply_dirichlet,
     assemble,
     energy_error,

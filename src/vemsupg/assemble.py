@@ -1,5 +1,7 @@
 """Global assembly, boundary conditions, linear solve and postprocessing."""
 
+from typing import NamedTuple
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -137,8 +139,8 @@ class DofMap:
         mesh keeps its own labels.  Each label's function is evaluated once,
         on all nodes of its edges.  A DOF offered by several edges takes the
         value of the lowest label rank, then of the first offer in
-        ``mesh.boundary_edges`` order.  Returns (indices, values); raises
-        MeshError on an unlabeled or unresolvable boundary edge.
+        ``mesh.boundary_edges`` order.  Returns the values on ``fixed``;
+        raises MeshError on an unlabeled or unresolvable boundary edge.
         """
         mesh, classify, dofs = self.mesh, problem.boundary_classifier, self.boundary
         pa, pb = mesh.vertices[dofs[:, 0]], mesh.vertices[dofs[:, 1]]
@@ -167,27 +169,37 @@ class DofMap:
         # of its DOFs once, so the first entry of each DOF is the winning offer
         firsts = np.repeat(np.arange(len(dofs)), dofs.shape[1])
         pick = np.lexsort((firsts, np.repeat(ranks, dofs.shape[1]), dofs.ravel()))
-        idx, first = np.unique(dofs.ravel()[pick], return_index=True)
-        return idx, vals.ravel()[pick[first]]
+        _, first = np.unique(dofs.ravel()[pick], return_index=True)
+        return vals.ravel()[pick[first]]
 
 
-class GlobalSystem:
-    """Assembled sparse operator and load, before and after elimination."""
+class GlobalSystem(NamedTuple):
+    """The assembled CSR operator and load on every DOF of the plan ``dofmap``."""
 
-    def __init__(self, matrix, rhs, dofmap):
-        self.matrix = matrix
-        self.rhs = rhs
-        self.dofmap = dofmap
-        self.n_dofs = dofmap.n_dofs
-        self.fixed_idx = None
-        self.fixed_vals = None
-        self.free_idx = None
-        self.reduced_matrix = None
-        self.reduced_rhs = None
+    matrix: sp.csr_matrix
+    rhs: np.ndarray
+    dofmap: DofMap
+
+    @property
+    def n_dofs(self):
+        return self.dofmap.n_dofs
+
+
+class ReducedSystem(NamedTuple):
+    """The free-by-free system left once the Dirichlet DOFs are eliminated.
+
+    ``matrix`` is the CSC block of the plan's ``dofmap.free`` DOFs, ``rhs``
+    their load minus the lift of the ``values`` prescribed on ``dofmap.fixed``.
+    """
+
+    matrix: sp.csc_matrix
+    rhs: np.ndarray
+    values: np.ndarray
+    dofmap: DofMap
 
 
 def assemble(dofmap, blocks):
-    """Scatter-add stacked local matrices and loads into the global sparse system.
+    """Scatter-add stacked local matrices and loads into a ``GlobalSystem``.
 
     ``blocks`` is an iterable of (cells, matrices, loads): cell ids (C,),
     their local matrices (C, n, n) and loads (C, n).  Every cell comes in
@@ -195,7 +207,8 @@ def assemble(dofmap, blocks):
     whatever the order of the blocks, then summed into the CSR data of the
     DOF map's pattern by one ``np.bincount`` over its ``positions``, so the
     reduction order is fixed by cell index and entries are deterministic.
-    The matrix shares the pattern's read-only ``indices`` and ``indptr``.
+    The system is immutable; its CSR matrix shares the pattern's read-only
+    ``indices`` and ``indptr``.
     """
     offsets = dofmap.offsets
     sizes = np.diff(offsets)
@@ -236,35 +249,30 @@ def assemble(dofmap, blocks):
 
 
 def apply_dirichlet(system, problem):
-    """Eliminate prescribed boundary DOFs, correcting the right-hand side.
+    """The ``ReducedSystem`` of ``system`` with its boundary DOFs prescribed.
 
     Every boundary DOF is prescribed, so the reduced matrix and the lift are
-    the plan's gathers from the assembled CSR data.
+    the plan's gathers from the assembled CSR data; ``system`` is left as is.
     """
-    plan = system.dofmap
-    idx, vals = plan.boundary_values(problem)
-    system.fixed_idx = idx
-    system.fixed_vals = vals
-    system.free_idx = plan.free
-    system.reduced_matrix = _gather(plan.reduced, system.matrix.data)
-    lift = _gather(plan.lift, system.matrix.data) @ vals if len(idx) else 0.0
-    system.reduced_rhs = system.rhs[plan.free] - lift
-    return system
+    plan, data = system.dofmap, system.matrix.data
+    values = plan.boundary_values(problem)
+    lift = _gather(plan.lift, data) @ values
+    return ReducedSystem(_gather(plan.reduced, data), system.rhs[plan.free] - lift, values, plan)
 
 
-def solve(system):
-    """Direct sparse solve of the reduced system with a residual guarantee."""
-    if system.reduced_matrix is None:
-        raise SolveError("apply_dirichlet must run before solve")
-    a = system.reduced_matrix.tocsc()
-    b = system.reduced_rhs
-    n = a.shape[0]
-    full = np.zeros(system.n_dofs)
-    if len(system.fixed_idx):
-        full[system.fixed_idx] = system.fixed_vals
-    if n == 0:
-        print(f"solve: n={system.n_dofs} residual=0.0e+00")
-        return DiscreteSolution(full, system, residual=0.0)
+def solve(reduced):
+    """Direct sparse solve of a ``ReducedSystem`` with a residual guarantee.
+
+    Returns (dofs, residual, lu_nnz): the DOF vector of the whole plan, the
+    relative residual of the reduced system and the nonzeros of its sparse
+    LU factors, SuperLU's own count (``lu.nnz``), 0 when nothing was factored.
+    """
+    a, b, plan = reduced.matrix.tocsc(), reduced.rhs, reduced.dofmap
+    full = np.zeros(plan.n_dofs)
+    full[plan.fixed] = reduced.values
+    if a.shape[0] == 0:
+        print(f"solve: n={plan.n_dofs} residual=0.0e+00")
+        return full, 0.0, 0
     try:
         # every assembled matrix has a symmetric pattern (dense local blocks):
         # order A^T + A by minimum degree and pivot on the diagonal
@@ -283,50 +291,31 @@ def solve(system):
     residual = np.linalg.norm(a @ x - b) / (norm_b if norm_b > 0 else 1.0)
     if residual > _RESIDUAL_TOL:
         raise SolveError(f"residual {residual:.3e} above tolerance {_RESIDUAL_TOL:g}")
-    full[system.free_idx] = x
-    print(f"solve: n={system.n_dofs} residual={residual:.6e}")
-    solution = DiscreteSolution(full, system, residual=residual)
-    solution.lu_nnz = lu.nnz
-    return solution
+    full[plan.free] = x
+    print(f"solve: n={plan.n_dofs} residual={residual:.6e}")
+    return full, residual, lu.nnz
 
 
 class DiscreteSolution:
-    """Global DOF vector plus per-element polynomial reconstructions.
+    """Global DOF vector plus per-element polynomial reconstructions, built once.
 
-    ``nnz`` counts the nonzeros of the reduced matrix and ``lu_nnz`` those of
-    its sparse LU factors, SuperLU's own count (``lu.nnz``), 0 when nothing
-    was factored.
+    From the solved ``ReducedSystem``, ``solve``'s (dofs, residual, lu_nnz)
+    and the solve's ``harness.CellSpaces``, Peclet numbers and tau.  ``nnz``
+    counts the reduced matrix's nonzeros; ``reconstructions`` holds each
+    cell's P_k coefficients, computed per chunk of ``spaces.chunks``.
     """
 
-    def __init__(self, dofs, system, residual):
-        self.dofs = dofs
-        self.system = system
-        self.residual = residual
-        self.nnz = system.reduced_matrix.nnz
-        self.lu_nnz = 0
-        self.n_dofs = len(dofs)
-        self.reconstructions = None  # (n_cells, dim P_k) coefficients
-        self.ell = None
-        self.peclet = None
-        self.tau = None
-
-    def attach_reconstructions(self, dofmap, spaces, peclet, tau):
-        """Attach each cell's P_k coefficients, increment, Peclet number and tau.
-
-        ``spaces`` is the solve's ``harness.CellSpaces``: the increments are
-        its ``ell``, and the coefficients are computed per chunk of its ``chunks``.
-        """
-        self.reconstructions = np.empty((len(spaces), poly_dim(dofmap.k)))
-        self.ell = spaces.ell
-        self.peclet = peclet
-        self.tau = tau
+    def __init__(self, reduced, dofs, residual, lu_nnz, spaces, peclet, tau):
+        self.reduced, self.dofs, self.residual, self.lu_nnz = reduced, dofs, residual, lu_nnz
+        self.nnz, self.n_dofs = reduced.matrix.nnz, len(dofs)
+        self.ell, self.peclet, self.tau = spaces.ell, peclet, tau
+        self.reconstructions = np.empty((len(spaces), poly_dim(reduced.dofmap.k)))
         for stack, rows, cells in spaces.chunks:
             # a stack of matrix-vector products, not one matrix product: each
             # cell's coefficients are then bit for bit those of ``coeff @ local``
             coeff = stack.pinabla_coeff[rows]
-            local = self.dofs[dofmap.stacked_dofs(cells)][..., None]
+            local = dofs[reduced.dofmap.stacked_dofs(cells)][..., None]
             self.reconstructions[cells] = (coeff @ local)[..., 0]
-        return self
 
 
 def _dot(a, b):

@@ -67,7 +67,15 @@ class ProblemData:
         for label, g in self.dirichlet.items():
             if not callable(g):
                 raise ValueError(f"dirichlet[{label!r}] must be callable, not {g!r}")
-        self.label_priority = list(label_priority)
+        try:
+            self.label_priority = list(label_priority)
+        except TypeError:
+            raise ValueError("label_priority must be a sequence of labels, "
+                             f"not {label_priority!r}") from None
+        for field, f in (("exact", exact), ("exact_grad", exact_grad),
+                         ("boundary_classifier", boundary_classifier)):
+            if f is not None and not callable(f):
+                raise ValueError(f"{field} must be callable or None, not {f!r}")
         self.exact = exact
         self.exact_grad = exact_grad
         self.boundary_classifier = boundary_classifier

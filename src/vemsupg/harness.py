@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assemble import CHUNK, apply_dirichlet, assemble, energy_error, export_vtk, solve
+from .assemble import CHUNK, DiscreteSolution, apply_dirichlet, assemble, energy_error, export_vtk, solve
 from .basis import MonomialBasis, eval_basis
 # the one-cell forms and the one-geometry probe are not called here: callers
 # and perfbench/tracing.py look them up on this module
@@ -258,8 +258,9 @@ def build_element(mesh, c, k, ell_mode):
 class SolveResult:
     """Everything one solve produced, for error evaluation and export.
 
-    Cell c's element is ``spaces[c]`` translated by ``spaces.shift[c]``:
-    ``spaces`` is the solve's ``CellSpaces``.
+    ``solution`` is the finished ``DiscreteSolution``, which keeps the solved
+    ``ReducedSystem``.  Cell c's element is ``spaces[c]`` translated by
+    ``spaces.shift[c]``: ``spaces`` is the solve's ``CellSpaces``.
     """
 
     def __init__(self, solution, mesh, dofmap, spaces):
@@ -360,9 +361,8 @@ def solve_problem(mesh, problem, k, ell="auto", method="sf"):
             tables = ShapeForms(stack, stabilized=method == "vem")
         peclet[cells], tau[cells], matrices, loads = tables.batch(problem, rows, spaces.shift[cells])
         blocks.append((cells, matrices, loads))
-    system = assemble(dofmap, blocks)
-    apply_dirichlet(system, problem)
-    solution = solve(system).attach_reconstructions(dofmap, spaces, peclet, tau)
+    reduced = apply_dirichlet(assemble(dofmap, blocks), problem)
+    solution = DiscreteSolution(reduced, *solve(reduced), spaces, peclet, tau)
     return SolveResult(solution, mesh, dofmap, spaces)
 
 

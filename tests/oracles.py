@@ -364,7 +364,7 @@ def energy_error_by_cell(spaces, solution, problem):
         geom = space.geom
         pts = geom.quad_points + shift
         center = geom.star_center + shift
-        local = solution.dofs[cell_dofs(solution.system.dofmap, c)]
+        local = solution.dofs[cell_dofs(solution.reduced.dofmap, c)]
         poly = space.pinabla_coeff @ local
         dx, dy = grad_map(space.basis_k)
         xi, eta = ((pts - center) / geom.h).T

@@ -1,6 +1,7 @@
 import copy
 import importlib
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from conftest import make_geometry, shared_mesh, swirl_problem
 from oracles import boundary_values_by_node, cell_dofs, energy_error_by_cell
 from vemsupg.assemble import (
     DofMap,
+    ReducedSystem,
     apply_dirichlet,
     assemble,
     energy_error,
@@ -235,15 +237,14 @@ class TestPlan:
         assert np.array_equal(system.matrix.indices, ref.indices)
         assert np.array_equal(system.matrix.indptr, ref.indptr)
         assert np.abs(system.matrix.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
-        apply_dirichlet(system, problem)
+        reduced = apply_dirichlet(system, problem)
         a = system.matrix.toarray()
-        free, fixed = system.free_idx, system.fixed_idx
-        reduced = system.reduced_matrix
-        assert reduced.format == "csc" and reduced.has_sorted_indices
-        assert np.array_equal(reduced.toarray(), a[np.ix_(free, free)])
-        assert reduced.nnz == ref[free][:, free].nnz
-        want = system.rhs[free] - a[np.ix_(free, fixed)] @ system.fixed_vals
-        assert np.abs(system.reduced_rhs - want).max() <= 1e-14 * np.abs(want).max()
+        free, fixed = dofmap.free, dofmap.fixed
+        assert reduced.matrix.format == "csc" and reduced.matrix.has_sorted_indices
+        assert np.array_equal(reduced.matrix.toarray(), a[np.ix_(free, free)])
+        assert reduced.matrix.nnz == ref[free][:, free].nnz
+        want = system.rhs[free] - a[np.ix_(free, fixed)] @ reduced.values
+        assert np.abs(reduced.rhs - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_index_arrays_are_int32_and_read_only(self, mesh_t2):
         dofmap = DofMap(mesh_t2, 3)
@@ -287,8 +288,8 @@ class TestPlan:
                               problem_test2(), 2)
         for res in (second, fresh):
             assert np.array_equal(res.solution.dofs, first.solution.dofs)
-            assert np.array_equal(res.solution.system.reduced_matrix.data,
-                                  first.solution.system.reduced_matrix.data)
+            assert np.array_equal(res.solution.reduced.matrix.data,
+                                  first.solution.reduced.matrix.data)
 
     def test_test2_after_plan_takes_the_relabelled_values(self, mesh_t2):
         # the plan was built by a solve on the side labels; a later test2
@@ -305,10 +306,11 @@ class TestPlan:
             labels[(c, i)] = problem.boundary_classifier(*ends, label)
         relabelled = PolyMesh(mesh_t2.vertices, mesh_t2.cells, labels)
         assert set(labels.values()) == {"inflow1", "rest"}
-        idx, vals = DofMap(relabelled, 2).boundary_values(problem)
-        system = res.solution.system
-        assert np.array_equal(system.fixed_idx, idx)
-        assert np.array_equal(system.fixed_vals, vals)
+        plan = DofMap(relabelled, 2)
+        idx, vals = plan.fixed, plan.boundary_values(problem)
+        reduced = res.solution.reduced
+        assert np.array_equal(reduced.dofmap.fixed, idx)
+        assert np.array_equal(reduced.values, vals)
         assert np.array_equal(res.solution.dofs[idx], vals)
 
     @pytest.mark.parametrize(
@@ -352,8 +354,8 @@ class TestDirichlet:
         _, _, _, forms = build_cells(mesh, problem, 1, 1)
         dofmap = DofMap(mesh, 1)
         system = assemble(dofmap, cell_blocks(forms))
-        apply_dirichlet(system, problem)
-        assert system.reduced_rhs == pytest.approx(system.rhs[system.free_idx])
+        reduced = apply_dirichlet(system, problem)
+        assert reduced.rhs == pytest.approx(system.rhs[dofmap.free])
 
     def test_unlabeled_edge_fatal(self):
         mesh = generate_cartesian(2, 2)
@@ -407,9 +409,9 @@ class TestDirichlet:
         )()
         for k in orders:
             dofmap = DofMap(mesh, k)
-            idx, vals = dofmap.boundary_values(problem)
+            vals = dofmap.boundary_values(problem)
             ref_idx, ref_vals = boundary_values_by_node(dofmap, problem)
-            assert np.array_equal(idx, ref_idx)
+            assert np.array_equal(dofmap.fixed, ref_idx)
             assert np.array_equal(vals, ref_vals)
 
     def test_reduction_matches_dense_slices(self):
@@ -419,14 +421,44 @@ class TestDirichlet:
         system = assemble(DofMap(mesh, 2), cell_blocks(forms))
         matrix = system.matrix
         a, b = matrix.toarray(), system.rhs.copy()
-        apply_dirichlet(system, problem)
+        reduced = apply_dirichlet(system, problem)
         assert system.matrix is matrix and system.matrix.format == "csr"
         assert np.array_equal(system.matrix.toarray(), a)
-        free, fixed = system.free_idx, system.fixed_idx
+        free, fixed = system.dofmap.free, system.dofmap.fixed
         assert len(fixed) and np.array_equal(np.union1d(free, fixed), np.arange(len(b)))
-        assert np.array_equal(system.reduced_matrix.toarray(), a[free][:, free])
-        want = b[free] - a[free][:, fixed] @ system.fixed_vals
-        assert np.abs(system.reduced_rhs - want).max() <= 1e-14
+        assert np.array_equal(reduced.matrix.toarray(), a[free][:, free])
+        want = b[free] - a[free][:, fixed] @ reduced.values
+        assert np.abs(reduced.rhs - want).max() <= 1e-14
+
+    def test_stages_leave_their_inputs_as_they_were(self):
+        # a library call must not change its input: apply_dirichlet returns a
+        # new reduced system and leaves every field of the assembled one as
+        # it was, so two calls give equal systems; a solve's result has every
+        # field set when it is returned
+        mesh = generate_cartesian(3, 3)
+        problem = problem_test1()
+        _, _, _, forms = build_cells(mesh, problem, 2, 1)
+        system = assemble(DofMap(mesh, 2), cell_blocks(forms))
+        matrix = system.matrix
+        fields = {name: getattr(system, name) for name in dir(system)
+                  if not name.startswith("_") and not callable(getattr(system, name))}
+        before = [a.copy() for a in (matrix.data, matrix.indices, matrix.indptr, system.rhs)]
+        first, second = (apply_dirichlet(system, problem) for _ in range(2))
+        assert {name for name, value in fields.items() if getattr(system, name) is not value} == set()
+        after = [matrix.data, matrix.indices, matrix.indptr, system.rhs]
+        assert system.matrix is matrix
+        assert all(np.array_equal(x, y) for x, y in zip(before, after))
+        with pytest.raises(AttributeError):
+            system.rhs = None
+        assert first is not system and first is not second
+        assert first.dofmap is second.dofmap is system.dofmap
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(first.matrix, name), getattr(second.matrix, name))
+        assert np.array_equal(first.rhs, second.rhs)
+        assert np.array_equal(first.values, second.values)
+        res = solve_problem(mesh, problem, 2, ell={4: 1})
+        assert [name for name, value in vars(res.solution).items() if value is None] == []
+        assert not hasattr(res.solution, "system")
 
     def test_errors_match_node_loop(self):
         mesh = generate_cartesian(3, 3)
@@ -465,19 +497,10 @@ class TestSolve:
 
     @staticmethod
     def free_system(mat, rhs):
-        """A system of ``mat`` with no Dirichlet DOF, ready for ``solve``."""
-        from vemsupg.assemble import GlobalSystem
-
-        class FakeMap:
-            n_dofs = mat.shape[0]
-
-        system = GlobalSystem(mat, rhs, FakeMap())
-        system.fixed_idx = np.empty(0, dtype=int)
-        system.fixed_vals = np.empty(0)
-        system.free_idx = np.arange(mat.shape[0])
-        system.reduced_matrix = mat
-        system.reduced_rhs = rhs
-        return system
+        """The reduced system of ``mat`` and ``rhs`` with no Dirichlet DOF, for ``solve``."""
+        n = mat.shape[0]
+        plan = SimpleNamespace(n_dofs=n, free=np.arange(n), fixed=np.empty(0, dtype=int))
+        return ReducedSystem(mat, rhs, np.empty(0), plan)
 
     def test_singular_system_raises(self):
         mat = sp.csr_matrix(np.zeros((3, 3)))
@@ -498,29 +521,29 @@ class TestSolve:
             return factors[-1]
 
         monkeypatch.setattr(assemble_module.spla, "splu", spy)
-        solution = solve(self.free_system(mat, np.arange(1.0, n + 1)))
+        _, residual, _ = solve(self.free_system(mat, np.arange(1.0, n + 1)))
         [lu] = factors
         assert not np.array_equal(lu.perm_r, lu.perm_c)
-        assert solution.residual <= 1e-12
+        assert residual <= 1e-12
 
     def test_factorization_facts(self):
         # 32x32 test1 at k = 3, stabilization-free: the symmetric-mode LU of
         # the reduced matrix fills less than scipy's default COLAMD LU of it
         # (0.53M against 1.31M nonzeros), and solve leaves its input as it was
         res = solve_problem(generate_cartesian(32, 32), problem_test1(), 3, ell={4: 2})
-        reduced = res.solution.system.reduced_matrix
+        reduced = res.solution.reduced.matrix
         assert res.solution.nnz == reduced.nnz
         colamd = spla.splu(reduced.tocsc())
         assert 0 < res.solution.lu_nnz < colamd.L.nnz + colamd.U.nnz
-        a, b = reduced.copy(), res.solution.system.reduced_rhs.copy()
+        a, b = reduced.copy(), res.solution.reduced.rhs.copy()
         before = [a.format, a.shape, a.data.copy(), a.indices.copy(), a.indptr.copy(), b.copy()]
         system = self.free_system(a, b)
-        solution = solve(system)
-        assert system.reduced_matrix is a and system.reduced_rhs is b
+        dofs, _, lu_nnz = solve(system)
+        assert system.matrix is a and system.rhs is b
         after = [a.format, a.shape, a.data, a.indices, a.indptr, b]
         assert all(np.array_equal(x, y) for x, y in zip(before, after))
-        assert (solution.nnz, solution.lu_nnz) == (res.solution.nnz, res.solution.lu_nnz)
-        assert np.array_equal(solution.dofs, res.solution.dofs[res.solution.system.free_idx])
+        assert (a.nnz, lu_nnz) == (res.solution.nnz, res.solution.lu_nnz)
+        assert np.array_equal(dofs, res.solution.dofs[res.solution.reduced.dofmap.free])
 
     def test_voronoi_k3_matches_refined_reference(self):
         # the voronoi_auto system at k = 3 has a diagonal from 3.7e-4 to 93
@@ -530,9 +553,9 @@ class TestSolve:
         # by 1.6e-12
         mesh = shared_mesh(generate_voronoi, 256, lloyd_iters=100, seed=3)
         solution = solve_problem(mesh, problem_test2(), 3, ell="auto").solution
-        system = solution.system
-        want = oracles.refined_solve(system.reduced_matrix, system.reduced_rhs)
-        error = np.abs(solution.dofs[system.free_idx] - want).max()
+        reduced = solution.reduced
+        want = oracles.refined_solve(reduced.matrix, reduced.rhs)
+        error = np.abs(solution.dofs[reduced.dofmap.free] - want).max()
         assert error < 2e-11 * np.abs(want).max()
 
     def test_single_interior_dof(self):
@@ -755,7 +778,7 @@ def test_shared_code_path_for_baseline():
     sf = solve_problem(mesh, problem, 1, ell="auto", method="sf")
     vem = solve_problem(mesh, problem, 1, ell="auto", method="vem")
     assert sf.dofmap.n_dofs == vem.dofmap.n_dofs
-    assert np.array_equal(sf.solution.system.fixed_idx, vem.solution.system.fixed_idx)
-    assert sf.solution.system.fixed_vals == pytest.approx(
-        vem.solution.system.fixed_vals, abs=0.0
+    assert np.array_equal(sf.solution.reduced.dofmap.fixed, vem.solution.reduced.dofmap.fixed)
+    assert sf.solution.reduced.values == pytest.approx(
+        vem.solution.reduced.values, abs=0.0
     )

@@ -72,8 +72,7 @@ def test_global_form_positive_on_acceptance_meshes(family, n):
     mesh = generate_mesh(family, n, seed=42)
     problem = problem_test1()
     res = solve_problem(mesh, problem, 1, ell="auto")
-    system = res.solution.system
-    a = system.reduced_matrix.toarray()
+    a = res.solution.reduced.matrix.toarray()
     lam = np.linalg.eigvalsh(0.5 * (a + a.T))
     assert lam.min() > 0.0
 

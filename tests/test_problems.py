@@ -78,7 +78,7 @@ class TestTest2:
         mesh = generate_cartesian(5, 5)
         p = problem_test2()
         dofmap = DofMap(mesh, 1)
-        idx, vals = dofmap.boundary_values(p)
+        idx, vals = dofmap.fixed, dofmap.boundary_values(p)
         target = None
         for i in idx:
             if np.allclose(mesh.vertices[i], [0.0, 0.2]):
@@ -153,18 +153,31 @@ def test_bad_constant_velocity_rejected(beta):
     assert "\n" not in str(info.value)
 
 
+# the optional inputs and the one bad value each is given below
+_BAD_OPTIONAL = {"label_priority": None, "boundary_classifier": 5, "exact": 3, "exact_grad": "x"}
+_KINDS = {"dirichlet": "a mapping of labels to callables",
+          "label_priority": "a sequence of labels", "boundary_classifier": "callable or None",
+          "exact": "callable or None", "exact_grad": "callable or None"}
+
+
 @pytest.mark.parametrize("source, dirichlet, field", [
     (None, {"*": lambda p: np.zeros(len(p))}, "source"),
     (lambda p: np.zeros(len(p)), {"*": 0.0}, "dirichlet['*']"),
     (lambda p: np.zeros(len(p)), {"left": lambda p: np.zeros(len(p)), "top": None},
      "dirichlet['top']"),
     (lambda p: np.zeros(len(p)), None, "dirichlet"),
+    *((lambda p: np.zeros(len(p)), {"*": lambda p: np.zeros(len(p))}, field)
+      for field in _BAD_OPTIONAL),
 ])
 def test_data_that_is_not_callable_rejected(source, dirichlet, field):
     # a None source used to construct, and the solve then died inside the
-    # forms; a None dirichlet died in dict()
+    # forms; a None dirichlet died in dict(); a None label_priority died in
+    # list(), a boundary_classifier of 5 in the DOF map, an exact_grad of
+    # "x" in the energy error, and an exact of 3 was kept
+    optional = {field: _BAD_OPTIONAL[field]} if field in _BAD_OPTIONAL else {}
     with pytest.raises(ValueError) as info:
-        ProblemData(1.0, (1.0, 0.0), source, dirichlet)
-    kind = "a mapping of labels to callables" if dirichlet is None else "callable"
-    assert str(info.value).startswith(f"{field} must be {kind}, not ")
-    assert "\n" not in str(info.value)
+        ProblemData(1.0, (1.0, 0.0), source, dirichlet, **optional)
+    message = str(info.value)
+    assert message.startswith(f"{field} must be {_KINDS.get(field, 'callable')}, not ")
+    assert message.endswith(f"not {optional[field]!r}" if optional else "")
+    assert "\n" not in message
