@@ -378,39 +378,25 @@ def export_vtk(solution, mesh, path):
     solution at the star centers ("u_pi_center"), the enhancement increment
     ("ell") and the element Peclet number ("peclet").
     """
+    real = "{:.17g}".format  # 17 digits read back exactly
+
+    def scalars(name, values, fmt=real):
+        return [f"SCALARS {name} 1", "LOOKUP_TABLE default", *map(fmt, values.tolist())]
+
     lines = [
-        "# vtk DataFile Version 3.0",
-        "vemsupg solution",
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
+        "# vtk DataFile Version 3.0", "vemsupg solution", "ASCII", "DATASET UNSTRUCTURED_GRID",
         f"POINTS {mesh.n_vertices} double",
+        *map("{:.17g} {:.17g} 0".format, *mesh.vertices.T.tolist()),
+        f"CELLS {mesh.n_cells} {int(mesh.cell_sizes.sum()) + mesh.n_cells}",
+        *(" ".join(map(str, [len(cell), *cell.tolist()])) for cell in mesh.cells),
+        f"CELL_TYPES {mesh.n_cells}", *["7"] * mesh.n_cells,  # VTK_POLYGON
+        f"POINT_DATA {mesh.n_vertices}",
+        *scalars("u_vertex double", solution.dofs[: mesh.n_vertices]),
+        f"CELL_DATA {mesh.n_cells}",
+        # the constant-mode coefficient is the projected value at the star center
+        *scalars("u_pi_center double", solution.reconstructions[:, 0]),
+        *scalars("ell int", solution.ell, str),
+        *scalars("peclet double", solution.peclet),
     ]
-    for x, y in mesh.vertices:
-        lines.append(f"{x:.17g} {y:.17g} 0")
-    size = sum(len(c) + 1 for c in mesh.cells)
-    lines.append(f"CELLS {mesh.n_cells} {size}")
-    for cell in mesh.cells:
-        lines.append(" ".join(map(str, [len(cell)] + cell.tolist())))
-    lines.append(f"CELL_TYPES {mesh.n_cells}")
-    lines.extend(["7"] * mesh.n_cells)  # VTK_POLYGON
-    lines.append(f"POINT_DATA {mesh.n_vertices}")
-    lines.append("SCALARS u_vertex double 1")
-    lines.append("LOOKUP_TABLE default")
-    for v in solution.dofs[: mesh.n_vertices]:
-        lines.append(f"{v:.17g}")
-    lines.append(f"CELL_DATA {mesh.n_cells}")
-    lines.append("SCALARS u_pi_center double 1")
-    lines.append("LOOKUP_TABLE default")
-    # the constant-mode coefficient is the projected value at the star center
-    for v in solution.reconstructions[:, 0]:
-        lines.append(f"{v:.17g}")
-    lines.append("SCALARS ell int 1")
-    lines.append("LOOKUP_TABLE default")
-    for e in solution.ell:
-        lines.append(str(int(e)))
-    lines.append("SCALARS peclet double 1")
-    lines.append("LOOKUP_TABLE default")
-    for p in solution.peclet:
-        lines.append(f"{p:.17g}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

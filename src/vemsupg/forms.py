@@ -67,11 +67,10 @@ class ProblemData:
         for label, g in self.dirichlet.items():
             if not callable(g):
                 raise ValueError(f"dirichlet[{label!r}] must be callable, not {g!r}")
-        try:
-            self.label_priority = list(label_priority)
-        except TypeError:
+        if isinstance(label_priority, str) or not np.iterable(label_priority):
             raise ValueError("label_priority must be a sequence of labels, "
-                             f"not {label_priority!r}") from None
+                             f"not {label_priority!r}")  # a string would split into characters
+        self.label_priority = list(label_priority)
         for field, f in (("exact", exact), ("exact_grad", exact_grad),
                          ("boundary_classifier", boundary_classifier)):
             if f is not None and not callable(f):

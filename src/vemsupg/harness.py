@@ -48,6 +48,7 @@ from .forms import (  # noqa: F401
 )
 from .geometry import ElementGeometry
 from .mesh import (
+    box_buckets,
     generate_cartesian,
     generate_concave_pentagons,
     generate_voronoi,
@@ -268,7 +269,7 @@ class SolveResult:
         self.mesh = mesh
         self.dofmap = dofmap
         self.spaces = spaces
-        self._cell_tables = None  # boxes and fan triangles, for ``sample``
+        self._cell_tables = None  # boxes, fan triangles and box buckets, for ``sample``
 
     @property
     def mean_peclet(self):
@@ -298,10 +299,11 @@ class SolveResult:
         """Lowest-index cell holding each point, by the fan triangles of the cells.
 
         Every cell is star-shaped about its star center, so its fan triangles
-        cover it.  Only cells whose padded bounding box holds the point are
-        tested.  The test accepts points up to about 1e-12/|edge| outside a
-        cell; the pad of 1e-3 of the box size covers that with a wide margin.
-        Cells are padded to the largest by repeating their own triangles.
+        cover it.  A point is tested only against its bucket's cells from
+        ``box_buckets``, which hold every padded bounding box that holds it.
+        The test accepts points up to about 1e-12/|edge| outside a cell; the
+        pad of 1e-3 of the box size covers that with a wide margin.  Cells are
+        padded to the largest by repeating their own triangles.
         """
         if self._cell_tables is None:
             width = int(self.mesh.cell_sizes.max())
@@ -311,17 +313,24 @@ class SolveResult:
                 tris[cells] = fan[rows] + self.spaces.shift[cells][:, None, None]
             lo, hi = tris.min(axis=(1, 2)), tris.max(axis=(1, 2))
             pad = 1e-3 * (hi - lo).max(axis=1, keepdims=True)
-            self._cell_tables = lo - pad, hi + pad, tris
-        lo, hi, tris = self._cell_tables
+            lo, hi = lo - pad, hi + pad
+            self._cell_tables = lo, hi, tris, box_buckets(lo, hi)
+        lo, hi, tris, (bucket, starts, boxes) = self._cell_tables
+        home = bucket(pts)
         out = np.full(len(pts), -1)
-        step = max(1, 2**20 // len(lo))  # bounds the point-by-box table
+        step = max(1, 2**20 // np.diff(starts).max())  # bounds the point-by-cell table
         for start in range(0, len(pts), step):
-            p = pts[start : start + step]
-            ip, ic = np.nonzero(((lo <= p[:, None]) & (p[:, None] <= hi)).all(axis=2))
+            p, own = pts[start : start + step], home[start : start + step]
+            # each point's bucket's cells: pairs by point, then by increasing cell
+            count = starts[own + 1] - starts[own]
+            ip = np.repeat(np.arange(len(p)), count)
+            ic = boxes[starts[own][ip] + np.arange(len(ip)) - (np.cumsum(count) - count)[ip]]
+            inside = ((lo[ic] <= p[ip]) & (p[ip] <= hi[ic])).all(axis=1)
+            ip, ic = ip[inside], ic[inside]
             a, b, c, q = tris[ic, :, 0], tris[ic, :, 1], tris[ic, :, 2], p[ip, None]
             side = np.minimum(np.minimum(_cross(a, b, q), _cross(b, c, q)), _cross(c, a, q))
             hit = np.any(side >= -1e-12, axis=1)
-            # pairs run by point, then by increasing cell: keep each point's first
+            # each point's first hit is its lowest cell
             found, first = np.unique(ip[hit], return_index=True)
             out[start + found] = ic[hit][first]
         if np.any(out < 0):

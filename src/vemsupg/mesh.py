@@ -245,6 +245,32 @@ def place_shapes(mesh, cells):
     return placement
 
 
+def box_buckets(lo, hi):
+    """Boxes [lo, hi], (n, 2) each, on a uniform grid of about sqrt(n) x sqrt(n) buckets.
+
+    Returns ``(bucket, starts, boxes)``: ``bucket(points)`` is the bucket of
+    each (m, 2) point, and bucket b holds ``boxes[starts[b]:starts[b + 1]]``,
+    the boxes touching it, in increasing order.  Points and box corners share
+    one monotone, clipped bucket expression, so a point in a box is in one of its buckets.
+    """
+    n = int(np.sqrt(len(lo)))  # buckets per side
+    origin, top = lo.min(axis=0), hi.max(axis=0)
+    width = (top - origin) / n
+
+    def axes(x):  # fmin and fmax also clip nan and inf
+        return np.minimum((np.fmin(np.fmax(x, origin), top) - origin) // width, n - 1).astype(int)
+
+    first = axes(lo)
+    span = axes(hi) - first + 1
+    count = span[:, 0] * span[:, 1]
+    box = np.repeat(np.arange(len(lo)), count)
+    at = np.arange(len(box)) - (np.cumsum(count) - count)[box]  # each entry's place in its box
+    bucket = (first[box] + np.column_stack([at % span[box, 0], at // span[box, 0]])) @ [1, n]
+    order = np.lexsort((box, bucket))
+    starts = np.searchsorted(bucket[order], np.arange(n * n + 1))
+    return (lambda x: axes(x) @ [1, n]), starts, box[order]
+
+
 def _label_unit_square_sides(mesh):
     """Label boundary edges of a unit-square mesh by the side they lie on."""
     c, i = np.array(mesh.boundary_edges, dtype=int).reshape(-1, 2).T

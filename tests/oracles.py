@@ -430,6 +430,80 @@ def boundary_values_by_node(dofmap, problem):
     return idx, np.array([best[i][1] for i in idx])
 
 
+def locate_by_boxes(res, pts):
+    """``SolveResult._locate`` by testing every point against every cell's padded box.
+
+    The library's point location before it bucketed the boxes: the same fan
+    triangles, pad, side test, tie rule and error, with all point-box pairs
+    of a chunk of points in one (points, cells, 2) comparison.
+    """
+    width = int(res.mesh.cell_sizes.max())
+    tris = np.empty((res.mesh.n_cells, width, 3, 2))
+    for stack, rows, cells in res.spaces.chunks:
+        fan = stack.geom.triangles[:, np.arange(width) % stack.geom.n_vertices]
+        tris[cells] = fan[rows] + res.spaces.shift[cells][:, None, None]
+    lo, hi = tris.min(axis=(1, 2)), tris.max(axis=(1, 2))
+    pad = 1e-3 * (hi - lo).max(axis=1, keepdims=True)
+    lo, hi = lo - pad, hi + pad
+
+    def cross(a, b, q):
+        return (b - a)[..., 0] * (q - a)[..., 1] - (b - a)[..., 1] * (q - a)[..., 0]
+
+    out = np.full(len(pts), -1)
+    step = max(1, 2**20 // len(lo))  # bounds the point-by-box table
+    for start in range(0, len(pts), step):
+        p = pts[start : start + step]
+        ip, ic = np.nonzero(((lo <= p[:, None]) & (p[:, None] <= hi)).all(axis=2))
+        a, b, c, q = tris[ic, :, 0], tris[ic, :, 1], tris[ic, :, 2], p[ip, None]
+        side = np.minimum(np.minimum(cross(a, b, q), cross(b, c, q)), cross(c, a, q))
+        hit = np.any(side >= -1e-12, axis=1)
+        # pairs run by point, then by increasing cell: keep each point's first
+        found, first = np.unique(ip[hit], return_index=True)
+        out[start + found] = ic[hit][first]
+    if np.any(out < 0):
+        raise ValueError(f"point {pts[np.argmax(out < 0)]} is outside the mesh")
+    return out
+
+
+def export_vtk_by_line(solution, mesh, path):
+    """``assemble.export_vtk`` formatting numpy scalars one line at a time."""
+    lines = [
+        "# vtk DataFile Version 3.0",
+        "vemsupg solution",
+        "ASCII",
+        "DATASET UNSTRUCTURED_GRID",
+        f"POINTS {mesh.n_vertices} double",
+    ]
+    for x, y in mesh.vertices:
+        lines.append(f"{x:.17g} {y:.17g} 0")
+    size = sum(len(c) + 1 for c in mesh.cells)
+    lines.append(f"CELLS {mesh.n_cells} {size}")
+    for cell in mesh.cells:
+        lines.append(" ".join(map(str, [len(cell)] + cell.tolist())))
+    lines.append(f"CELL_TYPES {mesh.n_cells}")
+    lines.extend(["7"] * mesh.n_cells)  # VTK_POLYGON
+    lines.append(f"POINT_DATA {mesh.n_vertices}")
+    lines.append("SCALARS u_vertex double 1")
+    lines.append("LOOKUP_TABLE default")
+    for v in solution.dofs[: mesh.n_vertices]:
+        lines.append(f"{v:.17g}")
+    lines.append(f"CELL_DATA {mesh.n_cells}")
+    lines.append("SCALARS u_pi_center double 1")
+    lines.append("LOOKUP_TABLE default")
+    for v in solution.reconstructions[:, 0]:
+        lines.append(f"{v:.17g}")
+    lines.append("SCALARS ell int 1")
+    lines.append("LOOKUP_TABLE default")
+    for e in solution.ell:
+        lines.append(str(int(e)))
+    lines.append("SCALARS peclet double 1")
+    lines.append("LOOKUP_TABLE default")
+    for p in solution.peclet:
+        lines.append(f"{p:.17g}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def interpolate(space, func):
     """DOF vector of a smooth function on a one-cell space.
 

@@ -24,7 +24,7 @@ from vemsupg.errors import MeshError, SolveError
 from vemsupg.forms import ProblemData
 from vemsupg.geometry import ElementGeometry
 from vemsupg.harness import solve_problem
-from vemsupg.mesh import PolyMesh, generate_cartesian, generate_voronoi
+from vemsupg.mesh import PolyMesh, generate_cartesian, generate_concave_pentagons, generate_voronoi
 from vemsupg.problems import problem_smooth, problem_test1, problem_test2
 from vemsupg.space import LocalSpace
 
@@ -769,6 +769,24 @@ class TestVtk:
         export_vtk(result.solution, mesh, p1)
         export_vtk(result.solution, mesh, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("family", ["t1", "t2", "t3"])
+def test_vtk_bytes_match_line_writer(family, tmp_path):
+    # formatting the tolist() values gives the bytes of formatting each numpy
+    # scalar on its own line: coordinates, connectivity, the int ell column
+    # and negative values alike
+    mesh = {"t1": lambda: generate_cartesian(6, 6),
+            "t2": lambda: shared_mesh(generate_concave_pentagons, 4),
+            "t3": lambda: shared_mesh(generate_voronoi, 64, lloyd_iters=100, seed=3)}[family]()
+    signs = set()
+    for k in (1, 2, 3):
+        solution = solve_problem(mesh, problem_test2(), k, ell="auto").solution
+        signs.update(np.sign(solution.dofs).tolist())
+        export_vtk(solution, mesh, tmp_path / "got.vtk")
+        oracles.export_vtk_by_line(solution, mesh, tmp_path / "want.vtk")
+        assert (tmp_path / "got.vtk").read_bytes() == (tmp_path / "want.vtk").read_bytes()
+    assert -1.0 in signs
 
 
 def test_shared_code_path_for_baseline():

@@ -902,6 +902,62 @@ def test_sample_location_matches_scan(make_mesh):
         res.sample([[1.5, 0.5]])
 
 
+@pytest.mark.parametrize("case", ["t2-16", "voronoi_auto"])
+def test_bucket_location_matches_box_search(case):
+    # testing each point against its own bucket's cells only finds the cells
+    # the all-pairs box search finds, ties on shared edges and vertices
+    # included, also for points exactly on the bucket grid's lines
+    mesh = (generate_concave_pentagons(16) if case == "t2-16"
+            else shared_mesh(generate_voronoi, 256, lloyd_iters=100, seed=3))
+    res = solve_problem(mesh, problem_test2(), 1, ell="auto")
+    rng = np.random.default_rng(7)
+    edges = np.array(mesh.edges)
+    res._locate(mesh.vertices)
+    lo, hi = res._cell_tables[:2]
+    # the grid's lines, as box_buckets draws them: sqrt(n) buckets a side over the boxes
+    n = int(np.sqrt(mesh.n_cells))
+    lines = lo.min(axis=0) + np.arange(n + 1)[:, None] * (hi.max(axis=0) - lo.min(axis=0)) / n
+    on_lines = np.vstack([
+        np.stack(np.meshgrid(lines[:, 0], lines[:, 1]), axis=-1).reshape(-1, 2),
+        np.column_stack([lines[:, 0], rng.random(n + 1)]),
+        np.column_stack([rng.random(n + 1), lines[:, 1]]),
+    ])
+    on_lines = on_lines[((on_lines >= 0.0) & (on_lines <= 1.0)).all(axis=1)]
+    assert len(on_lines) > 3 * (n - 1)
+    corners = np.vstack([lo, hi])  # on the boundary of the box test
+    for points in (
+        rng.random((2200, 2)),
+        mesh.vertices,
+        0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]]),
+        on_lines,
+        corners[((corners >= 0.0) & (corners <= 1.0)).all(axis=1)],
+    ):
+        np.testing.assert_array_equal(res._locate(points), oracles.locate_by_boxes(res, points))
+
+
+@pytest.mark.parametrize("case", ["one-cell", "strip-64x1", "far-apart"])
+def test_bucket_location_on_small_and_sparse_meshes(case):
+    # one bucket, a grid much wider than the strip's cells are tall, and two
+    # squares 1e6 apart with an empty grid between them
+    pair = np.array([[0.1, 0.1], [0.8, 0.1], [0.8, 0.8], [0.1, 0.8]])
+    mesh = {"one-cell": lambda: generate_cartesian(1, 1),
+            "strip-64x1": lambda: generate_cartesian(64, 1),
+            "far-apart": lambda: PolyMesh(np.vstack([pair, pair + 1e6]),
+                                          [[0, 1, 2, 3], [4, 5, 6, 7]])}[case]()
+    res = solve_problem(mesh, problem_smooth(), 1, ell="auto")
+    rng = np.random.default_rng(8)
+    per_cell = [v.min(axis=0) + rng.random((50, 2)) * np.ptp(v, axis=0)
+                for v in map(mesh.cell_vertices, range(mesh.n_cells))]
+    points = np.vstack([mesh.vertices, *per_cell])
+    np.testing.assert_array_equal(res._locate(points), oracles.locate_by_boxes(res, points))
+    if case == "far-apart":
+        gap = np.array([[0.5, 0.5], [5e5, 5e5]])
+        for locate in (res._locate, lambda pts: oracles.locate_by_boxes(res, pts)):
+            with pytest.raises(ValueError) as info:
+                locate(gap)
+            assert str(info.value) == "point [500000. 500000.] is outside the mesh"
+
+
 def test_post_processing_batched_by_stack(monkeypatch):
     # every cell of this mesh is its own shape, and the 16 shapes fill a few
     # stacks: the energy error evaluates the monomials once per stack, and

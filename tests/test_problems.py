@@ -153,8 +153,9 @@ def test_bad_constant_velocity_rejected(beta):
     assert "\n" not in str(info.value)
 
 
-# the optional inputs and the one bad value each is given below
-_BAD_OPTIONAL = {"label_priority": None, "boundary_classifier": 5, "exact": 3, "exact_grad": "x"}
+# the optional inputs and the bad values each is given below
+_BAD_OPTIONAL = [("label_priority", None), ("boundary_classifier", 5), ("exact", 3),
+                 ("exact_grad", "x"), ("label_priority", "top")]
 _KINDS = {"dirichlet": "a mapping of labels to callables",
           "label_priority": "a sequence of labels", "boundary_classifier": "callable or None",
           "exact": "callable or None", "exact_grad": "callable or None"}
@@ -166,15 +167,16 @@ _KINDS = {"dirichlet": "a mapping of labels to callables",
     (lambda p: np.zeros(len(p)), {"left": lambda p: np.zeros(len(p)), "top": None},
      "dirichlet['top']"),
     (lambda p: np.zeros(len(p)), None, "dirichlet"),
-    *((lambda p: np.zeros(len(p)), {"*": lambda p: np.zeros(len(p))}, field)
-      for field in _BAD_OPTIONAL),
-])
+    *((lambda p: np.zeros(len(p)), {"*": lambda p: np.zeros(len(p))}, bad)
+      for bad in _BAD_OPTIONAL),
+], ids=lambda value: value[0] if isinstance(value, tuple) else None)
 def test_data_that_is_not_callable_rejected(source, dirichlet, field):
     # a None source used to construct, and the solve then died inside the
     # forms; a None dirichlet died in dict(); a None label_priority died in
     # list(), a boundary_classifier of 5 in the DOF map, an exact_grad of
-    # "x" in the energy error, and an exact of 3 was kept
-    optional = {field: _BAD_OPTIONAL[field]} if field in _BAD_OPTIONAL else {}
+    # "x" in the energy error, and an exact of 3 was kept; a label_priority
+    # of "top" became the labels ['t', 'o', 'p']
+    field, optional = (field[0], dict([field])) if isinstance(field, tuple) else (field, {})
     with pytest.raises(ValueError) as info:
         ProblemData(1.0, (1.0, 0.0), source, dirichlet, **optional)
     message = str(info.value)
