@@ -27,19 +27,51 @@ def _index(a):
     return a
 
 
-def _csc_block(rows, cols, keep_rows, keep_cols):
-    """(take, indices, indptr, shape) of the CSC block of the kept rows and columns.
+def _ranks(n, dofs):
+    """Each of the ``n`` DOFs' position in ``dofs``, -1 where absent."""
+    rank = np.full(n, -1, dtype=np.int64)
+    rank[dofs] = np.arange(len(dofs))
+    return rank
 
-    ``rows``/``cols`` are the entries of a CSR pattern in data order; the
-    block's CSC data is ``data[take]``.
+
+def _csc_block(rows, cols, n, row_dofs, col_dofs):
+    """(take, indices, indptr, shape) of the CSC block ``A[row_dofs][:, col_dofs]``.
+
+    ``rows``/``cols`` are the entries of the n-by-n CSR pattern of A in data
+    order; the block's CSC data is ``data[take]``, each column's rows
+    ascending.
     """
-    rank_rows, rank_cols = np.cumsum(keep_rows) - 1, np.cumsum(keep_cols) - 1
-    take = np.flatnonzero(keep_rows[rows] & keep_cols[cols])
-    r, c = rank_rows[rows[take]], rank_cols[cols[take]]
-    order = np.argsort(c, kind="stable")  # each column's rows stay ascending
-    n_cols = int(keep_cols.sum())
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(c, minlength=n_cols))])
-    return _index(take[order]), _index(r[order]), _index(indptr), (int(keep_rows.sum()), n_cols)
+    r, c = _ranks(n, row_dofs)[rows], _ranks(n, col_dofs)[cols]
+    take = np.flatnonzero((r >= 0) & (c >= 0))
+    take = take[np.argsort(c[take] * len(row_dofs) + r[take])]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(c[take], minlength=len(col_dofs)))])
+    return _index(take), _index(r[take]), _index(indptr), (len(row_dofs), len(col_dofs))
+
+
+def _elimination_order(rows, cols, n, dofs):
+    """SuperLU's symmetric-mode column order of the pattern's ``dofs``-by-``dofs`` block.
+
+    The order depends only on the pattern, so it is taken from the factor
+    of a stand-in: ones off the diagonal and each column's entry count on
+    it, strictly diagonally dominant, so no row leaves the diagonal.  The
+    pattern is symmetric, so its row-major entries are its column-major
+    ones.  Returns the positions in ``dofs`` in elimination order.
+    """
+    rank = _ranks(n, dofs)
+    r, c = rank[rows], rank[cols]
+    keep = (r >= 0) & (c >= 0)
+    r, c = r[keep], c[keep]
+    counts = np.bincount(r, minlength=len(dofs))
+    data = np.where(r == c, counts[r], 1.0)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    stand_in = sp.csc_matrix((data, c, indptr), shape=(len(dofs), len(dofs)))
+    lu = spla.splu(
+        stand_in,
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=DIAG_PIVOT_THRESH,
+        options={"SymmetricMode": True},
+    )
+    return np.argsort(lu.perm_c)
 
 
 def _gather(block, data):
@@ -58,9 +90,12 @@ class DofMap:
     depends only on the mesh and k: each cell's DOFs (``flat``, ``offsets``),
     each local matrix entry's position in the CSR data of the pattern
     ``indices``/``indptr``, the (B, k + 1) DOFs ``boundary`` of the mesh's
-    boundary edges, the boundary DOFs ``fixed`` and the ``free`` rest, and
-    the gathers ``reduced`` and ``lift`` of the free-by-free and
-    free-by-fixed CSC blocks.  Its index arrays are int32 and read-only.
+    boundary edges, the ascending boundary DOFs ``fixed`` and the ``free``
+    rest, and the gathers ``reduced`` and ``lift`` of the free-by-free and
+    free-by-fixed CSC blocks.  ``free`` lists its DOFs in elimination order:
+    the minimum-degree order of A^T + A in SuperLU's symmetric mode,
+    computed once from the free-by-free pattern, which ``solve`` factors as
+    given.  Its index arrays are int32 and read-only.
     """
 
     def __init__(self, mesh, k):
@@ -120,11 +155,14 @@ class DofMap:
         self.boundary = _index(self.flat[self.offsets[c][:, None] + local])
         fixed = np.zeros(n, dtype=bool)
         fixed[self.boundary] = True
+        free = np.flatnonzero(~fixed)
+        if len(free):
+            free = free[_elimination_order(rows, cols, n, free)]
         self.positions, self.indices, self.fixed, self.free = map(_index, (
-            positions, cols, np.flatnonzero(fixed), np.flatnonzero(~fixed)))
+            positions, cols, np.flatnonzero(fixed), free))
         self.indptr = _index(np.searchsorted(rows, np.arange(n + 1)))
-        self.reduced = _csc_block(rows, cols, ~fixed, ~fixed)
-        self.lift = _csc_block(rows, cols, ~fixed, fixed)
+        self.reduced = _csc_block(rows, cols, n, self.free, self.free)
+        self.lift = _csc_block(rows, cols, n, self.free, self.fixed)
 
     def stacked_dofs(self, cells):
         """Global DOFs of ``cells``, which have equal DOF counts; shape (C, n)."""
@@ -188,8 +226,9 @@ class GlobalSystem(NamedTuple):
 class ReducedSystem(NamedTuple):
     """The free-by-free system left once the Dirichlet DOFs are eliminated.
 
-    ``matrix`` is the CSC block of the plan's ``dofmap.free`` DOFs, ``rhs``
-    their load minus the lift of the ``values`` prescribed on ``dofmap.fixed``.
+    ``matrix`` is the CSC block ``A[free][:, free]`` of the plan's
+    ``dofmap.free`` DOFs, in the plan's elimination order, and ``rhs`` their
+    load minus the lift of the ``values`` prescribed on ``dofmap.fixed``.
     """
 
     matrix: sp.csc_matrix
@@ -263,9 +302,11 @@ def apply_dirichlet(system, problem):
 def solve(reduced):
     """Direct sparse solve of a ``ReducedSystem`` with a residual guarantee.
 
-    Returns (dofs, residual, lu_nnz): the DOF vector of the whole plan, the
-    relative residual of the reduced system and the nonzeros of its sparse
-    LU factors, SuperLU's own count (``lu.nnz``), 0 when nothing was factored.
+    The matrix is factored in its own column order, the plan's elimination
+    order, in SuperLU's symmetric mode.  Returns (dofs, residual, lu_nnz):
+    the DOF vector of the whole plan, the relative residual of the reduced
+    system and the nonzeros of its sparse LU factors, SuperLU's own count
+    (``lu.nnz``), 0 when nothing was factored.
     """
     a, b, plan = reduced.matrix.tocsc(), reduced.rhs, reduced.dofmap
     full = np.zeros(plan.n_dofs)
@@ -274,11 +315,11 @@ def solve(reduced):
         print(f"solve: n={plan.n_dofs} residual=0.0e+00")
         return full, 0.0, 0
     try:
-        # every assembled matrix has a symmetric pattern (dense local blocks):
-        # order A^T + A by minimum degree and pivot on the diagonal
+        # the rows and columns are already in elimination order: keep it and
+        # pivot on the diagonal
         lu = spla.splu(
             a,
-            permc_spec="MMD_AT_PLUS_A",
+            permc_spec="NATURAL",
             diag_pivot_thresh=DIAG_PIVOT_THRESH,
             options={"SymmetricMode": True},
         )

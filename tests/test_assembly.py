@@ -246,16 +246,57 @@ class TestPlan:
         want = system.rhs[free] - a[np.ix_(free, fixed)] @ reduced.values
         assert np.abs(reduced.rhs - want).max() <= 1e-14 * np.abs(want).max()
 
-    def test_index_arrays_are_int32_and_read_only(self, mesh_t2):
-        dofmap = DofMap(mesh_t2, 3)
-        arrays = [dofmap.flat, dofmap.positions, dofmap.indices, dofmap.indptr, dofmap.boundary,
-                  dofmap.fixed, dofmap.free, *dofmap.reduced[:3], *dofmap.lift[:3]]
-        for a in arrays:
-            assert a.dtype == np.int32 and not a.flags.writeable
-        assert len(dofmap.positions) == (np.diff(dofmap.offsets) ** 2).sum()
-        assert np.array_equal(np.union1d(dofmap.fixed, dofmap.free), np.arange(dofmap.n_dofs))
-        assert dofmap.boundary.shape == (len(mesh_t2.boundary_edges), 4)
-        assert np.array_equal(np.unique(dofmap.boundary), dofmap.fixed)
+    def test_index_arrays_are_int32_and_read_only(self, mesh_t2, capsys):
+        # also on the one-cell k = 1 mesh, whose four DOFs are all on the
+        # boundary: its plan has no free DOF and nothing to order or factor
+        one_cell = generate_cartesian(1, 1)
+        empty = DofMap(one_cell, 1)
+        for dofmap in (DofMap(mesh_t2, 3), empty):
+            arrays = [dofmap.flat, dofmap.positions, dofmap.indices, dofmap.indptr,
+                      dofmap.boundary, dofmap.fixed, dofmap.free, *dofmap.reduced[:3],
+                      *dofmap.lift[:3]]
+            for a in arrays:
+                assert a.dtype == np.int32 and not a.flags.writeable
+            assert len(dofmap.positions) == (np.diff(dofmap.offsets) ** 2).sum()
+            free, fixed = dofmap.free, dofmap.fixed
+            assert len(free) + len(fixed) == dofmap.n_dofs
+            assert len(np.unique(free)) == len(free)
+            assert np.array_equal(np.union1d(fixed, free), np.arange(dofmap.n_dofs))
+            assert dofmap.boundary.shape == (len(dofmap.mesh.boundary_edges), dofmap.k + 1)
+            assert np.array_equal(np.unique(dofmap.boundary), fixed)
+        assert len(empty.free) == 0 and empty.reduced[3] == (0, 0)
+        res = solve_problem(one_cell, problem_smooth(), 1, ell=1)
+        assert res.solution.lu_nnz == 0
+        assert "solve: n=4 residual=0.0e+00" in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("family, method", [("t1", "sf"), ("t1", "vem"), ("t2", "sf")])
+    def test_free_dofs_in_structural_elimination_order(self, monkeypatch, family, method):
+        # the plan orders its free DOFs once, by the minimum-degree factor of
+        # a pattern-only stand-in; the same symmetric-mode factor of the
+        # assembled reduced matrix, in the natural (sorted) order of the
+        # free DOFs, chooses the same column order and fills as much
+        import vemsupg.harness as harness
+
+        if family == "t1":
+            mesh, problem, ell = generate_cartesian(16, 16), problem_test1(), {4: 2}
+        else:
+            mesh, problem, ell = generate_concave_pentagons(4), problem_test2(), "auto"
+        systems = []
+        real = harness.apply_dirichlet
+        monkeypatch.setattr(harness, "apply_dirichlet",
+                            lambda system, p: systems.append(system) or real(system, p))
+        res = solve_problem(mesh, problem, 3, ell=ell, method=method)
+        [system] = systems
+        natural = np.sort(res.dofmap.free)
+        lu = spla.splu(
+            system.matrix[natural][:, natural].tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=assemble_module.DIAG_PIVOT_THRESH,
+            options={"SymmetricMode": True},
+        )
+        assert not np.array_equal(res.dofmap.free, natural)
+        assert np.array_equal(res.dofmap.free, natural[np.argsort(lu.perm_c)])
+        assert res.solution.lu_nnz == lu.nnz
 
     def test_one_plan_per_mesh_and_order(self, monkeypatch):
         # the sf and vem solves on one (mesh, k), a repeated solve and a
