@@ -27,55 +27,58 @@ def _index(a):
     return a
 
 
-def _ranks(n, dofs):
-    """Each of the ``n`` DOFs' position in ``dofs``, -1 where absent."""
-    rank = np.full(n, -1, dtype=np.int64)
-    rank[dofs] = np.arange(len(dofs))
-    return rank
+def _csc_block(rows, cols, keep_rows, keep_cols):
+    """(take, indices, indptr, shape) of the CSC block of the kept rows and columns.
 
-
-def _csc_block(rows, cols, n, row_dofs, col_dofs):
-    """(take, indices, indptr, shape) of the CSC block ``A[row_dofs][:, col_dofs]``.
-
-    ``rows``/``cols`` are the entries of the n-by-n CSR pattern of A in data
-    order; the block's CSC data is ``data[take]``, each column's rows
-    ascending.
+    ``rows``/``cols`` are the entries of a CSR pattern in data order; the
+    block's CSC data is ``data[take]``.
     """
-    r, c = _ranks(n, row_dofs)[rows], _ranks(n, col_dofs)[cols]
-    take = np.flatnonzero((r >= 0) & (c >= 0))
-    take = take[np.argsort(c[take] * len(row_dofs) + r[take])]
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(c[take], minlength=len(col_dofs)))])
-    return _index(take), _index(r[take]), _index(indptr), (len(row_dofs), len(col_dofs))
+    rank_rows, rank_cols = np.cumsum(keep_rows) - 1, np.cumsum(keep_cols) - 1
+    take = np.flatnonzero(keep_rows[rows] & keep_cols[cols])
+    r, c = rank_rows[rows[take]], rank_cols[cols[take]]
+    order = np.argsort(c, kind="stable")  # each column's rows stay ascending
+    n_cols = int(keep_cols.sum())
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(c, minlength=n_cols))])
+    return _index(take[order]), _index(r[order]), _index(indptr), (int(keep_rows.sum()), n_cols)
 
 
-def _elimination_order(rows, cols, n, dofs):
-    """SuperLU's symmetric-mode column order of the pattern's ``dofs``-by-``dofs`` block.
+class _Elimination:
+    """SuperLU's column order ``perm_c`` of a plan's first factor.
 
-    The order depends only on the pattern, so it is taken from the factor
-    of a stand-in: ones off the diagonal and each column's entry count on
-    it, strictly diagonally dominant, so no row leaves the diagonal.  The
-    pattern is symmetric, so its row-major entries are its column-major
-    ones.  Returns the positions in ``dofs`` in elimination order.
+    ``order`` lists the reduced matrix's columns in elimination order;
+    ``gather`` returns a matrix of the plan's reduced pattern in that order.
+    ``perm_c`` is copied: SuperLU's own array keeps the whole factor alive.
     """
-    rank = _ranks(n, dofs)
-    r, c = rank[rows], rank[cols]
-    keep = (r >= 0) & (c >= 0)
-    r, c = r[keep], c[keep]
-    counts = np.bincount(r, minlength=len(dofs))
-    data = np.where(r == c, counts[r], 1.0)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    stand_in = sp.csc_matrix((data, c, indptr), shape=(len(dofs), len(dofs)))
-    lu = spla.splu(
-        stand_in,
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=DIAG_PIVOT_THRESH,
-        options={"SymmetricMode": True},
-    )
-    return np.argsort(lu.perm_c)
+
+    def __init__(self, perm_c):
+        self.perm_c = _index(perm_c.copy())
+        self.order = _index(np.argsort(perm_c))
+        self.block = None  # built by the plan's second factor
+
+    def gather(self, a):
+        """The CSC matrix ``a[order][:, order]``, each column's rows in a's order.
+
+        The gather is a ``_csc_block`` of a's data, except that each column
+        keeps its rows as a stores them, renumbered.  The natural order
+        factor of the result repeats, bit for bit, the factor of ``a`` in
+        the order ``perm_c``: SuperLU visits each column's rows as stored.
+        """
+        if self.block is None:
+            counts = np.diff(a.indptr)[self.order]
+            indptr = np.concatenate([[0], np.cumsum(counts)])
+            take = np.repeat(a.indptr[self.order] - indptr[:-1], counts) + np.arange(indptr[-1])
+            # perm_c is each column's new number
+            self.block = (_index(take), _index(self.perm_c[a.indices[take]]), _index(indptr),
+                          a.shape)
+        m = _gather(self.block, a.data)
+        # the rows are not ascending: splu would sort them, and the factor
+        # would differ in its last bits
+        m.has_canonical_format = True
+        return m
 
 
 def _gather(block, data):
-    """The CSC matrix of a ``_csc_block`` from the CSR data it indexes."""
+    """The CSC matrix of a (take, indices, indptr, shape) block from the data it indexes."""
     take, indices, indptr, shape = block
     return sp.csc_matrix((data[take], indices, indptr), shape=shape)
 
@@ -90,12 +93,13 @@ class DofMap:
     depends only on the mesh and k: each cell's DOFs (``flat``, ``offsets``),
     each local matrix entry's position in the CSR data of the pattern
     ``indices``/``indptr``, the (B, k + 1) DOFs ``boundary`` of the mesh's
-    boundary edges, the ascending boundary DOFs ``fixed`` and the ``free``
-    rest, and the gathers ``reduced`` and ``lift`` of the free-by-free and
-    free-by-fixed CSC blocks.  ``free`` lists its DOFs in elimination order:
-    the minimum-degree order of A^T + A in SuperLU's symmetric mode,
-    computed once from the free-by-free pattern, which ``solve`` factors as
-    given.  Its index arrays are int32 and read-only.
+    boundary edges, the boundary DOFs ``fixed`` and the ``free`` rest, and
+    the gathers ``reduced`` and ``lift`` of the free-by-free and
+    free-by-fixed CSC blocks.  Its index arrays are int32 and read-only.
+    ``elimination`` is None until the plan's first factor, which orders the
+    reduced matrix by minimum degree; that order depends only on the
+    pattern, so ``solve`` keeps it there (``_Elimination``), and every later
+    factor on the plan takes it as given.
     """
 
     def __init__(self, mesh, k):
@@ -108,6 +112,7 @@ class DofMap:
         self.n_dofs = self.cell_offset + mesh.n_cells * self.n_moments
         self.offsets, self.flat = self._number_cells()
         self._plan()
+        self.elimination = None
 
     def _number_cells(self):
         """Global DOFs of every cell, concatenated in cell order, plus offsets.
@@ -155,14 +160,11 @@ class DofMap:
         self.boundary = _index(self.flat[self.offsets[c][:, None] + local])
         fixed = np.zeros(n, dtype=bool)
         fixed[self.boundary] = True
-        free = np.flatnonzero(~fixed)
-        if len(free):
-            free = free[_elimination_order(rows, cols, n, free)]
         self.positions, self.indices, self.fixed, self.free = map(_index, (
-            positions, cols, np.flatnonzero(fixed), free))
+            positions, cols, np.flatnonzero(fixed), np.flatnonzero(~fixed)))
         self.indptr = _index(np.searchsorted(rows, np.arange(n + 1)))
-        self.reduced = _csc_block(rows, cols, n, self.free, self.free)
-        self.lift = _csc_block(rows, cols, n, self.free, self.fixed)
+        self.reduced = _csc_block(rows, cols, ~fixed, ~fixed)
+        self.lift = _csc_block(rows, cols, ~fixed, fixed)
 
     def stacked_dofs(self, cells):
         """Global DOFs of ``cells``, which have equal DOF counts; shape (C, n)."""
@@ -226,9 +228,8 @@ class GlobalSystem(NamedTuple):
 class ReducedSystem(NamedTuple):
     """The free-by-free system left once the Dirichlet DOFs are eliminated.
 
-    ``matrix`` is the CSC block ``A[free][:, free]`` of the plan's
-    ``dofmap.free`` DOFs, in the plan's elimination order, and ``rhs`` their
-    load minus the lift of the ``values`` prescribed on ``dofmap.fixed``.
+    ``matrix`` is the CSC block of the plan's ``dofmap.free`` DOFs, ``rhs``
+    their load minus the lift of the ``values`` prescribed on ``dofmap.fixed``.
     """
 
     matrix: sp.csc_matrix
@@ -302,11 +303,15 @@ def apply_dirichlet(system, problem):
 def solve(reduced):
     """Direct sparse solve of a ``ReducedSystem`` with a residual guarantee.
 
-    The matrix is factored in its own column order, the plan's elimination
-    order, in SuperLU's symmetric mode.  Returns (dofs, residual, lu_nnz):
-    the DOF vector of the whole plan, the relative residual of the reduced
-    system and the nonzeros of its sparse LU factors, SuperLU's own count
-    (``lu.nnz``), 0 when nothing was factored.
+    SuperLU factors in symmetric mode.  The plan's first factor orders
+    A^T + A by minimum degree and leaves that order in
+    ``dofmap.elimination``; later factors on the plan take the matrix in
+    that order, through the plan's gather, and skip the ordering, with the
+    same factor bit for bit.  ``reduced.matrix`` must have the plan's
+    reduced pattern, as every ``apply_dirichlet`` result has.  Returns
+    (dofs, residual, lu_nnz): the DOF vector of the whole plan, the relative
+    residual of the reduced system and the nonzeros of its sparse LU
+    factors, SuperLU's own count (``lu.nnz``), 0 when nothing was factored.
     """
     a, b, plan = reduced.matrix.tocsc(), reduced.rhs, reduced.dofmap
     full = np.zeros(plan.n_dofs)
@@ -314,18 +319,26 @@ def solve(reduced):
     if a.shape[0] == 0:
         print(f"solve: n={plan.n_dofs} residual=0.0e+00")
         return full, 0.0, 0
+    kept = plan.elimination
+    if kept is None:
+        # every assembled matrix has a symmetric pattern (dense local blocks):
+        # order A^T + A by minimum degree and pivot on the diagonal
+        order, m, spec = slice(None), a, "MMD_AT_PLUS_A"
+    else:
+        order, m, spec = kept.order, kept.gather(a), "NATURAL"
     try:
-        # the rows and columns are already in elimination order: keep it and
-        # pivot on the diagonal
         lu = spla.splu(
-            a,
-            permc_spec="NATURAL",
+            m,
+            permc_spec=spec,
             diag_pivot_thresh=DIAG_PIVOT_THRESH,
             options={"SymmetricMode": True},
         )
-        x = lu.solve(b)
+        x = np.empty(len(b))
+        x[order] = lu.solve(b[order])
     except RuntimeError as exc:
         raise SolveError(f"sparse factorization failed: {exc}") from None
+    if kept is None:
+        plan.elimination = _Elimination(lu.perm_c)
     if not np.all(np.isfinite(x)):
         raise SolveError("singular system: factorization produced non-finite values")
     norm_b = np.linalg.norm(b)

@@ -266,37 +266,51 @@ class TestPlan:
             assert np.array_equal(np.unique(dofmap.boundary), fixed)
         assert len(empty.free) == 0 and empty.reduced[3] == (0, 0)
         res = solve_problem(one_cell, problem_smooth(), 1, ell=1)
-        assert res.solution.lu_nnz == 0
+        assert res.solution.lu_nnz == 0 and res.dofmap.elimination is None
         assert "solve: n=4 residual=0.0e+00" in capsys.readouterr().out.splitlines()
 
-    @pytest.mark.parametrize("family, method", [("t1", "sf"), ("t1", "vem"), ("t2", "sf")])
-    def test_free_dofs_in_structural_elimination_order(self, monkeypatch, family, method):
-        # the plan orders its free DOFs once, by the minimum-degree factor of
-        # a pattern-only stand-in; the same symmetric-mode factor of the
-        # assembled reduced matrix, in the natural (sorted) order of the
-        # free DOFs, chooses the same column order and fills as much
-        import vemsupg.harness as harness
+    @pytest.mark.parametrize("family, first, then", [
+        ("t1", (problem_test1, "sf"), (problem_test1, "vem")),
+        ("t1", (problem_test1, "vem"), (problem_test1, "sf")),
+        ("t2", (problem_smooth, "sf"), (problem_test2, "sf")),
+    ], ids=["t1-sf-vem", "t1-vem-sf", "t2-smooth-test2"])
+    def test_later_factor_takes_the_plans_order(self, monkeypatch, family, first, then):
+        # the plan's first factor orders the reduced matrix by minimum degree
+        # and the plan keeps that order; a later solve on the plan, with
+        # other values, factors in it without ordering again, and gets the
+        # order, fill and solution of that matrix's own minimum-degree
+        # factor, bit for bit
+        specs = []
+        real = assemble_module.spla.splu
 
+        def spy(*args, **kwargs):
+            specs.append(kwargs["permc_spec"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(assemble_module.spla, "splu", spy)
         if family == "t1":
-            mesh, problem, ell = generate_cartesian(16, 16), problem_test1(), {4: 2}
+            mesh, ell = generate_cartesian(16, 16), {4: 2}
         else:
-            mesh, problem, ell = generate_concave_pentagons(4), problem_test2(), "auto"
-        systems = []
-        real = harness.apply_dirichlet
-        monkeypatch.setattr(harness, "apply_dirichlet",
-                            lambda system, p: systems.append(system) or real(system, p))
-        res = solve_problem(mesh, problem, 3, ell=ell, method=method)
-        [system] = systems
-        natural = np.sort(res.dofmap.free)
-        lu = spla.splu(
-            system.matrix[natural][:, natural].tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=assemble_module.DIAG_PIVOT_THRESH,
-            options={"SymmetricMode": True},
-        )
-        assert not np.array_equal(res.dofmap.free, natural)
-        assert np.array_equal(res.dofmap.free, natural[np.argsort(lu.perm_c)])
+            mesh, ell = generate_concave_pentagons(4), "auto"
+        plan = solve_problem(mesh, first[0](), 3, ell=ell, method=first[1]).dofmap
+        kept = plan.elimination
+        assert kept.block is None  # a one-shot solve builds no gather
+        # its own copy: SuperLU's perm_c would keep the whole factor alive
+        assert kept.perm_c.base is None
+        res = solve_problem(mesh, then[0](), 3, ell=ell, method=then[1])
+        assert specs == ["MMD_AT_PLUS_A", "NATURAL"]
+        assert res.dofmap is plan and plan.elimination is kept
+        order = kept.order
+        for a in (order, kept.perm_c, *kept.block[:3]):
+            assert a.dtype == np.int32 and not a.flags.writeable
+        reduced = res.solution.reduced
+        lu = real(reduced.matrix, permc_spec="MMD_AT_PLUS_A",
+                  diag_pivot_thresh=assemble_module.DIAG_PIVOT_THRESH,
+                  options={"SymmetricMode": True})
+        assert not np.array_equal(order, np.arange(len(order)))
+        assert np.array_equal(order, np.argsort(lu.perm_c))
         assert res.solution.lu_nnz == lu.nnz
+        assert np.array_equal(res.solution.dofs[plan.free], lu.solve(reduced.rhs))
 
     def test_one_plan_per_mesh_and_order(self, monkeypatch):
         # the sf and vem solves on one (mesh, k), a repeated solve and a
@@ -540,7 +554,8 @@ class TestSolve:
     def free_system(mat, rhs):
         """The reduced system of ``mat`` and ``rhs`` with no Dirichlet DOF, for ``solve``."""
         n = mat.shape[0]
-        plan = SimpleNamespace(n_dofs=n, free=np.arange(n), fixed=np.empty(0, dtype=int))
+        plan = SimpleNamespace(n_dofs=n, free=np.arange(n), fixed=np.empty(0, dtype=int),
+                               elimination=None)
         return ReducedSystem(mat, rhs, np.empty(0), plan)
 
     def test_singular_system_raises(self):
@@ -562,10 +577,16 @@ class TestSolve:
             return factors[-1]
 
         monkeypatch.setattr(assemble_module.spla, "splu", spy)
-        _, residual, _ = solve(self.free_system(mat, np.arange(1.0, n + 1)))
+        system = self.free_system(mat, np.arange(1.0, n + 1))
+        x, residual, _ = solve(system)
         [lu] = factors
         assert not np.array_equal(lu.perm_r, lu.perm_c)
         assert residual <= 1e-12
+        # a later factor on the plan takes the first one's column order and
+        # repeats its pivots off the diagonal
+        again, _, _ = solve(system)
+        assert np.array_equal(again, x)
+        assert not np.array_equal(factors[1].perm_r, factors[1].perm_c)
 
     def test_factorization_facts(self):
         # 32x32 test1 at k = 3, stabilization-free: the symmetric-mode LU of
@@ -591,7 +612,7 @@ class TestSolve:
         # and a 1-norm condition estimate of 1.8e10; against a reference
         # refined with extended-precision residuals, COLAMD with partial
         # pivoting erred by 2.2e-10 of max |DOF|, the symmetric-mode factor
-        # by 1.6e-12
+        # by 8.0e-13
         mesh = shared_mesh(generate_voronoi, 256, lloyd_iters=100, seed=3)
         solution = solve_problem(mesh, problem_test2(), 3, ell="auto").solution
         reduced = solution.reduced
