@@ -425,13 +425,31 @@ def energy_error(spaces, solution, problem):
     return float(np.sqrt(num / den))
 
 
+def format_vtk_geometry(mesh):
+    """The POINTS, CELLS and CELL_TYPES lines of ``mesh`` in a legacy VTK file, as a tuple."""
+    return (
+        f"POINTS {mesh.n_vertices} double",
+        *map("{:.17g} {:.17g} 0".format, *mesh.vertices.T.tolist()),
+        f"CELLS {mesh.n_cells} {int(mesh.cell_sizes.sum()) + mesh.n_cells}",
+        *(" ".join(map(str, [len(cell), *cell.tolist()])) for cell in mesh.cells),
+        f"CELL_TYPES {mesh.n_cells}", *["7"] * mesh.n_cells,  # VTK_POLYGON
+    )
+
+
 def export_vtk(solution, mesh, path):
     """Legacy ASCII unstructured-grid file with polygon cells.
 
     Point data: vertex DOF values ("u_vertex").  Cell data: the H1-projected
     solution at the star centers ("u_pi_center"), the enhancement increment
-    ("ell") and the element Peclet number ("peclet").
+    ("ell") and the element Peclet number ("peclet").  The geometry lines
+    are the mesh's ``vtk_geometry``, formatted once per mesh.  Raises
+    ``ValueError`` when ``mesh`` has other vertex or cell counts than the
+    solution's mesh.
     """
+    own = (solution.reduced.dofmap.mesh.n_vertices, len(solution.reconstructions))
+    if own != (mesh.n_vertices, mesh.n_cells):
+        raise ValueError(f"the solution has {own[0]} vertices and {own[1]} cells, the mesh "
+                         f"{mesh.n_vertices} vertices and {mesh.n_cells} cells")
     real = "{:.17g}".format  # 17 digits read back exactly
 
     def scalars(name, values, fmt=real):
@@ -439,11 +457,7 @@ def export_vtk(solution, mesh, path):
 
     lines = [
         "# vtk DataFile Version 3.0", "vemsupg solution", "ASCII", "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {mesh.n_vertices} double",
-        *map("{:.17g} {:.17g} 0".format, *mesh.vertices.T.tolist()),
-        f"CELLS {mesh.n_cells} {int(mesh.cell_sizes.sum()) + mesh.n_cells}",
-        *(" ".join(map(str, [len(cell), *cell.tolist()])) for cell in mesh.cells),
-        f"CELL_TYPES {mesh.n_cells}", *["7"] * mesh.n_cells,  # VTK_POLYGON
+        *mesh.vtk_geometry,
         f"POINT_DATA {mesh.n_vertices}",
         *scalars("u_vertex double", solution.dofs[: mesh.n_vertices]),
         f"CELL_DATA {mesh.n_cells}",

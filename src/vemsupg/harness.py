@@ -20,7 +20,11 @@ the energy error and ``sample`` run per chunk, each cell reading its
 member's rows of the stack's tables, and no per-cell space, coefficient or
 form object is made.  Shapes carry no spaces: a mesh is placed once, on
 first use, and its spaces are built per call; the DOF map of each order k,
-the assembly plan, is built on its first solve and kept on the mesh.  A
+the assembly plan, is built on its first solve and kept on the mesh.  So are
+the tables of post-processing, which depend on neither k nor ell: ``sample``
+finds its points' cells with ``mesh.locate``, on the fan triangles and
+bucket grid built from the placement on first use, and ``export_vtk`` takes
+the mesh's ``vtk_geometry`` lines, formatted once.  A
 solve returns the caller's mesh: test2's inflow labels are classified as
 the DOF map reads the mesh's labels, on no relabelled copy.
 """
@@ -48,7 +52,6 @@ from .forms import (  # noqa: F401
 )
 from .geometry import ElementGeometry
 from .mesh import (
-    box_buckets,
     generate_cartesian,
     generate_concave_pentagons,
     generate_voronoi,
@@ -269,7 +272,6 @@ class SolveResult:
         self.mesh = mesh
         self.dofmap = dofmap
         self.spaces = spaces
-        self._cell_tables = None  # boxes, fan triangles and box buckets, for ``sample``
 
     @property
     def mean_peclet(self):
@@ -279,12 +281,15 @@ class SolveResult:
         return energy_error(self.spaces, self.solution, problem)
 
     def sample(self, points):
-        """The solution at (n, 2) points or at one 2-vector, each on the first cell holding it."""
+        """The solution at (n, 2) points or at one 2-vector, each on the first cell holding it.
+
+        ``mesh.locate`` finds the cells, from the mesh's own table.
+        """
         pts = np.asarray(points, dtype=float)
         pts = pts[None] if pts.shape == (2,) else pts
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError(f"points must be (n, 2) or one 2-vector, not shape {pts.shape}")
-        cells, spaces = self._locate(pts), self.spaces
+        cells, spaces = self.mesh.locate(pts), self.spaces
         table = CellSpaces(spaces.stacks, spaces.stack[cells], spaces.member[cells],
                            spaces.shift[cells])
         local = pts - table.shift  # each point moved onto its cell's shape
@@ -294,53 +299,6 @@ class SolveResult:
             vals = eval_basis(MonomialBasis(stack.geom[rows], stack.k), local[group][:, None])
             out[group] = np.sum(self.solution.reconstructions[cells[group]] * vals[..., 0], axis=1)
         return out
-
-    def _locate(self, pts):
-        """Lowest-index cell holding each point, by the fan triangles of the cells.
-
-        Every cell is star-shaped about its star center, so its fan triangles
-        cover it.  A point is tested only against its bucket's cells from
-        ``box_buckets``, which hold every padded bounding box that holds it.
-        The test accepts points up to about 1e-12/|edge| outside a cell; the
-        pad of 1e-3 of the box size covers that with a wide margin.  Cells are
-        padded to the largest by repeating their own triangles.
-        """
-        if self._cell_tables is None:
-            width = int(self.mesh.cell_sizes.max())
-            tris = np.empty((self.mesh.n_cells, width, 3, 2))
-            for stack, rows, cells in self.spaces.chunks:
-                fan = stack.geom.triangles[:, np.arange(width) % stack.geom.n_vertices]
-                tris[cells] = fan[rows] + self.spaces.shift[cells][:, None, None]
-            lo, hi = tris.min(axis=(1, 2)), tris.max(axis=(1, 2))
-            pad = 1e-3 * (hi - lo).max(axis=1, keepdims=True)
-            lo, hi = lo - pad, hi + pad
-            self._cell_tables = lo, hi, tris, box_buckets(lo, hi)
-        lo, hi, tris, (bucket, starts, boxes) = self._cell_tables
-        home = bucket(pts)
-        out = np.full(len(pts), -1)
-        step = max(1, 2**20 // np.diff(starts).max())  # bounds the point-by-cell table
-        for start in range(0, len(pts), step):
-            p, own = pts[start : start + step], home[start : start + step]
-            # each point's bucket's cells: pairs by point, then by increasing cell
-            count = starts[own + 1] - starts[own]
-            ip = np.repeat(np.arange(len(p)), count)
-            ic = boxes[starts[own][ip] + np.arange(len(ip)) - (np.cumsum(count) - count)[ip]]
-            inside = ((lo[ic] <= p[ip]) & (p[ip] <= hi[ic])).all(axis=1)
-            ip, ic = ip[inside], ic[inside]
-            a, b, c, q = tris[ic, :, 0], tris[ic, :, 1], tris[ic, :, 2], p[ip, None]
-            side = np.minimum(np.minimum(_cross(a, b, q), _cross(b, c, q)), _cross(c, a, q))
-            hit = np.any(side >= -1e-12, axis=1)
-            # each point's first hit is its lowest cell
-            found, first = np.unique(ip[hit], return_index=True)
-            out[start + found] = ic[hit][first]
-        if np.any(out < 0):
-            raise ValueError(f"point {pts[np.argmax(out < 0)]} is outside the mesh")
-        return out
-
-
-def _cross(a, b, q):
-    """Cross product of b - a with q - a: not negative when q is left of a->b."""
-    return (b - a)[..., 0] * (q - a)[..., 1] - (b - a)[..., 1] * (q - a)[..., 0]
 
 
 def solve_problem(mesh, problem, k, ell="auto", method="sf"):

@@ -1,4 +1,4 @@
-"""Polygonal meshes of the unit square: generators, checks, placement, file I/O.
+"""Polygonal meshes of the unit square: generators, checks, placement, point location, file I/O.
 
 Three mesh families cover the benchmark geometries: tensor-product cartesian
 grids, a deterministic concave/convex pentagon tiling, and Lloyd-relaxed
@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.spatial import Voronoi, cKDTree
 
-from .assemble import DofMap
+from .assemble import DofMap, format_vtk_geometry
 from .errors import MeshError, MeshFormatError
 from .geometry import (edge_vectors, kernel_balls, polygon_diameter, polygon_is_simple,
                        polygon_signed_area, star_centers)
@@ -39,9 +39,11 @@ class PolyMesh:
         -> label string
 
     Tables derived from the vertices and cells are derived once: the cell
-    areas, the edges and ``boundary_edges`` at construction, ``placement``
-    on first use and the DOF map of each order k on its first ``dof_map(k)``
-    (kept with read-only arrays; one that raises is not kept).  So the mesh
+    areas, the edges and ``boundary_edges`` at construction; ``placement``,
+    the point-location table ``locate_table`` and the VTK text
+    ``vtk_geometry`` on first use, shared by the solves of every order; and
+    the DOF map of each order k on its first ``dof_map(k)`` (kept with
+    read-only arrays; one that raises is not kept).  So the mesh
     keeps read-only copies: the vertices as an (n, 2) array, leaving the
     caller's array as it was, ``cells`` as a tuple of int arrays (cell c's
     CCW loop), ``cell_sizes`` as their vertex counts, ``edges`` as an
@@ -166,6 +168,70 @@ class PolyMesh:
             self._dof_maps[k] = DofMap(self, k)
         return self._dof_maps[k]
 
+    @functools.cached_property
+    def locate_table(self):
+        """The cells' ``LocateTable``, built on first use.
+
+        Each fan is built as ``ElementGeometry.triangles`` is, on the shape's
+        first cell, and moved by the cell's shift, so it is bit for bit the
+        fan of the cell's space.
+        """
+        shapes, width = self.placement, int(self.cell_sizes.max())
+        fans = np.empty((self.n_cells, width, 3, 2))
+        for n_v in np.unique(self.cell_sizes).tolist():
+            cells = np.flatnonzero(self.cell_sizes == n_v)
+            of = shapes.of[cells]
+            # the vertices of each cell's shape's first cell, and the next vertices
+            v = self.vertices[self.cell_table(shapes.cell[of])[0]]
+            nxt = np.concatenate([v[:, 1:], v[:, :1]], axis=1)
+            center = np.broadcast_to(shapes.center[of][:, None, :], v.shape)
+            fan = np.stack([center, v, nxt], axis=2)
+            fans[cells] = fan[:, np.arange(width) % n_v] + shapes.shift[cells][:, None, None]
+        lo, hi = fans.min(axis=(1, 2)), fans.max(axis=(1, 2))
+        pad = 1e-3 * (hi - lo).max(axis=1, keepdims=True)
+        lo, hi = lo - pad, hi + pad
+        table = LocateTable(fans, lo, hi, *box_buckets(lo, hi))
+        for array in (fans, lo, hi, table.starts, table.boxes):
+            array.flags.writeable = False
+        return table
+
+    @functools.cached_property
+    def vtk_geometry(self):
+        """The POINTS, CELLS and CELL_TYPES lines of the mesh's VTK file, formatted on first use."""
+        return format_vtk_geometry(self)
+
+    def locate(self, points):
+        """Lowest-index cell holding each of the (n, 2) ``points``, by the cells' fan triangles.
+
+        Every cell is star-shaped about its star center, so its fan triangles
+        cover it.  A point is tested only against its bucket's cells from
+        ``box_buckets``, which hold every padded bounding box that holds it.
+        The test accepts points up to about 1e-12/|edge| outside a cell; the
+        pad of 1e-3 of the box size covers that with a wide margin.
+        """
+        points = np.asarray(points, dtype=float)
+        fans, lo, hi, bucket, starts, boxes = self.locate_table
+        home = bucket(points)
+        out = np.full(len(points), -1)
+        step = max(1, 2**20 // np.diff(starts).max())  # bounds the point-by-cell table
+        for start in range(0, len(points), step):
+            p, own = points[start : start + step], home[start : start + step]
+            # each point's bucket's cells: pairs by point, then by increasing cell
+            count = starts[own + 1] - starts[own]
+            ip = np.repeat(np.arange(len(p)), count)
+            ic = boxes[starts[own][ip] + np.arange(len(ip)) - (np.cumsum(count) - count)[ip]]
+            inside = ((lo[ic] <= p[ip]) & (p[ip] <= hi[ic])).all(axis=1)
+            ip, ic = ip[inside], ic[inside]
+            a, b, c, q = fans[ic, :, 0], fans[ic, :, 1], fans[ic, :, 2], p[ip, None]
+            side = np.minimum(np.minimum(_cross(a, b, q), _cross(b, c, q)), _cross(c, a, q))
+            hit = np.any(side >= -1e-12, axis=1)
+            # each point's first hit is its lowest cell
+            found, first = np.unique(ip[hit], return_index=True)
+            out[start + found] = ic[hit][first]
+        if np.any(out < 0):
+            raise ValueError(f"point {points[np.argmax(out < 0)]} is outside the mesh")
+        return out
+
     def cell_vertices(self, c):
         return self.vertices[self.cells[c]]
 
@@ -243,6 +309,29 @@ def place_shapes(mesh, cells):
     for table in placement:
         table.flags.writeable = False
     return placement
+
+
+class LocateTable(NamedTuple):
+    """The cells' point-location table, as read-only arrays.
+
+    ``fans`` (C, width, 3, 2) holds each cell's fan triangles about its
+    shape's star center, moved by its shift and padded to the widest cell by
+    repeating its own triangles; ``lo`` and ``hi`` (C, 2) the corners of its
+    bounding box, padded by 1e-3 of its size; ``bucket``, ``starts`` and
+    ``boxes`` the ``box_buckets`` grid of those boxes.
+    """
+
+    fans: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    bucket: object
+    starts: np.ndarray
+    boxes: np.ndarray
+
+
+def _cross(a, b, q):
+    """Cross product of b - a with q - a: not negative when q is left of a->b."""
+    return (b - a)[..., 0] * (q - a)[..., 1] - (b - a)[..., 1] * (q - a)[..., 0]
 
 
 def box_buckets(lo, hi):

@@ -431,11 +431,14 @@ def boundary_values_by_node(dofmap, problem):
 
 
 def locate_by_boxes(res, pts):
-    """``SolveResult._locate`` by testing every point against every cell's padded box.
+    """``PolyMesh.locate`` by testing every point against every cell's padded box.
 
-    The library's point location before it bucketed the boxes: the same fan
-    triangles, pad, side test, tie rule and error, with all point-box pairs
-    of a chunk of points in one (points, cells, 2) comparison.
+    The library's point location before it bucketed the boxes: the same pad,
+    side test, tie rule and error, with all point-box pairs of a chunk of
+    points in one (points, cells, 2) comparison.  The fan triangles come
+    from the solve's spaces, ``stack.geom.triangles`` moved by each cell's
+    shift, not from the mesh's ``locate_table``, so the oracle shares no
+    table with the library.
     """
     width = int(res.mesh.cell_sizes.max())
     tris = np.empty((res.mesh.n_cells, width, 3, 2))

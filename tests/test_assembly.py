@@ -833,6 +833,20 @@ class TestVtk:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("n", [8, 2], ids=["more-cells", "fewer-cells"])
+def test_vtk_rejects_another_mesh(n, tmp_path):
+    # a 32-cell solution written with a 128-cell mesh once gave CELL_DATA 128
+    # and 32 values, and with an 8-cell mesh a truncated file
+    solution = solve_problem(generate_concave_pentagons(4), problem_smooth(), 1, ell=1).solution
+    other = generate_concave_pentagons(n)
+    path = tmp_path / "out.vtk"
+    with pytest.raises(ValueError) as info:
+        export_vtk(solution, other, path)
+    assert str(info.value) == (f"the solution has 61 vertices and 32 cells, the mesh "
+                               f"{other.n_vertices} vertices and {other.n_cells} cells")
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("family", ["t1", "t2", "t3"])
 def test_vtk_bytes_match_line_writer(family, tmp_path):
     # formatting the tolist() values gives the bytes of formatting each numpy

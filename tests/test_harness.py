@@ -897,7 +897,7 @@ def test_sample_location_matches_scan(make_mesh):
         0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]]),
     ])
     want = [_locate_by_scan(res, pt) for pt in points]
-    np.testing.assert_array_equal(res._locate(points), want)
+    np.testing.assert_array_equal(mesh.locate(points), want)
     with pytest.raises(ValueError, match="outside"):
         res.sample([[1.5, 0.5]])
 
@@ -912,8 +912,7 @@ def test_bucket_location_matches_box_search(case):
     res = solve_problem(mesh, problem_test2(), 1, ell="auto")
     rng = np.random.default_rng(7)
     edges = np.array(mesh.edges)
-    res._locate(mesh.vertices)
-    lo, hi = res._cell_tables[:2]
+    lo, hi = mesh.locate_table.lo, mesh.locate_table.hi
     # the grid's lines, as box_buckets draws them: sqrt(n) buckets a side over the boxes
     n = int(np.sqrt(mesh.n_cells))
     lines = lo.min(axis=0) + np.arange(n + 1)[:, None] * (hi.max(axis=0) - lo.min(axis=0)) / n
@@ -932,7 +931,7 @@ def test_bucket_location_matches_box_search(case):
         on_lines,
         corners[((corners >= 0.0) & (corners <= 1.0)).all(axis=1)],
     ):
-        np.testing.assert_array_equal(res._locate(points), oracles.locate_by_boxes(res, points))
+        np.testing.assert_array_equal(mesh.locate(points), oracles.locate_by_boxes(res, points))
 
 
 @pytest.mark.parametrize("case", ["one-cell", "strip-64x1", "far-apart"])
@@ -949,13 +948,59 @@ def test_bucket_location_on_small_and_sparse_meshes(case):
     per_cell = [v.min(axis=0) + rng.random((50, 2)) * np.ptp(v, axis=0)
                 for v in map(mesh.cell_vertices, range(mesh.n_cells))]
     points = np.vstack([mesh.vertices, *per_cell])
-    np.testing.assert_array_equal(res._locate(points), oracles.locate_by_boxes(res, points))
+    np.testing.assert_array_equal(mesh.locate(points), oracles.locate_by_boxes(res, points))
     if case == "far-apart":
         gap = np.array([[0.5, 0.5], [5e5, 5e5]])
-        for locate in (res._locate, lambda pts: oracles.locate_by_boxes(res, pts)):
+        for locate in (mesh.locate, lambda pts: oracles.locate_by_boxes(res, pts)):
             with pytest.raises(ValueError) as info:
                 locate(gap)
             assert str(info.value) == "point [500000. 500000.] is outside the mesh"
+
+
+def test_post_processing_tables_built_once_per_mesh(monkeypatch, tmp_path):
+    # three solves on one mesh share its point-location table and its VTK
+    # geometry lines: each is built by the first sample or export and kept,
+    # and the location arrays are read-only
+    import vemsupg.mesh as mesh_module
+    from vemsupg.assemble import export_vtk
+
+    builds = {"box_buckets": 0, "format_vtk_geometry": 0}
+    for name in builds:
+        real = getattr(mesh_module, name)
+
+        def counted(*args, name=name, real=real):
+            builds[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(mesh_module, name, counted)
+    mesh = generate_concave_pentagons(4)
+    points = np.random.default_rng(6).random((100, 2))
+    results = [solve_problem(mesh, problem_test2(), k, ell="auto") for k in (1, 2, 3)]
+    for k, res in zip((1, 2, 3), results):
+        res.sample(points)
+        export_vtk(res.solution, mesh, tmp_path / f"k{k}.vtk")
+    assert builds == {"box_buckets": 1, "format_vtk_geometry": 1}
+    table = mesh.locate_table
+    for array in (table.fans, table.lo, table.hi, table.starts, table.boxes):
+        assert not array.flags.writeable
+    assert isinstance(mesh.vtk_geometry, tuple)
+    assert mesh.vtk_geometry[0] == f"POINTS {mesh.n_vertices} double"
+
+
+@pytest.mark.parametrize("family", ["t1", "t2", "t3"])
+def test_mesh_fans_are_the_spaces_triangles(family):
+    # the mesh builds each cell's fan as its stack's geometry builds the
+    # triangles of the shape's first cell, then moves it by the cell's shift:
+    # bit for bit the triangles a solve's spaces hold, at every order
+    mesh = {"t1": lambda: generate_mesh("t1", 6), "t2": lambda: generate_mesh("t2", 4),
+            "t3": lambda: shared_mesh(generate_voronoi, 256, lloyd_iters=100, seed=3)}[family]()
+    fans = mesh.locate_table.fans
+    width = int(mesh.cell_sizes.max())
+    for k in (1, 3):
+        spaces = solve_problem(mesh, problem_smooth(), k, ell="auto").spaces
+        for stack, rows, cells in spaces.chunks:
+            want = stack.geom.triangles[rows] + spaces.shift[cells][:, None, None]
+            assert np.array_equal(fans[cells], want[:, np.arange(width) % stack.geom.n_vertices])
 
 
 def test_post_processing_batched_by_stack(monkeypatch):
@@ -979,7 +1024,7 @@ def test_post_processing_batched_by_stack(monkeypatch):
     res.error(problem_smooth())
     assert len(calls) == len(set(stacks))
     points = np.random.default_rng(1).random((200, 2))
-    cells = res._locate(points)
+    cells = res.mesh.locate(points)
     calls.clear()
     values = res.sample(points)
     per_stack = np.unique([stacks[c] for c in cells], return_counts=True)[1]
@@ -1031,7 +1076,7 @@ def test_table_chunks_match_view_chunker(family, ell, method, monkeypatch):
     points = np.random.default_rng(4).random((500, 2))
     res.sample(points)
     [points_table] = made
-    cells = res._locate(points)
+    cells = res.mesh.locate(points)
     same(points_table.chunks, list(oracles.stack_chunks([table[c] for c in cells])))
 
 
