@@ -41,7 +41,8 @@ class ProblemData:
 
     def __init__(self, kappa, beta, source, dirichlet, label_priority=(),
                  exact=None, exact_grad=None, boundary_classifier=None, name=""):
-        if not (isinstance(kappa, numbers.Real) and np.isfinite(kappa) and kappa > 0):
+        if not (isinstance(kappa, numbers.Real) and not isinstance(kappa, bool)
+                and np.isfinite(kappa) and kappa > 0):
             raise ValueError(f"diffusivity must be positive and finite, not {kappa!r}")
         self.kappa = float(kappa)
         if callable(beta):

@@ -40,19 +40,19 @@ def polygon_diameter(vertices):
 
 
 def polygon_is_simple(vertices):
-    """True if no two non-adjacent edges intersect."""
+    """For polygons (..., nv, 2): no two non-adjacent edges cross (touching is not crossing)."""
     v = np.asarray(vertices, dtype=float)
-    n = len(v)
+    n = v.shape[-2]
     i, j = np.triu_indices(n, 2)
     i, j = i[(j + 1) % n != i], j[(j + 1) % n != i]  # edges i and j share no vertex
-    p, q, r, s = v[i], v[(i + 1) % n], v[j], v[(j + 1) % n]
+    p, q, r, s = v[..., i, :], v[..., (i + 1) % n, :], v[..., j, :], v[..., (j + 1) % n, :]
 
     def cross(u, w):
-        return u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]
+        return u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
 
     crossing = (cross(q - p, r - p) * cross(q - p, s - p) < 0) & (
         cross(s - r, p - r) * cross(s - r, q - r) < 0)
-    return not crossing.any()
+    return ~crossing.any(axis=-1)
 
 
 def edge_vectors(vertices):

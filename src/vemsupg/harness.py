@@ -55,6 +55,7 @@ from .mesh import (
     generate_cartesian,
     generate_concave_pentagons,
     generate_voronoi,
+    is_integer,
     place_shapes,
 )
 from .problems import get_problem
@@ -161,15 +162,10 @@ def probe_shapes(mesh, shapes, k):
     return (stacks, stack, member), failed
 
 
-def _is_count(v, least=0):
-    """True for an integer >= ``least`` that is not a bool."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= least
-
-
 def _check_mesh_size(n):
     """Raise a one-line ``ValueError`` unless ``n`` is an integer >= 1."""
-    if not _is_count(n, 1):
-        need = "at least 1" if _is_count(n, -np.inf) else "an integer"
+    if not (is_integer(n) and n >= 1):
+        need = "at least 1" if is_integer(n) else "an integer"
         raise ValueError(f"mesh size n must be {need}, got {n!r}")
 
 
@@ -178,8 +174,8 @@ def _check_ell(ell, mesh):
 
     A dict maps vertex counts to counts and must hold every vertex count of ``mesh``.
     """
-    if not (isinstance(ell, str) and ell == "auto" or _is_count(ell)
-            or isinstance(ell, dict) and all(map(_is_count, ell.values()))):
+    if not (isinstance(ell, str) and ell == "auto" or is_integer(ell) and ell >= 0
+            or isinstance(ell, dict) and all(is_integer(v) and v >= 0 for v in ell.values())):
         raise ValueError(f'ell must be "auto", an integer >= 0 or a dict of them, not {ell!r}')
     if isinstance(ell, dict):
         missing = [n_v for n_v in np.unique(mesh.cell_sizes).tolist() if n_v not in ell]
@@ -311,7 +307,7 @@ def solve_problem(mesh, problem, k, ell="auto", method="sf"):
     """
     if method not in ("sf", "vem"):
         raise ValueError("method must be 'sf' or 'vem'")
-    if not _is_count(k, 1):
+    if not (is_integer(k) and k >= 1):
         raise ValueError(f"order k must be an integer >= 1, not {k!r}")
     _check_ell(ell, mesh)
     if method == "vem":
@@ -351,7 +347,7 @@ class ExperimentConfig:
     out_dir: str = None
 
     def __post_init__(self):
-        if not (_is_count(self.k, 1) and self.k <= 4):
+        if not (is_integer(self.k) and 1 <= self.k <= 4):
             raise ValueError(f"order k must be an integer in 1..4, not {self.k!r}")
         if not isinstance(self.refinements, (list, tuple)):
             raise ValueError("refinements must be a list or tuple of mesh sizes, "

@@ -2,11 +2,11 @@
 
 Three mesh families cover the benchmark geometries: tensor-product cartesian
 grids, a deterministic concave/convex pentagon tiling, and Lloyd-relaxed
-clipped Voronoi tessellations.  Cells are stored as CCW vertex-index loops;
-interior edges must be shared by exactly two cells with opposite orientation.
-The topology is built and checked by array operations on one flat table of
-the cells' edges; the boundary is the edges with one user, in edge order.
-The checks are local to each cell and edge: overlapping cells are accepted.
+clipped Voronoi tessellations.  Cells are stored as CCW vertex-index loops
+of simple polygons; interior edges must be shared by exactly two cells with
+opposite orientation.  The topology is built and checked by array operations
+on one flat table of the cells' edges, and the cells' shapes by stacked tests
+per vertex count.  The checks are local: overlapping cells are accepted.
 """
 
 import collections
@@ -34,7 +34,7 @@ class PolyMesh:
     Parameters
     ----------
     vertices : (n, 2) array
-    cells : sequence of CCW vertex-index lists
+    cells : sequence of integer vertex-index lists, CCW loops of simple polygons
     boundary_labels : dict mapping the (cell, local_edge) of a boundary edge
         -> label string
 
@@ -54,16 +54,16 @@ class PolyMesh:
     each edge with one user, in edge order.
     """
 
-    def __init__(self, vertices, cells, boundary_labels=None, check_simple=False):
+    def __init__(self, vertices, cells, boundary_labels=None):
         self.vertices = np.array(vertices, dtype=float)
         self.vertices.flags.writeable = False
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be an (n, 2) array")
-        cells = [list(map(int, c)) for c in cells]
+        cells = list(map(list, cells))
         if not cells:
             raise MeshError("mesh has no cells")
         ends = self._build_topology(cells)
-        self._validate(ends, check_simple=check_simple)
+        self._validate(ends)
         self._dof_maps = {}  # order k -> DofMap, filled by ``dof_map``
         if boundary_labels is None:
             boundary_labels = _label_unit_square_sides(self)
@@ -81,21 +81,27 @@ class PolyMesh:
         self.n_cells = len(cells)
         sizes = np.fromiter(map(len, cells), int, len(cells))
         starts = np.cumsum(sizes) - sizes
-        try:
-            a = np.fromiter(itertools.chain.from_iterable(cells), int, sizes.sum())
-        except OverflowError:  # an index beyond the int range is a missing vertex
-            a = np.array([v if 0 <= v < n_vert else -1 for v in itertools.chain(*cells)])
+        flat = list(itertools.chain.from_iterable(cells))
+        # the test reads only the type, so one entry of each type stands for all
+        verdict = {t: is_integer(v) for t, v in dict(zip(map(type, flat), flat)).items()}
+        integer = np.fromiter(map(verdict.get, map(type, flat)), bool, len(flat))
+        # -1 for an index that is not an integer or names no vertex
+        a = np.array([v if ok and 0 <= v < n_vert else -1
+                      for v, ok in zip(flat, integer.tolist())], int)
         cell = np.repeat(np.arange(len(cells)), sizes)
         nxt = np.arange(1, len(a) + 1)
         used = sizes > 0
         nxt[(starts + sizes - 1)[used]] = starts[used]
         b = a[nxt]
-        missing = (a < 0) | (a >= n_vert) | (b < 0) | (b >= n_vert)
+        missing = (a < 0) | (b < 0)
         bad = missing | (a == b)
-        # the first cell with a fault; in it, fewer than 3 vertices, else its first bad edge
-        faults = np.flatnonzero(sizes < 3)[:1].tolist() + cell[bad][:1].tolist()
+        # the first faulty cell; in it a non-integer, else < 3 vertices, else its first bad edge
+        odd = cell[~integer][:1].tolist()
+        faults = odd + np.flatnonzero(sizes < 3)[:1].tolist() + cell[bad][:1].tolist()
         if faults:
             c = min(faults)
+            if odd == [c]:
+                raise MeshError(f"cell {c}: non-integer vertex index {flat[np.argmin(integer)]!r}")
             if sizes[c] < 3:
                 raise MeshError(f"cell {c}: fewer than 3 vertices")
             p = starts[c] + np.argmax(bad[starts[c]:])
@@ -120,21 +126,20 @@ class PolyMesh:
         at = self._starts[cells][:, None] + np.arange(self.cell_sizes[cells[0]])
         return self._loops[at], self._edge_table[at]
 
-    def _validate(self, ends, check_simple):
+    def _validate(self, ends):
         cell, a = ends
         nonfinite = ~np.isfinite(self.vertices).all(axis=1)[a]
         if nonfinite.any():
             raise MeshError(f"cell {cell[np.argmax(nonfinite)]}: non-finite vertex coordinates")
-        self.cell_areas = np.empty(self.n_cells)
+        self.cell_areas, simple = np.empty(self.n_cells), np.empty(self.n_cells, bool)
         for cells, polys in self.cell_polygons():
             self.cell_areas[cells] = polygon_signed_area(polys)
-        flipped = np.flatnonzero(self.cell_areas <= 0.0)
-        if check_simple:
-            for c in range(flipped[0] if len(flipped) else self.n_cells):
-                if not polygon_is_simple(self.cell_vertices(c)):
-                    raise MeshError(f"cell {c}: self-intersecting")
-        if len(flipped):
-            c = flipped[0]
+            simple[cells] = polygon_is_simple(polys)
+        bad = np.flatnonzero((self.cell_areas <= 0.0) | ~simple)  # in a cell, orientation first
+        if len(bad):
+            c = bad[0]
+            if self.cell_areas[c] > 0.0:
+                raise MeshError(f"cell {c}: self-intersecting")
             raise MeshError(f"cell {c}: not counter-clockwise (signed area {self.cell_areas[c]:g})")
         # each edge's users in cell order: an edge has one or two, in opposite directions
         edge, ascending = self._edge_table.T
@@ -373,10 +378,15 @@ def _label_unit_square_sides(mesh):
 # -- generators -------------------------------------------------------------
 
 
+def is_integer(x):
+    """True for an integer, such as Python's or numpy's, that is not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def _check_integers(**counts):
-    """Raise a one-line ``ValueError`` for a count that is not an integer (a bool is not)."""
+    """Raise a one-line ``ValueError`` for a count that is not an integer."""
     for name, n in counts.items():
-        if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+        if not is_integer(n):
             raise ValueError(f"{name} must be an integer, got {n!r}")
 
 
@@ -622,10 +632,6 @@ def write_mesh(mesh, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def _is_index(x):
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _is_coordinate(x):
     """A finite number: not a boolean, null, NaN, an infinity or beyond the float range."""
     return (isinstance(x, (int, float)) and not isinstance(x, bool)
@@ -650,21 +656,16 @@ def read_mesh(path):
         if not (isinstance(v, list) and len(v) == 2 and all(map(_is_coordinate, v))):
             raise MeshFormatError(f"{path}: vertex {i} must be a pair of finite numbers, not {v!r}")
     for i, cell in enumerate(data["cells"]):
-        if not isinstance(cell, list) or not all(map(_is_index, cell)):
+        if not isinstance(cell, list) or not all(map(is_integer, cell)):
             raise MeshFormatError(f"{path}: cell {i} must be a list of integers")
     labels = {}
     for i, item in enumerate(data["boundary_labels"]):
-        if not (isinstance(item, dict) and _is_index(item.get("cell"))
-                and _is_index(item.get("edge")) and isinstance(item.get("label"), str)):
+        if not (isinstance(item, dict) and is_integer(item.get("cell"))
+                and is_integer(item.get("edge")) and isinstance(item.get("label"), str)):
             raise MeshFormatError(f"{path}: bad boundary label entry {i}: {item!r}")
         labels[(item["cell"], item["edge"])] = item["label"]
     try:
-        mesh = PolyMesh(
-            np.asarray(data["vertices"], dtype=float),
-            data["cells"],
-            boundary_labels=labels,
-            check_simple=True,
-        )
+        mesh = PolyMesh(np.asarray(data["vertices"], dtype=float), data["cells"], labels)
     except MeshError as exc:
         raise MeshFormatError(f"{path}: {exc}") from None
     return mesh

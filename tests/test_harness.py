@@ -653,7 +653,7 @@ def _slit(mesh, cell, neighbour):
     other = cells[neighbour]
     j = other.index(loop[(i + 5) % len(loop)])
     other[j + 1 : j + 1] = ids[::-1]
-    return PolyMesh(np.vstack([mesh.vertices, new]), cells, check_simple=True)
+    return PolyMesh(np.vstack([mesh.vertices, new]), cells)
 
 
 class TestStarCenters:

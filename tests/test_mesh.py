@@ -235,23 +235,29 @@ class TestRegularity:
 class TestSimplicity:
     def test_matches_pairwise_oracle(self):
         # random polygons, many of them self-intersecting, some with vertices
-        # on a coarse lattice so that edges touch without crossing
+        # on a coarse lattice so that edges touch without crossing; each stack
+        # of 200 is tested in one call and one polygon at a time
         rng = np.random.default_rng(0)
         found = 0
         for n in range(3, 10):
+            stack = []
             for _ in range(200):
                 v = rng.random((n, 2))
                 if rng.random() < 0.3:
                     v = np.round(3 * v) / 3
-                assert polygon_is_simple(v) == polygon_is_simple_by_pair(v), v
-                found += not polygon_is_simple(v)
+                stack.append(v)
+            simple = polygon_is_simple(np.array(stack))
+            assert simple.shape == (200,)
+            for v, stacked in zip(stack, simple):
+                assert stacked == polygon_is_simple(v) == polygon_is_simple_by_pair(v), v
+                found += not stacked
         assert found > 500
 
     def test_self_intersecting_cell_named(self):
         # positive area, but edge 2 crosses edge 0
         verts = [[0.0, 0.0], [4.0, 0.0], [4.0, 3.0], [1.0, -1.0], [0.0, 3.0]]
         with pytest.raises(MeshError, match="^cell 0: self-intersecting$"):
-            PolyMesh(verts, [[0, 1, 2, 3, 4]], check_simple=True)
+            PolyMesh(verts, [[0, 1, 2, 3, 4]])
 
 
 class TestMeshIO:
@@ -370,6 +376,11 @@ class TestTopologyValidation:
 
     SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
     PAIR = [[0.1, 0.1], [0.8, 0.1], [0.8, 0.8], [0.1, 0.8]]
+    # a pentagon whose edge 2 crosses edge 0 (signed area 4), then a unit square
+    CROSSED = [[0, 0], [4, 0], [4, 3], [1, -1], [0, 3], [5, 0], [6, 0], [6, 1], [5, 1]]
+    # 5 points on a circle, joined as a pentagram (signed area 0.235)
+    ANGLES = np.pi / 2 + 2 * np.pi * np.arange(5) / 5
+    STAR = (0.5 + 0.4 * np.column_stack([np.cos(ANGLES), np.sin(ANGLES)])).tolist()
 
     @pytest.mark.parametrize(
         "vertices, cells, message",
@@ -400,11 +411,33 @@ class TestTopologyValidation:
             # orientation before sharing
             (SQUARE, [[0, 1, 2], [0, 1, 3], [0, 3, 2]],
              r"cell 2: not counter-clockwise \(signed area -0.5\)"),
+            # a vertex index must be an integer, and a bool is not one
+            (SQUARE, [[0, 1, 2, 3.5]], "cell 0: non-integer vertex index 3.5"),
+            (SQUARE, [["0", "1", "2", "3"]], "cell 0: non-integer vertex index '0'"),
+            (SQUARE, [[0, 1, 2, np.nan]], "cell 0: non-integer vertex index nan"),
+            (SQUARE, [[0, 1, True, 3]], "cell 0: non-integer vertex index True"),
+            (SQUARE, [[0, 1, 2, 3], [0, 1, 2.5]], "cell 1: non-integer vertex index 2.5"),
+            (SQUARE, [[0, 1, 9], [0, 1, 2.5]], "cell 0: references missing vertex"),
+            (SQUARE, [[0, 1, 2.5], [0, 1]], "cell 0: non-integer vertex index 2.5"),
+            (SQUARE, [[0, 2.5]], "cell 0: non-integer vertex index 2.5"),
+            # a cell that crosses itself, built in code; in one cell,
+            # orientation before self-intersection
+            (STAR, [[0, 2, 4, 1, 3]], "cell 0: self-intersecting"),
+            (STAR, [[0, 3, 1, 4, 2]], r"cell 0: not counter-clockwise \(signed area -0.235114\)"),
+            (CROSSED, [[0, 1, 2, 3, 4], [5, 8, 7, 6]], "cell 0: self-intersecting"),
+            (CROSSED, [[5, 8, 7, 6], [0, 1, 2, 3, 4]],
+             r"cell 0: not counter-clockwise \(signed area -1\)"),
+            (CROSSED, [[5, 6, 7, 8], [4, 3, 2, 1, 0]],
+             r"cell 1: not counter-clockwise \(signed area -4\)"),
         ],
         ids=["two-vertices", "missing", "negative", "huge", "huge-later", "zero-length", "nan", "clockwise",
              "same-direction", "three-users", "earlier-cell", "later-cell",
              "short-first", "short-missing", "short-zero", "zero-then-missing",
-             "missing-on-zero", "orientation-first"],
+             "missing-on-zero", "orientation-first",
+             "float-index", "string-index", "nan-index", "bool-index", "float-later",
+             "missing-before-float", "float-before-short", "float-on-short",
+             "pentagram", "pentagram-clockwise", "crossed-then-clockwise",
+             "clockwise-then-crossed", "crossed-and-clockwise"],
     )
     def test_construction_errors_are_exact(self, vertices, cells, message):
         with pytest.raises(MeshError, match=f"^{message}$"):

@@ -133,10 +133,10 @@ def _data(kappa=1.0, beta=(1.0, 0.0)):
     return ProblemData(kappa, beta, lambda p: np.zeros(len(p)), {"*": lambda p: np.zeros(len(p))})
 
 
-@pytest.mark.parametrize("kappa", [np.nan, np.inf, -np.inf, 0.0, -1.0, "1", None])
+@pytest.mark.parametrize("kappa", [np.nan, np.inf, -np.inf, 0.0, -1.0, "1", None, True])
 def test_bad_diffusivity_rejected(kappa):
     # a NaN or infinite kappa used to pass and the solve then blamed the mesh;
-    # a string or None died in numpy's isfinite
+    # a string or None died in numpy's isfinite; True was read as 1.0
     with pytest.raises(ValueError, match="^diffusivity must be positive and finite") as info:
         _data(kappa=kappa)
     assert "\n" not in str(info.value)
