@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 
 from .basis import MonomialBasis, eval_basis, grad_map, poly_dim
 from .errors import MeshError, SolveError
-from .quadrature import gauss_lobatto_interior
+from .space import edge_dofs, edge_nodes
 
 _RESIDUAL_TOL = 1e-10
 # SuperLU's symmetric mode pivots on the diagonal unless it falls below this
@@ -93,9 +93,10 @@ class DofMap:
     depends only on the mesh and k: each cell's DOFs (``flat``, ``offsets``),
     each local matrix entry's position in the CSR data of the pattern
     ``indices``/``indptr``, the (B, k + 1) DOFs ``boundary`` of the mesh's
-    boundary edges, the boundary DOFs ``fixed`` and the ``free`` rest, and
-    the gathers ``reduced`` and ``lift`` of the free-by-free and
-    free-by-fixed CSC blocks.  Its index arrays are int32 and read-only.
+    boundary edges in trace order (``space.edge_dofs``), the boundary DOFs
+    ``fixed`` and the ``free`` rest, and the gathers ``reduced`` and
+    ``lift`` of the free-by-free and free-by-fixed CSC blocks.  Its index
+    arrays are int32 and read-only.
     ``elimination`` is None until the plan's first factor, which orders the
     reduced matrix by minimum degree; that order depends only on the
     pattern, so ``solve`` keeps it there (``_Elimination``), and every later
@@ -110,53 +111,46 @@ class DofMap:
         self.edge_offset = mesh.n_vertices
         self.cell_offset = mesh.n_vertices + mesh.n_edges * self.n_edge_internal
         self.n_dofs = self.cell_offset + mesh.n_cells * self.n_moments
-        self.offsets, self.flat = self._number_cells()
-        self._plan()
+        self.offsets, self.flat, tables = self._number_cells()
+        self._plan(tables)
         self.elimination = None
 
     def _number_cells(self):
-        """Global DOFs of every cell, concatenated in cell order, plus offsets.
+        """Offsets, global DOFs of every cell in cell order, and (cells, table) by vertex count.
 
-        Cells with equal vertex counts are numbered together as one
-        (cells, n_dofs) array and scattered into place.
+        The cells of each vertex count are numbered together as one
+        (cells, n_dofs) table and scattered into place.
         """
         mesh = self.mesh
-        n_v = mesh.cell_sizes
-        sizes = n_v * self.k + self.n_moments
+        sizes = mesh.cell_sizes * self.k + self.n_moments
         offsets = np.concatenate([[0], np.cumsum(sizes)])
         flat = np.empty(offsets[-1], dtype=np.int32)
         t = np.arange(self.n_edge_internal)
-        for nv in np.unique(n_v):
-            cells = np.flatnonzero(n_v == nv)
+        tables = []
+        for cells, _ in mesh.cell_polygons():
             verts, edges = mesh.cell_table(cells)
             internal = np.where(edges[..., 1:].astype(bool), t, self.n_edge_internal - 1 - t)
-            edge_dofs = self.edge_offset + edges[..., :1] * self.n_edge_internal + internal
-            moments = self.cell_offset + cells[:, None] * self.n_moments + np.arange(
-                self.n_moments
-            )
-            table = np.hstack([verts, edge_dofs.reshape(len(cells), -1), moments])
+            on_edges = self.edge_offset + edges[..., :1] * self.n_edge_internal + internal
+            moments = self.cell_offset + cells[:, None] * self.n_moments + np.arange(self.n_moments)
+            table = np.hstack([verts, on_edges.reshape(len(cells), -1), moments])
             flat[offsets[cells][:, None] + np.arange(table.shape[1])] = table
+            tables.append((cells, table))
         flat.flags.writeable = False
-        return offsets, flat
+        return offsets, flat, tables
 
-    def _plan(self):
-        """The CSR pattern, each local entry's position in it, the boundary DOFs and the gathers."""
+    def _plan(self, tables):
+        """The CSR pattern of ``_number_cells``'s DOF tables, the boundary DOFs and the gathers."""
         n = self.n_dofs
         sizes = np.diff(self.offsets)
         ends = np.cumsum(sizes * sizes)
         keys = np.empty(ends[-1], dtype=np.int64)
-        for size in np.unique(sizes):
-            cells = np.flatnonzero(sizes == size)
-            dofs = self.stacked_dofs(cells).astype(np.int64)
-            at = (ends - sizes * sizes)[cells][:, None] + np.arange(size * size)
+        for cells, dofs in tables:
+            at = (ends - sizes * sizes)[cells][:, None] + np.arange(dofs.shape[1] ** 2)
             keys[at] = (dofs[:, :, None] * n + dofs[:, None, :]).reshape(len(cells), -1)
         keys, positions = np.unique(keys, return_inverse=True)
         rows, cols = keys // n, keys % n
-        # each boundary edge's DOFs: its vertices, then its internal nodes, CCW
         c, i = np.array(self.mesh.boundary_edges, dtype=int).reshape(-1, 2).T
-        n_v = self.mesh.cell_sizes[c]
-        local = np.column_stack([i, (i + 1) % n_v, (n_v + self.n_edge_internal * i)[:, None]
-                                 + np.arange(self.n_edge_internal)])
+        local = edge_dofs(self.mesh.cell_sizes[c], i, self.k)
         self.boundary = _index(self.flat[self.offsets[c][:, None] + local])
         fixed = np.zeros(n, dtype=bool)
         fixed[self.boundary] = True
@@ -177,13 +171,14 @@ class DofMap:
         An edge's label is the mesh's, passed through the problem's
         ``boundary_classifier(start, end, label)`` when it has one; the
         mesh keeps its own labels.  Each label's function is evaluated once,
-        on all nodes of its edges.  A DOF offered by several edges takes the
+        on all nodes of its edges (in ``boundary``'s trace order: start,
+        ``space.edge_nodes``, end).  A DOF offered by several edges takes the
         value of the lowest label rank, then of the first offer in
         ``mesh.boundary_edges`` order.  Returns the values on ``fixed``;
         raises MeshError on an unlabeled or unresolvable boundary edge.
         """
         mesh, classify, dofs = self.mesh, problem.boundary_classifier, self.boundary
-        pa, pb = mesh.vertices[dofs[:, 0]], mesh.vertices[dofs[:, 1]]
+        pa, pb = mesh.vertices[dofs[:, 0]], mesh.vertices[dofs[:, -1]]
         groups = {}  # label -> positions of its edges in boundary order
         for j, (c, i) in enumerate(mesh.boundary_edges):
             label = mesh.boundary_labels.get((c, i))
@@ -196,9 +191,7 @@ class DofMap:
                     f"no Dirichlet data for boundary label {label!r} (cell {c})"
                 )
             groups.setdefault(label, []).append(j)
-        params = gauss_lobatto_interior(self.k)
-        internal = pa[:, None, :] + params[:, None] * (pb - pa)[:, None, :]
-        pts = np.concatenate([pa[:, None], pb[:, None], internal], axis=1)
+        pts = np.concatenate([pa[:, None], edge_nodes(pa, pb, self.k), pb[:, None]], axis=1)
         vals = np.empty(dofs.shape)
         ranks = np.empty(len(dofs), dtype=int)
         for label, pos in groups.items():

@@ -250,8 +250,6 @@ class ShapeForms:
         if stabilized:
             resid = np.eye(space.n_dofs) - space.pinabla_dof
             self.stab = resid.mT @ resid
-        # samples of a callable velocity for beta_e: volume points first, then edges
-        self.samples = np.concatenate([pts, geom.edge_points.reshape(len(pts), -1, 2)], axis=1)
 
     def batch(self, problem, at, shifts):
         """Peclet numbers, tau, local matrices and loads of cells placed on the stack.
@@ -271,7 +269,9 @@ class ShapeForms:
         w = geom.quad_weights[at][..., None]
         kappa = problem.kappa
         if problem.beta_constant is None:
-            pts = self.samples[at] + shifts[:, None, :]
+            # beta_e samples a callable velocity at the volume points, then the edge points
+            edges = geom.edge_points.reshape(len(geom.quad_points), -1, 2)
+            pts = np.concatenate([geom.quad_points, edges], axis=1)[at] + shifts[:, None, :]
             beta = problem.beta(pts.reshape(-1, 2))
             beta = np.asarray(beta, dtype=float).reshape(n_cells, -1, 2)
         else:

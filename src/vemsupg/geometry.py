@@ -60,6 +60,13 @@ def edge_vectors(vertices):
     return np.roll(vertices, -1, axis=-2) - vertices
 
 
+def fan_triangles(vertices, centers):
+    """Fans (..., nv, 3, 2) of polygons (..., nv, 2): triangle e is (center, vertex e, e + 1)."""
+    v = np.asarray(vertices, dtype=float)
+    nxt = np.concatenate([v[..., 1:, :], v[..., :1, :]], axis=-2)
+    return np.stack([np.broadcast_to(centers[..., None, :], v.shape), v, nxt], axis=-2)
+
+
 def _convex(vertices):
     """Which polygons (C, nv, 2) have positive area and no right turn: each is its own kernel."""
     d = edge_vectors(vertices)
@@ -267,9 +274,7 @@ class ElementGeometry:
         self.edge_normals = np.stack([unit[..., 1], -unit[..., 0]], axis=-1)
         self.perimeter = lengths.sum(axis=-1)
 
-        self.triangles = np.stack(
-            [np.broadcast_to(self.star_center[:, None, :], v.shape), v, nxt], axis=2
-        )
+        self.triangles = fan_triangles(v, self.star_center)
         pts, wts = map_rule_to_triangle(
             *triangle_rule(self.exact_degree), self.triangles
         )

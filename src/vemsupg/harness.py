@@ -102,24 +102,17 @@ def _chunks(items):
     return [items[start : start + STACK] for start in range(0, len(items), STACK)]
 
 
-def _shape_groups(mesh, shapes):
-    """Positions and vertex count of the shapes of each vertex count, by vertex count."""
-    n_v = mesh.cell_sizes[shapes.cell]
-    for nv in np.unique(n_v).tolist():
-        yield np.flatnonzero(n_v == nv), nv
-
-
 def build_spaces(mesh, shapes, k, ell):
     """The (k, ``ell``) stacks of a ``Placement``'s shapes (STACK or fewer of one vertex count).
 
     ``ell`` is a count or a dict of counts by vertex count; stack and member are (S,) arrays.
     """
     stacks, (stack, member) = [], np.empty((2, len(shapes.cell)), dtype=int)
-    for group, n_v in _shape_groups(mesh, shapes):
+    for group, polys in mesh.cell_polygons(shapes.cell):
         for chunk in _chunks(group):
             stack[chunk], member[chunk] = len(stacks), np.arange(len(chunk))
-            stacks.append(_stack_space(mesh, shapes, chunk, k,
-                                       ell[n_v] if isinstance(ell, dict) else int(ell)))
+            stacks.append(_stack_space(mesh, shapes, chunk, k, ell[polys.shape[1]]
+                                       if isinstance(ell, dict) else int(ell)))
     return stacks, stack, member
 
 
@@ -139,8 +132,8 @@ def probe_shapes(mesh, shapes, k):
     """
     stacks, (stack, member) = [], np.full((2, len(shapes.cell)), -1)
     failed = {}
-    for group, n_v in _shape_groups(mesh, shapes):
-        start = rank_bound_ell(dof_layout(n_v, k).n_dofs, k)
+    for group, polys in mesh.cell_polygons(shapes.cell):
+        start = rank_bound_ell(dof_layout(polys.shape[1], k).n_dofs, k)
         traces = {i: [(ell, None) for ell in range(min(start, DEFAULT_ELL_MAX + 1))]
                   for i in group.tolist()}
         for ell in range(start, DEFAULT_ELL_MAX + 1):
@@ -496,9 +489,9 @@ def probe_table(config, orders=(1, 2, 3, 4), families=FAMILIES):
             shapes = mesh.placement
             for k in orders:
                 (stacks, stack, _), _ = probe_shapes(mesh, shapes, k)
-                for at, n_v in _shape_groups(mesh, shapes):
+                for at, polys in mesh.cell_polygons(shapes.cell):
                     found = stack[at].tolist()  # -1 where the probe fails
-                    table[(family, n_v, k)] = "—" if -1 in found else max(
+                    table[(family, polys.shape[1], k)] = "—" if -1 in found else max(
                         stacks[s].ell for s in found)
             log.line(f"probed family={family} shapes={len(shapes.cell)}")
         if config.out_dir:

@@ -22,8 +22,8 @@ from scipy.spatial import Voronoi, cKDTree
 
 from .assemble import DofMap, format_vtk_geometry
 from .errors import MeshError, MeshFormatError
-from .geometry import (edge_vectors, kernel_balls, polygon_diameter, polygon_is_simple,
-                       polygon_signed_area, star_centers)
+from .geometry import (edge_vectors, fan_triangles, kernel_balls, polygon_diameter,
+                       polygon_is_simple, polygon_signed_area, star_centers)
 
 _SNAP_TOL = 1e-9
 
@@ -177,21 +177,16 @@ class PolyMesh:
     def locate_table(self):
         """The cells' ``LocateTable``, built on first use.
 
-        Each fan is built as ``ElementGeometry.triangles`` is, on the shape's
-        first cell, and moved by the cell's shift, so it is bit for bit the
-        fan of the cell's space.
+        Each fan is the ``fan_triangles`` of the shape's first cell about the
+        shape's center, as ``ElementGeometry.triangles`` is, moved by the
+        cell's shift, so it is bit for bit the fan of the cell's space.
         """
         shapes, width = self.placement, int(self.cell_sizes.max())
         fans = np.empty((self.n_cells, width, 3, 2))
-        for n_v in np.unique(self.cell_sizes).tolist():
-            cells = np.flatnonzero(self.cell_sizes == n_v)
-            of = shapes.of[cells]
-            # the vertices of each cell's shape's first cell, and the next vertices
-            v = self.vertices[self.cell_table(shapes.cell[of])[0]]
-            nxt = np.concatenate([v[:, 1:], v[:, :1]], axis=1)
-            center = np.broadcast_to(shapes.center[of][:, None, :], v.shape)
-            fan = np.stack([center, v, nxt], axis=2)
-            fans[cells] = fan[:, np.arange(width) % n_v] + shapes.shift[cells][:, None, None]
+        # grouped by their shapes' first cells, so the positions are the cells
+        for cells, v in self.cell_polygons(shapes.cell[shapes.of]):
+            fan = fan_triangles(v, shapes.center[shapes.of[cells]])
+            fans[cells] = fan[:, np.arange(width) % v.shape[1]] + shapes.shift[cells][:, None, None]
         lo, hi = fans.min(axis=(1, 2)), fans.max(axis=(1, 2))
         pad = 1e-3 * (hi - lo).max(axis=1, keepdims=True)
         lo, hi = lo - pad, hi + pad
@@ -240,11 +235,16 @@ class PolyMesh:
     def cell_vertices(self, c):
         return self.vertices[self.cells[c]]
 
-    def cell_polygons(self):
-        """(cells, (C, n_v, 2) vertices) of the cells of each vertex count, by vertex count."""
-        for n_v in np.unique(self.cell_sizes):
-            cells = np.flatnonzero(self.cell_sizes == n_v)
-            yield cells, self.vertices[self.cell_table(cells)[0]]
+    def cell_polygons(self, cells=None):
+        """Positions into ``cells`` (default: all) and (C, n_v, 2) vertices, by ascending n_v.
+
+        The one grouping of cells by vertex count for every stacked pass.
+        """
+        cells = np.arange(self.n_cells) if cells is None else np.asarray(cells, dtype=int)
+        n_v = self.cell_sizes[cells]
+        for nv in np.unique(n_v):
+            at = np.flatnonzero(n_v == nv)
+            yield at, self.vertices[self.cell_table(cells[at])[0]]
 
     def max_diameter(self):
         return max(polygon_diameter(polys).max() for _, polys in self.cell_polygons())
@@ -296,12 +296,9 @@ def place_shapes(mesh, cells):
     from one ``star_centers`` call.
     """
     cells = np.asarray(cells, dtype=int)
-    n_v = mesh.cell_sizes[cells]
     keys = [None] * len(cells)
     anchors = np.empty((len(cells), 2))  # vertex means, the points shifts are measured from
-    for nv in np.unique(n_v):
-        at = np.flatnonzero(n_v == nv)
-        polys = mesh.vertices[mesh.cell_table(cells[at])[0]]
+    for at, polys in mesh.cell_polygons(cells):
         group_keys, anchors[at] = _shape_signatures(polys)
         for i, key in zip(at, group_keys):
             keys[i] = key
@@ -656,7 +653,7 @@ def read_mesh(path):
         if not (isinstance(v, list) and len(v) == 2 and all(map(_is_coordinate, v))):
             raise MeshFormatError(f"{path}: vertex {i} must be a pair of finite numbers, not {v!r}")
     for i, cell in enumerate(data["cells"]):
-        if not isinstance(cell, list) or not all(map(is_integer, cell)):
+        if not isinstance(cell, list):  # PolyMesh checks the entries
             raise MeshFormatError(f"{path}: cell {i} must be a list of integers")
     labels = {}
     for i, item in enumerate(data["boundary_labels"]):

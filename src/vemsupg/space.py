@@ -86,13 +86,27 @@ def _gram_solve(gram, rhs, what, cell):
     return _checked_solve(scaled, rhs / d, what, cell) / d
 
 
+def edge_dofs(n_v, e, k):
+    """Local DOFs (..., k + 1) of edge ``e`` of ``n_v``-gons at order k, in trace order."""
+    n_v, e = np.broadcast_arrays(np.asarray(n_v)[..., None], np.asarray(e)[..., None])
+    return np.concatenate([e, n_v + (k - 1) * e + np.arange(k - 1), (e + 1) % n_v], axis=-1)
+
+
+def edge_nodes(start, end, k):
+    """The k - 1 Gauss-Lobatto internal nodes (..., k - 1, 2) of edges from ``start`` to ``end``."""
+    t = gauss_lobatto_interior(k)[:, None]
+    return start[..., None, :] + t * (end - start)[..., None, :]
+
+
 class DofLayout:
     """Numbering of the local DOFs for a polygon with ``n_vertices`` vertices.
 
     Order: vertex values, then k-1 edge-internal values per edge (ascending
     along the CCW edge direction), then scaled moments in graded-lex order.
-    The first ``n_nodes`` DOFs are point values at ``nodes``.  Layouts are
-    shared through ``dof_layout``, so their arrays and tables are read-only.
+    The first ``n_nodes`` DOFs are point values at ``nodes``, the internal
+    ones at ``edge_nodes``; edge e's trace reads ``edge_dofs(n_vertices, e,
+    k)``.  Layouts are shared through ``dof_layout``, so their arrays and
+    tables are read-only.
     """
 
     def __init__(self, n_vertices, k):
@@ -112,8 +126,7 @@ class DofLayout:
     def nodes(self, vertices):
         """Vertices, then each edge's internal nodes: the (..., n_nodes, 2) DOF nodes."""
         v = np.asarray(vertices, dtype=float)
-        d = np.concatenate([v[..., 1:, :], v[..., :1, :]], axis=-2) - v
-        internal = v[..., None, :] + self.edge_internal_params[:, None] * d[..., None, :]
+        internal = edge_nodes(v, np.concatenate([v[..., 1:, :], v[..., :1, :]], axis=-2), self.k)
         return np.concatenate([v, internal.reshape(*v.shape[:-2], -1, 2)], axis=-2)
 
     def edge_traces(self, params):
@@ -127,12 +140,9 @@ class DofLayout:
         key = params.tobytes()
         if key not in self._traces:
             vals = lagrange_values(self.trace_params, params)
-            nv, k = self.n_vertices, self.k
-            e = np.arange(nv)[:, None]
-            # DOFs of each edge's k+1 trace nodes, in trace-node order
-            cols = np.hstack([e, nv + (k - 1) * e + np.arange(k - 1), (e + 1) % nv])
-            out = np.zeros((nv, len(vals), self.n_dofs))
-            out[e[:, :, None], np.arange(len(vals))[:, None], cols[:, None, :]] = vals
+            cols = edge_dofs(self.n_vertices, np.arange(self.n_vertices), self.k)
+            out = np.zeros((self.n_vertices, len(vals), self.n_dofs))
+            np.put_along_axis(out, cols[:, None, :], vals, axis=2)
             out.flags.writeable = False
             self._traces[key] = out
         return self._traces[key]

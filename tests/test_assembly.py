@@ -26,7 +26,7 @@ from vemsupg.geometry import ElementGeometry
 from vemsupg.harness import solve_problem
 from vemsupg.mesh import PolyMesh, generate_cartesian, generate_concave_pentagons, generate_voronoi
 from vemsupg.problems import problem_smooth, problem_test1, problem_test2
-from vemsupg.space import LocalSpace
+from vemsupg.space import LocalSpace, edge_dofs
 
 # the package re-exports the function assemble() under the module's name
 assemble_module = importlib.import_module("vemsupg.assemble")
@@ -64,6 +64,18 @@ class TestDofMap:
         d1 = cell_dofs(dm, 1)
         shared0 = [d for d in d0 if d >= dm.edge_offset and d in set(d1)]
         assert len(shared0) == 2  # k - 1 = 2 internal dofs on the shared edge
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_boundary_rows_are_edge_dofs(self, k):
+        # each boundary edge's row holds its cell's DOFs at the edge's local
+        # DOFs in trace order, on a mesh of mixed vertex counts
+        mesh = generate_voronoi(16, lloyd_iters=20, seed=1)
+        dm = DofMap(mesh, k)
+        assert len(np.unique(mesh.cell_sizes)) > 1
+        assert len(dm.boundary) == len(mesh.boundary_edges)
+        for row, (c, i) in zip(dm.boundary, mesh.boundary_edges):
+            local = edge_dofs(mesh.cell_sizes[c], i, k)
+            assert np.array_equal(row, dm.flat[dm.offsets[c] + local])
 
 
 def cell_blocks(forms):

@@ -162,6 +162,23 @@ class TestVoronoi:
         mode = max(hist, key=hist.get)
         assert mode in (5, 6)
 
+    def test_cell_polygons_groups_any_cells(self):
+        # an unsorted subset with mixed vertex counts: each group's positions
+        # index the subset, groups come by ascending vertex count, and the
+        # stacked vertices are the cells' own
+        mesh = generate_voronoi(40, lloyd_iters=20, seed=1)
+        cells = np.random.default_rng(0).permutation(mesh.n_cells)[:25]
+        assert len(np.unique(mesh.cell_sizes[cells])) > 1
+        counts, seen = [], []
+        for at, polys in mesh.cell_polygons(cells):
+            counts.append(polys.shape[1])
+            seen += at.tolist()
+            assert np.all(np.diff(at) > 0) and len(polys) == len(at)
+            for i, c in enumerate(cells[at]):
+                assert np.array_equal(polys[i], mesh.vertices[mesh.cells[c]])
+        assert counts == sorted(set(mesh.cell_sizes[cells].tolist()))
+        assert sorted(seen) == list(range(len(cells)))
+
     def test_rejects_too_few(self):
         with pytest.raises(ValueError):
             generate_voronoi(1)
@@ -300,7 +317,8 @@ class TestMeshIO:
             '{"vertices": [[0,0],[1,0],[1,1]],'
             ' "cells": [[0, 1.5, 2]], "boundary_labels": []}'
         )
-        with pytest.raises(MeshFormatError, match="list of integers"):
+        with pytest.raises(MeshFormatError,
+                           match=f"^{re.escape(f'{path}: cell 0: non-integer vertex index 1.5')}$"):
             read_mesh(path)
 
     @pytest.mark.parametrize("cell, edge", [(7, 0), (0, 1)], ids=["no-cell", "interior"])

@@ -6,13 +6,15 @@ from oracles import cell_dofs, hat_pinabla_square_k1, interpolate, l2_projection
 from vemsupg.basis import MonomialBasis, eval_basis, eval_poly, grad_map, poly_dim
 from vemsupg.errors import ElementQualityError
 from vemsupg.geometry import ElementGeometry
-from vemsupg.quadrature import edge_rule
+from vemsupg.quadrature import edge_rule, gauss_lobatto_interior
 from vemsupg.space import (
     DofLayout,
     LocalSpace,
     _checked_solve,
     _gram_solve,
     dof_layout,
+    edge_dofs,
+    edge_nodes,
     lagrange_values,
 )
 
@@ -53,6 +55,22 @@ class TestDofLayout:
         # edge 1 runs from (1, 0) to (1, 1); its internal nodes are DOFs 6, 7
         lobatto = layout.trace_params[1:-1]
         assert nodes[6:8] == pytest.approx(np.column_stack([[1.0, 1.0], lobatto]))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_edge_dofs_sit_at_edge_nodes(self, k):
+        # edge e's DOFs in trace order are its start, its Gauss-Lobatto
+        # internal nodes and its end, bit for bit the layout's nodes
+        v = np.array([[0.0, 0.0], [1.0, 0.0], [1.2, 0.7], [0.5, 0.4], [0.1, 0.9]])
+        nodes = DofLayout(5, k).nodes(v)
+        for e in range(5):
+            a, b = v[e], v[(e + 1) % 5]
+            dofs = edge_dofs(5, e, k)
+            assert dofs.tolist() == [e, *range(5 + (k - 1) * e, 5 + (k - 1) * (e + 1)), (e + 1) % 5]
+            assert np.array_equal(nodes[dofs], np.vstack([a, edge_nodes(a, b, k), b]))
+        assert np.array_equal(edge_dofs(5, np.arange(5), k),
+                              np.array([edge_dofs(5, e, k) for e in range(5)]))
+        t = edge_nodes(np.zeros(2), np.array([1.0, 0.0]), k)
+        assert np.array_equal(t, np.column_stack([gauss_lobatto_interior(k), np.zeros(k - 1)]))
 
     def test_layout_tables_shared_read_only(self):
         # one layout per (vertex count, order) and one trace table per edge
